@@ -70,3 +70,14 @@ pub const EPS_TIME: f64 = 1e-9;
 pub const EPS_ENERGY: f64 = 1e-6;
 /// Work (GFLOP) tolerance.
 pub const EPS_FLOPS: f64 = 1e-7;
+
+/// Cores this process may run on (`std::thread::available_parallelism`,
+/// 1 when the OS will not say), resolved once per process. The OS call
+/// is a `sched_getaffinity` plus cgroup file reads — tens of
+/// microseconds — so every "0 = all cores" thread-count knob in the
+/// workspace resolves through this cache instead of paying it per solve
+/// or per server tick.
+pub fn available_cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}

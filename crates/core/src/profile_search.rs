@@ -495,9 +495,7 @@ fn descend<'a>(
     }
     let gate_threads = if opts.pairwise_probe {
         match opts.gate_threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            0 => crate::available_cores(),
             t => t,
         }
         .min(pairs.len().max(1))

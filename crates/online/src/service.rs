@@ -462,6 +462,15 @@ impl OnlineService {
         self.pool.len()
     }
 
+    /// Whether the next clock advance opens with a residual re-solve:
+    /// the pool, ledger or park changed since the incumbent plan was
+    /// computed and there is a pool to plan (a stale incumbent over an
+    /// empty pool is merely dropped). The sharded server counts these to
+    /// tell a tick with parallel work from one that is bookkeeping only.
+    pub fn replan_due(&self) -> bool {
+        self.plan_dirty && !self.pool.is_empty()
+    }
+
     /// The replanner's path counters so far (cache hits, estimates,
     /// delta bounds, fallbacks). The sharded server snapshots these at
     /// shard-kill time to attribute a dead cell's replanning history.

@@ -23,6 +23,27 @@ use dsct_sim::runner::Execution;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+/// Every name the command line accepts as an experiment.
+const EXPERIMENTS: &[&str] = &[
+    "all",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig4a",
+    "fig4b",
+    "table1",
+    "fig5",
+    "fig6",
+    "fig6a",
+    "fig6b",
+    "energy-gain",
+    "robustness",
+    "online",
+    "chaos",
+    "staged",
+];
+
 #[derive(Debug, Clone)]
 struct Args {
     experiments: Vec<String>,
@@ -69,7 +90,8 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 return Err("usage".to_string());
             }
-            name if !name.starts_with('-') => experiments.push(name.to_string()),
+            name if EXPERIMENTS.contains(&name) => experiments.push(name.to_string()),
+            name if !name.starts_with('-') => return Err(format!("unknown experiment {name}")),
             other => return Err(format!("unknown option {other}")),
         }
     }
@@ -85,9 +107,12 @@ fn parse_args() -> Result<Args, String> {
     })
 }
 
-fn usage() -> &'static str {
-    "dsct-experiments [EXPERIMENTS…] [--quick] [--seed N] [--out DIR] [--threads N] [--sequential]\n\
-     experiments: all fig1 fig2 fig3 fig4 fig4a fig4b table1 fig5 fig6 fig6a fig6b energy-gain robustness online chaos staged"
+fn usage() -> String {
+    format!(
+        "dsct-experiments [EXPERIMENTS…] [--quick] [--seed N] [--out DIR] [--threads N] [--sequential]\n\
+         experiments: {}",
+        EXPERIMENTS.join(" ")
+    )
 }
 
 fn main() -> ExitCode {

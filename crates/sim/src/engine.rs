@@ -389,9 +389,7 @@ impl ExperimentPlan {
     pub fn run_streaming(&self, mut on_cell: impl FnMut(&CellSummary)) -> ExperimentRun {
         let t_run = Instant::now();
         let threads = match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            0 => dsct_core::available_cores(),
             t => t,
         };
 

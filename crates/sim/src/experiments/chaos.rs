@@ -195,9 +195,7 @@ pub fn run(cfg: &ChaosExpConfig, threads: usize) -> ChaosResult {
         .flat_map(|c| (0..cfg.replications).map(move |rep| (c, rep)))
         .collect();
     let workers = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
+        dsct_core::available_cores()
     } else {
         threads
     }

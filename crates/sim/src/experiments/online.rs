@@ -162,9 +162,7 @@ pub fn run(cfg: &OnlineExpConfig, threads: usize) -> OnlineResult {
         .flat_map(|c| (0..cfg.replications).map(move |rep| (c, rep)))
         .collect();
     let workers = if threads == 0 {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
+        dsct_core::available_cores()
     } else {
         threads
     }
