@@ -75,8 +75,9 @@ pub const EPS_FLOPS: f64 = 1e-7;
 /// 1 when the OS will not say), resolved once per process. The OS call
 /// is a `sched_getaffinity` plus cgroup file reads — tens of
 /// microseconds — so every "0 = all cores" thread-count knob in the
-/// workspace resolves through this cache instead of paying it per solve
-/// or per server tick.
+/// workspace resolves through this cache instead of paying it per
+/// solve. The value is frozen at first use: a later affinity or cgroup
+/// change is not seen for the life of the process.
 pub fn available_cores() -> usize {
     static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))

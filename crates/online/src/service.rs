@@ -462,15 +462,6 @@ impl OnlineService {
         self.pool.len()
     }
 
-    /// Whether the next clock advance opens with a residual re-solve:
-    /// the pool, ledger or park changed since the incumbent plan was
-    /// computed and there is a pool to plan (a stale incumbent over an
-    /// empty pool is merely dropped). The sharded server counts these to
-    /// tell a tick with parallel work from one that is bookkeeping only.
-    pub fn replan_due(&self) -> bool {
-        self.plan_dirty && !self.pool.is_empty()
-    }
-
     /// The replanner's path counters so far (cache hits, estimates,
     /// delta bounds, fallbacks). The sharded server snapshots these at
     /// shard-kill time to attribute a dead cell's replanning history.
@@ -1582,8 +1573,9 @@ pub struct ReplayConfig {
     pub online: OnlineConfig,
     /// Shard cells of a sharded replay (ignored by [`replay`]).
     pub shards: usize,
-    /// Worker threads flushing shard cells in a sharded replay; results
-    /// never depend on it (ignored by [`replay`]).
+    /// Worker threads finishing shard cells at the end of a sharded
+    /// replay, `0` = all cores (ticks advance the cells on the caller's
+    /// thread); results never depend on it (ignored by [`replay`]).
     pub workers: usize,
 }
 

@@ -11,9 +11,8 @@
 //!   proportional slice of the global energy budget. Arrivals route by
 //!   rendezvous hashing on [`dsct_workload::OnlineTask::tenant`];
 //!   same-tick submissions batch into one residual re-solve per shard
-//!   (the `AdmitAll` lazy-dirty path), flushed across cells inline or
-//!   on a persistent deterministic worker pool, whichever the tick's
-//!   work calls for — the report is byte-identical for any worker
+//!   (the `AdmitAll` lazy-dirty path), flushed cell by cell on the
+//!   caller's thread — the report is byte-identical for any worker
 //!   count (see [`ServerReport::digest`]);
 //! - [`Router`] — highest-random-weight tenant routing with a live
 //!   mask: killing a shard remaps only that shard's tenants;
@@ -41,13 +40,12 @@
 //!   firing time.
 
 mod federation;
-mod pool;
 mod route;
 mod server;
 
 pub use federation::{plan_transfers, FederationConfig, Settlement, ShardFunds};
 pub use route::{rendezvous_score, Router};
 pub use server::{
-    replay_sharded, ArchivedShard, DrainRecord, FlushStats, MoveRecord, RecoveryRecord,
-    ScheduleServer, ServerConfig, ServerReport, ServerSummary,
+    replay_sharded, ArchivedShard, DrainRecord, MoveRecord, RecoveryRecord, ScheduleServer,
+    ServerConfig, ServerReport, ServerSummary,
 };

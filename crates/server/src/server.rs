@@ -1,20 +1,15 @@
-//! The sharded scheduling server: shard cells, work-aware tick flushes
-//! (inline, or on a persistent deterministic worker pool), shard-kill
-//! drains, and the federation loop.
+//! The sharded scheduling server: shard cells, inline tick flushes,
+//! shard-kill drains, and the federation loop.
 //!
 //! # Tick flushes
 //!
-//! The first submission of a new tick advances every cell to it. The
-//! worker count is resolved once, at construction (`0` = all cores,
-//! capped at the shard count), and each tick then picks its path from
-//! the work in front of it: the residual re-solve of a cell whose pool
-//! changed ([`OnlineService::replan_due`]) is the only part of an
-//! advance worth a second thread, so a tick with fewer than two such
-//! cells runs inline on the caller — no thread is woken, none is ever
-//! spawned on a one-arrival-per-tick stream — and the rest go to the
-//! server's private pool (`pool.rs`): `workers − 1` threads spawned on
-//! the first pooled tick and parked between flushes, the caller working
-//! alongside them. [`ScheduleServer::flush_stats`] counts both paths.
+//! The first submission of a new tick advances every cell to it, in
+//! shard order, on the caller's thread. At serving pool sizes a cell's
+//! advance is a few µs — less than waking a parked thread, let alone
+//! spawning one — so a tick asks the OS for nothing: no thread, no core
+//! count. The worker count (`0` = all cores, capped at the shard count)
+//! is resolved once, at construction, and sizes only the once-per-run
+//! fan-out of [`ScheduleServer::finish`].
 //!
 //! # Determinism argument
 //!
@@ -22,33 +17,25 @@
 //! every source of nondeterminism is structurally excluded:
 //!
 //! 1. **Cells are independent.** Each shard owns its own
-//!    [`OnlineService`] behind its own mutex; a flush thread (a pool
-//!    worker or the caller) claims a shard index from the flush's
-//!    atomic injector and is the only thread that touches that cell
-//!    during the flush. No cell reads another cell's state, so the
-//!    inline path — the caller advancing every cell in turn — computes
-//!    the same cells.
-//! 2. **Work items are frozen before the flush starts.** A flush
-//!    advances every cell to the *same* timestamp; the injector hands
-//!    out indices from a fixed range, and each flush has an injector of
-//!    its own, so a worker that wakes late can only find its flush
-//!    exhausted. Which thread advances which cell — and in what order
-//!    — cannot change any cell's result.
-//! 3. **Everything cross-shard is serial and canonically ordered.**
-//!    Routing, federation transfers (ascending borrower index, ring
-//!    lender order — see [`crate::federation`]), kill drains (pool
-//!    admission order) and recoveries (the cell swapped in place under
-//!    its lock) all run on the caller's thread between flushes, when
-//!    every worker is parked.
+//!    [`OnlineService`]; no cell reads another cell's state, so the
+//!    order in which cells advance or finish cannot change any cell's
+//!    result.
+//! 2. **Everything up to `finish` is serial and canonically ordered.**
+//!    Tick flushes (every cell to the *same* timestamp), routing,
+//!    federation transfers (ascending borrower index, ring lender order
+//!    — see [`crate::federation`]), kill drains (pool admission order)
+//!    and recoveries all run on the caller's thread.
+//! 3. **`finish` works on frozen items.** Its workers claim shard
+//!    indices from an atomic injector over a fixed range, and each is
+//!    the only thread that touches the cell it claimed.
 //! 4. **Aggregation is in shard order.** [`ScheduleServer::finish`]
 //!    collects per-cell reports into an index-addressed slot array and
 //!    folds them `0..shards`, never in completion order.
 //!
 //! This is the same frozen-items/atomic-injector/slot-array recipe as
-//! `dsct_sim::engine`, applied to mutable cells instead of pure jobs.
+//! `dsct_sim::engine`, applied to owned cells instead of pure jobs.
 
 use crate::federation::{plan_transfers, FederationConfig, Settlement, ShardFunds};
-use crate::pool::FlushPool;
 use crate::route::Router;
 use dsct_chaos::ShardKillPlan;
 use dsct_core::EPS_TIME;
@@ -60,10 +47,10 @@ use dsct_online::{
 use dsct_workload::{ArrivalTrace, OnlineTask};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Mutex};
 
 /// Configuration of a [`ScheduleServer`]: the [`ReplayConfig`] shared
-/// with `dsct_online::replay` (shard count, worker pool, per-cell online
+/// with `dsct_online::replay` (shard count, worker count, per-cell online
 /// config), plus the server-only federation knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct ServerConfig {
@@ -82,7 +69,8 @@ impl ServerConfig {
         self.replay.shards
     }
 
-    /// Flush worker threads (from the embedded [`ReplayConfig`]).
+    /// Worker threads of the final fan-out (from the embedded
+    /// [`ReplayConfig`]).
     pub fn workers(&self) -> usize {
         self.replay.workers
     }
@@ -260,49 +248,17 @@ impl ServerReport {
     }
 }
 
-/// How the server's ticks were flushed — which path each took and what
-/// the pool cost. Timing-free but still telemetry: it depends on the
-/// worker count, so it lives beside the report
-/// ([`ScheduleServer::flush_stats`]), never inside
-/// [`ServerReport::digest`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FlushStats {
-    /// Ticks flushed (`inline + pooled`).
-    pub ticks: u64,
-    /// Ticks advanced on the caller's thread: fewer than two cells had a
-    /// re-plan due, or the server runs one worker.
-    pub inline: u64,
-    /// Ticks handed to the persistent pool.
-    pub pooled: u64,
-    /// Pool threads spawned so far (zero until the first pooled tick).
-    pub workers_started: usize,
-}
-
 /// Shard index recorded for a submission no live shard could take.
 const NO_SHARD: usize = usize::MAX;
-
-/// One cell's share of a tick. Infallible by construction: submission
-/// and kill paths validated `t` as finite and the server clock is
-/// monotone.
-fn advance_cell(cell: &mut OnlineService, t: f64) {
-    cell.advance_clock(t)
-        .expect("server clock is finite and monotone");
-}
 
 /// The sharded multi-tenant scheduling server. See the module docs for
 /// the determinism argument and [`crate`] docs for the model.
 pub struct ScheduleServer {
     cfg: ServerConfig,
-    /// Flush workers, resolved once: the configured count (`0` = all
-    /// cores), capped at the shard count.
+    /// Workers of the `finish` fan-out, resolved once: the configured
+    /// count (`0` = all cores), capped at the shard count.
     workers: usize,
-    /// Shared with the flush pool's threads, hence the `Arc`; every
-    /// path outside a pooled flush locks uncontended.
-    cells: Arc<Vec<Mutex<OnlineService>>>,
-    pool: FlushPool<OnlineService>,
-    /// Ticks flushed on the caller's thread, and on the pool.
-    inline_ticks: u64,
-    pooled_ticks: u64,
+    cells: Vec<OnlineService>,
     /// Machine group per shard — kept whole (not just sizes) so a
     /// recovery can respawn the cell over the original hardware.
     shard_machines: Vec<Vec<Machine>>,
@@ -353,11 +309,11 @@ impl ScheduleServer {
             } else {
                 budget / shards as f64
             };
-            cells.push(Mutex::new(OnlineService::from_machines(
+            cells.push(OnlineService::from_machines(
                 group.clone(),
                 slice,
                 cfg.replay.online,
-            )?));
+            )?);
             shard_machines.push(group);
             slices.push(slice);
         }
@@ -366,13 +322,9 @@ impl ScheduleServer {
             w => w,
         }
         .min(shards);
-        let cells = Arc::new(cells);
         Ok(Self {
             cfg,
             workers,
-            pool: FlushPool::new(Arc::clone(&cells), workers - 1, advance_cell),
-            inline_ticks: 0,
-            pooled_ticks: 0,
             cells,
             shard_machines,
             slices,
@@ -398,47 +350,17 @@ impl ScheduleServer {
         &self.router
     }
 
-    /// How the ticks so far were flushed. Out-of-digest telemetry (it
-    /// varies with the worker count; the report does not).
-    pub fn flush_stats(&self) -> FlushStats {
-        FlushStats {
-            ticks: self.inline_ticks + self.pooled_ticks,
-            inline: self.inline_ticks,
-            pooled: self.pooled_ticks,
-            workers_started: self.pool.started(),
-        }
-    }
-
-    /// Shard `shard`'s cell. Uncontended: pool workers touch cells only
-    /// inside [`FlushPool::flush`], which `&mut self` excludes here.
-    fn cell(&self, shard: usize) -> MutexGuard<'_, OnlineService> {
-        self.cells[shard]
-            .lock()
-            .expect("cell lock: a flush panicked")
-    }
-
-    /// Advances every cell to `t`. This is where the tick-batched
-    /// residual re-solves run: each cell's pool was filled by same-tick
-    /// submissions under the `AdmitAll` lazy-dirty path, and the advance
-    /// triggers exactly one re-solve per dirty cell. The re-solves are
-    /// the only work worth a second thread, so a tick with fewer than
-    /// two of them due runs inline on the caller; the rest go to the
-    /// persistent pool — in parallel across cells, deterministically
-    /// either way (see module docs).
+    /// Advances every cell to `t`, in shard order on the caller's
+    /// thread. This is where the tick-batched residual re-solves run:
+    /// each cell's pool was filled by same-tick submissions under the
+    /// `AdmitAll` lazy-dirty path, and the advance triggers exactly one
+    /// re-solve per dirty cell. Infallible by construction: submission
+    /// and kill paths validated `t` as finite and the server clock is
+    /// monotone.
     fn advance_cells(&mut self, t: f64) {
-        let parallel = self.workers > 1
-            && (0..self.cells.len())
-                .filter(|&s| self.cell(s).replan_due())
-                .nth(1)
-                .is_some();
-        if parallel {
-            self.pooled_ticks += 1;
-            self.pool.flush(t);
-        } else {
-            self.inline_ticks += 1;
-            for s in 0..self.cells.len() {
-                advance_cell(&mut self.cell(s), t);
-            }
+        for cell in &mut self.cells {
+            cell.advance_clock(t)
+                .expect("server clock is finite and monotone");
         }
     }
 
@@ -449,15 +371,15 @@ impl ScheduleServer {
         if !self.cfg.federation.enabled || self.cells.len() < 2 {
             return Ok(());
         }
-        let funds: Vec<ShardFunds> = (0..self.cells.len())
-            .map(|s| {
-                let svc = self.cell(s);
-                ShardFunds {
-                    remaining: svc.ledger().remaining(),
-                    slice: self.slices[s],
-                    pending: svc.pending(),
-                    alive: self.router.is_alive(s),
-                }
+        let funds: Vec<ShardFunds> = self
+            .cells
+            .iter()
+            .enumerate()
+            .map(|(s, svc)| ShardFunds {
+                remaining: svc.ledger().remaining(),
+                slice: self.slices[s],
+                pending: svc.pending(),
+                alive: self.router.is_alive(s),
             })
             .collect();
         let plan = plan_transfers(&self.cfg.federation, t, &funds);
@@ -470,12 +392,12 @@ impl ScheduleServer {
     }
 
     fn inject(&mut self, shard: usize, at: f64, d: &Disruption) -> Result<(), ExecError> {
-        self.cell(shard).inject(at, d)
+        self.cells[shard].inject(at, d)
     }
 
-    /// Advances the server clock to `t`: flushes every cell (inline or
-    /// pooled, deterministic either way), then runs a federation round. Called on the
-    /// first submission of each new tick and on kill events.
+    /// Advances the server clock to `t`: flushes every cell, then runs
+    /// a federation round. Called on the first submission of each new
+    /// tick and on kill events.
     fn tick(&mut self, t: f64) -> Result<(), OnlineError> {
         self.advance_cells(t);
         self.rebalance(t)?;
@@ -517,9 +439,7 @@ impl ScheduleServer {
     /// tasks, failure remnants included), indexed by shard. The skew
     /// signal the rebalancer thresholds on.
     pub fn pending_per_shard(&mut self) -> Vec<usize> {
-        (0..self.cells.len())
-            .map(|s| self.cell(s).pending())
-            .collect()
+        self.cells.iter().map(|cell| cell.pending()).collect()
     }
 
     /// `(tenant, movable task count)` for `shard`'s pending pool,
@@ -527,7 +447,7 @@ impl ScheduleServer {
     /// [`ScheduleServer::rebalance_tenants`] drain would actually move
     /// (failure remnants with partial work stay put).
     pub fn tenant_loads(&mut self, shard: usize) -> Vec<(u64, usize)> {
-        self.cell(shard).pending_by_tenant()
+        self.cells[shard].pending_by_tenant()
     }
 
     /// Moves `tenants` from shard `from` to shard `to` at time `t`:
@@ -564,11 +484,11 @@ impl ScheduleServer {
         let t = t.max(self.now);
         let mut moved = 0usize;
         for &tenant in tenants {
-            let drained = self.cell(from).drain_tenant(tenant);
+            let drained = self.cells[from].drain_tenant(tenant);
             self.router.pin(tenant, to);
             for mut task in drained {
                 task.arrival = t;
-                let decision = self.cell(to).try_submit(&task)?;
+                let decision = self.cells[to].try_submit(&task)?;
                 self.moves.push(MoveRecord {
                     at: t,
                     task: task.id,
@@ -607,15 +527,13 @@ impl ScheduleServer {
         }
         self.advance(t)?;
         let t = t.max(self.now);
-        let restored = self.cell(shard).ledger().remaining().max(0.0);
+        let restored = self.cells[shard].ledger().remaining().max(0.0);
         let fresh = OnlineService::from_machines(
             self.shard_machines[shard].clone(),
             restored,
             self.cfg.replay.online,
         )?;
-        // Swapped in place under the cell's lock: the pool's threads
-        // share the cell vector, so the slot itself cannot be replaced.
-        let old = std::mem::replace(&mut *self.cell(shard), fresh);
+        let old = std::mem::replace(&mut self.cells[shard], fresh);
         let report = old.finish();
         self.archived.push(ArchivedShard {
             shard,
@@ -666,7 +584,7 @@ impl ScheduleServer {
             self.decisions.push((task.id, NO_SHARD, Decision::Rejected));
             return Ok(Decision::Rejected);
         };
-        let decision = self.cell(shard).try_submit(task)?;
+        let decision = self.cells[shard].try_submit(task)?;
         self.decisions.push((task.id, shard, decision));
         Ok(decision)
     }
@@ -713,10 +631,9 @@ impl ScheduleServer {
         // Snapshot the victim's replanner history before the drain
         // wipes its incumbent: every record of this kill carries the
         // same attribution.
-        let (replan, drained) = {
-            let mut victim = self.cell(shard);
-            (victim.replan_stats(), victim.drain_pending())
-        };
+        let victim = &mut self.cells[shard];
+        let replan = victim.replan_stats();
+        let drained = victim.drain_pending();
         for machine in 0..self.shard_machines[shard].len() {
             self.inject(shard, at, &Disruption::MachineFailure { machine })?;
         }
@@ -725,7 +642,7 @@ impl ScheduleServer {
             task.arrival = at;
             match self.router.route(task.tenant) {
                 Some(dst) => {
-                    let decision = self.cell(dst).try_submit(&task)?;
+                    let decision = self.cells[dst].try_submit(&task)?;
                     self.drains.push(DrainRecord {
                         at,
                         task: task.id,
@@ -752,18 +669,16 @@ impl ScheduleServer {
         Ok(())
     }
 
-    /// Joins the flush pool, finishes every cell — fanned out once over
-    /// scoped threads, the cells now being owned — and folds the
-    /// per-shard reports, in shard order, never completion order, into
-    /// the server report.
+    /// Finishes every cell — fanned out once over scoped threads — and
+    /// folds the per-shard reports, in shard order, never completion
+    /// order, into the server report.
     pub fn finish(self) -> ServerReport {
         let workers = self.workers;
         let shards = self.cells.len();
-        drop(self.pool);
-        let slots: Vec<Mutex<Option<OnlineService>>> = Arc::into_inner(self.cells)
-            .expect("the joined pool held the only other handles on the cells")
+        let slots: Vec<Mutex<Option<OnlineService>>> = self
+            .cells
             .into_iter()
-            .map(|cell| Mutex::new(Some(cell.into_inner().expect("cell lock"))))
+            .map(|cell| Mutex::new(Some(cell)))
             .collect();
         let mut reports: Vec<Option<dsct_online::OnlineReport>> = Vec::new();
         reports.resize_with(shards, || None);

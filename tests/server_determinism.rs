@@ -2,12 +2,9 @@
 //! replays must produce byte-identical report digests across worker
 //! counts {1, 2, 8}, for every seed under test — including under
 //! shard-kill chaos, where a whole cell dies and its pending pool
-//! drains into the survivors — and whichever way a tick is flushed: a
-//! one-arrival-per-tick stream never leaves the caller's thread, a
-//! burst goes to the persistent pool (`tests/shard_recovery.rs` covers
-//! the pooled path under kill → recover). The `determinism` CI job runs
-//! this binary twice — `--test-threads=1` and the harness default — so
-//! harness threading is covered by the job matrix, not by code here.
+//! drains into the survivors. The `determinism` CI job runs this binary
+//! twice — `--test-threads=1` and the harness default — so harness
+//! threading is covered by the job matrix, not by code here.
 //!
 //! The runs double as oracle coverage: tests build in debug, so
 //! `OnlineConfig::check_invariants` defaults to on and every per-shard
@@ -82,35 +79,6 @@ fn server_reports_are_byte_identical_across_worker_counts() {
             digests[0], digests[2],
             "seed {seed}: workers 1 vs 8 diverged"
         );
-    }
-}
-
-/// One arrival per tick (a Poisson stream: every arrival time is
-/// distinct), federation off so no budget shock marks a second cell:
-/// each tick has exactly one re-plan due, so every flush runs inline —
-/// at any worker count the pool is never used, its threads never
-/// spawned — and the digest cannot depend on the count.
-#[test]
-fn one_arrival_per_tick_runs_inline_and_digests_identically() {
-    for seed in SEEDS {
-        let t = trace(seed);
-        let mut digests = Vec::new();
-        for &w in &WORKER_COUNTS {
-            let mut cfg = server_config(w);
-            cfg.federation.enabled = false;
-            let mut server = ScheduleServer::new(&t.park, t.budget, cfg).expect("valid server");
-            for task in &t.tasks {
-                server.submit(task).expect("valid task");
-            }
-            let stats = server.flush_stats();
-            assert_eq!(stats.ticks, t.tasks.len() as u64 - 1, "seed {seed}");
-            assert_eq!(stats.inline, stats.ticks, "seed {seed} workers {w}");
-            assert_eq!(stats.pooled, 0, "seed {seed} workers {w}");
-            assert_eq!(stats.workers_started, 0, "seed {seed} workers {w}");
-            digests.push(server.finish().digest());
-        }
-        assert_eq!(digests[0], digests[1], "seed {seed}: workers 1 vs 2");
-        assert_eq!(digests[0], digests[2], "seed {seed}: workers 1 vs 8");
     }
 }
 

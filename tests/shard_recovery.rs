@@ -3,10 +3,7 @@
 //! lower shard index, as everywhere in HRW), and every task id stays
 //! single-accounted across the full drain → re-route → recover chain —
 //! the recovered incarnation and the archived dead one never both claim
-//! an outcome for the same id. The last test fires kill → recover while
-//! the server's persistent flush pool is live: the recovered cell is
-//! swapped in under the workers' shared handle, and the digest must not
-//! depend on the worker count.
+//! an outcome for the same id.
 
 use dsct_ea::chaos::ShardChaosPlan;
 use dsct_ea::gateway::{replay_gateway, GatewayConfig};
@@ -171,82 +168,5 @@ fn task_ids_single_accounted_across_kill_recover() {
             t.tasks.len(),
             "seed {seed}: quota-off gateway must admit the whole trace"
         );
-    }
-}
-
-/// Kill → recover under burst ticks, across worker counts. Arrivals
-/// snapped onto ticks of 50 put a re-plan due on every cell at every
-/// tick, so with more than one worker each flush goes to the persistent
-/// pool; the kill and the recovery then fire between pooled flushes,
-/// and the recovery replaces the cell under the `Arc` the parked
-/// workers hold. Later pooled flushes must advance the fresh cell, and
-/// the report must be byte-identical for workers {1, 2, 8}.
-#[test]
-fn burst_kill_recover_digests_identically_while_the_pool_is_live() {
-    const PER_TICK: usize = 50;
-    const TICKS: usize = 12;
-    const SHARD: usize = 1;
-    for seed in [11u64, 22, 33] {
-        let cfg = ArrivalConfig {
-            tasks: TaskConfig::paper(
-                PER_TICK * TICKS,
-                ThetaDistribution::Uniform { min: 0.1, max: 2.0 },
-            ),
-            machines: MachineConfig::paper_random(8),
-            load: 1.0,
-            deadline_slack: 4.0,
-            beta: 0.5,
-        };
-        let mut t = generate_arrivals(&cfg, seed)
-            .expect("validated config")
-            .with_tenants(64, seed);
-        let step = t.horizon() / TICKS as f64;
-        for (i, task) in t.tasks.iter_mut().enumerate() {
-            task.arrival = (i / PER_TICK) as f64 * step;
-        }
-        let mut digests = Vec::new();
-        for workers in [1usize, 2, 8] {
-            let mut scfg = server_config(4);
-            scfg.replay.workers = workers;
-            let mut server = ScheduleServer::new(&t.park, t.budget, scfg).expect("valid server");
-            let mut pooled_at_kill = 0;
-            let mut pooled_at_recovery = 0;
-            for (tick, burst) in t.tasks.chunks(PER_TICK).enumerate() {
-                if tick == 4 {
-                    // Mid-way between two ticks, like a chaos plan.
-                    let at = (tick as f64 - 0.5) * step;
-                    server.apply_shard_kill(at, SHARD).expect("kill");
-                    pooled_at_kill = server.flush_stats().pooled;
-                }
-                if tick == 8 {
-                    let at = (tick as f64 - 0.5) * step;
-                    assert!(server.recover_shard(at, SHARD).expect("recover"));
-                    pooled_at_recovery = server.flush_stats().pooled;
-                }
-                for task in burst {
-                    server.submit(task).expect("valid task");
-                }
-            }
-            let stats = server.flush_stats();
-            assert_eq!(stats.ticks, stats.inline + stats.pooled);
-            if workers == 1 {
-                assert_eq!((stats.pooled, stats.workers_started), (0, 0));
-            } else {
-                assert_eq!(stats.workers_started, workers.min(4) - 1);
-                assert!(
-                    pooled_at_kill > 0,
-                    "seed {seed} workers {workers}: the pool was not live at the kill"
-                );
-                assert!(
-                    stats.pooled > pooled_at_recovery,
-                    "seed {seed} workers {workers}: no pooled flush ran over the recovered cell"
-                );
-            }
-            let report = server.finish();
-            assert_eq!((report.summary.kills, report.summary.recoveries), (1, 1));
-            digests.push(report.digest());
-        }
-        assert_eq!(digests[0], digests[1], "seed {seed}: workers 1 vs 2");
-        assert_eq!(digests[0], digests[2], "seed {seed}: workers 1 vs 8");
     }
 }
