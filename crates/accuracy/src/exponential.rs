@@ -174,15 +174,24 @@ impl ExponentialAccuracy {
         k: usize,
         spacing: BreakpointSpacing,
     ) -> Result<PwlAccuracy, AccuracyError> {
-        let pwl = self.to_pwl(k, spacing)?;
-        let s0 = pwl.first_slope();
+        // Rescale the chord points, then build (and validate) the curve
+        // once: the same bits as `to_pwl(..)?.scale_f(s0 / θ)` without
+        // constructing the unscaled curve first. Workload generators call
+        // this once per task.
+        let mut points = fit::chord_points(|f| self.eval(f), self.f_max, k, spacing)?;
+        let ((f0, a0), (f1, a1)) = (points[0], points[1]);
+        let s0 = ((a1 - a0) / (f1 - f0)).max(0.0);
         if s0 <= 0.0 {
             return Err(AccuracyError::InvalidParameter {
                 name: "first_slope",
                 value: s0,
             });
         }
-        pwl.scale_f(s0 / self.theta)
+        let factor = s0 / self.theta;
+        for point in &mut points {
+            point.0 *= factor;
+        }
+        PwlAccuracy::new(&points)
     }
 }
 
@@ -272,6 +281,15 @@ mod tests {
                 "theta = {theta}, got {}",
                 p.first_slope()
             );
+            // Every generated instance's bits hang on this: rescaling the
+            // chord points before the one construction equals constructing
+            // the unscaled curve and rescaling that.
+            let unscaled = e.to_pwl(5, BreakpointSpacing::Uniform).unwrap();
+            let two_step = unscaled.scale_f(unscaled.first_slope() / theta).unwrap();
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(p.breakpoints()), bits(two_step.breakpoints()));
+            assert_eq!(bits(p.values()), bits(two_step.values()));
+            assert_eq!(bits(p.slopes()), bits(two_step.slopes()));
         }
     }
 }

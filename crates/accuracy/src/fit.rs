@@ -55,6 +55,16 @@ pub fn chord_fit<F: Fn(f64) -> f64>(
     k: usize,
     spacing: BreakpointSpacing,
 ) -> Result<PwlAccuracy, AccuracyError> {
+    PwlAccuracy::new(&chord_points(a, f_max, k, spacing)?)
+}
+
+/// The `k + 1` interpolation points `(f, a(f))` of [`chord_fit`].
+pub(crate) fn chord_points<F: Fn(f64) -> f64>(
+    a: F,
+    f_max: f64,
+    k: usize,
+    spacing: BreakpointSpacing,
+) -> Result<Vec<(f64, f64)>, AccuracyError> {
     if k < 1 {
         return Err(AccuracyError::TooFewPoints(k + 1));
     }
@@ -64,11 +74,10 @@ pub fn chord_fit<F: Fn(f64) -> f64>(
             value: f_max,
         });
     }
-    let points: Vec<(f64, f64)> = breakpoints(f_max, k, spacing)
+    Ok(breakpoints(f_max, k, spacing)
         .into_iter()
         .map(|f| (f, a(f)))
-        .collect();
-    PwlAccuracy::new(&points)
+        .collect())
 }
 
 /// Continuous piecewise-linear least-squares fit over samples `(xs, ys)` with

@@ -20,10 +20,21 @@
 //! feasibility the single-machine transformation assumed. Because caps only
 //! grow with `j`, any cap-respecting distribution preserves the aggregate
 //! capacity argument, so the achieved accuracies are unchanged.
+//!
+//! Steps 2–3 as written ([`compute_naive_solution`]: Algorithm 1 on the
+//! slack tree, then the waterfill) are what materializes every adopted
+//! schedule. The profile search only needs step 2's objective, the
+//! profile value function `V(p)`, thousands of times per solve, and
+//! [`NaiveSolver`] is its one evaluator: [`NaiveSolver::checkpoint_into`]
+//! evaluates `V` at an incumbent profile and records a
+//! [`ValueCheckpoint`] there, and [`NaiveSolver::value_delta`] evaluates
+//! `V` at that incumbent with ≤ 3 caps changed, recomputing only what the
+//! change can reach. The unit tests hold both to the materialized
+//! schedule's accuracy.
 
 use crate::algo_single::{
-    accuracy_gain_buckets_lanes, accuracy_gain_tree_lanes, schedule_single_machine,
-    times_tree_lanes, BucketSlack, SegmentSpec, SlackTree,
+    accuracy_gain_buckets_lanes, schedule_single_machine, times_tree_lanes, BucketSlack,
+    SegmentSpec, SlackTree,
 };
 use crate::kernels;
 use crate::problem::{Instance, Task};
@@ -77,7 +88,7 @@ pub struct NaiveSolver<'a> {
     segments: Vec<SegmentSpec>,
     order: Vec<usize>,
     /// The positive-gain segments of `order`, as contiguous SoA lanes —
-    /// what every hot greedy walks (see [`crate::soa`]).
+    /// what every probe walks (see [`crate::soa`]).
     lanes: SegmentLanes,
     /// Flat segment index over all tasks' accuracy breakpoints, for the
     /// value-search finisher's per-task evaluation.
@@ -97,12 +108,10 @@ pub struct NaiveSolver<'a> {
 pub struct ProbeStats {
     /// Total `V(p)` evaluations.
     pub probes: u64,
-    /// Evaluations that went through the cold (allocation-per-call)
-    /// path — nonzero only when the value cache is disabled for ablation.
-    pub cold_probes: u64,
-    /// Evaluations served by the checkpointed Δ-probe path
-    /// ([`NaiveSolver::value_delta`]); the remainder either re-anchored
-    /// the checkpoint or fell back to a full evaluation.
+    /// Evaluations served by a checkpoint delta
+    /// ([`NaiveSolver::value_delta`] and its insertion/removal twins);
+    /// the remainder anchored a checkpoint
+    /// ([`NaiveSolver::checkpoint_into`]).
     pub incremental_probes: u64,
 }
 
@@ -112,19 +121,8 @@ impl ProbeStats {
     pub fn since(self, earlier: ProbeStats) -> ProbeStats {
         ProbeStats {
             probes: self.probes - earlier.probes,
-            cold_probes: self.cold_probes - earlier.cold_probes,
             incremental_probes: self.incremental_probes - earlier.incremental_probes,
         }
-    }
-
-    /// Merges another workspace's counters (used to fold the parallel
-    /// gate's worker workspaces back into the caller's; addition is
-    /// order-independent, so the fold is deterministic for any thread
-    /// count).
-    pub fn absorb(&mut self, other: ProbeStats) {
-        self.probes += other.probes;
-        self.cold_probes += other.cold_probes;
-        self.incremental_probes += other.incremental_probes;
     }
 }
 
@@ -132,16 +130,15 @@ impl ProbeStats {
 /// times on one instance (the profile search performs thousands of probes
 /// per solve).
 ///
-/// A probe through [`NaiveSolver::value_with`] allocates nothing: the
-/// prefix-capacity vectors, the temporary-deadline buffer, and the slack
-/// segment tree of Algorithm 1 are all reset in place, and the solver's
-/// per-task PWL segment list and slope-descending cursor order are shared
-/// across every probe. The cold path ([`NaiveSolver::value`]) rebuilds all
-/// of this per call and is kept as the ablation baseline
-/// (`ProfileSearchOptions::use_value_cache = false`).
+/// A probe through [`NaiveSolver::checkpoint_into`] or
+/// [`NaiveSolver::value_delta`] allocates nothing once the workspace is
+/// warm: the prefix-capacity vectors, the bucket state and the Δ-probe
+/// scratch are all reset in place, and the solver's segment lanes are
+/// shared across every probe (`tests/probe_allocations.rs` counts the
+/// bytes).
 #[derive(Debug, Clone)]
 pub struct ValueFnWorkspace {
-    /// Machine indices sorted by ascending cap (recomputed per probe).
+    /// Machine indices sorted by ascending cap (recomputed per anchor).
     cap_index: Vec<usize>,
     /// Caps in `cap_index` order.
     cap_sorted: Vec<f64>,
@@ -149,9 +146,10 @@ pub struct ValueFnWorkspace {
     speed_suffix: Vec<f64>,
     /// `capwork_prefix[k] = Σ_{i < k} p_{cap_index[i]} · s_{cap_index[i]}`.
     capwork_prefix: Vec<f64>,
-    /// Temporary deadlines (aggregate work capacity per task).
+    /// Temporary deadlines (aggregate work capacity per task) of the
+    /// value-only finisher ([`NaiveSolver::flops_under_with`]).
     temp_deadlines: Vec<f64>,
-    /// Algorithm 1 slack tree, reset in place per probe.
+    /// Algorithm 1 slack tree of the same finisher, reset in place.
     tree: SlackTree,
     /// Δ-probe scratch: recomputed capacity-bucket suffix.
     delta_buckets: Vec<f64>,
@@ -329,98 +327,28 @@ impl<'a> NaiveSolver<'a> {
         self.pwl.eval(j, f)
     }
 
-    /// Exact optimal total accuracy for the given profile caps — the
-    /// profile value function `V(p)` (accuracy only; no distribution).
-    ///
-    /// Cold path: allocates and rebuilds per call. The profile search
-    /// probes through [`NaiveSolver::value_with`] instead unless the value
-    /// cache is disabled for ablation.
-    pub fn value(&self, caps: &[f64]) -> f64 {
-        let mut temp_deadlines = Vec::with_capacity(self.inst.num_tasks());
-        crate::profile::temp_deadlines_into(self.inst, caps, &mut temp_deadlines);
-        let single =
-            schedule_single_machine_ordered(&temp_deadlines, 1.0, &self.segments, &self.order);
-        self.base_accuracy
-            + self
-                .segments
-                .iter()
-                .zip(&single.used_flops)
-                .map(|(s, &u)| s.slope * u)
-                .sum::<f64>()
-    }
-
     /// Creates a [`ValueFnWorkspace`] sized for this instance.
     pub fn workspace(&self) -> ValueFnWorkspace {
         ValueFnWorkspace::with_capacity(self.inst.num_tasks(), self.inst.num_machines())
     }
 
-    /// Allocation-free evaluation of the profile value function `V(p)`.
+    /// The full evaluation of the profile value function: computes
+    /// `V(caps)` *and* records the incumbent state Δ-probes resume from —
+    /// the caps, the raw and guarded temporary deadlines, and the
+    /// pristine capacity buckets. Returns the value (also stored in the
+    /// checkpoint). Counts as one (non-incremental) probe.
     ///
-    /// Mathematically identical to [`NaiveSolver::value`] (up to
-    /// floating-point summation order in the temporary deadlines; the
-    /// property suite bounds the drift at 1e-9 relative): the temporary
-    /// deadline of task `j` is `Σ_r min(p_r, d_j) · s_r`, computed here in
-    /// `O(m log m + n)` per probe from the cap-sorted prefix/suffix
-    /// vectors instead of `O(n·m)` — machines with `p_r ≤ d_j` contribute
-    /// their full `p_r · s_r` (a prefix in cap order), the rest contribute
+    /// The temporary deadline of task `j` is `Σ_r min(p_r, d_j) · s_r`,
+    /// computed in `O(m log m + n)` from cap-sorted prefix/suffix vectors
+    /// instead of `O(n·m)`: machines with `p_r ≤ d_j` contribute their
+    /// full `p_r · s_r` (a prefix in cap order), the rest contribute
     /// `d_j · s_r` (a speed suffix), and the deadlines ascend so one
-    /// two-pointer pass covers all tasks.
-    pub fn value_with(&self, ws: &mut ValueFnWorkspace, caps: &[f64]) -> f64 {
-        let n = self.deadlines.len();
-        let m = self.speeds.len();
-        debug_assert_eq!(caps.len(), m, "profile/machine count mismatch");
-        ws.stats.probes += 1;
-
-        ws.cap_index.clear();
-        ws.cap_index.extend(0..m);
-        ws.cap_index
-            .sort_unstable_by(|&a, &b| caps[a].total_cmp(&caps[b]));
-        ws.cap_sorted.clear();
-        ws.cap_sorted.extend(ws.cap_index.iter().map(|&r| caps[r]));
-
-        ws.speed_suffix.clear();
-        ws.speed_suffix.resize(m + 1, 0.0);
-        for k in (0..m).rev() {
-            ws.speed_suffix[k] = ws.speed_suffix[k + 1] + self.speeds[ws.cap_index[k]];
-        }
-        ws.capwork_prefix.clear();
-        ws.capwork_prefix.resize(m + 1, 0.0);
-        for k in 0..m {
-            ws.capwork_prefix[k + 1] =
-                ws.capwork_prefix[k] + ws.cap_sorted[k] * self.speeds[ws.cap_index[k]];
-        }
-
-        ws.temp_deadlines.clear();
-        let mut k = 0usize;
-        let mut prev = 0.0f64;
-        for j in 0..n {
-            let d_j = self.deadlines[j];
-            while k < m && ws.cap_sorted[k] <= d_j {
-                k += 1;
-            }
-            let mut cap = ws.capwork_prefix[k] + d_j * ws.speed_suffix[k];
-            // Guard floating-point non-monotonicity of the summed
-            // capacities (Algorithm 1 requires non-decreasing deadlines).
-            if cap < prev {
-                cap = prev;
-            }
-            prev = cap;
-            ws.temp_deadlines.push(cap);
-        }
-
-        self.base_accuracy + accuracy_gain_tree_lanes(&ws.temp_deadlines, &self.lanes, &mut ws.tree)
-    }
-
-    /// Evaluates `V(caps)` *and* records the incumbent state Δ-probes
-    /// resume from: the caps, the raw and guarded temporary deadlines,
-    /// and the pristine capacity buckets. Returns the value (also stored
-    /// in the checkpoint). Counts as one (non-incremental) probe.
-    ///
-    /// The value is computed by the bucket greedy so it is fp-consistent
-    /// with every subsequent [`NaiveSolver::value_delta`] against this
-    /// checkpoint (both drift from [`NaiveSolver::value_with`] by at most
-    /// the usual 1e-9-relative summation-order noise, which the property
-    /// suite bounds).
+    /// two-pointer pass covers all tasks. The value comes from the bucket
+    /// greedy, so it is fp-consistent with every subsequent
+    /// [`NaiveSolver::value_delta`] against this checkpoint; both drift
+    /// from the materialized schedule's accuracy
+    /// ([`compute_naive_solution`]) by at most 1e-9-relative
+    /// summation-order noise, which the unit tests bound.
     pub fn checkpoint_into(
         &self,
         ws: &mut ValueFnWorkspace,
@@ -433,9 +361,9 @@ impl<'a> NaiveSolver<'a> {
         ws.stats.probes += 1;
         chk.valid = false;
 
-        // Same cap-sorted prefix/suffix transform as `value_with`, but the
-        // raw (unguarded) sums are kept: a Δ-probe updates those and
-        // re-applies the running-max guard itself.
+        // The raw (unguarded) sums are kept beside the guarded ones: a
+        // Δ-probe updates those and re-applies the running-max guard (a
+        // floating-point non-monotonicity fix Algorithm 1 needs) itself.
         ws.cap_index.clear();
         ws.cap_index.extend(0..m);
         ws.cap_index
@@ -485,18 +413,16 @@ impl<'a> NaiveSolver<'a> {
 
     /// Incremental Δ-probe: `V(p′)` where `p′` equals the checkpoint's
     /// incumbent except for the `(machine, new_cap)` entries in `changed`
-    /// (≤ 3 of them — a transfer direction). Returns `None` when the delta
-    /// invalidates the checkpoint (no incumbent recorded, shape mismatch,
-    /// too many coordinates, non-finite caps); the caller then falls back
-    /// to a full evaluation, so the fallback agrees exactly with the cold
-    /// path by construction.
+    /// (≤ 3 of them — a transfer direction). Returns `None` when the
+    /// checkpoint cannot answer (no incumbent recorded, shape mismatch,
+    /// too many coordinates, a machine out of range, a non-finite cap).
     ///
     /// Only tasks whose deadline exceeds the smallest touched cap can see
     /// a different deadline-capped capacity (`min(p_r, d_j)` is unchanged
     /// for `d_j` below both the old and new cap), so the temporary
     /// deadlines and buckets are recomputed for that suffix alone, the
     /// untouched prefix is reused bit-for-bit from the checkpoint, and the
-    /// greedy reruns on the union-find buckets in `O(S α(n))`.
+    /// greedy reruns on the capacity buckets.
     pub fn value_delta(
         &self,
         ws: &mut ValueFnWorkspace,
@@ -730,21 +656,13 @@ impl<'a> NaiveSolver<'a> {
     /// Algorithm 1's pooled per-task work vector for `caps`: the
     /// fractional flops each task receives under the profile, skipping
     /// Algorithm 2's machine distribution entirely. Bit-identical to the
-    /// `flops` of [`compute_naive_solution`] at the same profile (both
-    /// come from the same temporary-deadline transform and single-machine
-    /// solve); the distribution step only spreads these totals across
-    /// machines.
-    pub fn flops_under(&self, caps: &[f64]) -> Vec<f64> {
-        let mut temp_deadlines = Vec::with_capacity(self.inst.num_tasks());
-        crate::profile::temp_deadlines_into(self.inst, caps, &mut temp_deadlines);
-        schedule_single_machine_ordered(&temp_deadlines, 1.0, &self.segments, &self.order).times
-    }
-
-    /// [`NaiveSolver::flops_under`] through workspace scratch: the
-    /// temporary deadlines reuse the probe buffer and the greedy walks the
-    /// segment lanes, so only the returned vector (which escapes into the
-    /// search result) is allocated. Bit-identical output — zero takes
-    /// mutate nothing and the filtered segments never contributed.
+    /// `flops` of [`compute_naive_solution`] at the same profile (the same
+    /// temporary-deadline transform, and a tree greedy whose zero takes
+    /// mutate nothing and whose filtered segments never contributed); the
+    /// distribution step only spreads these totals across machines. The
+    /// temporary deadlines and the tree live in workspace scratch, so
+    /// only the returned vector (which escapes into the search result) is
+    /// allocated.
     pub fn flops_under_with(&self, ws: &mut ValueFnWorkspace, caps: &[f64]) -> Vec<f64> {
         crate::profile::temp_deadlines_into(self.inst, caps, &mut ws.temp_deadlines);
         let mut times = ws.arena.take_f64();
@@ -752,14 +670,7 @@ impl<'a> NaiveSolver<'a> {
         times_tree_lanes(&ws.temp_deadlines, &self.lanes, &mut ws.tree, &mut times);
         times
     }
-
-    /// Full Algorithm 2 solve (with machine distribution) for a profile.
-    pub fn solve(&self, profile: &EnergyProfile) -> NaiveSolution {
-        compute_naive_solution(self.inst, profile)
-    }
 }
-
-use crate::algo_single::schedule_single_machine_ordered;
 
 /// Runs Algorithm 2 under the given energy profile.
 pub fn compute_naive_solution(inst: &Instance, profile: &EnergyProfile) -> NaiveSolution {
@@ -828,11 +739,22 @@ pub fn compute_naive_solution(inst: &Instance, profile: &EnergyProfile) -> Naive
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo_single::accuracy_of;
     use crate::problem::Task;
     use crate::profile::naive_profile;
     use crate::schedule::ScheduleKind;
     use dsct_accuracy::PwlAccuracy;
     use dsct_machines::{Machine, MachinePark};
+
+    /// `V(caps)` the way a schedule is materialized: temporary deadlines →
+    /// Algorithm 1 on the slack tree → accuracy of the work it used.
+    fn reference_value(inst: &Instance, caps: &[f64]) -> f64 {
+        let mut temp_deadlines = Vec::new();
+        crate::profile::temp_deadlines_into(inst, caps, &mut temp_deadlines);
+        let segments = collect_segments(inst);
+        let single = schedule_single_machine(&temp_deadlines, 1.0, &segments);
+        accuracy_of(&segments, &single.used_flops, inst.total_min_accuracy())
+    }
 
     fn acc(slope_flops: &[(f64, f64)]) -> PwlAccuracy {
         // Build from (slope, width) pairs starting at (0, 0).
@@ -925,18 +847,19 @@ mod tests {
         let inst = Instance::new(tasks, park, 10.0).unwrap();
         let solver = NaiveSolver::new(&inst);
         let mut ws = solver.workspace();
+        let mut chk = ValueCheckpoint::new();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
         for _ in 0..200 {
             let caps: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..3.5)).collect();
-            let cold = solver.value(&caps);
-            let cached = solver.value_with(&mut ws, &caps);
+            let cold = reference_value(&inst, &caps);
+            let cached = solver.checkpoint_into(&mut ws, &caps, &mut chk);
             assert!(
                 (cold - cached).abs() <= 1e-9 * (1.0 + cold.abs()),
                 "caps {caps:?}: cold {cold} vs cached {cached}"
             );
         }
         assert_eq!(ws.stats.probes, 200);
-        assert_eq!(ws.stats.cold_probes, 0);
+        assert_eq!(ws.stats.incremental_probes, 0);
     }
 
     /// Δ-probes through a checkpoint agree with full evaluations of the
@@ -967,10 +890,10 @@ mod tests {
         for _ in 0..50 {
             let caps: Vec<f64> = (0..4).map(|_| rng.gen_range(0.0..4.0)).collect();
             let anchored = solver.checkpoint_into(&mut ws, &caps, &mut chk);
-            let full_here = solver.value_with(&mut ws, &caps);
+            let full_here = reference_value(&inst, &caps);
             assert!(
                 (anchored - full_here).abs() <= 1e-9 * (1.0 + full_here.abs()),
-                "checkpoint value {anchored} vs value_with {full_here}"
+                "checkpoint value {anchored} vs reference {full_here}"
             );
             for _ in 0..20 {
                 let touched = rng.gen_range(1..=3usize);
@@ -992,7 +915,7 @@ mod tests {
                 let inc = solver
                     .value_delta(&mut ws, &chk, &changed)
                     .expect("≤3 finite coords must be delta-eligible");
-                let full = solver.value_with(&mut ws, &probed);
+                let full = reference_value(&inst, &probed);
                 assert!(
                     (inc - full).abs() <= 1e-9 * (1.0 + full.abs()),
                     "caps {caps:?} changed {changed:?}: incremental {inc} vs full {full}"
@@ -1009,8 +932,7 @@ mod tests {
             );
         }
         assert!(ws.stats.incremental_probes >= 1000);
-        // The exact-agreement fallback triggers on checkpoint-invalidating
-        // deltas instead of answering wrongly.
+        // Deltas the checkpoint cannot answer are refused, never guessed.
         assert!(solver
             .value_delta(&mut ws, &chk, &[(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0)])
             .is_none());
@@ -1058,7 +980,7 @@ mod tests {
             let caps: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..4.0)).collect();
             solver.checkpoint_into(&mut ws, &caps, &mut chk);
 
-            // Insertion: delta vs a cold solver on the extended instance.
+            // Insertion: delta vs the reference on the extended instance.
             let extra = Task::new(
                 if rng.gen_bool(0.3) {
                     2.0
@@ -1077,15 +999,13 @@ mod tests {
                 .unwrap_or(extended.len());
             extended.insert(p, extra.clone());
             let ext_inst = Instance::new(extended, park.clone(), 15.0).unwrap();
-            let ext_solver = NaiveSolver::new(&ext_inst);
-            let mut ext_ws = ext_solver.workspace();
-            let full = ext_solver.value_with(&mut ext_ws, &caps);
+            let full = reference_value(&ext_inst, &caps);
             assert!(
                 (inc - full).abs() <= 1e-9 * (1.0 + full.abs()),
                 "trial {trial} insert: delta {inc} vs full {full}"
             );
 
-            // Removal: delta vs a cold solver on the reduced instance.
+            // Removal: delta vs the reference on the reduced instance.
             let q = rng.gen_range(0..n);
             let rem = solver
                 .value_remove_delta(&mut ws, &chk, q)
@@ -1096,9 +1016,7 @@ mod tests {
                 0.0
             } else {
                 let red_inst = Instance::new(reduced, park.clone(), 15.0).unwrap();
-                let red_solver = NaiveSolver::new(&red_inst);
-                let mut red_ws = red_solver.workspace();
-                red_solver.value_with(&mut red_ws, &caps)
+                reference_value(&red_inst, &caps)
             };
             assert!(
                 (rem - full_rem).abs() <= 1e-9 * (1.0 + full_rem.abs()),
@@ -1143,7 +1061,7 @@ mod tests {
         let profile = naive_profile(&inst);
         let full = compute_naive_solution(&inst, &profile);
         let solver = NaiveSolver::new(&inst);
-        let pooled = solver.flops_under(profile.caps());
+        let pooled = solver.flops_under_with(&mut solver.workspace(), profile.caps());
         assert_eq!(pooled.len(), full.flops.len());
         for (j, (&a, &b)) in pooled.iter().zip(&full.flops).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "task {j}: {a} vs {b}");

@@ -123,178 +123,38 @@ pub fn schedule_single_machine_ordered(
 }
 
 /// Algorithm 1 reduced to its objective: the accuracy *gain*
-/// `Σ slope · work` of the optimal schedule, without materializing the
-/// per-task times or per-segment work vectors.
+/// `Σ slope · work` of the optimal unit-speed schedule, without
+/// materializing the per-task times or per-segment work vectors — the
+/// one accuracy-gain walk, behind every `V(p)` probe. The caller loads
+/// `slack` with the capacity buckets (see [`BucketSlack::load`]); each
+/// segment of `lanes`, in slope-descending order, then takes
+/// `min(width, free capacity in buckets 0..=task)`.
 ///
-/// `tree` is reset in place, so a caller probing many deadline vectors
-/// (the profile search's value function) reuses its storage instead of
-/// allocating a fresh tree per solve. The loop exits early once the
-/// aggregate capacity is exhausted: every suffix minimum includes the last
-/// task's slack, so when that slack reaches zero no segment can contribute.
-// Retired from the hot path by the lane kernels below; kept as the legacy
-// reference the property suite diffs them against bit-for-bit.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn accuracy_gain_ordered(
-    deadlines: &[f64],
-    speed: f64,
-    segments: &[SegmentSpec],
-    order: &[usize],
-    tree: &mut SlackTree,
-) -> f64 {
-    debug_assert!(speed > 0.0, "machine speed must be positive");
-    debug_assert!(
-        deadlines.windows(2).all(|w| w[0] <= w[1]),
-        "deadlines must be non-decreasing"
-    );
-    let Some(&d_last) = deadlines.last() else {
-        return 0.0;
-    };
-    tree.reset(deadlines);
-    let mut v_last = d_last;
-    let mut gain = 0.0;
-    // Tasks `< dead_before` can no longer contribute: a zero take at task
-    // `j` means the suffix minimum from `j` is exhausted, and suffix
-    // minima only shrink as `j` decreases (larger suffixes), so every
-    // earlier task is exhausted too. Slack never grows, so dead stays dead.
-    let mut dead_before = 0usize;
-    for &si in order {
-        if v_last <= 0.0 {
-            break;
-        }
-        let seg = &segments[si];
-        if seg.total_flops <= 0.0 || seg.slope <= 0.0 {
-            continue;
-        }
-        let j = seg.task;
-        if j < dead_before {
-            continue;
-        }
-        let contribution = tree.consume(j, seg.total_flops / speed);
-        if contribution > 0.0 {
-            gain += seg.slope * contribution * speed;
-            v_last -= contribution;
-        } else {
-            dead_before = dead_before.max(j + 1);
-        }
-    }
-    gain
-}
-
-/// Algorithm 1's objective computed on a [`BucketSlack`] loaded by the
-/// caller (see [`BucketSlack::load`]): the same greedy as
-/// [`accuracy_gain_ordered`], but each segment's deadline-capped
-/// contribution comes from draining capacity *buckets* instead of probing
-/// the suffix-min tree.
-///
-/// Equivalence: the prefix constraints `Σ_{i≤j} t_i ≤ d_j` (non-decreasing
-/// `d`) form a chain polymatroid whose rank marginals are what the greedy
-/// collects, and those marginals are placement-independent. Draining the
-/// *latest* non-empty bucket `≤ j` first preserves, for every prefix
+/// Equivalence with [`schedule_single_machine_ordered`]'s slack tree:
+/// the prefix constraints `Σ_{i≤j} t_i ≤ d_j` (non-decreasing `d`) form a
+/// chain polymatroid whose rank marginals are what the greedy collects,
+/// and those marginals are placement-independent. Draining the *latest*
+/// non-empty bucket `≤ j` first preserves, for every prefix
 /// simultaneously, the maximum capacity any valid placement can leave —
 /// so `min(want, free capacity in buckets 0..=j)` equals the tree's
-/// `min(want, suffix-min slack from j)` at every step (the property suite
-/// cross-checks the two paths on random inputs). With path compression
-/// the whole pass is `O(S α(n) + n)` versus the tree's `O(S log n)`,
-/// which is what makes checkpointed Δ-probes cheap.
-// Same: the bucket greedy's legacy AoS form, for the bit-identity suite.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn accuracy_gain_buckets(
-    speed: f64,
-    segments: &[SegmentSpec],
-    order: &[usize],
-    slack: &mut BucketSlack,
-) -> f64 {
-    debug_assert!(speed > 0.0, "machine speed must be positive");
-    let mut gain = 0.0;
-    for &si in order {
-        if slack.exhausted() {
-            break;
-        }
-        let seg = &segments[si];
-        if seg.total_flops <= 0.0 || seg.slope <= 0.0 {
-            continue;
-        }
-        let c = slack.consume(seg.task, seg.total_flops / speed);
-        if c > 0.0 {
-            gain += seg.slope * c * speed;
-        }
-    }
-    gain
-}
-
-/// [`accuracy_gain_ordered`] over [`SegmentLanes`]: the same greedy —
-/// identical consume sequence, identical early exits, identical
-/// accumulation order at unit speed — walking three contiguous lanes
-/// instead of the `order → segments` double indirection. The lanes are
-/// pre-filtered of zero-width/flat segments, which the AoS loop skipped
-/// without touching the tree, so the two paths are bit-identical (the
-/// property suite pins this).
-pub(crate) fn accuracy_gain_tree_lanes(
-    deadlines: &[f64],
-    lanes: &SegmentLanes,
-    tree: &mut SlackTree,
-) -> f64 {
-    debug_assert!(
-        deadlines.windows(2).all(|w| w[0] <= w[1]),
-        "deadlines must be non-decreasing"
-    );
-    let Some(&d_last) = deadlines.last() else {
-        return 0.0;
-    };
-    tree.reset(deadlines);
-    let mut v_last = d_last;
-    // Four rotating partial sums break the serial `gain += …` FP chain
-    // (4-cycle add latency × one add per productive lane) into four
-    // independent chains. The k-th executed add always lands in the
-    // (k mod 4)-th partial, and the final reduction is the fixed tree
-    // `((g0+g1)+g2)+g3` — both are functions of the executed-add sequence
-    // alone, so the bucket greedy below reproduces the exact same
-    // rounding by using the identical rotation. (Zero takes execute no
-    // add in either greedy, so early-exit differences can't desync the
-    // rotation.)
-    let (mut g0, mut g1, mut g2, mut g3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    let mut dead_before = 0u32;
-    let n = lanes.len();
-    for i in 0..n {
-        if v_last <= 0.0 {
-            break;
-        }
-        let j = lanes.task[i];
-        if j < dead_before {
-            continue;
-        }
-        let contribution = tree.consume(j as usize, lanes.width[i]);
-        if contribution > 0.0 {
-            let t = g0 + lanes.slope[i] * contribution;
-            g0 = g1;
-            g1 = g2;
-            g2 = g3;
-            g3 = t;
-            v_last -= contribution;
-        } else {
-            dead_before = j + 1;
-        }
-    }
-    ((g0 + g1) + g2) + g3
-}
-
-/// [`accuracy_gain_buckets`] over [`SegmentLanes`] at unit speed, with
-/// the tree greedy's dead-prefix skip added: a zero take at task `j`
-/// means buckets `0..=j` are drained, and buckets only drain, so every
-/// later segment of a task `≤ j` is skipped without the union-find
-/// lookup. Skipped consumes never mutated bucket capacities (a zero take
-/// only path-compresses parents, which cannot change any future take),
-/// so the skip is trajectory-preserving — bit-identical values.
+/// `min(want, suffix-min slack from j)` at every step (the unit tests
+/// cross-check the two on random inputs).
+///
+/// Two early exits, neither of which changes a take: the walk stops once
+/// every bucket is drained, and a zero take at task `j` means buckets
+/// `0..=j` are drained — buckets only drain — so every later segment of
+/// a task `≤ j` is skipped without a lookup.
 pub(crate) fn accuracy_gain_buckets_lanes(lanes: &SegmentLanes, slack: &mut BucketSlack) -> f64 {
     let n = lanes.len();
     let tasks = &lanes.task[..n];
     let widths = &lanes.width[..n];
     let slopes = &lanes.slope[..n];
-    // Same 4-way rotating partial sums as [`accuracy_gain_tree_lanes`]:
-    // the executed-add sequences are identical (same takes, and zero
-    // takes execute no add), so rotating identically and reducing with
-    // the same fixed tree keeps the two greedies bit-identical — which
-    // the cold-vs-incremental digest invariants rely on.
+    // Four rotating partial sums break the serial `gain += …` FP chain
+    // (4-cycle add latency × one add per productive lane) into four
+    // independent chains. The k-th executed add always lands in the
+    // (k mod 4)-th partial and the final reduction is the fixed tree
+    // `((g0+g1)+g2)+g3`, so the rounding is a function of the
+    // executed-add sequence alone. Every digest depends on these bits.
     let (mut g0, mut g1, mut g2, mut g3) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
     let mut dead_before = 0u32;
     // `consume` inlined by hand: `live` stays in a register across the
@@ -481,8 +341,8 @@ use crate::soa::SegmentLanes;
 /// Bucket `i` holds `b_i = td_i − td_{i−1} ≥ 0`, the capacity that opens
 /// between consecutive temporary deadlines; task `j` may draw from
 /// buckets `0..=j` and always drains the latest non-empty one first (see
-/// [`accuracy_gain_buckets`] for why that reproduces the tree greedy
-/// exactly). Occupancy lives in a two-level bitmask: bit `i` of
+/// [`accuracy_gain_buckets_lanes`] for why that reproduces the tree
+/// greedy exactly). Occupancy lives in a two-level bitmask: bit `i` of
 /// `bits[i/64]` marks a bucket with free capacity, and bit `w` of
 /// `summary[w/64]` marks a non-empty `bits` word. `find` is then two
 /// mask-and-`leading_zeros` probes instead of the pointer chase a
@@ -1020,63 +880,38 @@ mod tests {
         }
     }
 
-    #[test]
-    fn accuracy_gain_matches_full_solve_on_random_inputs() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(7);
-        let mut tree = SlackTree::new(&[]);
-        for trial in 0..100 {
-            let n = rng.gen_range(1..20);
-            let mut deadlines: Vec<f64> = (0..n).map(|_| rng.gen_range(0.1..8.0)).collect();
-            deadlines.sort_by(f64::total_cmp);
-            let mut segments = Vec::new();
-            for task in 0..n {
-                let k = rng.gen_range(1..4);
-                let mut slope: f64 = rng.gen_range(0.5..4.0);
-                for position in 0..k {
-                    segments.push(SegmentSpec {
-                        task,
-                        position,
-                        slope,
-                        total_flops: rng.gen_range(0.1..5.0),
-                    });
-                    slope *= rng.gen_range(0.2..0.9);
-                }
-            }
-            let speed = rng.gen_range(0.5..3.0);
-            let order = sort_segments(&segments);
-            let full = schedule_single_machine_ordered(&deadlines, speed, &segments, &order);
-            let want = accuracy_of(&segments, &full.used_flops, 0.0);
-            // Reusing the same tree across trials exercises `reset`.
-            let got = accuracy_gain_ordered(&deadlines, speed, &segments, &order, &mut tree);
-            assert!(
-                (got - want).abs() < 1e-9 * (1.0 + want.abs()),
-                "trial {trial}: gain-only {got} vs full {want}"
-            );
-        }
+    /// Accuracy gain of the bucket walk on `deadlines` (as bucket widths)
+    /// beside Algorithm 1's on the slack tree.
+    fn bucket_and_tree_gain(deadlines: &[f64], segments: &[SegmentSpec]) -> (f64, f64) {
+        let order = sort_segments(segments);
+        let full = schedule_single_machine_ordered(deadlines, 1.0, segments, &order);
+        let want = accuracy_of(segments, &full.used_flops, 0.0);
+        let widths: Vec<f64> = deadlines
+            .iter()
+            .scan(0.0, |prev, &d| {
+                let width = d - *prev;
+                *prev = d;
+                Some(width)
+            })
+            .collect();
+        let mut buckets = BucketSlack::default();
+        buckets.load(&widths, &[]);
+        let lanes = SegmentLanes::build_in(segments, &order, &mut crate::soa::ScratchArena::new());
+        (accuracy_gain_buckets_lanes(&lanes, &mut buckets), want)
     }
 
-    #[test]
-    fn accuracy_gain_handles_empty_and_exhausted_inputs() {
-        let mut tree = SlackTree::new(&[]);
-        assert_eq!(accuracy_gain_ordered(&[], 1.0, &[], &[], &mut tree), 0.0);
-        // Zero capacity everywhere: early exit, zero gain.
-        let segs = [seg(0, 0, 2.0, 5.0), seg(1, 0, 1.0, 5.0)];
-        let order = sort_segments(&segs);
-        let got = accuracy_gain_ordered(&[0.0, 0.0], 1.0, &segs, &order, &mut tree);
-        assert_eq!(got, 0.0);
-    }
-
-    /// The bucket/union-find greedy is the tree greedy: identical takes on
-    /// random interleaved segment orders (the chain-polymatroid marginals
-    /// are placement-independent, and latest-first draining preserves the
-    /// maximal remaining capacity of every prefix).
+    /// The bucket greedy is the tree greedy: identical gain on random
+    /// interleaved segment orders (the chain-polymatroid marginals are
+    /// placement-independent, and latest-first draining preserves the
+    /// maximal remaining capacity of every prefix), on the empty instance
+    /// and with zero capacity everywhere.
     #[test]
     fn bucket_greedy_matches_tree_greedy_on_random_inputs() {
         use rand::{Rng, SeedableRng};
+        assert_eq!(bucket_and_tree_gain(&[], &[]), (0.0, 0.0));
+        let contested = [seg(0, 0, 2.0, 5.0), seg(1, 0, 1.0, 5.0)];
+        assert_eq!(bucket_and_tree_gain(&[0.0, 0.0], &contested), (0.0, 0.0));
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(123);
-        let mut tree = SlackTree::new(&[]);
-        let mut buckets = BucketSlack::default();
         for trial in 0..200 {
             let n = rng.gen_range(1..30);
             let mut deadlines: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..10.0)).collect();
@@ -1095,18 +930,7 @@ mod tests {
                     slope *= rng.gen_range(0.2..0.9);
                 }
             }
-            let order = sort_segments(&segments);
-            let want = accuracy_gain_ordered(&deadlines, 1.0, &segments, &order, &mut tree);
-            let b: Vec<f64> = deadlines
-                .iter()
-                .scan(0.0, |prev, &d| {
-                    let width = d - *prev;
-                    *prev = d;
-                    Some(width)
-                })
-                .collect();
-            buckets.load(&b, &[]);
-            let got = accuracy_gain_buckets(1.0, &segments, &order, &mut buckets);
+            let (got, want) = bucket_and_tree_gain(&deadlines, &segments);
             assert!(
                 (got - want).abs() <= 1e-9 * (1.0 + want.abs()),
                 "trial {trial}: buckets {got} vs tree {want}"

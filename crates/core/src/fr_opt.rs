@@ -51,9 +51,7 @@ pub struct FrSolution {
     /// Refinement iterations performed (0 when skipped).
     pub refine_iterations: usize,
     /// Profile-search statistics (sweeps, transfers, `V(p)` probe
-    /// counters), `None` when the search was skipped. The probe counters
-    /// distinguish the cached workspace path from the cold ablation path
-    /// selected via [`ProfileSearchOptions::use_value_cache`].
+    /// counters), `None` when the search was skipped.
     pub search: Option<ProfileSearchOutcome>,
 }
 

@@ -76,7 +76,7 @@ pub const EPS_FLOPS: f64 = 1e-7;
 /// is a `sched_getaffinity` plus cgroup file reads — tens of
 /// microseconds — so every "0 = all cores" thread-count knob in the
 /// workspace resolves through this cache instead of paying it per
-/// solve. The value is frozen at first use: a later affinity or cgroup
+/// call. The value is frozen at first use: a later affinity or cgroup
 /// change is not seen for the life of the process.
 pub fn available_cores() -> usize {
     static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();

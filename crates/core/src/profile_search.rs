@@ -21,32 +21,30 @@
 //! cannot use (deadline-bound) is surfaced automatically — shrinking such
 //! a cap costs `V` nothing.
 //!
-//! # Incremental Δ-probes and the batched gate
+//! # One evaluator
 //!
 //! Every probe the search issues — gate probes and golden-section steps
 //! alike — evaluates `V` at the incumbent caps shifted along a transfer
 //! direction, i.e. at a profile differing from the incumbent in ≤ 3
-//! coordinates. With [`ProfileSearchOptions::incremental_probes`] those
-//! probes run through a [`ValueCheckpoint`] anchored at the incumbent
-//! ([`NaiveSolver::value_delta`]): only the affected suffix of the
-//! capacity transform is recomputed and the greedy reruns on union-find
-//! capacity buckets in `O(S α(n))` instead of the tree's `O(S log n)`.
-//! The checkpoint is re-anchored after every accepted transfer and never
-//! mutated by probes, so rolling back to the incumbent between probes is
-//! exact.
+//! coordinates. The incumbent is anchored in a [`ValueCheckpoint`]
+//! ([`NaiveSolver::checkpoint_into`]) and every probe is a Δ-probe against
+//! it ([`NaiveSolver::value_delta`]): only the affected suffix of the
+//! capacity transform is recomputed and the greedy reruns on bitmask
+//! capacity buckets. The checkpoint is re-anchored after every accepted
+//! transfer and never mutated by probes, so rolling back to the incumbent
+//! between probes is exact.
 //!
-//! The gated pairwise sweep is *batched*: the next (up to) `GATE_BATCH`
-//! pending pairs of the scan order have their ε-gate probes evaluated
-//! against the same incumbent (read-only, hence embarrassingly parallel
-//! across
-//! [`ProfileSearchOptions::gate_threads`] scoped workers with thread-local
-//! workspaces), then accept/reject decisions fold in the fixed
-//! `(from, to)` scan order. The first pair whose gate passes runs its
-//! line search serially; an accepted transfer re-batches from the next
-//! pair so later gates see the new incumbent — exactly the decisions the
-//! serial scan makes, which is why the outcome is bit-identical for any
-//! thread count (probes already evaluated for pairs after an accepted one
-//! are discarded but still counted, deterministically).
+//! # The gated sweep
+//!
+//! A sweep scans the ordered pairs `(from, to)` once, in that order. Each
+//! pair costs one ε-gate probe at `10⁻³` of its step limit; by concavity a
+//! gate that does not improve on the incumbent rules out `[ε, δ_max]`
+//! (the `(0, ε)` sliver is a heuristic gap, validated against the LP
+//! optimum in the test suite), so a converged sweep costs one probe per
+//! pair instead of a line search per pair. A pair whose gate passes runs
+//! the line search and, when that clears the gain tolerance, moves the
+//! incumbent before the next pair is looked at. The scan runs on the
+//! calling thread: callers that want parallelism run many solves at once.
 
 use crate::algo_naive::{
     compute_naive_solution, NaiveSolution, NaiveSolver, ProbeStats, ValueCheckpoint,
@@ -58,15 +56,6 @@ use crate::profile::EnergyProfile;
 /// Golden ratio constant for the line search.
 const INV_PHI: f64 = 0.618_033_988_749_894_9;
 
-/// Pairs per batched-gate round. Gate probes already evaluated for pairs
-/// after an accepted transfer are discarded (the incumbent changed under
-/// them), so the batch size bounds the probes wasted per accept; it must
-/// be a constant — never a function of the thread count — so probe
-/// counters, and with them [`ProfileSearchOutcome`], stay bit-identical
-/// for any `gate_threads`. 16 keeps the waste below 4% of a line search
-/// while still feeding every core of typical machines.
-const GATE_BATCH: usize = 16;
-
 /// Options for the profile search.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProfileSearchOptions {
@@ -77,42 +66,6 @@ pub struct ProfileSearchOptions {
     /// Minimum accuracy improvement (relative to the instance's maximum
     /// total accuracy) for a transfer to be applied.
     pub rel_gain_tol: f64,
-    /// After pairwise convergence, also search one-source/two-sink and
-    /// two-source/one-sink transfer directions. Pairwise coordinate ascent
-    /// on a piecewise-linear concave function can stall at kinks whose
-    /// escape direction moves three or more coordinates; the triple polish
-    /// escapes those (and hands control back to the cheap pairwise sweeps
-    /// as soon as it improves).
-    pub triple_polish: bool,
-    /// Evaluate `V(p)` probes through the reusable
-    /// [`ValueFnWorkspace`] (allocation-free, prefix-capacity temporary
-    /// deadlines, early exit on exhausted capacity). Disable to fall back
-    /// to the cold per-probe Algorithm 2 solve — the ablation baseline the
-    /// search trajectory can be diffed against.
-    pub use_value_cache: bool,
-    /// Gate pairwise directions behind the single-evaluation ε-probe
-    /// (see the module docs): a non-improving pair costs 1 probe instead
-    /// of a full `line_iterations + 3`-evaluation line search, which is
-    /// where converged sweeps spend nearly all their work. The gate
-    /// applies from the first sweep on. Disable to reproduce the
-    /// exhaustive sweep.
-    pub pairwise_probe: bool,
-    /// Serve probes along transfer directions from a checkpointed
-    /// incumbent ([`NaiveSolver::value_delta`]): recompute only the
-    /// capacity entries the delta can touch and run the greedy on
-    /// union-find buckets. Requires `use_value_cache` (it extends the
-    /// cached machinery); deltas that would invalidate the checkpoint
-    /// fall back to the full evaluation. Disable for the PR 1 cached
-    /// baseline.
-    pub incremental_probes: bool,
-    /// Worker threads for the batched pairwise gate: `0` resolves to the
-    /// available parallelism, `1` evaluates the batch on the calling
-    /// thread. The fold order is fixed, so the search outcome is
-    /// bit-identical for any value (see the module docs); only wall-clock
-    /// changes. Callers embedded in an already-parallel harness (the
-    /// experiment engine's workers) cap this at 1 through
-    /// [`crate::solver::SolverContext::set_parallelism_budget`].
-    pub gate_threads: usize,
 }
 
 impl Default for ProfileSearchOptions {
@@ -121,11 +74,6 @@ impl Default for ProfileSearchOptions {
             max_sweeps: 64,
             line_iterations: 40,
             rel_gain_tol: 1e-10,
-            triple_polish: true,
-            use_value_cache: true,
-            pairwise_probe: true,
-            incremental_probes: true,
-            gate_threads: 0,
         }
     }
 }
@@ -139,87 +87,14 @@ pub struct ProfileSearchOutcome {
     pub transfers: usize,
     /// Whether the search converged before the sweep cap.
     pub converged: bool,
-    /// `V(p)` evaluation counters (total, cold-path, and incremental
-    /// probes).
+    /// `V(p)` evaluation counters (total and incremental probes).
     pub probe_stats: ProbeStats,
-}
-
-/// Dispatches `V(p)` probes to the incremental Δ-probe path, the cached
-/// workspace path, or the cold per-call path, keeping the evaluation
-/// counters either way. The workspace is borrowed so callers (worker
-/// threads of the experiment engine) can reuse its buffers across many
-/// solves; the checkpoint is owned per search and re-anchored at every
-/// incumbent change.
-struct Prober<'a, 'w> {
-    solver: NaiveSolver<'a>,
-    ws: &'w mut ValueFnWorkspace,
-    cached: bool,
-    incremental: bool,
-    chk: ValueCheckpoint,
-}
-
-impl<'a, 'w> Prober<'a, 'w> {
-    fn new(inst: &'a Instance, ws: &'w mut ValueFnWorkspace, opts: &ProfileSearchOptions) -> Self {
-        let solver = NaiveSolver::new_in(inst, &mut ws.arena);
-        let chk = ValueCheckpoint::new_in(&mut ws.arena);
-        Self {
-            solver,
-            ws,
-            cached: opts.use_value_cache,
-            // The Δ-probe path extends the cached machinery; the cold
-            // ablation stays fully cold.
-            incremental: opts.incremental_probes && opts.use_value_cache,
-            chk,
-        }
-    }
-
-    /// Full `V(caps)` evaluation (no delta).
-    fn value(&mut self, caps: &[f64]) -> f64 {
-        if self.cached {
-            self.solver.value_with(self.ws, caps)
-        } else {
-            self.ws.stats.probes += 1;
-            self.ws.stats.cold_probes += 1;
-            self.solver.value(caps)
-        }
-    }
-
-    /// Evaluates the incumbent and (on the incremental path) anchors the
-    /// Δ-probe checkpoint there.
-    fn anchor(&mut self, caps: &[f64]) -> f64 {
-        if self.incremental {
-            self.solver.checkpoint_into(self.ws, caps, &mut self.chk)
-        } else {
-            self.value(caps)
-        }
-    }
-
-    /// Re-anchors after an incumbent change (no-op on the non-incremental
-    /// paths, whose probes don't consult a checkpoint).
-    fn reanchor(&mut self, caps: &[f64]) {
-        if self.incremental {
-            self.solver.checkpoint_into(self.ws, caps, &mut self.chk);
-        }
-    }
-
-    /// `V` at the incumbent `caps` with the sparse `changed` overrides
-    /// applied — the Δ-probe fast path when anchored, otherwise a full
-    /// evaluation of the materialized profile.
-    fn value_at(&mut self, caps: &[f64], changed: &[(usize, f64)], scratch: &mut Vec<f64>) -> f64 {
-        if self.incremental {
-            debug_assert_eq!(self.chk.caps(), caps, "probe must start at the anchor");
-            if let Some(v) = self.solver.value_delta(self.ws, &self.chk, changed) {
-                return v;
-            }
-        }
-        apply_changed(caps, changed, scratch);
-        self.value(scratch)
-    }
 }
 
 /// A budget-preserving transfer direction: each `(machine, weight)` entry
 /// changes that machine's cap by `weight · δ / P_r` for a step of `δ`
 /// joules; weights sum to zero so the caps' total energy is conserved.
+/// The machines of a direction are distinct.
 type Direction = [(usize, f64)];
 
 /// Largest step (joules) a direction can take before some cap leaves
@@ -244,24 +119,9 @@ fn direction_step_limit(dir: &Direction, caps: &[f64], power: &[f64], d_max: f64
     }
 }
 
-fn apply_direction(
-    dir: &Direction,
-    caps: &[f64],
-    power: &[f64],
-    d_max: f64,
-    delta: f64,
-    out: &mut Vec<f64>,
-) {
-    out.clear();
-    out.extend_from_slice(caps);
-    for &(r, w) in dir {
-        out[r] = (out[r] + w * delta / power[r]).clamp(0.0, d_max);
-    }
-}
-
 /// The caps a step of `delta` joules along `dir` touches, as sparse
-/// `(machine, new_cap)` entries — bit-identical arithmetic to
-/// [`apply_direction`], in the shape [`NaiveSolver::value_delta`] takes.
+/// `(machine, new_cap)` entries — the shape
+/// [`NaiveSolver::value_delta`] takes.
 fn direction_changed(
     dir: &Direction,
     caps: &[f64],
@@ -279,66 +139,202 @@ fn direction_changed(
     (out, len)
 }
 
-/// Materializes sparse cap overrides into a full profile vector.
-fn apply_changed(caps: &[f64], changed: &[(usize, f64)], out: &mut Vec<f64>) {
-    out.clear();
-    out.extend_from_slice(caps);
-    for &(r, v) in changed {
-        out[r] = v;
-    }
+/// The search's evaluator and its incumbent: the caps, their value, and
+/// the [`ValueCheckpoint`] anchored at them that every probe runs
+/// against. The workspace is borrowed so callers (worker threads of the
+/// experiment engine) reuse its buffers across many solves.
+struct Ascent<'a, 'w> {
+    solver: NaiveSolver<'a>,
+    ws: &'w mut ValueFnWorkspace,
+    chk: ValueCheckpoint,
+    /// Incumbent caps; `chk` is anchored here between accepted transfers.
+    caps: Vec<f64>,
+    /// `V(caps)`.
+    current: f64,
+    transfers: usize,
+    /// Machine powers by index.
+    power: Vec<f64>,
+    d_max: f64,
+    /// Absolute gain a line search must clear to move the incumbent.
+    gain_tol: f64,
+    line_iterations: usize,
 }
 
-/// Golden-section maximization of the concave transfer objective
-/// `g(δ) = V(p after stepping δ joules along `dir`)` over
-/// `[0, delta_max]`. One `V` evaluation per iteration. Returns the best
-/// `(δ, g(δ))` seen, including the right endpoint.
-#[allow(clippy::too_many_arguments)] // bundled search context, called thrice
-fn line_search(
-    prober: &mut Prober<'_, '_>,
-    caps: &[f64],
-    scratch: &mut Vec<f64>,
-    dir: &Direction,
-    power: &[f64],
-    d_max: f64,
-    delta_max: f64,
-    iterations: usize,
-) -> (f64, f64) {
-    let mut eval = |prober: &mut Prober<'_, '_>, delta: f64| -> f64 {
-        let (changed, len) = direction_changed(dir, caps, power, d_max, delta);
-        prober.value_at(caps, &changed[..len], scratch)
-    };
-    let (mut a, mut b) = (0.0f64, delta_max);
-    let mut c = b - INV_PHI * (b - a);
-    let mut d = a + INV_PHI * (b - a);
-    let mut fc = eval(prober, c);
-    let mut fd = eval(prober, d);
-    let mut best = if fc >= fd { (c, fc) } else { (d, fd) };
-    for _ in 0..iterations {
-        if fc >= fd {
-            b = d;
-            d = c;
-            fd = fc;
-            c = b - INV_PHI * (b - a);
-            fc = eval(prober, c);
-            if fc > best.1 {
-                best = (c, fc);
-            }
-        } else {
-            a = c;
-            c = d;
-            fc = fd;
-            d = a + INV_PHI * (b - a);
-            fd = eval(prober, d);
-            if fd > best.1 {
-                best = (d, fd);
+impl Ascent<'_, '_> {
+    /// The step limit of `dir` at the incumbent, `None` when the
+    /// direction has no room to move.
+    fn step_limit(&self, dir: &Direction) -> Option<f64> {
+        let dm = direction_step_limit(dir, &self.caps, &self.power, self.d_max);
+        (dm > 1e-15 && dm.is_finite()).then_some(dm)
+    }
+
+    /// `V` at the incumbent stepped `delta` joules along `dir`.
+    fn probe(&mut self, dir: &Direction, delta: f64) -> f64 {
+        debug_assert_eq!(self.chk.caps(), self.caps, "probe must start at the anchor");
+        let (changed, len) = direction_changed(dir, &self.caps, &self.power, self.d_max, delta);
+        // `EnergyProfile::new` and `Instance::new` admit only finite caps,
+        // powers and `d_max`, and step limits are finite, so the ≤ 3
+        // stepped caps are finite entries of the anchored profile: the
+        // checkpoint can always answer.
+        self.solver
+            .value_delta(self.ws, &self.chk, &changed[..len])
+            .expect("a transfer direction moves ≤ 3 finite caps of the anchored profile")
+    }
+
+    /// Golden-section maximization of the concave transfer objective
+    /// `g(δ) = V(incumbent stepped δ joules along dir)` over
+    /// `[0, delta_max]`. One `V` evaluation per iteration. Returns the
+    /// best `(δ, g(δ))` seen, including the right endpoint.
+    fn line_search(&mut self, dir: &Direction, delta_max: f64) -> (f64, f64) {
+        let (mut a, mut b) = (0.0f64, delta_max);
+        let mut c = b - INV_PHI * (b - a);
+        let mut d = a + INV_PHI * (b - a);
+        let mut fc = self.probe(dir, c);
+        let mut fd = self.probe(dir, d);
+        let mut best = if fc >= fd { (c, fc) } else { (d, fd) };
+        for _ in 0..self.line_iterations {
+            if fc >= fd {
+                b = d;
+                d = c;
+                fd = fc;
+                c = b - INV_PHI * (b - a);
+                fc = self.probe(dir, c);
+                if fc > best.1 {
+                    best = (c, fc);
+                }
+            } else {
+                a = c;
+                c = d;
+                fc = fd;
+                d = a + INV_PHI * (b - a);
+                fd = self.probe(dir, d);
+                if fd > best.1 {
+                    best = (d, fd);
+                }
             }
         }
+        let f_end = self.probe(dir, delta_max);
+        if f_end > best.1 {
+            best = (delta_max, f_end);
+        }
+        best
     }
-    let f_end = eval(prober, delta_max);
-    if f_end > best.1 {
-        best = (delta_max, f_end);
+
+    /// Line-searches `dir` and, when the best step clears the gain
+    /// tolerance, moves the incumbent there and re-anchors. Returns
+    /// whether the incumbent moved.
+    fn try_transfer(&mut self, dir: &Direction, delta_max: f64) -> bool {
+        let (best_delta, best_val) = self.line_search(dir, delta_max);
+        if best_val > self.current + self.gain_tol {
+            let (changed, len) =
+                direction_changed(dir, &self.caps, &self.power, self.d_max, best_delta);
+            for &(r, cap) in &changed[..len] {
+                self.caps[r] = cap;
+            }
+            self.current = best_val;
+            self.transfers += 1;
+            self.solver
+                .checkpoint_into(self.ws, &self.caps, &mut self.chk);
+            true
+        } else {
+            false
+        }
     }
-    best
+
+    /// One gated scan over the ordered machine pairs: step limit → one
+    /// ε-gate probe → line search if it passes (see the module docs).
+    fn pairwise_sweep(&mut self) -> bool {
+        let m = self.caps.len();
+        let mut improved = false;
+        for from in 0..m {
+            for to in 0..m {
+                if from == to {
+                    continue;
+                }
+                let dir = [(from, -1.0), (to, 1.0)];
+                let Some(dm) = self.step_limit(&dir) else {
+                    continue;
+                };
+                if self.probe(&dir, dm * 1e-3) > self.current {
+                    improved |= self.try_transfer(&dir, dm);
+                }
+            }
+        }
+        improved
+    }
+
+    /// Triple polish, run only at pairwise stalls: one-source/two-sink and
+    /// two-source/one-sink directions with a few split ratios. Pairwise
+    /// coordinate ascent on a piecewise-linear concave function can stall
+    /// at kinks whose escape direction moves three coordinates; the first
+    /// improving trio hands control back to the cheap pairwise sweeps.
+    ///
+    /// Each `(a, b, c, orientation)` trio probes its three λ gates at a
+    /// *common* step `ε` (10⁻³ of the trio's smallest step limit): the
+    /// probed cap vectors are then affine in λ — three collinear, equally
+    /// spaced points — so concavity of `V` bounds the third gate by the
+    /// first two, `V(p(λ₃)) ≤ 2·V(p(λ₂)) − V(p(λ₁))`, and a third gate
+    /// certified not to improve on the incumbent is skipped without being
+    /// evaluated.
+    fn polish_triples(&mut self) -> bool {
+        let m = self.caps.len();
+        for a in 0..m {
+            for b in 0..m {
+                if b == a {
+                    continue;
+                }
+                for c in (b + 1)..m {
+                    if c == a {
+                        continue;
+                    }
+                    for orient in 0..2u8 {
+                        let mut dirs = [[(0usize, 0.0f64); 3]; 3];
+                        let mut dms = [0.0f64; 3];
+                        let mut eps = f64::INFINITY;
+                        for (k, lambda) in [0.25, 0.5, 0.75].into_iter().enumerate() {
+                            dirs[k] = if orient == 0 {
+                                [(a, -1.0), (b, lambda), (c, 1.0 - lambda)]
+                            } else {
+                                [(b, -lambda), (c, -(1.0 - lambda)), (a, 1.0)]
+                            };
+                            if let Some(dm) = self.step_limit(&dirs[k]) {
+                                dms[k] = dm;
+                                eps = eps.min(dm * 1e-3);
+                            }
+                        }
+                        if !eps.is_finite() {
+                            continue;
+                        }
+                        let (mut ga, mut gb) = (f64::NAN, f64::NAN);
+                        for k in 0..3 {
+                            if dms[k] == 0.0 {
+                                continue; // this split has no room to move
+                            }
+                            if k == 2
+                                && ga.is_finite()
+                                && gb.is_finite()
+                                && 2.0 * gb - ga <= self.current
+                            {
+                                // Certified ≤ incumbent: the gate would
+                                // fail; skip its evaluation.
+                                continue;
+                            }
+                            let gv = self.probe(&dirs[k], eps);
+                            if k == 0 {
+                                ga = gv;
+                            } else if k == 1 {
+                                gb = gv;
+                            }
+                            if gv > self.current && self.try_transfer(&dirs[k], dms[k]) {
+                                return true;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        false
+    }
 }
 
 /// Runs the pairwise profile ascent from `start`. Returns the refined
@@ -355,9 +351,8 @@ pub fn profile_search(
 /// [`profile_search`] probing through a caller-owned workspace, so its
 /// buffers (and allocation cost) amortize across many solves — one
 /// workspace per worker thread in the experiment engine. The reported
-/// [`ProfileSearchOutcome::probe_stats`] cover this solve only (including
-/// any parallel-gate workers'); the workspace's own counters keep
-/// accumulating across solves.
+/// [`ProfileSearchOutcome::probe_stats`] cover this solve only; the
+/// workspace's own counters keep accumulating across solves.
 pub fn profile_search_with(
     inst: &Instance,
     start: &EnergyProfile,
@@ -428,10 +423,10 @@ struct DescentState {
 }
 
 /// The shared ascent loop behind [`profile_search_with`] and
-/// [`profile_search_value_with`]: slack absorption, batched gated
-/// pairwise sweeps, triple polish, and the gate-worker counter fold.
-/// Also returns the solver (holding the instance's sorted segment order)
-/// so finishers can materialize whatever they need without rebuilding it.
+/// [`profile_search_value_with`]: slack absorption, gated pairwise
+/// sweeps, triple polish at stalls. Also returns the solver (holding the
+/// instance's sorted segment order) so finishers can materialize whatever
+/// they need without rebuilding it.
 fn descend<'a>(
     inst: &'a Instance,
     start: &EnergyProfile,
@@ -443,7 +438,6 @@ fn descend<'a>(
     let d_max = inst.d_max();
     let mut power = ws.arena.take_f64();
     power.extend((0..m).map(|r| inst.machines()[r].power()));
-    let gain_tol = opts.rel_gain_tol * inst.total_max_accuracy().max(1.0);
 
     let mut caps: Vec<f64> = start.caps().to_vec();
     // Absorb any unspent budget into the caps (most efficient machines
@@ -466,308 +460,39 @@ fn descend<'a>(
             }
         }
     }
-    // Per-solve scratch comes from (and returns to) the workspace's
-    // arena, before the prober takes the workspace borrow.
-    let mut scratch = ws.arena.take_f64();
-    let mut pairs = ws.arena.take_pairs();
-    let mut jobs = ws.arena.take_optf64();
-    let mut gate_vals = ws.arena.take_f64();
-    // Thread-local workspaces for the parallel gate, pooled across solves
-    // (probe counters reset on take); their counters fold into the main
-    // workspace at the end (addition commutes, so the fold is
-    // thread-count-independent).
-    let mut gate_workers = ws.arena.take_workspaces();
-    let mut prober = Prober::new(inst, ws, opts);
-    let mut current = prober.anchor(&caps);
+
+    let solver = NaiveSolver::new_in(inst, &mut ws.arena);
+    let mut chk = ValueCheckpoint::new_in(&mut ws.arena);
+    let current = solver.checkpoint_into(ws, &caps, &mut chk);
+    let mut ascent = Ascent {
+        solver,
+        ws,
+        chk,
+        caps,
+        current,
+        transfers: 0,
+        power,
+        d_max,
+        gain_tol: opts.rel_gain_tol * inst.total_max_accuracy().max(1.0),
+        line_iterations: opts.line_iterations,
+    };
     let mut sweeps = 0usize;
-    let mut transfers = 0usize;
     let mut converged = false;
 
-    // Pairwise scan order, frozen once: decisions fold in exactly this
-    // order regardless of how gate probes are evaluated.
-    pairs.reserve(m.saturating_mul(m.saturating_sub(1)));
-    for from in 0..m {
-        for to in 0..m {
-            if from != to {
-                pairs.push((from, to));
-            }
-        }
-    }
-    let gate_threads = if opts.pairwise_probe {
-        match opts.gate_threads {
-            0 => crate::available_cores(),
-            t => t,
-        }
-        .min(pairs.len().max(1))
-        .min(GATE_BATCH)
-    } else {
-        1
-    };
-    // Tries one direction; applies it when it improves. With `probe`, a
-    // single evaluation at 1e-3·δ_max rules the direction out when it does
-    // not increase V there (by concavity this certifies [ε, δ_max]; the
-    // (0, ε) sliver is a heuristic gap, validated empirically against the
-    // LP optimum in the test suite). Used by the ungated pairwise sweep
-    // and the triple polish; the gated pairwise sweep batches its gate
-    // probes instead (below).
-    let try_direction = |dir: &Direction,
-                         probe: bool,
-                         caps: &mut Vec<f64>,
-                         current: &mut f64,
-                         transfers: &mut usize,
-                         scratch: &mut Vec<f64>,
-                         prober: &mut Prober<'_, '_>|
-     -> bool {
-        let delta_max = direction_step_limit(dir, caps, &power, d_max);
-        if delta_max <= 1e-15 || delta_max.is_nan() || delta_max.is_infinite() {
-            return false;
-        }
-        if probe {
-            let eps = delta_max * 1e-3;
-            let (changed, len) = direction_changed(dir, caps, &power, d_max, eps);
-            let gate_val = prober.value_at(caps, &changed[..len], scratch);
-            if gate_val <= *current {
-                return false;
-            }
-        }
-        let (best_delta, best_val) = line_search(
-            prober,
-            caps,
-            scratch,
-            dir,
-            &power,
-            d_max,
-            delta_max,
-            opts.line_iterations,
-        );
-        if best_val > *current + gain_tol {
-            apply_direction(dir, caps, &power, d_max, best_delta, scratch);
-            std::mem::swap(caps, scratch);
-            *current = best_val;
-            *transfers += 1;
-            prober.reanchor(caps);
-            true
-        } else {
-            false
-        }
-    };
-
     // Accepted transfers require a strict `gain_tol` improvement, so the
-    // value must ascend sweep over sweep; the debug assert guards the
-    // cached probe path against ever breaking that invariant.
+    // value must ascend sweep over sweep.
     #[cfg(debug_assertions)]
     let monotone_tol = 1e-9 * inst.total_max_accuracy().max(1.0);
     while sweeps < opts.max_sweeps {
         sweeps += 1;
         #[cfg(debug_assertions)]
-        let sweep_start_value = current;
-        let mut improved = false;
-        if opts.pairwise_probe {
-            // Batched gate rounds: evaluate every still-pending pair's
-            // ε-probe against the incumbent, fold decisions in scan
-            // order, re-batch after an accepted transfer (see module
-            // docs for the bit-identity argument).
-            let mut idx = 0usize;
-            while idx < pairs.len() {
-                let pending = &pairs[idx..pairs.len().min(idx + GATE_BATCH)];
-                jobs.clear();
-                for &(from, to) in pending {
-                    let dir = [(from, -1.0), (to, 1.0)];
-                    let dm = direction_step_limit(&dir, &caps, &power, d_max);
-                    jobs.push(if dm <= 1e-15 || dm.is_nan() || dm.is_infinite() {
-                        None
-                    } else {
-                        Some(dm)
-                    });
-                }
-                gate_vals.clear();
-                gate_vals.resize(pending.len(), f64::NEG_INFINITY);
-                let live_jobs = jobs.iter().filter(|j| j.is_some()).count();
-                if gate_threads > 1 && live_jobs > 1 {
-                    evaluate_gate_batch_parallel(
-                        &prober,
-                        &mut gate_workers,
-                        gate_threads,
-                        pending,
-                        &jobs,
-                        &caps,
-                        &power,
-                        d_max,
-                        &mut gate_vals,
-                    );
-                } else {
-                    for (k, job) in jobs.iter().enumerate() {
-                        if let Some(dm) = *job {
-                            let (from, to) = pending[k];
-                            let dir = [(from, -1.0), (to, 1.0)];
-                            let (changed, len) =
-                                direction_changed(&dir, &caps, &power, d_max, dm * 1e-3);
-                            gate_vals[k] = prober.value_at(&caps, &changed[..len], &mut scratch);
-                        }
-                    }
-                }
-                let mut accepted_at = None;
-                for k in 0..pending.len() {
-                    let Some(dm) = jobs[k] else { continue };
-                    if gate_vals[k] <= current {
-                        continue;
-                    }
-                    let (from, to) = pending[k];
-                    let dir = [(from, -1.0), (to, 1.0)];
-                    let (best_delta, best_val) = line_search(
-                        &mut prober,
-                        &caps,
-                        &mut scratch,
-                        &dir,
-                        &power,
-                        d_max,
-                        dm,
-                        opts.line_iterations,
-                    );
-                    if best_val > current + gain_tol {
-                        apply_direction(&dir, &caps, &power, d_max, best_delta, &mut scratch);
-                        std::mem::swap(&mut caps, &mut scratch);
-                        current = best_val;
-                        transfers += 1;
-                        improved = true;
-                        prober.reanchor(&caps);
-                        accepted_at = Some(k);
-                        break;
-                    }
-                    // Rejected by the line search: the incumbent is
-                    // unchanged, so the rest of the batch stays valid.
-                }
-                // Advance past the accepted pair (later gates must see
-                // the new incumbent) or past the whole exhausted batch.
-                match accepted_at {
-                    Some(k) => idx += k + 1,
-                    None => idx += pending.len(),
-                }
-            }
-        } else {
-            // Exhaustive ablation: line-search every pair.
-            for from in 0..m {
-                for to in 0..m {
-                    if from == to {
-                        continue;
-                    }
-                    let dir = [(from, -1.0), (to, 1.0)];
-                    improved |= try_direction(
-                        &dir,
-                        false,
-                        &mut caps,
-                        &mut current,
-                        &mut transfers,
-                        &mut scratch,
-                        &mut prober,
-                    );
-                }
-            }
-        }
-        if !improved && opts.triple_polish && m >= 3 {
-            // Triple polish: one-source/two-sink and two-source/one-sink
-            // directions with a few split ratios. Only runs at pairwise
-            // stalls; any success falls back to the cheap pairwise sweep.
-            //
-            // Each `(a, b, c, orientation)` trio probes its three λ gates
-            // at a *common* step `ε` (10⁻³ of the trio's smallest step
-            // limit): the probed cap vectors are then affine in λ — three
-            // collinear, equally spaced points — so concavity of `V`
-            // bounds the third gate by the first two,
-            // `V(p(λ₃)) ≤ 2·V(p(λ₂)) − V(p(λ₁))`, and a third gate
-            // certified not to improve on the incumbent is skipped
-            // without being evaluated. A gate that passes runs the full
-            // line search exactly as before, so accepted transfers are
-            // untouched by the shortcut.
-            'polish: for a in 0..m {
-                for b in 0..m {
-                    if b == a {
-                        continue;
-                    }
-                    for c in (b + 1)..m {
-                        if c == a {
-                            continue;
-                        }
-                        for orient in 0..2u8 {
-                            let mut dirs = [[(0usize, 0.0f64); 3]; 3];
-                            let mut dms = [0.0f64; 3];
-                            let mut eps = f64::INFINITY;
-                            for (k, lambda) in [0.25, 0.5, 0.75].into_iter().enumerate() {
-                                dirs[k] = if orient == 0 {
-                                    [(a, -1.0), (b, lambda), (c, 1.0 - lambda)]
-                                } else {
-                                    [(b, -lambda), (c, -(1.0 - lambda)), (a, 1.0)]
-                                };
-                                let dm = direction_step_limit(&dirs[k], &caps, &power, d_max);
-                                if dm > 1e-15 && dm.is_finite() {
-                                    dms[k] = dm;
-                                    eps = eps.min(dm * 1e-3);
-                                }
-                            }
-                            if !eps.is_finite() {
-                                continue;
-                            }
-                            let (mut ga, mut gb) = (f64::NAN, f64::NAN);
-                            for k in 0..3 {
-                                if dms[k] == 0.0 {
-                                    continue;
-                                }
-                                if k == 2
-                                    && ga.is_finite()
-                                    && gb.is_finite()
-                                    && 2.0 * gb - ga <= current
-                                {
-                                    // Certified ≤ incumbent: the gate
-                                    // would fail; skip its evaluation.
-                                    continue;
-                                }
-                                let (changed, len) =
-                                    direction_changed(&dirs[k], &caps, &power, d_max, eps);
-                                let gv = prober.value_at(&caps, &changed[..len], &mut scratch);
-                                if k == 0 {
-                                    ga = gv;
-                                } else if k == 1 {
-                                    gb = gv;
-                                }
-                                if gv <= current {
-                                    continue;
-                                }
-                                let (best_delta, best_val) = line_search(
-                                    &mut prober,
-                                    &caps,
-                                    &mut scratch,
-                                    &dirs[k],
-                                    &power,
-                                    d_max,
-                                    dms[k],
-                                    opts.line_iterations,
-                                );
-                                if best_val > current + gain_tol {
-                                    apply_direction(
-                                        &dirs[k],
-                                        &caps,
-                                        &power,
-                                        d_max,
-                                        best_delta,
-                                        &mut scratch,
-                                    );
-                                    std::mem::swap(&mut caps, &mut scratch);
-                                    current = best_val;
-                                    transfers += 1;
-                                    prober.reanchor(&caps);
-                                    improved = true;
-                                    break 'polish;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let sweep_start_value = ascent.current;
+        let improved = ascent.pairwise_sweep() || (m >= 3 && ascent.polish_triples());
         #[cfg(debug_assertions)]
         debug_assert!(
-            current >= sweep_start_value - monotone_tol,
-            "sweep {sweeps} decreased the value: {sweep_start_value} -> {current}"
+            ascent.current >= sweep_start_value - monotone_tol,
+            "sweep {sweeps} decreased the value: {sweep_start_value} -> {}",
+            ascent.current
         );
         if !improved {
             converged = true;
@@ -775,24 +500,19 @@ fn descend<'a>(
         }
     }
 
-    // Fold the gate workers' probe counters into the caller's workspace.
-    for wws in &gate_workers {
-        prober.ws.stats.absorb(wws.stats);
-    }
-
-    let probe_stats = prober.ws.stats.since(stats_before);
     // Return every pooled buffer; the solver outlives the descent (the
     // finishers materialize through it) and is recycled by them.
-    let Prober {
-        solver, ws, chk, ..
-    } = prober;
+    let Ascent {
+        solver,
+        ws,
+        chk,
+        caps,
+        transfers,
+        power,
+        ..
+    } = ascent;
     chk.recycle(&mut ws.arena);
-    ws.arena.put_workspaces(gate_workers);
     ws.arena.put_f64(power);
-    ws.arena.put_f64(scratch);
-    ws.arena.put_pairs(pairs);
-    ws.arena.put_optf64(jobs);
-    ws.arena.put_f64(gate_vals);
     (
         DescentState {
             caps,
@@ -800,83 +520,11 @@ fn descend<'a>(
                 sweeps,
                 transfers,
                 converged,
-                probe_stats,
+                probe_stats: ws.stats.since(stats_before),
             },
         },
         solver,
     )
-}
-
-/// Evaluates one gate batch on `gate_threads` scoped worker threads.
-///
-/// Each worker owns a thread-local [`ValueFnWorkspace`] (lazily created,
-/// reused across batches) and strides over the pending pairs; every probe
-/// is a pure function of the shared incumbent state (the Δ-probe
-/// checkpoint, or the caps themselves on the full-evaluation paths), so
-/// the values — and therefore the decisions folded afterwards — do not
-/// depend on the thread count or schedule.
-#[allow(clippy::too_many_arguments)] // one batch's bundled evaluation context
-fn evaluate_gate_batch_parallel(
-    prober: &Prober<'_, '_>,
-    gate_workers: &mut Vec<ValueFnWorkspace>,
-    gate_threads: usize,
-    pending: &[(usize, usize)],
-    jobs: &[Option<f64>],
-    caps: &[f64],
-    power: &[f64],
-    d_max: f64,
-    gate_vals: &mut [f64],
-) {
-    if gate_workers.len() < gate_threads {
-        gate_workers.resize_with(gate_threads, ValueFnWorkspace::new);
-    }
-    let solver = &prober.solver;
-    let chk = &prober.chk;
-    let incremental = prober.incremental;
-    let cached = prober.cached;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(gate_threads);
-        for (w, wws) in gate_workers.iter_mut().take(gate_threads).enumerate() {
-            handles.push(scope.spawn(move || {
-                let mut out: Vec<(usize, f64)> = Vec::new();
-                let mut full: Vec<f64> = Vec::with_capacity(caps.len());
-                let mut k = w;
-                while k < pending.len() {
-                    if let Some(dm) = jobs[k] {
-                        let (from, to) = pending[k];
-                        let dir = [(from, -1.0), (to, 1.0)];
-                        let (changed, len) = direction_changed(&dir, caps, power, d_max, dm * 1e-3);
-                        let changed = &changed[..len];
-                        let v = if incremental {
-                            match solver.value_delta(wws, chk, changed) {
-                                Some(v) => v,
-                                None => {
-                                    apply_changed(caps, changed, &mut full);
-                                    solver.value_with(wws, &full)
-                                }
-                            }
-                        } else if cached {
-                            apply_changed(caps, changed, &mut full);
-                            solver.value_with(wws, &full)
-                        } else {
-                            apply_changed(caps, changed, &mut full);
-                            wws.stats.probes += 1;
-                            wws.stats.cold_probes += 1;
-                            solver.value(&full)
-                        };
-                        out.push((k, v));
-                    }
-                    k += gate_threads;
-                }
-                out
-            }));
-        }
-        for handle in handles {
-            for (k, v) in handle.join().expect("gate worker panicked") {
-                gate_vals[k] = v;
-            }
-        }
-    });
 }
 
 #[cfg(test)]

@@ -299,12 +299,6 @@ impl Replanner {
         self.ctx.probe_stats()
     }
 
-    /// Caps the threads solves through this replanner may spawn
-    /// internally (see [`SolverContext::set_parallelism_budget`]).
-    pub fn set_parallelism_budget(&mut self, budget: usize) {
-        self.ctx.set_parallelism_budget(budget);
-    }
-
     /// Full re-solve of `inst` under the configured strategy. The warm
     /// hint is honored only by [`ReplanStrategy::WarmStart`];
     /// [`ReplanStrategy::Incremental`] runs (or replays) the cold

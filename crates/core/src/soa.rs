@@ -24,7 +24,7 @@
 //! [`ScratchArena`] is the bump-style recycling pool behind both: every
 //! per-solve buffer ([`crate::algo_naive::NaiveSolver`]'s lanes, the
 //! [`crate::algo_naive::ValueCheckpoint`]'s vectors, the descent's
-//! direction scratch) is taken from the owning workspace's arena and
+//! machine-power lane) is taken from the owning workspace's arena and
 //! returned on recycle, so steady-state solves reuse warm capacity
 //! instead of allocating. Lifetime rule: a taken buffer must be returned
 //! to the *same* arena before the solve ends; the arena never frees while
@@ -44,9 +44,6 @@ pub struct ScratchArena {
     u32s: Vec<Vec<u32>>,
     u64s: Vec<Vec<u64>>,
     specs: Vec<Vec<SegmentSpec>>,
-    pairs: Vec<Vec<(usize, usize)>>,
-    optf64s: Vec<Vec<Option<f64>>>,
-    workspaces: Vec<crate::algo_naive::ValueFnWorkspace>,
 }
 
 macro_rules! pool {
@@ -80,29 +77,12 @@ impl ScratchArena {
     pool!(take_u32, put_u32, u32s, u32);
     pool!(take_u64, put_u64, u64s, u64);
     pool!(take_specs, put_specs, specs, SegmentSpec);
-    pool!(take_pairs, put_pairs, pairs, (usize, usize));
-    pool!(take_optf64, put_optf64, optf64s, Option<f64>);
-
-    /// Takes the pooled gate-worker workspaces (probe counters reset, so
-    /// a per-solve fold over them never sees a previous solve's counts).
-    pub(crate) fn take_workspaces(&mut self) -> Vec<crate::algo_naive::ValueFnWorkspace> {
-        let mut ws = std::mem::take(&mut self.workspaces);
-        for w in &mut ws {
-            w.stats = crate::algo_naive::ProbeStats::default();
-        }
-        ws
-    }
-
-    /// Returns the gate-worker workspaces to the pool.
-    pub(crate) fn put_workspaces(&mut self, ws: Vec<crate::algo_naive::ValueFnWorkspace>) {
-        self.workspaces = ws;
-    }
 }
 
 /// The instance's positive-gain PWL segments in slope-descending
 /// processing order, as three contiguous lanes. Built once per
-/// [`crate::algo_naive::NaiveSolver`]; every hot greedy
-/// (tree and bucket) walks these lanes instead of the AoS
+/// [`crate::algo_naive::NaiveSolver`]; the probe walk (buckets) and the
+/// value-only finisher (tree) walk these lanes instead of the AoS
 /// `order → segments` indirection.
 ///
 /// Invariants: `task`, `width`, `slope` have equal length; entries appear

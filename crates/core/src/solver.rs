@@ -13,9 +13,11 @@
 //!
 //! Solvers that probe the profile value function (FR-OPT and APPROX,
 //! which embeds it) accept a [`SolverContext`] through
-//! [`Solver::solve_with`]: the context owns the PR 1
-//! [`ValueFnWorkspace`], so a worker thread reuses one probe cache across
-//! all its work items instead of reallocating per solve.
+//! [`Solver::solve_with`]: the context owns the [`ValueFnWorkspace`], so
+//! a worker thread reuses one set of probe buffers across all its work
+//! items instead of reallocating per solve. A solve never spawns threads;
+//! callers that want parallelism run many solves at once, one context
+//! each.
 //!
 //! The PR-2 free-function shims (`solve_fr_opt`, `solve_approx`,
 //! `edf_*`, `solve_fr_lp`, `solve_mip_exact`) are gone: the [`Solver`]
@@ -84,11 +86,8 @@ pub struct SolveStats {
     pub refine_iterations: usize,
     /// Profile value-function evaluations (FR-OPT and APPROX).
     pub probes: u64,
-    /// Probes through the cold, allocation-per-call path (ablation only).
-    pub cold_probes: u64,
-    /// Probes served by the incremental Δ-probe evaluator (subset of
-    /// `probes`; FR-OPT and APPROX with
-    /// [`crate::profile_search::ProfileSearchOptions::incremental_probes`]).
+    /// Probes served as checkpoint deltas (subset of `probes`; the rest
+    /// anchored a checkpoint).
     pub incremental_probes: u64,
     /// Simplex iterations (LP path).
     pub lp_iterations: usize,
@@ -139,22 +138,18 @@ fn assignment_of(inst: &Instance, schedule: &FractionalSchedule) -> Vec<Option<u
 }
 
 impl Solution {
-    /// Converts the exact fractional solution. Accuracy, energy, and flops
-    /// are taken verbatim from [`FrSolution`]; the fractional optimum is
-    /// its own upper bound.
+    /// Converts the exact fractional solution. Accuracy and energy are
+    /// taken verbatim from [`FrSolution`] (both are computed from its
+    /// schedule); the fractional optimum is its own upper bound. `flops`
+    /// is the schedule's work, not [`FrSolution::flops`]: that is
+    /// Algorithm 1's pooled allocation, which the waterfill distributes
+    /// only down to its machine-time resolution.
     pub fn from_fr(inst: &Instance, fr: FrSolution) -> Self {
+        let flops = flops_of(inst, &fr.schedule);
         let assignment = assignment_of(inst, &fr.schedule);
-        let (probes, cold_probes, incremental_probes) = fr
-            .search
-            .map(|s| {
-                (
-                    s.probe_stats.probes,
-                    s.probe_stats.cold_probes,
-                    s.probe_stats.incremental_probes,
-                )
-            })
-            .unwrap_or((0, 0, 0));
+        let probe_stats = fr.search.map(|s| s.probe_stats).unwrap_or_default();
         Solution {
+            flops,
             assignment,
             integral: false,
             total_accuracy: fr.total_accuracy,
@@ -162,12 +157,10 @@ impl Solution {
             upper_bound: Some(fr.total_accuracy),
             stats: SolveStats {
                 refine_iterations: fr.refine_iterations,
-                probes,
-                cold_probes,
-                incremental_probes,
+                probes: probe_stats.probes,
+                incremental_probes: probe_stats.incremental_probes,
                 ..Default::default()
             },
-            flops: fr.flops,
             schedule: fr.schedule,
         }
     }
@@ -178,18 +171,11 @@ impl Solution {
     pub fn from_approx(inst: &Instance, approx: ApproxSolution) -> Self {
         let flops = flops_of(inst, &approx.schedule);
         let energy = approx.schedule.energy(inst);
-        let (probes, cold_probes, incremental_probes) = approx
+        let probe_stats = approx
             .fractional
             .search
-            .as_ref()
-            .map(|s| {
-                (
-                    s.probe_stats.probes,
-                    s.probe_stats.cold_probes,
-                    s.probe_stats.incremental_probes,
-                )
-            })
-            .unwrap_or((0, 0, 0));
+            .map(|s| s.probe_stats)
+            .unwrap_or_default();
         Solution {
             flops,
             assignment: approx.assignment,
@@ -199,9 +185,8 @@ impl Solution {
             upper_bound: Some(approx.fractional.total_accuracy),
             stats: SolveStats {
                 refine_iterations: approx.fractional.refine_iterations,
-                probes,
-                cold_probes,
-                incremental_probes,
+                probes: probe_stats.probes,
+                incremental_probes: probe_stats.incremental_probes,
                 ..Default::default()
             },
             schedule: approx.schedule,
@@ -274,18 +259,11 @@ impl Solution {
 }
 
 /// Per-thread solve state a [`Solver`] may reuse across instances:
-/// currently the [`ValueFnWorkspace`] whose probe cache the FR-OPT
-/// profile search runs on. One context per worker thread; never shared.
+/// the [`ValueFnWorkspace`] whose buffers the FR-OPT profile search
+/// probes through. One context per worker thread; never shared.
 #[derive(Debug, Default)]
 pub struct SolverContext {
     ws: ValueFnWorkspace,
-    /// Upper bound on threads a solve run through this context may spawn
-    /// internally (the profile search's parallel gate). `0` means
-    /// unlimited (the solver resolves `gate_threads == 0` to the machine's
-    /// available parallelism); an already-parallel harness sets `1` per
-    /// worker so nested solves don't oversubscribe the cores its own
-    /// workers occupy.
-    parallelism_budget: usize,
 }
 
 impl SolverContext {
@@ -303,30 +281,6 @@ impl SolverContext {
     /// through this context (worker utilization accounting).
     pub fn probe_stats(&self) -> ProbeStats {
         self.ws.stats
-    }
-
-    /// Caps the threads solves through this context may spawn internally
-    /// (`0` = unlimited). Parallelism never changes solve results — only
-    /// wall-clock (see [`crate::profile_search`]).
-    pub fn set_parallelism_budget(&mut self, budget: usize) {
-        self.parallelism_budget = budget;
-    }
-
-    /// The configured internal-parallelism cap (`0` = unlimited).
-    pub fn parallelism_budget(&self) -> usize {
-        self.parallelism_budget
-    }
-
-    /// Clamps a solver's requested `gate_threads` to this context's
-    /// budget: with no budget the request passes through; with a budget,
-    /// an auto request (`0`) resolves to the budget itself and explicit
-    /// requests are capped at it.
-    pub fn resolve_gate_threads(&self, requested: usize) -> usize {
-        match (self.parallelism_budget, requested) {
-            (0, r) => r,
-            (b, 0) => b,
-            (b, r) => r.min(b),
-        }
     }
 }
 
@@ -432,13 +386,9 @@ impl FrOptSolver {
         solve_fr_opt_with(inst, &self.opts, &mut ws)
     }
 
-    /// Typed solve on a reusable context. The context's parallelism
-    /// budget caps the profile search's `gate_threads` (results are
-    /// identical either way; only wall-clock changes).
+    /// Typed solve on a reusable context.
     pub fn solve_typed_with(&self, inst: &Instance, ctx: &mut SolverContext) -> FrSolution {
-        let mut opts = self.opts;
-        opts.search.gate_threads = ctx.resolve_gate_threads(opts.search.gate_threads);
-        solve_fr_opt_with(inst, &opts, ctx.workspace())
+        solve_fr_opt_with(inst, &self.opts, ctx.workspace())
     }
 
     /// Typed solve warm-started from a caller-supplied profile (e.g. an
@@ -453,9 +403,7 @@ impl FrOptSolver {
         ctx: &mut SolverContext,
         warm: &crate::profile::EnergyProfile,
     ) -> FrSolution {
-        let mut opts = self.opts;
-        opts.search.gate_threads = ctx.resolve_gate_threads(opts.search.gate_threads);
-        crate::fr_opt::solve_fr_opt_warm_with(inst, &opts, ctx.workspace(), warm)
+        crate::fr_opt::solve_fr_opt_warm_with(inst, &self.opts, ctx.workspace(), warm)
     }
 }
 
@@ -520,12 +468,9 @@ impl ApproxSolver {
         solve_approx_with(inst, &self.opts, &mut ws)
     }
 
-    /// Typed solve on a reusable context. The context's parallelism
-    /// budget caps the embedded fractional search's `gate_threads`.
+    /// Typed solve on a reusable context.
     pub fn solve_typed_with(&self, inst: &Instance, ctx: &mut SolverContext) -> ApproxSolution {
-        let mut opts = self.opts;
-        opts.fr.search.gate_threads = ctx.resolve_gate_threads(opts.fr.search.gate_threads);
-        solve_approx_with(inst, &opts, ctx.workspace())
+        solve_approx_with(inst, &self.opts, ctx.workspace())
     }
 
     /// Typed solve with the embedded fractional solve warm-started from
@@ -537,9 +482,7 @@ impl ApproxSolver {
         ctx: &mut SolverContext,
         warm: &crate::profile::EnergyProfile,
     ) -> ApproxSolution {
-        let mut opts = self.opts;
-        opts.fr.search.gate_threads = ctx.resolve_gate_threads(opts.fr.search.gate_threads);
-        crate::approx::solve_approx_warm_with(inst, &opts, ctx.workspace(), warm)
+        crate::approx::solve_approx_warm_with(inst, &self.opts, ctx.workspace(), warm)
     }
 
     /// Value-only warm-started estimate of the embedded fractional solve:
@@ -557,9 +500,7 @@ impl ApproxSolver {
         ctx: &mut SolverContext,
         warm: &crate::profile::EnergyProfile,
     ) -> Option<crate::profile_search::ValueSearchResult> {
-        let mut opts = self.opts;
-        opts.fr.search.gate_threads = ctx.resolve_gate_threads(opts.fr.search.gate_threads);
-        crate::fr_opt::fr_value_estimate_warm_with(inst, &opts.fr, ctx.workspace(), warm)
+        crate::fr_opt::fr_value_estimate_warm_with(inst, &self.opts.fr, ctx.workspace(), warm)
     }
 }
 

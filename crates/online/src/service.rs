@@ -120,11 +120,6 @@ pub struct OnlineConfig {
     pub jitter_seed: u64,
     /// Deadline-overrun handling at dispatch time.
     pub overrun: OverrunPolicy,
-    /// Internal-parallelism cap for the re-solves (the profile search's
-    /// gate threads); `1` keeps the service single-threaded, which is
-    /// what a harness running many replays in parallel wants. Results
-    /// never depend on this — only wall-clock does.
-    pub solver_parallelism: usize,
     /// Run every residual solution through the invariant oracle
     /// ([`dsct_core::oracle`], with [`Claims::approx`]) before adopting
     /// it. Defaults to on under `debug_assertions`, mirroring
@@ -147,7 +142,6 @@ impl Default for OnlineConfig {
             speed_jitter: 0.0,
             jitter_seed: 0,
             overrun: OverrunPolicy::Compress,
-            solver_parallelism: 1,
             check_invariants: default_check_invariants(),
         }
     }
@@ -396,8 +390,7 @@ impl OnlineService {
             return Err(OnlineError::InvalidBudget(budget));
         }
         let m = park.len();
-        let mut replanner = Replanner::new(ApproxSolver::new(), cfg.replan, cfg.replan_cache);
-        replanner.set_parallelism_budget(cfg.solver_parallelism);
+        let replanner = Replanner::new(ApproxSolver::new(), cfg.replan, cfg.replan_cache);
         Ok(Self {
             cfg,
             ledger: EnergyLedger::new(budget),
@@ -1591,8 +1584,8 @@ impl Default for ReplayConfig {
 
 /// Replays an [`ArrivalTrace`] through a fresh service: submits every
 /// task in arrival order and drains. Deterministic: equal inputs produce
-/// equal (bit-identical) reports, regardless of `solver_parallelism` or
-/// how many threads the surrounding harness uses.
+/// equal (bit-identical) reports, regardless of how many threads the
+/// surrounding harness uses.
 pub fn replay(trace: &ArrivalTrace, cfg: &ReplayConfig) -> Result<OnlineReport, OnlineError> {
     let mut svc = OnlineService::new(trace.park.clone(), trace.budget, cfg.online)?;
     for task in &trace.tasks {

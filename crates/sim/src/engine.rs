@@ -447,10 +447,6 @@ impl ExperimentPlan {
                     let tx = tx.clone();
                     handles.push(scope.spawn(move || {
                         let mut ctx = SolverContext::new();
-                        // Engine workers already saturate the cores:
-                        // forbid nested solver parallelism (results are
-                        // identical either way; see SolverContext).
-                        ctx.set_parallelism_budget(1);
                         let mut executed = 0usize;
                         let mut busy = 0.0f64;
                         loop {

@@ -171,7 +171,6 @@ pub fn run(cfg: &OnlineExpConfig, threads: usize) -> OnlineResult {
     let mut slots: Vec<Option<Item>> = vec![None; items.len()];
     if workers <= 1 {
         let mut ctx = SolverContext::new();
-        ctx.set_parallelism_budget(1);
         for (idx, &(c, rep)) in items.iter().enumerate() {
             let seed = derive_seed(cfg.base_seed, c as u64, rep as u64);
             slots[idx] = Some(measure(cfg, cfg.loads[c], seed, &mut ctx));
@@ -185,11 +184,7 @@ pub fn run(cfg: &OnlineExpConfig, threads: usize) -> OnlineResult {
                 let cursor = &cursor;
                 let items = &items;
                 scope.spawn(move || {
-                    // One context per worker: a replay's internal solver
-                    // parallelism stays at 1 so only item-level
-                    // parallelism uses the machine.
                     let mut ctx = SolverContext::new();
-                    ctx.set_parallelism_budget(1);
                     loop {
                         let idx = cursor.fetch_add(1, Ordering::Relaxed);
                         if idx >= items.len() {

@@ -35,7 +35,6 @@ fn arrival_config(n: usize, load: f64) -> ArrivalConfig {
 #[test]
 fn online_accuracy_never_beats_the_clairvoyant_fr_opt_bound() {
     let mut ctx = SolverContext::new();
-    ctx.set_parallelism_budget(1);
     let policies = [
         AdmissionPolicy::AdmitAll,
         AdmissionPolicy::RejectIfInfeasible,
@@ -83,31 +82,25 @@ fn online_accuracy_never_beats_the_clairvoyant_fr_opt_bound() {
 }
 
 #[test]
-fn replays_are_byte_identical_across_runs_and_solver_parallelism() {
+fn replays_are_byte_identical_across_runs() {
     for load in [0.5, 1.5] {
         let trace = generate_arrivals(&arrival_config(40, load), 99).expect("valid config");
-        let mut renderings = Vec::new();
-        for parallelism in [1usize, 2, 8] {
-            for _run in 0..2 {
-                let cfg = ReplayConfig {
-                    online: OnlineConfig {
-                        policy: AdmissionPolicy::DegradeToFit,
-                        solver_parallelism: parallelism,
-                        ..OnlineConfig::default()
-                    },
-                    ..ReplayConfig::default()
-                };
-                let report = replay(&trace, &cfg).expect("zero jitter is valid");
-                renderings.push(format!("{:?}|{:?}", report.summary, report.decisions));
-            }
-        }
-        for r in &renderings[1..] {
-            assert_eq!(
-                r, &renderings[0],
-                "load {load}: summaries must be byte-identical for any \
-                 solver parallelism and across repeated runs"
-            );
-        }
+        let render = || {
+            let cfg = ReplayConfig {
+                online: OnlineConfig {
+                    policy: AdmissionPolicy::DegradeToFit,
+                    ..OnlineConfig::default()
+                },
+                ..ReplayConfig::default()
+            };
+            let report = replay(&trace, &cfg).expect("zero jitter is valid");
+            format!("{:?}|{:?}", report.summary, report.decisions)
+        };
+        assert_eq!(
+            render(),
+            render(),
+            "load {load}: summaries must be byte-identical across repeated runs"
+        );
     }
 }
 

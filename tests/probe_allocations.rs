@@ -1,0 +1,86 @@
+//! The SoA/arena contract of the probe path (DESIGN.md §15.1): once a
+//! workspace is warm, a `V(p)` Δ-probe does not touch the allocator.
+//!
+//! This file holds exactly one test: the allocator below counts for the
+//! whole process, so a second test running beside it would be counted too.
+
+use dsct_core::algo_naive::{NaiveSolver, ValueCheckpoint};
+use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Counting wrapper around the system allocator: every allocation adds
+/// its size to a global byte counter (reallocation counts the new size).
+/// Snapshot differences around a timed region give bytes allocated in
+/// it; frees are deliberately not subtracted — the meter asks "did this
+/// region hit the allocator at all", not "did the footprint grow".
+struct CountingAlloc;
+
+static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATED.fetch_add(new_size as u64, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocated_bytes() -> u64 {
+    ALLOCATED.load(Ordering::Relaxed)
+}
+
+/// Checkpoint once, then hammer `value_delta` with alternating single-cap
+/// deltas on the `n = 100, m = 10` seed-777 paper instance: after one
+/// warm-up pass over the deltas, 10,000 probes allocate zero bytes.
+#[test]
+fn steady_state_delta_probes_allocate_nothing() {
+    let cfg = InstanceConfig {
+        tasks: TaskConfig::paper(100, ThetaDistribution::Uniform { min: 0.1, max: 1.0 }),
+        machines: MachineConfig::paper_random(10),
+        rho: 0.35,
+        beta: 0.5,
+    };
+    let inst = generate(&cfg, 777);
+    let m = inst.num_machines();
+    let solver = NaiveSolver::new(&inst);
+    let mut ws = solver.workspace();
+    let mut chk = ValueCheckpoint::new();
+    // A plausible incumbent: the uniform-energy-split profile caps.
+    let caps: Vec<f64> = inst
+        .machines()
+        .machines()
+        .iter()
+        .map(|mach| inst.budget() / (m as f64 * mach.power()))
+        .collect();
+    solver.checkpoint_into(&mut ws, &caps, &mut chk);
+    let deltas: Vec<(usize, f64)> = (0..m)
+        .flat_map(|r| [(r, caps[r] * 0.9), (r, caps[r] * 1.1)])
+        .collect();
+    let mut probe = |d: &(usize, f64)| {
+        std::hint::black_box(
+            solver
+                .value_delta(&mut ws, &chk, std::slice::from_ref(d))
+                .expect("valid checkpoint and finite caps"),
+        );
+    };
+    deltas.iter().for_each(&mut probe);
+    let before = allocated_bytes();
+    for i in 0..10_000 {
+        probe(&deltas[i % deltas.len()]);
+    }
+    assert_eq!(
+        allocated_bytes() - before,
+        0,
+        "the steady-state Δ-probe path touched the allocator"
+    );
+}

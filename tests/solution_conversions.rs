@@ -132,3 +132,27 @@ fn mip_conversion_preserves_objective() {
         check_consistency(&inst, &sol);
     }
 }
+
+/// A fractional `Solution` reports the work of its schedule, to the bit —
+/// not the pooled allocation the schedule was distributed from, which the
+/// waterfill reproduces only down to its machine-time resolution.
+#[test]
+fn fr_solution_reports_the_schedules_work_bitwise() {
+    let cfg = InstanceConfig {
+        tasks: TaskConfig::paper(20, ThetaDistribution::Uniform { min: 0.1, max: 2.0 }),
+        machines: MachineConfig::paper_random(4),
+        rho: 0.35,
+        beta: 0.5,
+    };
+    for seed in 0..4u64 {
+        let inst = generate(&cfg, seed);
+        let sol = Solution::from_fr(&inst, FrOptSolver::new().solve_typed(&inst));
+        for j in 0..inst.num_tasks() {
+            assert_eq!(
+                sol.flops[j].to_bits(),
+                sol.schedule.flops(j, &inst).to_bits(),
+                "seed {seed} task {j}"
+            );
+        }
+    }
+}
