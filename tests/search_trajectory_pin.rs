@@ -11,7 +11,9 @@
 //! meant to move them updates it in the same commit and says why.
 //!
 //! `probes` is deliberately not folded: it counts evaluations, not
-//! decisions, and is the one number an evaluator change may move.
+//! decisions, and is the one number an evaluator change may move. The
+//! second test holds it from above: the dual-certified gate must decide
+//! at least half of what the parent probed without evaluating `V`.
 
 use dsct_core::solver::FrOptSolver;
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
@@ -26,9 +28,14 @@ fn fold(h: u64, word: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-#[test]
-fn default_fr_opt_trajectory_is_pinned() {
+/// The twelve instances' summed `search.probe_stats.probes` as printed at
+/// commit 5a4534d, before gates were priced. A count: it repeats exactly.
+const PARENT_PROBES: u64 = 30_525;
+
+/// `(fold, probes)` of the default `FrOptSolver` over the twelve instances.
+fn trajectory() -> (u64, u64) {
     let mut h = 0u64;
+    let mut probes = 0u64;
     for (n, m, seeds) in [(100usize, 10usize, 1000u64..1008), (60, 18, 2000..2004)] {
         let cfg = InstanceConfig {
             tasks: TaskConfig::paper(n, ThetaDistribution::Uniform { min: 0.1, max: 4.9 }),
@@ -40,6 +47,7 @@ fn default_fr_opt_trajectory_is_pinned() {
             let inst = generate(&cfg, seed);
             let sol = FrOptSolver::new().solve_typed(&inst);
             let search = sol.search.expect("default options run the profile search");
+            probes += search.probe_stats.probes;
             h = fold(h, search.sweeps as u64);
             h = fold(h, search.transfers as u64);
             for &p in &sol.profile {
@@ -48,8 +56,23 @@ fn default_fr_opt_trajectory_is_pinned() {
             h = fold(h, sol.total_accuracy.to_bits());
         }
     }
+    (h, probes)
+}
+
+#[test]
+fn default_fr_opt_trajectory_is_pinned() {
+    let (h, _) = trajectory();
     assert_eq!(
         h, PINNED,
         "FR-OPT's search trajectory moved: fold is {h:#018x}, pinned {PINNED:#018x}"
+    );
+}
+
+#[test]
+fn priced_gates_halve_the_parents_probes() {
+    let (_, probes) = trajectory();
+    assert!(
+        probes <= PARENT_PROBES / 2,
+        "{probes} probes on the twelve instances; the parent took {PARENT_PROBES}"
     );
 }
