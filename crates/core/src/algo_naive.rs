@@ -31,6 +31,13 @@
 //! `V` at that incumbent with ≤ 3 caps changed, recomputing only what the
 //! change can reach. The unit tests hold both to the materialized
 //! schedule's accuracy.
+//!
+//! Step 2 is a linear program in its right-hand side, and the greedy that
+//! solves it also determines its optimal *dual* prices:
+//! [`NaiveSolver::price_blocks_into`] reads them off a checkpointed
+//! incumbent as [`PriceBlocks`], whose weak-duality bound lets the search
+//! close most transfer gates without evaluating `V` at all
+//! (`tests/price_certificate.rs`).
 
 use crate::algo_single::{
     accuracy_gain_buckets_lanes, schedule_single_machine, times_tree_lanes, BucketSlack,
@@ -239,6 +246,181 @@ impl ValueCheckpoint {
     }
 }
 
+/// Optimal dual prices of Algorithm 2's inner LP at an anchored incumbent
+/// ([`NaiveSolver::price_blocks_into`]), and the weak-duality bound they
+/// put on every ≤ 3-cap move away from it ([`PriceBlocks::gain_bound`]).
+///
+/// For fixed caps, `V(p) = W(C(p))` with `C_j = Σ_r s_r·min(p_r, d_j)` and
+/// `W(C) = max Σ_j a_j(f_j)` s.t. `Σ_{i≤j} f_i ≤ C_j`, `0 ≤ f_j ≤ F_j`.
+/// Any task prices `Y_0 ≥ Y_1 ≥ … ≥ 0` are dual-feasible, and with `Y`
+/// optimal at `C` weak duality reads `V(p′) − V(p) ≤ Σ_j (Y_j − Y_{j+1})·
+/// (C_j(p′) − C_j(p))`. An optimal `Y` only drops at *tight* prefixes, so
+/// the tasks between two consecutive tight prefixes — a **block** — share
+/// one price; it must lie between the steepest slope a task of the block
+/// left unfilled and the flattest one it filled, block prices are
+/// non-increasing, and tasks after the last tight prefix are priced 0.
+/// The set of optimal duals is exactly those boxes plus the chain order;
+/// stored here are the boxes *tightened* by the chain (prefix-min of the
+/// upper ends, suffix-max of the lower ends), whose projection onto any
+/// subset of blocks is again those boxes plus the chain.
+///
+/// Every tolerance decision of the builder (a segment judged full or
+/// untouched, a prefix judged tight) is paid for in [`PriceBlocks::slop`],
+/// the duality gap it can open; a block set with an empty box, or with
+/// unfilled tasks behind the last tight prefix, is *uncertifiable* and
+/// bounds nothing. Errors in the prices can therefore weaken a bound but
+/// never make it wrong.
+#[derive(Debug, Clone, Default)]
+pub struct PriceBlocks {
+    /// Deadline of each block's closing (tight) task, ascending.
+    deadline: Vec<f64>,
+    /// Tightened lower end of each block's price box.
+    lo: Vec<f64>,
+    /// Tightened upper end of each block's price box.
+    hi: Vec<f64>,
+    /// Duality gap of the builder's tolerance decisions (accuracy units).
+    slop: f64,
+    /// Whether the boxes describe a non-empty set of optimal duals.
+    certifiable: bool,
+}
+
+impl PriceBlocks {
+    /// Empty, uncertifiable block set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// [`PriceBlocks::new`] over arena-pooled buffers.
+    pub(crate) fn new_in(arena: &mut ScratchArena) -> Self {
+        Self {
+            deadline: arena.take_f64(),
+            lo: arena.take_f64(),
+            hi: arena.take_f64(),
+            slop: 0.0,
+            certifiable: false,
+        }
+    }
+
+    /// Returns the block buffers to `arena`.
+    pub(crate) fn recycle(self, arena: &mut ScratchArena) {
+        arena.put_f64(self.deadline);
+        arena.put_f64(self.lo);
+        arena.put_f64(self.hi);
+    }
+
+    /// Whether the prices bound anything (see the type docs).
+    pub fn is_certifiable(&self) -> bool {
+        self.certifiable
+    }
+
+    /// What the builder's tolerance decisions can add to any bound
+    /// (meaningless while uncertifiable).
+    pub fn slop(&self) -> f64 {
+        self.slop
+    }
+
+    /// Deadline of each block's closing task, ascending. A task belongs to
+    /// the first block whose deadline is not below its own; tasks beyond
+    /// the last block are priced 0.
+    pub fn deadlines(&self) -> &[f64] {
+        &self.deadline
+    }
+
+    /// The smallest optimal price of each block (non-increasing).
+    pub fn low(&self) -> &[f64] {
+        &self.lo
+    }
+
+    /// The largest optimal price of each block (non-increasing), capped at
+    /// the instance's steepest slope.
+    pub fn high(&self) -> &[f64] {
+        &self.hi
+    }
+
+    fn reset(&mut self) {
+        self.deadline.clear();
+        self.lo.clear();
+        self.hi.clear();
+        self.slop = 0.0;
+        self.certifiable = false;
+    }
+
+    /// Upper bound on `V(p′) − V(p)` (before [`PriceBlocks::slop`]) for a
+    /// move of ≤ 3 caps away from the priced incumbent `p`, one
+    /// `(p_r, s_r·x_r)` entry per machine whose cap changes by `x_r`
+    /// seconds. `+∞` when the set is uncertifiable or the move touches more
+    /// than three caps.
+    ///
+    /// A sink (`x_r > 0`) raises `C_j` by at most `s_r x_r` and only where
+    /// `d_j > p_r`; a source lowers it by exactly `s_r |x_r|` wherever
+    /// `d_j ≥ p_r`. Summed against `Y_j − Y_{j+1}` both telescope to
+    /// `s_r x_r` times the price of the first block whose deadline lies
+    /// beyond `p_r` (nothing when there is none). The bound is the minimum
+    /// of that linear form over the optimal duals, attained at a vertex
+    /// whose coordinates are box ends of the ≤ 3 blocks involved; it is
+    /// linear in the step, so scaling the move scales the bound.
+    pub fn gain_bound(&self, moves: &[(f64, f64)]) -> f64 {
+        if !self.certifiable || moves.len() > 3 {
+            return f64::INFINITY;
+        }
+        // Work moved per block, ascending in block index; machines landing
+        // in one block share its price.
+        let mut terms = [(0usize, 0.0f64); 3];
+        let mut q = 0usize;
+        for &(cap, work) in moves {
+            let k = if work > 0.0 {
+                self.deadline.partition_point(|&d| d <= cap)
+            } else if work < 0.0 {
+                self.deadline.partition_point(|&d| d < cap)
+            } else {
+                continue;
+            };
+            if k == self.deadline.len() {
+                continue;
+            }
+            let at = terms[..q].partition_point(|&(b, _)| b < k);
+            if at < q && terms[at].0 == k {
+                terms[at].1 += work;
+            } else {
+                terms.copy_within(at..q, at + 1);
+                terms[at] = (k, work);
+                q += 1;
+            }
+        }
+        if q == 0 {
+            return 0.0; // every moved cap lies beyond the last tight deadline
+        }
+        // Vertex enumeration: each price from the ≤ 6 box ends, kept when it
+        // sits in its own box and under its predecessor.
+        let mut ends = [0.0f64; 6];
+        for (i, &(k, _)) in terms[..q].iter().enumerate() {
+            ends[2 * i] = self.lo[k];
+            ends[2 * i + 1] = self.hi[k];
+        }
+        let ends = &ends[..2 * q];
+        let inside = |i: usize, v: f64| self.lo[terms[i].0] <= v && v <= self.hi[terms[i].0];
+        let mut best = f64::INFINITY;
+        for &v0 in ends.iter().filter(|&&v| inside(0, v)) {
+            let b0 = terms[0].1 * v0;
+            if q == 1 {
+                best = best.min(b0);
+                continue;
+            }
+            for &v1 in ends.iter().filter(|&&v| v <= v0 && inside(1, v)) {
+                let b1 = b0 + terms[1].1 * v1;
+                if q == 2 {
+                    best = best.min(b1);
+                    continue;
+                }
+                for &v2 in ends.iter().filter(|&&v| v <= v1 && inside(2, v)) {
+                    best = best.min(b1 + terms[2].1 * v2);
+                }
+            }
+        }
+        best
+    }
+}
+
 impl Default for ValueFnWorkspace {
     fn default() -> Self {
         Self::new()
@@ -325,6 +507,11 @@ impl<'a> NaiveSolver<'a> {
     #[inline]
     pub fn accuracy_at(&self, j: usize, f: f64) -> f64 {
         self.pwl.eval(j, f)
+    }
+
+    /// Machine speeds by index.
+    pub(crate) fn speeds(&self) -> &[f64] {
+        &self.speeds
     }
 
     /// Creates a [`ValueFnWorkspace`] sized for this instance.
@@ -651,6 +838,135 @@ impl<'a> NaiveSolver<'a> {
             }
         }
         Some(self.base_accuracy - self.inst.task(removed).accuracy.a_min() + gain)
+    }
+
+    /// Prices the checkpoint's incumbent: the bucket greedy's per-task
+    /// takes on the checkpointed capacities (the walk behind
+    /// [`NaiveSolver::checkpoint_into`], through `BucketSlack::consume` so
+    /// the takes can be kept), then [`NaiveSolver::price_work_into`].
+    /// `O(n + segments)`; allocates nothing on a warm workspace and counts
+    /// no probe.
+    pub fn price_blocks_into(
+        &self,
+        ws: &mut ValueFnWorkspace,
+        chk: &ValueCheckpoint,
+        out: &mut PriceBlocks,
+    ) {
+        let mut work = ws.arena.take_f64();
+        work.resize(self.deadlines.len(), 0.0);
+        ws.buckets
+            .load_with_prefix(&chk.buckets, &chk.bit_words, &[]);
+        for i in 0..self.lanes.len() {
+            if ws.buckets.exhausted() {
+                break;
+            }
+            let j = self.lanes.task[i] as usize;
+            work[j] += ws.buckets.consume(j, self.lanes.width[i]);
+        }
+        self.price_work_into(ws, chk, &work, out);
+        ws.arena.put_f64(work);
+    }
+
+    /// Builds the [`PriceBlocks`] that certify `work` (per-task GFLOP, EDF
+    /// order) as an optimum of Algorithm 2's inner LP at the checkpoint's
+    /// caps. A work vector that is not one — or a checkpoint of another
+    /// shape — yields an uncertifiable set.
+    ///
+    /// One pass over the slope-ordered lanes places each task on its curve
+    /// (the slope of the last segment it filled, of the first it left);
+    /// one pass over the tasks accumulates prefix slack against the
+    /// checkpointed capacities, closes a block at every tight prefix and
+    /// tightens the upper ends; a backward scan tightens the lower ends.
+    /// Tolerances: a segment is full, or untouched, within
+    /// `1e-12·max(f_j, 1)` GFLOP and a prefix is tight within
+    /// `1e-12·max(C_j, 1)`; what each such call can cost is added to
+    /// [`PriceBlocks::slop`] (`slope·shortfall`, `(left − right
+    /// slope)·excess`, `price·slack`).
+    pub fn price_work_into(
+        &self,
+        ws: &mut ValueFnWorkspace,
+        chk: &ValueCheckpoint,
+        work: &[f64],
+        out: &mut PriceBlocks,
+    ) {
+        const TOL: f64 = 1e-12;
+        let n = self.deadlines.len();
+        out.reset();
+        if !chk.valid || chk.td.len() != n || work.len() != n {
+            return;
+        }
+        // No price above the steepest slope is ever needed: capping the
+        // upper ends there keeps every box finite (a task with no work has
+        // no left slope) and only shrinks the set the bound minimises over.
+        let steepest = self.lanes.slope.first().copied().unwrap_or(0.0);
+        let mut slop = 0.0f64;
+
+        // Per task: work not yet attributed to a segment, the slope of the
+        // first segment left untouched (negative until seen; 0 stands for a
+        // task that filled them all) and of the last one filled.
+        let mut rest = ws.arena.take_f64();
+        let mut right = ws.arena.take_f64();
+        let mut left = ws.arena.take_f64();
+        rest.extend_from_slice(work);
+        right.resize(n, -1.0);
+        left.resize(n, steepest);
+        for i in 0..self.lanes.len() {
+            let j = self.lanes.task[i] as usize;
+            if right[j] >= 0.0 {
+                continue; // behind the task's marginal segment
+            }
+            let (width, slope) = (self.lanes.width[i], self.lanes.slope[i]);
+            let tol = TOL * work[j].max(1.0);
+            let r = rest[j];
+            if r >= width - tol {
+                slop += slope * (width - r).max(0.0);
+                rest[j] = (r - width).max(0.0);
+                left[j] = slope;
+            } else if r <= tol {
+                slop += (left[j] - slope) * r.max(0.0);
+                right[j] = slope;
+            } else {
+                rest[j] = 0.0;
+                left[j] = slope;
+                right[j] = slope;
+            }
+        }
+
+        let mut certifiable = true;
+        let (mut prefix, mut block_lo, mut block_hi) = (0.0f64, 0.0f64, steepest);
+        let mut chain_hi = steepest;
+        for j in 0..n {
+            prefix += work[j];
+            block_lo = block_lo.max(right[j]);
+            block_hi = block_hi.min(left[j]);
+            let slack = chk.td[j] - prefix;
+            let tol = TOL * chk.td[j].max(1.0);
+            if slack < -tol || rest[j] > TOL * work[j].max(1.0) {
+                certifiable = false; // more work than capacity, or than curve
+                break;
+            }
+            if slack <= tol {
+                chain_hi = chain_hi.min(block_hi);
+                slop += chain_hi * slack.max(0.0);
+                out.deadline.push(self.deadlines[j]);
+                out.lo.push(block_lo);
+                out.hi.push(chain_hi);
+                (block_lo, block_hi) = (0.0, steepest);
+            }
+        }
+        ws.arena.put_f64(rest);
+        ws.arena.put_f64(right);
+        ws.arena.put_f64(left);
+        // Tasks behind the last tight prefix are priced 0: all must be full.
+        certifiable &= block_lo <= 0.0;
+        let mut chain_lo = 0.0f64;
+        for k in (0..out.lo.len()).rev() {
+            chain_lo = chain_lo.max(out.lo[k]);
+            out.lo[k] = chain_lo;
+            certifiable &= chain_lo <= out.hi[k];
+        }
+        out.slop = slop;
+        out.certifiable = certifiable && slop.is_finite();
     }
 
     /// Algorithm 1's pooled per-task work vector for `caps`: the
@@ -1044,6 +1360,116 @@ mod tests {
         assert!(solver
             .value_insert_delta(&mut ws, &chk, &Task::new(f64::NAN, acc(&[(0.5, 1.0)])))
             .is_none());
+    }
+
+    /// [`PriceBlocks::gain_bound`] is the minimum of its linear form over
+    /// the chain-ordered boxes: no feasible price vector undercuts it, and
+    /// one of them attains it — checked against random tightened boxes
+    /// (both ends non-increasing) and random feasible vectors, with caps
+    /// placed on, between and beyond the block deadlines.
+    #[test]
+    fn gain_bound_is_the_minimum_over_the_price_chain() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(606);
+        for trial in 0..300 {
+            let blocks = rng.gen_range(1..6usize);
+            let mut lo: Vec<f64> = (0..blocks).map(|_| rng.gen_range(0.0..1.0)).collect();
+            lo.sort_by(|a, b| b.total_cmp(a));
+            let mut hi: Vec<f64> = lo
+                .iter()
+                .map(|&l| {
+                    if rng.gen_bool(0.3) {
+                        l
+                    } else {
+                        l + rng.gen_range(0.0..1.0)
+                    }
+                })
+                .collect();
+            for k in 1..blocks {
+                hi[k] = hi[k].min(hi[k - 1]);
+            }
+            let prices = PriceBlocks {
+                deadline: (1..=blocks).map(|k| k as f64).collect(),
+                lo: lo.clone(),
+                hi: hi.clone(),
+                slop: 0.0,
+                certifiable: true,
+            };
+            let moves: Vec<(f64, f64)> = (0..rng.gen_range(1..=3))
+                .map(|_| {
+                    let cap = match rng.gen_range(0..3) {
+                        0 => rng.gen_range(0..=blocks + 1) as f64,
+                        _ => rng.gen_range(0.0..blocks as f64 + 1.0),
+                    };
+                    (cap, rng.gen_range(-2.0..2.0))
+                })
+                .collect();
+            let bound = prices.gain_bound(&moves);
+            // The block each move is priced at, by the rule of the docs.
+            let block_of = |&(cap, work): &(f64, f64)| {
+                (0..blocks).find(|&k| {
+                    let d = (k + 1) as f64;
+                    if work > 0.0 {
+                        d > cap
+                    } else {
+                        d >= cap
+                    }
+                })
+            };
+            let form = |y: &[f64]| -> f64 {
+                moves
+                    .iter()
+                    .map(|mv| block_of(mv).map_or(0.0, |k| mv.1 * y[k]))
+                    .sum()
+            };
+            let mut attained = false;
+            for sample in 0..400 {
+                // A feasible chain: walk down from the top, each price
+                // drawn from its box clipped by its predecessor.
+                let mut y = vec![0.0f64; blocks];
+                let mut above = f64::INFINITY;
+                for k in 0..blocks {
+                    let top = hi[k].min(above);
+                    y[k] = match (sample + k) % 3 {
+                        0 => lo[k],
+                        1 => top,
+                        _ => rng.gen_range(lo[k]..=top),
+                    };
+                    above = y[k];
+                }
+                let value = form(&y);
+                assert!(
+                    value >= bound - 1e-12,
+                    "trial {trial}: feasible {y:?} gives {value}, bound {bound}"
+                );
+                attained |= (value - bound).abs() <= 1e-12;
+            }
+            // Every vertex has its coordinates among the box ends.
+            let ends: Vec<f64> = lo.iter().chain(&hi).copied().collect();
+            let mut y = vec![0.0f64; blocks];
+            let mut idx = vec![0usize; blocks];
+            'vertices: loop {
+                for k in 0..blocks {
+                    y[k] = ends[idx[k]];
+                }
+                let feasible = (0..blocks)
+                    .all(|k| lo[k] <= y[k] && y[k] <= hi[k] && (k == 0 || y[k] <= y[k - 1]));
+                if feasible {
+                    let value = form(&y);
+                    assert!(value >= bound - 1e-12, "trial {trial}: vertex {y:?}");
+                    attained |= (value - bound).abs() <= 1e-12;
+                }
+                for k in 0..blocks {
+                    idx[k] += 1;
+                    if idx[k] < ends.len() {
+                        continue 'vertices;
+                    }
+                    idx[k] = 0;
+                }
+                break;
+            }
+            assert!(attained, "trial {trial}: bound {bound} attained nowhere");
+        }
     }
 
     #[test]

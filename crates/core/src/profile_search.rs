@@ -37,17 +37,38 @@
 //! # The gated sweep
 //!
 //! A sweep scans the ordered pairs `(from, to)` once, in that order. Each
-//! pair costs one ε-gate probe at `10⁻³` of its step limit; by concavity a
-//! gate that does not improve on the incumbent rules out `[ε, δ_max]`
-//! (the `(0, ε)` sliver is a heuristic gap, validated against the LP
-//! optimum in the test suite), so a converged sweep costs one probe per
-//! pair instead of a line search per pair. A pair whose gate passes runs
-//! the line search and, when that clears the gain tolerance, moves the
-//! incumbent before the next pair is looked at. The scan runs on the
-//! calling thread: callers that want parallelism run many solves at once.
+//! pair passes one gate, and the gate is one rule applied twice: *a
+//! direction matters only if some step of its ray `[0, δ_max]` can clear
+//! the gain tolerance*.
+//!
+//! First as a sign test that evaluates nothing. At every anchored
+//! incumbent the search prices Algorithm 2's inner LP once
+//! ([`NaiveSolver::price_blocks_into`], lazily at the first gate after a
+//! re-anchor): optimal dual prices, one box per block of tasks between
+//! tight deadline prefixes. Weak duality bounds the gain of any move
+//! along a ≤ 3-machine direction by a linear form in ≤ 3 of those prices
+//! ([`PriceBlocks::gain_bound`]); the bound is linear in the step, so its
+//! value at `δ_max` covers the whole ray, and when it — plus the slop of
+//! the builder's tolerance calls — stays under half the gain tolerance
+//! the gate is closed without a probe. An incumbent whose prices come out
+//! inconsistent is uncertifiable, and all of its gates are probed.
+//!
+//! Then, for a gate the prices leave open, as one ε-probe at `10⁻³` of the
+//! step limit: by concavity `g(δ) − g(0) ≤ (δ/ε)·(g(ε) − g(0))` for
+//! `δ ≥ ε`, so a gate gain that `δ_max/ε` cannot scale past the gain
+//! tolerance rules out `[ε, δ_max]` (the `(0, ε)` sliver is a heuristic
+//! gap, validated against the LP optimum in the test suite). A pair whose
+//! gate stays open runs the line search and, when that clears the gain
+//! tolerance, moves the incumbent before the next pair is looked at.
+//!
+//! A closed gate is one whose line search would have been rejected, so
+//! the certificate changes which evaluations run, never what is decided;
+//! builds with `debug_assertions` probe every closed gate anyway and
+//! assert exactly that. The scan runs on the calling thread: callers that
+//! want parallelism run many solves at once.
 
 use crate::algo_naive::{
-    compute_naive_solution, NaiveSolution, NaiveSolver, ProbeStats, ValueCheckpoint,
+    compute_naive_solution, NaiveSolution, NaiveSolver, PriceBlocks, ProbeStats, ValueCheckpoint,
     ValueFnWorkspace,
 };
 use crate::problem::Instance;
@@ -158,9 +179,51 @@ struct Ascent<'a, 'w> {
     /// Absolute gain a line search must clear to move the incumbent.
     gain_tol: f64,
     line_iterations: usize,
+    /// Dual prices of the incumbent, rebuilt at the first gate after each
+    /// re-anchor (`prices_stale`).
+    prices: PriceBlocks,
+    prices_stale: bool,
 }
 
-impl Ascent<'_, '_> {
+/// What [`Ascent::gate`] learned about a direction.
+struct Gate {
+    /// `V` at the gate step; NaN when the prices settled the gate unprobed.
+    value: f64,
+    /// Whether some step of the ray can still clear the gain tolerance.
+    open: bool,
+}
+
+impl<'a, 'w> Ascent<'a, 'w> {
+    /// Anchors the search at `caps` (`power` by machine index), with the
+    /// solver, checkpoint and price buffers drawn from the workspace's
+    /// arena.
+    fn anchored(
+        inst: &'a Instance,
+        caps: Vec<f64>,
+        power: Vec<f64>,
+        opts: &ProfileSearchOptions,
+        ws: &'w mut ValueFnWorkspace,
+    ) -> Self {
+        let solver = NaiveSolver::new_in(inst, &mut ws.arena);
+        let mut chk = ValueCheckpoint::new_in(&mut ws.arena);
+        let prices = PriceBlocks::new_in(&mut ws.arena);
+        let current = solver.checkpoint_into(ws, &caps, &mut chk);
+        Self {
+            solver,
+            ws,
+            chk,
+            caps,
+            current,
+            transfers: 0,
+            power,
+            d_max: inst.d_max(),
+            gain_tol: opts.rel_gain_tol * inst.total_max_accuracy().max(1.0),
+            line_iterations: opts.line_iterations,
+            prices,
+            prices_stale: true,
+        }
+    }
+
     /// The step limit of `dir` at the incumbent, `None` when the
     /// direction has no room to move.
     fn step_limit(&self, dir: &Direction) -> Option<f64> {
@@ -235,14 +298,86 @@ impl Ascent<'_, '_> {
             self.transfers += 1;
             self.solver
                 .checkpoint_into(self.ws, &self.caps, &mut self.chk);
+            self.prices_stale = true;
             true
         } else {
             false
         }
     }
 
-    /// One gated scan over the ordered machine pairs: step limit → one
-    /// ε-gate probe → line search if it passes (see the module docs).
+    /// Whether the incumbent's prices rule out a `gain_tol` improvement
+    /// anywhere on `dir`'s ray `[0, delta_max]`: the weak-duality bound is
+    /// linear in the step, so its value at `delta_max` (or 0, at the
+    /// incumbent) bounds the whole ray.
+    fn certified(&mut self, dir: &Direction, delta_max: f64) -> bool {
+        if self.prices_stale {
+            self.solver
+                .price_blocks_into(self.ws, &self.chk, &mut self.prices);
+            self.prices_stale = false;
+        }
+        if !self.prices.is_certifiable() {
+            return false;
+        }
+        let speeds = self.solver.speeds();
+        let mut moves = [(0.0f64, 0.0f64); 3];
+        for (slot, &(r, w)) in moves.iter_mut().zip(dir) {
+            *slot = (self.caps[r], speeds[r] * w * delta_max / self.power[r]);
+        }
+        let bound = self.prices.gain_bound(&moves[..dir.len()]);
+        bound.max(0.0) + self.prices.slop() <= 0.5 * self.gain_tol
+    }
+
+    /// The one gate both sweeps call — *a direction matters only if its
+    /// ray can clear `gain_tol`* — applied twice: first as a sign test on
+    /// the incumbent's dual prices, which costs no evaluation of `V`, and,
+    /// when the prices cannot decide, on one probe at step `eps`: by
+    /// concavity `g(δ) − g(0) ≤ (δ/ε)·(g(ε) − g(0))` for `δ ≥ ε`, so a gate
+    /// gain that `delta_max/eps` cannot scale past `gain_tol` closes
+    /// `[ε, delta_max]` just as a failing gate does.
+    fn gate(&mut self, dir: &Direction, eps: f64, delta_max: f64) -> Gate {
+        if self.certified(dir, delta_max) {
+            #[cfg(debug_assertions)]
+            self.assert_closed(dir, eps, delta_max, None);
+            return Gate {
+                value: f64::NAN,
+                open: false,
+            };
+        }
+        let value = self.probe(dir, eps);
+        let open =
+            value > self.current && (value - self.current) * (delta_max / eps) > self.gain_tol;
+        #[cfg(debug_assertions)]
+        if !open {
+            self.assert_closed(dir, eps, delta_max, Some(value));
+        }
+        Gate { value, open }
+    }
+
+    /// Debug cross-check of a gate [`Ascent::gate`] closed: probes it when
+    /// the prices closed it unprobed, and, had its value passed the plain
+    /// `> current` test, runs the line search and asserts it would not
+    /// have moved the incumbent. The probe counters are restored, so both
+    /// build profiles report the same `probes`.
+    #[cfg(debug_assertions)]
+    fn assert_closed(&mut self, dir: &Direction, eps: f64, delta_max: f64, probed: Option<f64>) {
+        let stats = self.ws.stats;
+        let value = probed.unwrap_or_else(|| self.probe(dir, eps));
+        if value > self.current {
+            let (delta, best) = self.line_search(dir, delta_max);
+            assert!(
+                best <= self.current + self.gain_tol,
+                "closed gate {dir:?} (probed: {}) gains {:e} at step {delta:e} of {delta_max:e}, \
+                 gain_tol {:e}",
+                probed.is_some(),
+                best - self.current,
+                self.gain_tol
+            );
+        }
+        self.ws.stats = stats;
+    }
+
+    /// One gated scan over the ordered machine pairs: step limit → gate →
+    /// line search if it stays open (see the module docs).
     fn pairwise_sweep(&mut self) -> bool {
         let m = self.caps.len();
         let mut improved = false;
@@ -255,7 +390,7 @@ impl Ascent<'_, '_> {
                 let Some(dm) = self.step_limit(&dir) else {
                     continue;
                 };
-                if self.probe(&dir, dm * 1e-3) > self.current {
+                if self.gate(&dir, dm * 1e-3, dm).open {
                     improved |= self.try_transfer(&dir, dm);
                 }
             }
@@ -275,7 +410,8 @@ impl Ascent<'_, '_> {
     /// spaced points — so concavity of `V` bounds the third gate by the
     /// first two, `V(p(λ₃)) ≤ 2·V(p(λ₂)) − V(p(λ₁))`, and a third gate
     /// certified not to improve on the incumbent is skipped without being
-    /// evaluated.
+    /// evaluated (when both were probed: gates the prices settled carry no
+    /// value).
     fn polish_triples(&mut self) -> bool {
         let m = self.caps.len();
         for a in 0..m {
@@ -319,13 +455,13 @@ impl Ascent<'_, '_> {
                                 // fail; skip its evaluation.
                                 continue;
                             }
-                            let gv = self.probe(&dirs[k], eps);
+                            let gate = self.gate(&dirs[k], eps, dms[k]);
                             if k == 0 {
-                                ga = gv;
+                                ga = gate.value;
                             } else if k == 1 {
-                                gb = gv;
+                                gb = gate.value;
                             }
-                            if gv > self.current && self.try_transfer(&dirs[k], dms[k]) {
+                            if gate.open && self.try_transfer(&dirs[k], dms[k]) {
                                 return true;
                             }
                         }
@@ -461,21 +597,7 @@ fn descend<'a>(
         }
     }
 
-    let solver = NaiveSolver::new_in(inst, &mut ws.arena);
-    let mut chk = ValueCheckpoint::new_in(&mut ws.arena);
-    let current = solver.checkpoint_into(ws, &caps, &mut chk);
-    let mut ascent = Ascent {
-        solver,
-        ws,
-        chk,
-        caps,
-        current,
-        transfers: 0,
-        power,
-        d_max,
-        gain_tol: opts.rel_gain_tol * inst.total_max_accuracy().max(1.0),
-        line_iterations: opts.line_iterations,
-    };
+    let mut ascent = Ascent::anchored(inst, caps, power, opts, ws);
     let mut sweeps = 0usize;
     let mut converged = false;
 
@@ -509,9 +631,11 @@ fn descend<'a>(
         caps,
         transfers,
         power,
+        prices,
         ..
     } = ascent;
     chk.recycle(&mut ws.arena);
+    prices.recycle(&mut ws.arena);
     ws.arena.put_f64(power);
     (
         DescentState {
@@ -624,6 +748,59 @@ mod tests {
             "fractional accuracy {} vs realized {realized}",
             est.total_accuracy
         );
+    }
+
+    /// The gate's fallback: an anchor whose prices are uncertifiable settles
+    /// nothing unprobed — every gate is the plain ε-probe, one evaluation
+    /// each — while the same anchor, priced, settles gates for free.
+    #[test]
+    fn an_uncertifiable_anchor_probes_every_gate() {
+        let park = MachinePark::new(vec![
+            Machine::from_efficiency(2000.0, 80.0).unwrap(),
+            Machine::from_efficiency(5000.0, 70.0).unwrap(),
+            Machine::from_efficiency(900.0, 40.0).unwrap(),
+        ]);
+        let tasks = vec![
+            Task::new(0.05, acc(&[(0.0, 0.0), (500.0, 0.8)])),
+            Task::new(0.7, acc(&[(0.0, 0.1), (1500.0, 0.6)])),
+            Task::new(2.0, acc(&[(0.0, 0.0), (4000.0, 0.4)])),
+        ];
+        let inst = Instance::new(tasks, park, 55.0).unwrap();
+        let opts = ProfileSearchOptions::default();
+        let (refined, _, out) = profile_search(&inst, &naive_profile(&inst), &opts);
+        assert!(out.converged);
+        let power: Vec<f64> = (0..3).map(|r| inst.machines()[r].power()).collect();
+        let mut ws = ValueFnWorkspace::new();
+        let mut ascent = Ascent::anchored(&inst, refined.caps().to_vec(), power, &opts, &mut ws);
+        let pairs: Vec<[(usize, f64); 2]> = (0..3)
+            .flat_map(|from| (0..3).map(move |to| [(from, -1.0), (to, 1.0)]))
+            .filter(|dir| dir[0].0 != dir[1].0)
+            .collect();
+
+        let mut unprobed = 0;
+        for dir in &pairs {
+            let Some(dm) = ascent.step_limit(dir) else {
+                continue;
+            };
+            let gate = ascent.gate(dir, dm * 1e-3, dm);
+            assert!(!gate.open, "the incumbent is converged");
+            unprobed += usize::from(gate.value.is_nan());
+        }
+        assert!(unprobed > 0, "a priced optimum settles gates unprobed");
+
+        ascent.prices = PriceBlocks::new();
+        assert!(!ascent.prices.is_certifiable() && !ascent.prices_stale);
+        for dir in &pairs {
+            let Some(dm) = ascent.step_limit(dir) else {
+                continue;
+            };
+            let before = ascent.ws.stats.probes;
+            let gate = ascent.gate(dir, dm * 1e-3, dm);
+            assert_eq!(ascent.ws.stats.probes, before + 1, "one probe per gate");
+            let plain = ascent.probe(dir, dm * 1e-3);
+            assert_eq!(gate.value.to_bits(), plain.to_bits());
+            assert!(!gate.open);
+        }
     }
 
     /// An all-zero-weight direction constrains no cap; its step limit must

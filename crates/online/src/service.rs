@@ -1475,7 +1475,12 @@ impl OnlineService {
         Vec<usize>,
     )> {
         let (res, machine_ids) = self.residual_for(extra)?;
-        let warm = self.warm_hint(&machine_ids);
+        // `Replanner::solve` reads the hint under `WarmStart` only
+        // (`Incremental` re-solves cold by contract), so only then is it
+        // worth its pass over the pool.
+        let warm = (self.cfg.replan == ReplanStrategy::WarmStart)
+            .then(|| self.warm_hint(&machine_ids))
+            .flatten();
         let approx = self.solve_residual(&res, warm.as_ref());
         Some((approx, res, machine_ids))
     }

@@ -1,10 +1,11 @@
 //! The SoA/arena contract of the probe path (DESIGN.md §15.1): once a
-//! workspace is warm, a `V(p)` Δ-probe does not touch the allocator.
+//! workspace is warm, neither a `V(p)` Δ-probe nor a re-anchor with its
+//! price-block build touches the allocator.
 //!
 //! This file holds exactly one test: the allocator below counts for the
 //! whole process, so a second test running beside it would be counted too.
 
-use dsct_core::algo_naive::{NaiveSolver, ValueCheckpoint};
+use dsct_core::algo_naive::{NaiveSolver, PriceBlocks, ValueCheckpoint};
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,7 +42,9 @@ fn allocated_bytes() -> u64 {
 
 /// Checkpoint once, then hammer `value_delta` with alternating single-cap
 /// deltas on the `n = 100, m = 10` seed-777 paper instance: after one
-/// warm-up pass over the deltas, 10,000 probes allocate zero bytes.
+/// warm-up pass over the deltas, 10,000 probes allocate zero bytes. Then
+/// what an accepted transfer costs — re-anchor the checkpoint at moved
+/// caps and price it — ten times over, after one warm-up: zero bytes too.
 #[test]
 fn steady_state_delta_probes_allocate_nothing() {
     let cfg = InstanceConfig {
@@ -82,5 +85,22 @@ fn steady_state_delta_probes_allocate_nothing() {
         allocated_bytes() - before,
         0,
         "the steady-state Δ-probe path touched the allocator"
+    );
+
+    let mut prices = PriceBlocks::new();
+    let mut moved = caps.clone();
+    let mut reanchor = |k: usize| {
+        moved[k % m] = caps[k % m] * (0.8 + 0.04 * k as f64);
+        solver.checkpoint_into(&mut ws, &moved, &mut chk);
+        solver.price_blocks_into(&mut ws, &chk, &mut prices);
+        assert!(std::hint::black_box(&prices).is_certifiable());
+    };
+    reanchor(0);
+    let before = allocated_bytes();
+    (1..=10).for_each(&mut reanchor);
+    assert_eq!(
+        allocated_bytes() - before,
+        0,
+        "a re-anchor and its price-block build touched the allocator"
     );
 }
