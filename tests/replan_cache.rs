@@ -14,7 +14,10 @@
 //! 3. **Invalid-delta fallback** — when the cheap paths decline (a
 //!    missing/mismatched anchor, a wrong-shape warm hint), the replanner
 //!    falls back to the full solve bit-exactly.
-//! 4. **Fingerprint structure** (proptest) — structurally equal pools
+//! 4. **Same-state probe memo** — repeated gated probes against a
+//!    standing pool are answered from the memo under `Incremental` (and
+//!    only there), with the decisions and final summary of `Cold`.
+//! 5. **Fingerprint structure** (proptest) — structurally equal pools
 //!    key equal; perturbing any single field (budget, a machine's speed
 //!    or power, a task's deadline, breakpoint, or value, a warm cap)
 //!    changes the key.
@@ -25,9 +28,11 @@ use dsct_ea::core::profile::EnergyProfile;
 use dsct_ea::core::replan::{fingerprint, Replanner};
 use dsct_ea::core::solver::ApproxSolver;
 use dsct_ea::machines::{Machine, MachinePark};
-use dsct_ea::online::{replay, AdmissionPolicy, OnlineConfig, ReplanStrategy, ReplayConfig};
+use dsct_ea::online::{
+    replay, AdmissionPolicy, Decision, OnlineConfig, OnlineService, ReplanStrategy, ReplayConfig,
+};
 use dsct_ea::workload::{
-    generate_arrivals, ArrivalConfig, MachineConfig, TaskConfig, ThetaDistribution,
+    generate_arrivals, ArrivalConfig, MachineConfig, OnlineTask, TaskConfig, ThetaDistribution,
 };
 use proptest::prelude::*;
 
@@ -128,6 +133,69 @@ fn a_one_entry_cache_evicts_constantly_and_stays_byte_identical() {
         "a one-entry cache over {} misses must evict",
         tiny.replan.cache_misses
     );
+}
+
+/// A shallow zero-floor probe `RejectIfInfeasible` always turns away:
+/// its ceiling is far below the admission epsilon. Variants differ in
+/// deadline, so each is a distinct gated evaluation.
+fn probe(variant: usize, id: u64) -> OnlineTask {
+    OnlineTask {
+        id,
+        tenant: 0,
+        arrival: 0.0,
+        deadline: 1.0 + 0.25 * variant as f64,
+        accuracy: PwlAccuracy::new(&[(0.0, 0.0), (1.0, 1e-7)]).expect("valid shallow pwl"),
+    }
+}
+
+#[test]
+fn a_standing_pool_answers_repeated_probes_from_the_memo() {
+    // 100 tasks on 8 machines, all live at t = 0. No probe is adopted and
+    // the clock never moves, so every round of the four probe shapes
+    // sees the same pool: rounds after the first are same-state repeats.
+    let mut pool = generate_arrivals(
+        &ArrivalConfig {
+            machines: MachineConfig::paper_random(8),
+            ..arrival_config(100, 1.0)
+        },
+        777,
+    )
+    .expect("valid config");
+    for task in &mut pool.tasks {
+        task.arrival = 0.0;
+    }
+
+    let run = |replan: ReplanStrategy| {
+        let cfg = OnlineConfig {
+            policy: AdmissionPolicy::RejectIfInfeasible,
+            replan,
+            ..OnlineConfig::default()
+        };
+        let mut svc =
+            OnlineService::new(pool.park.clone(), pool.budget, cfg).expect("zero jitter is valid");
+        svc.preload(&pool.tasks).expect("pool tasks are valid");
+        let mut decisions = Vec::new();
+        for id in 0..16u64 {
+            // Four probe shapes, four rounds.
+            let task = probe(id as usize % 4, 1_000_000 + id);
+            decisions.push(svc.try_submit(&task).expect("valid probe"));
+        }
+        let memo_hits = svc.replan_stats().memo_hits;
+        (decisions, memo_hits, format!("{:?}", svc.finish().summary))
+    };
+
+    let (cold, cold_memo, cold_summary) = run(ReplanStrategy::Cold);
+    let (warm, warm_memo, _) = run(ReplanStrategy::WarmStart);
+    let (inc, inc_memo, inc_summary) = run(ReplanStrategy::Incremental);
+    assert!(
+        cold.iter().all(|&d| d == Decision::Rejected),
+        "a shallow zero-floor probe was admitted"
+    );
+    assert_eq!(cold, warm, "warm-start probe decisions diverged from cold");
+    assert_eq!(cold, inc, "incremental probe decisions diverged from cold");
+    assert!(inc_memo > 0, "the incremental arm never hit its probe memo");
+    assert_eq!((cold_memo, warm_memo), (0, 0), "only Incremental memoizes");
+    assert_eq!(cold_summary, inc_summary, "summaries diverged");
 }
 
 fn small_instance() -> Instance {
