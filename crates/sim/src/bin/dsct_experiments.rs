@@ -9,7 +9,8 @@
 //!   --quick        reduced sizes/replications (smoke-test scale)
 //!   --seed N       base RNG seed (default: per-experiment paper seed)
 //!   --out DIR      artifact directory for JSON/CSV (default: ./results)
-//!   --threads N    worker threads for grid experiments (0 = all cores)
+//!   --threads N    worker threads (0 = all cores, the default); the fig4
+//!                  and table1 timing studies always run on one
 //!   --sequential   run everything serially (same as --threads 1)
 //! ```
 //!
@@ -19,7 +20,6 @@ use dsct_sim::experiments::{
     chaos, fig1, fig2, fig3, fig4, fig5, fig6, online, robustness, staged, table1,
 };
 use dsct_sim::report::{write_artifacts, TextTable};
-use dsct_sim::runner::Execution;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -50,19 +50,9 @@ struct Args {
     quick: bool,
     seed: Option<u64>,
     out: PathBuf,
-    /// Worker threads for engine-backed grid experiments (0 = all cores).
+    /// Worker threads for every sweep but the two timing studies
+    /// (0 = all cores).
     threads: usize,
-}
-
-impl Args {
-    /// Execution mode for the legacy single-loop sweeps (fig3/fig6/…).
-    fn execution(&self) -> Execution {
-        if self.threads == 1 {
-            Execution::Sequential
-        } else {
-            Execution::Parallel
-        }
-    }
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -110,7 +100,9 @@ fn parse_args() -> Result<Args, String> {
 fn usage() -> String {
     format!(
         "dsct-experiments [EXPERIMENTS…] [--quick] [--seed N] [--out DIR] [--threads N] [--sequential]\n\
-         experiments: {}",
+         experiments: {}\n\
+         --threads N: worker threads (0 = all cores, the default; fig4 and table1 time on one); \
+         --sequential = --threads 1",
         EXPERIMENTS.join(" ")
     )
 }
@@ -180,7 +172,7 @@ fn main() -> ExitCode {
         if let Some(s) = args.seed {
             cfg.base_seed = s;
         }
-        let r = fig3::run(&cfg, args.execution());
+        let r = fig3::run(&cfg, args.threads);
         println!("{}", fig3::render(&r));
         save(
             "fig3",
@@ -252,7 +244,7 @@ fn main() -> ExitCode {
         if let Some(s) = args.seed {
             cfg.base_seed = s;
         }
-        let r = robustness::run(&cfg, args.execution());
+        let r = robustness::run(&cfg, args.threads);
         println!("{}", robustness::render(&r));
         save(
             "robustness",
@@ -288,7 +280,7 @@ fn main() -> ExitCode {
         if let Some(s) = args.seed {
             cfg.base_seed = s;
         }
-        let r = staged::run(&cfg, args.execution());
+        let r = staged::run(&cfg, args.threads);
         println!("{}", staged::render(&r));
         save(
             "staged",
@@ -328,7 +320,7 @@ fn main() -> ExitCode {
             if let Some(s) = args.seed {
                 cfg.base_seed = s;
             }
-            let r = fig6::run(&cfg, args.execution());
+            let r = fig6::run(&cfg, args.threads);
             println!("{}", fig6::render(&r));
             save(
                 name,

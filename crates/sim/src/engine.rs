@@ -1,10 +1,10 @@
-//! The multi-threaded deterministic experiment engine.
+//! The deterministic experiment engine, and the crate's one fan-out.
 //!
 //! An experiment is a grid of cells (instance configurations), a set of
 //! [`Solver`]s, and a replication count. The engine flattens the grid
 //! into (cell × replication × solver) *work items*, executes them on a
-//! pool of scoped worker threads, and aggregates per-cell statistics —
-//! with three properties the naive rayon loop of [`crate::runner`] lacks:
+//! pool of scoped worker threads, and aggregates per-cell statistics,
+//! with three properties:
 //!
 //! - **Determinism under any thread count.** Each item's RNG seed is
 //!   derived by [`derive_seed`] (splitmix64 mixing) from
@@ -27,6 +27,12 @@
 //! Aggregates stream out as cells complete: the ordered collector holds
 //! back per-item results until a cell's last item arrives, then folds and
 //! emits that cell's [`CellSummary`] (see [`ExperimentPlan::run_streaming`]).
+//!
+//! The worker loop itself is [`run_indexed`], and every sweep of this
+//! crate runs on it: the grid plans here, and the single-loop experiments
+//! ([`crate::experiments::fig3`], `fig6`, `robustness`, `staged`,
+//! `online`, `chaos`), which hand it a replication index and fold the
+//! returned `Vec` in index order.
 
 use crate::stats::SummaryStats;
 use dsct_core::solver::{SolveError, Solver, SolverContext};
@@ -376,6 +382,89 @@ fn execute_item(
     }
 }
 
+/// Runs `work(ctx, i)` for every `i < n` on `threads` workers (`0` = all
+/// cores, clamped to `n`) and returns the results in index order, plus
+/// one [`WorkerStats`] per worker.
+///
+/// Workers claim indices from one atomic cursor and each owns one
+/// [`SolverContext`]; the calling thread stores each result in its slot
+/// and then calls `on_result(i, slots)` — completion order, with `slots`
+/// holding everything that has landed so far. With at most one worker
+/// (`threads = 1`, or `n ≤ 1`) everything runs inline on the caller and
+/// nothing is spawned. A panic in `work` propagates to the caller.
+pub(crate) fn run_indexed<T: Send>(
+    threads: usize,
+    n: usize,
+    work: impl Fn(&mut SolverContext, usize) -> T + Sync,
+    mut on_result: impl FnMut(usize, &[Option<T>]),
+) -> (Vec<T>, Vec<WorkerStats>) {
+    let threads = match threads {
+        0 => dsct_core::available_cores(),
+        t => t,
+    }
+    .min(n);
+    let cursor = AtomicUsize::new(0);
+    let worker = |w: usize, emit: &mut dyn FnMut(usize, T)| {
+        let mut ctx = SolverContext::new();
+        let mut stats = WorkerStats {
+            worker: w,
+            items: 0,
+            busy_time: 0.0,
+            probes: 0,
+        };
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let t0 = Instant::now();
+            let out = work(&mut ctx, i);
+            stats.busy_time += t0.elapsed().as_secs_f64();
+            stats.items += 1;
+            emit(i, out);
+        }
+        stats.probes = ctx.probe_stats().probes;
+        stats
+    };
+
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(n, || None);
+    let mut land = |i: usize, out: T| {
+        slots[i] = Some(out);
+        on_result(i, &slots);
+    };
+    let workers = if threads <= 1 {
+        vec![worker(0, &mut land)]
+    } else {
+        let (tx, rx) = mpsc::channel::<(usize, T)>();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|w| {
+                    let (tx, worker) = (tx.clone(), &worker);
+                    scope.spawn(move || {
+                        // A failed send means the collector is gone (it
+                        // panicked); the scope re-raises that panic.
+                        worker(w, &mut |i, out| drop(tx.send((i, out))))
+                    })
+                })
+                .collect();
+            drop(tx);
+            for (i, out) in rx {
+                land(i, out);
+            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
+    };
+    let results = slots
+        .into_iter()
+        .map(|slot| slot.expect("every index executed"))
+        .collect();
+    (results, workers)
+}
+
 impl ExperimentPlan {
     /// Runs the plan. See [`ExperimentRun`] for the determinism contract.
     pub fn run(&self) -> ExperimentRun {
@@ -388,17 +477,14 @@ impl ExperimentPlan {
     /// [`ExperimentRun::cells`] is always in cell order).
     pub fn run_streaming(&self, mut on_cell: impl FnMut(&CellSummary)) -> ExperimentRun {
         let t_run = Instant::now();
-        let threads = match self.threads {
-            0 => dsct_core::available_cores(),
-            t => t,
-        };
 
         // Freeze the item list: cells × replications × active solvers.
-        // Item order is the canonical aggregation order.
+        // Item order is the canonical aggregation order; cell `c` owns
+        // the contiguous range `cell_start[c]..cell_start[c + 1]`.
         let mut items: Vec<WorkItem> = Vec::new();
-        let mut cell_first_item: Vec<usize> = Vec::with_capacity(self.cells.len());
+        let mut cell_start: Vec<usize> = Vec::with_capacity(self.cells.len() + 1);
         for (c, cell) in self.cells.iter().enumerate() {
-            cell_first_item.push(items.len());
+            cell_start.push(items.len());
             for rep in 0..self.replications {
                 let seed = derive_seed(self.master_seed, c as u64, rep as u64);
                 for s in cell.active_solvers(self.solvers.len()) {
@@ -412,114 +498,37 @@ impl ExperimentPlan {
                 }
             }
         }
+        cell_start.push(items.len());
+        let cell_range = |c: usize| cell_start[c]..cell_start[c + 1];
 
-        let mut slots: Vec<Option<ItemOutput>> = Vec::with_capacity(items.len());
-        slots.resize_with(items.len(), || None);
-        let mut workers: Vec<WorkerStats> = Vec::new();
-
-        if threads <= 1 || items.len() <= 1 {
-            // Inline serial path: the timing-study configuration, and the
-            // baseline the parallel path must be bit-identical to. The
-            // solver may use its full internal parallelism here (no
-            // budget), since no engine workers compete for cores.
-            let mut ctx = SolverContext::new();
-            let t0 = Instant::now();
-            for (i, item) in items.iter().enumerate() {
-                slots[i] = Some(execute_item(item, &self.cells, &self.solvers, &mut ctx));
-            }
-            workers.push(WorkerStats {
-                worker: 0,
-                items: items.len(),
-                busy_time: t0.elapsed().as_secs_f64(),
-                probes: ctx.probe_stats().probes,
-            });
-        } else {
-            // Shared injector: an atomic cursor over the frozen items.
-            let injector = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel::<(usize, ItemOutput)>();
-            let items_ref = &items;
-            let cells_ref = &self.cells;
-            let solvers_ref = &self.solvers;
-            let injector_ref = &injector;
-            std::thread::scope(|scope| {
-                let mut handles = Vec::with_capacity(threads);
-                for w in 0..threads {
-                    let tx = tx.clone();
-                    handles.push(scope.spawn(move || {
-                        let mut ctx = SolverContext::new();
-                        let mut executed = 0usize;
-                        let mut busy = 0.0f64;
-                        loop {
-                            let i = injector_ref.fetch_add(1, Ordering::Relaxed);
-                            if i >= items_ref.len() {
-                                break;
-                            }
-                            let t0 = Instant::now();
-                            let out = execute_item(&items_ref[i], cells_ref, solvers_ref, &mut ctx);
-                            busy += t0.elapsed().as_secs_f64();
-                            executed += 1;
-                            if tx.send((i, out)).is_err() {
-                                break; // collector gone: shut down
-                            }
-                        }
-                        WorkerStats {
-                            worker: w,
-                            items: executed,
-                            busy_time: busy,
-                            probes: ctx.probe_stats().probes,
-                        }
-                    }));
+        // Per-cell hold-back: when a cell's last item lands, its
+        // aggregate can stream out immediately.
+        let mut remaining: Vec<usize> =
+            (0..self.cells.len()).map(|c| cell_range(c).len()).collect();
+        let (outputs, workers) = run_indexed(
+            self.threads,
+            items.len(),
+            |ctx, i| execute_item(&items[i], &self.cells, &self.solvers, ctx),
+            |i, slots| {
+                let c = items[i].cell;
+                remaining[c] -= 1;
+                if remaining[c] == 0 {
+                    let landed = slots[cell_range(c)]
+                        .iter()
+                        .map(|slot| slot.as_ref().expect("cell complete"));
+                    on_cell(&self.summarize_cell(c, &items[cell_range(c)], landed));
                 }
-                drop(tx);
-                // Ordered collector with per-cell hold-back: store each
-                // result by item id; when a cell's last item lands, its
-                // aggregate can stream out immediately.
-                let mut remaining: Vec<usize> = vec![0; self.cells.len()];
-                for item in items_ref {
-                    remaining[item.cell] += 1;
-                }
-                for (i, out) in rx {
-                    let cell = items_ref[i].cell;
-                    slots[i] = Some(out);
-                    remaining[cell] -= 1;
-                    if remaining[cell] == 0 {
-                        let summary = summarize_cell(
-                            cell,
-                            &self.cells[cell],
-                            items_ref,
-                            &slots,
-                            &self.solvers,
-                            cell_first_item[cell],
-                        );
-                        on_cell(&summary);
-                    }
-                }
-                for h in handles {
-                    workers.push(h.join().expect("worker panicked"));
-                }
-            });
-            workers.sort_by_key(|w| w.worker);
-        }
+            },
+        );
 
         // Fold the final (canonical, cell-ordered) aggregates from the
-        // slot array — identical no matter which worker filled each slot.
+        // result array — identical no matter which worker produced each.
         let mut cells_out = Vec::with_capacity(self.cells.len());
         let mut timing_out = Vec::with_capacity(self.cells.len());
-        for (c, cell) in self.cells.iter().enumerate() {
-            let summary =
-                summarize_cell(c, cell, &items, &slots, &self.solvers, cell_first_item[c]);
-            if threads <= 1 || items.len() <= 1 {
-                on_cell(&summary);
-            }
-            cells_out.push(summary);
-            timing_out.push(time_cell(
-                c,
-                cell,
-                &items,
-                &slots,
-                self.solvers.len(),
-                cell_first_item[c],
-            ));
+        for c in 0..self.cells.len() {
+            let (items, outputs) = (&items[cell_range(c)], &outputs[cell_range(c)]);
+            cells_out.push(self.summarize_cell(c, items, outputs.iter()));
+            timing_out.push(self.time_cell(c, items, outputs));
         }
         let mut solver_timing: Vec<SolverTiming> = self
             .solvers
@@ -531,8 +540,7 @@ impl ExperimentPlan {
                 total_time: 0.0,
             })
             .collect();
-        for (item, slot) in items.iter().zip(&slots) {
-            let out = slot.as_ref().expect("all items executed");
+        for (item, out) in items.iter().zip(&outputs) {
             let t = &mut solver_timing[item.solver];
             t.solves += 1;
             t.total_time += out.solve_time;
@@ -543,18 +551,15 @@ impl ExperimentPlan {
         let retained = self.keep_items.then(|| {
             items
                 .iter()
-                .zip(&slots)
-                .map(|(item, slot)| {
-                    let out = slot.as_ref().expect("all items executed");
-                    ItemRecord {
-                        cell: item.cell,
-                        rep: item.rep,
-                        solver: item.solver,
-                        seed: item.seed,
-                        measure: out.measure.clone(),
-                        solve_time: out.solve_time,
-                        timed_out: out.timed_out,
-                    }
+                .zip(&outputs)
+                .map(|(item, out)| ItemRecord {
+                    cell: item.cell,
+                    rep: item.rep,
+                    solver: item.solver,
+                    seed: item.seed,
+                    measure: out.measure.clone(),
+                    solve_time: out.solve_time,
+                    timed_out: out.timed_out,
                 })
                 .collect()
         });
@@ -562,7 +567,7 @@ impl ExperimentPlan {
         ExperimentRun {
             master_seed: self.master_seed,
             replications: self.replications,
-            threads_used: threads.min(items.len().max(1)),
+            threads_used: workers.len(),
             cells: cells_out,
             cell_timing: timing_out,
             solver_timing,
@@ -573,113 +578,99 @@ impl ExperimentPlan {
     }
 }
 
-/// Folds one cell's aggregate from the slot array, scanning the cell's
-/// contiguous item range in item-id order (= replication-major, solver-
-/// minor) — the canonical order that makes the fold deterministic.
-fn summarize_cell(
-    cell_idx: usize,
-    cell: &CellSpec,
-    items: &[WorkItem],
-    slots: &[Option<ItemOutput>],
-    solvers: &[Arc<dyn Solver>],
-    first_item: usize,
-) -> CellSummary {
-    let active = cell.active_solvers(solvers.len());
-    let mut per_solver: Vec<SolverCellStats> = active
-        .iter()
-        .map(|&s| SolverCellStats {
-            solver: s,
-            name: solvers[s].name().to_string(),
-            accuracy: SummaryStats::new(),
-            mean_accuracy: SummaryStats::new(),
-            energy: SummaryStats::new(),
-            upper_bound: SummaryStats::new(),
-            scheduled: SummaryStats::new(),
-            failures: 0,
-            errors: Vec::new(),
-        })
-        .collect();
-    let mut max_accuracy = SummaryStats::new();
-    let mut i = first_item;
-    while i < items.len() && items[i].cell == cell_idx {
-        let item = &items[i];
-        let out = slots[i].as_ref().expect("cell complete");
-        let stats = per_solver
-            .iter_mut()
-            .find(|p| p.solver == item.solver)
-            .expect("active solver");
-        let m = &out.measure;
-        if item.solver == active[0] {
-            max_accuracy.push(m.max_accuracy);
-        }
-        match m.total_accuracy {
-            Some(acc) => {
-                stats.accuracy.push(acc);
-                stats.mean_accuracy.push(acc / m.num_tasks.max(1) as f64);
+impl ExperimentPlan {
+    /// Folds cell `c`'s aggregate from its items and their outputs, in
+    /// item-id order (= replication-major, solver-minor) — the canonical
+    /// order that makes the fold deterministic.
+    fn summarize_cell<'a>(
+        &self,
+        c: usize,
+        items: &[WorkItem],
+        outputs: impl Iterator<Item = &'a ItemOutput>,
+    ) -> CellSummary {
+        let cell = &self.cells[c];
+        let active = cell.active_solvers(self.solvers.len());
+        let mut per_solver: Vec<SolverCellStats> = active
+            .iter()
+            .map(|&s| SolverCellStats {
+                solver: s,
+                name: self.solvers[s].name().to_string(),
+                accuracy: SummaryStats::new(),
+                mean_accuracy: SummaryStats::new(),
+                energy: SummaryStats::new(),
+                upper_bound: SummaryStats::new(),
+                scheduled: SummaryStats::new(),
+                failures: 0,
+                errors: Vec::new(),
+            })
+            .collect();
+        let mut max_accuracy = SummaryStats::new();
+        for (item, out) in items.iter().zip(outputs) {
+            let stats = per_solver
+                .iter_mut()
+                .find(|p| p.solver == item.solver)
+                .expect("active solver");
+            let m = &out.measure;
+            if item.solver == active[0] {
+                max_accuracy.push(m.max_accuracy);
             }
-            None => {
-                stats.failures += 1;
-                if let Some(e) = &m.error {
-                    if !stats.errors.contains(e) {
-                        stats.errors.push(e.clone());
+            match m.total_accuracy {
+                Some(acc) => {
+                    stats.accuracy.push(acc);
+                    stats.mean_accuracy.push(acc / m.num_tasks.max(1) as f64);
+                }
+                None => {
+                    stats.failures += 1;
+                    if let Some(e) = &m.error {
+                        if !stats.errors.contains(e) {
+                            stats.errors.push(e.clone());
+                        }
                     }
                 }
             }
+            if let Some(e) = m.energy {
+                stats.energy.push(e);
+            }
+            if let Some(ub) = m.upper_bound {
+                stats.upper_bound.push(ub);
+            }
+            if let Some(s) = m.scheduled {
+                stats.scheduled.push(s as f64);
+            }
         }
-        if let Some(e) = m.energy {
-            stats.energy.push(e);
+        CellSummary {
+            cell: c,
+            label: cell.label.clone(),
+            max_accuracy,
+            solvers: per_solver,
         }
-        if let Some(ub) = m.upper_bound {
-            stats.upper_bound.push(ub);
-        }
-        if let Some(s) = m.scheduled {
-            stats.scheduled.push(s as f64);
-        }
-        i += 1;
     }
-    CellSummary {
-        cell: cell_idx,
-        label: cell.label.clone(),
-        max_accuracy,
-        solvers: per_solver,
-    }
-}
 
-/// Folds one cell's wall-clock statistics (nondeterministic section).
-fn time_cell(
-    cell_idx: usize,
-    cell: &CellSpec,
-    items: &[WorkItem],
-    slots: &[Option<ItemOutput>],
-    num_solvers: usize,
-    first_item: usize,
-) -> CellTiming {
-    let active = cell.active_solvers(num_solvers);
-    let mut per_solver: Vec<SolverCellTiming> = active
-        .iter()
-        .map(|&s| SolverCellTiming {
-            solver: s,
-            solve_time: SummaryStats::new(),
-            timeouts: 0,
-        })
-        .collect();
-    let mut i = first_item;
-    while i < items.len() && items[i].cell == cell_idx {
-        let item = &items[i];
-        let out = slots[i].as_ref().expect("cell complete");
-        let timing = per_solver
-            .iter_mut()
-            .find(|p| p.solver == item.solver)
-            .expect("active solver");
-        timing.solve_time.push(out.solve_time);
-        if out.timed_out {
-            timing.timeouts += 1;
+    /// Folds cell `c`'s wall-clock statistics (nondeterministic section).
+    fn time_cell(&self, c: usize, items: &[WorkItem], outputs: &[ItemOutput]) -> CellTiming {
+        let mut per_solver: Vec<SolverCellTiming> = self.cells[c]
+            .active_solvers(self.solvers.len())
+            .iter()
+            .map(|&s| SolverCellTiming {
+                solver: s,
+                solve_time: SummaryStats::new(),
+                timeouts: 0,
+            })
+            .collect();
+        for (item, out) in items.iter().zip(outputs) {
+            let timing = per_solver
+                .iter_mut()
+                .find(|p| p.solver == item.solver)
+                .expect("active solver");
+            timing.solve_time.push(out.solve_time);
+            if out.timed_out {
+                timing.timeouts += 1;
+            }
         }
-        i += 1;
-    }
-    CellTiming {
-        cell: cell_idx,
-        solvers: per_solver,
+        CellTiming {
+            cell: c,
+            solvers: per_solver,
+        }
     }
 }
 
@@ -773,6 +764,59 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_returns_results_in_index_order() {
+        // 8 workers over 5 indices covers `threads > n`.
+        for (threads, n) in [(1, 40), (2, 40), (8, 40), (8, 5)] {
+            let (out, workers) = run_indexed(threads, n, |_, i| 10 + 2 * i, |_, _| {});
+            assert_eq!(out, (0..n).map(|i| 10 + 2 * i).collect::<Vec<_>>());
+            assert_eq!(workers.len(), threads.min(n));
+            assert_eq!(workers.iter().map(|w| w.items).sum::<usize>(), n);
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_empty_and_single_inputs_inline() {
+        let caller = std::thread::current().id();
+        for n in [0, 1] {
+            let (out, workers) =
+                run_indexed(8, n, |_, i| (i, std::thread::current().id()), |_, _| {});
+            assert_eq!(out, vec![(0, caller); n], "n = {n} must not spawn");
+            assert_eq!(workers.len(), 1);
+        }
+    }
+
+    #[test]
+    fn on_result_sees_every_index_exactly_once() {
+        for threads in [1, 3] {
+            let mut seen = Vec::new();
+            run_indexed(
+                threads,
+                17,
+                |_, i| i * i,
+                |i, slots| {
+                    assert_eq!(slots[i], Some(i * i), "the slot lands before the hook");
+                    seen.push(i);
+                },
+            );
+            seen.sort_unstable();
+            assert_eq!(seen, (0..17).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_caller() {
+        for threads in [1, 3] {
+            let run = std::panic::AssertUnwindSafe(|| {
+                run_indexed(threads, 6, |_, i| assert_ne!(i, 4, "item 4"), |_, _| {})
+            });
+            assert!(
+                std::panic::catch_unwind(run).is_err(),
+                "{threads} threads: the panic of item 4 was swallowed"
+            );
+        }
+    }
+
+    #[test]
     fn seeds_depend_only_on_coordinates() {
         let a = derive_seed(7, 3, 5);
         assert_eq!(a, derive_seed(7, 3, 5));
@@ -799,14 +843,15 @@ mod tests {
 
     #[test]
     fn streaming_emits_every_cell_once() {
-        let mut seen = Vec::new();
-        let run = ExperimentPlan::new(small_grid(&[0.2, 0.5, 0.8]), solvers())
-            .replications(2)
-            .threads(3)
-            .run_streaming(|cell| seen.push(cell.cell));
-        assert_eq!(run.cells.len(), 3);
-        seen.sort_unstable();
-        assert_eq!(seen, vec![0, 1, 2]);
+        for threads in [1, 3] {
+            let mut seen = Vec::new();
+            let run = ExperimentPlan::new(small_grid(&[0.2, 0.5, 0.8]), solvers())
+                .replications(2)
+                .threads(threads)
+                .run_streaming(|cell| seen.push(cell.clone()));
+            seen.sort_by_key(|cell| cell.cell);
+            assert_eq!(seen, run.cells, "{threads} threads");
+        }
     }
 
     #[test]

@@ -11,13 +11,12 @@
 //! empty plan and must retain exactly 1.0 — a built-in self-test that
 //! the fault machinery is invisible when unused.
 //!
-//! Determinism under any worker count follows the engine idiom
-//! ([`crate::engine`]): per-item seeds come from
-//! [`crate::engine::derive_seed`] on `(master, cell, rep)` alone, items
-//! land in a slot array indexed by item id, and cells fold in item
-//! order.
+//! The sweep runs on the engine's worker loop ([`crate::engine`]):
+//! per-item seeds come from [`crate::engine::derive_seed`] on
+//! `(master, cell, rep)` alone and cells fold in item order, so the
+//! result is bit-identical for any worker count.
 
-use crate::engine::derive_seed;
+use crate::engine::{derive_seed, run_indexed};
 use crate::report::TextTable;
 use crate::stats::SummaryStats;
 use dsct_chaos::{chaos_replay, ChaosConfig, ChaosPlan};
@@ -26,8 +25,6 @@ use dsct_workload::{
     generate_arrivals, ArrivalConfig, ArrivalTrace, MachineConfig, TaskConfig, ThetaDistribution,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -191,53 +188,23 @@ fn measure(cfg: &ChaosExpConfig, chaos: &ChaosConfig, seed: u64, chaos_seed: u64
 /// data is bit-identical for any worker count.
 pub fn run(cfg: &ChaosExpConfig, threads: usize) -> ChaosResult {
     let cells = scenarios();
-    let items: Vec<(usize, usize)> = (0..cells.len())
-        .flat_map(|c| (0..cfg.replications).map(move |rep| (c, rep)))
-        .collect();
-    let workers = if threads == 0 {
-        dsct_core::available_cores()
-    } else {
-        threads
-    }
-    .min(items.len().max(1));
-
-    let work = |&(c, rep): &(usize, usize)| {
-        // The trace seed depends on the replication only, so every
-        // scenario disrupts the *same* traces; the chaos seed differs
-        // per cell so scenarios draw independent fault parameters.
-        let seed = derive_seed(cfg.base_seed, 0, rep as u64);
-        let chaos_seed = derive_seed(cfg.chaos_seed, c as u64, rep as u64);
-        measure(cfg, &cells[c].1, seed, chaos_seed)
-    };
-
-    let mut slots: Vec<Option<Item>> = vec![None; items.len()];
-    if workers <= 1 {
-        for (idx, item) in items.iter().enumerate() {
-            slots[idx] = Some(work(item));
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Item)>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let items = &items;
-                let work = &work;
-                scope.spawn(move || loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= items.len() {
-                        break;
-                    }
-                    let _ = tx.send((idx, work(&items[idx])));
-                });
-            }
-            drop(tx);
-            for (idx, item) in rx {
-                slots[idx] = Some(item);
-            }
-        });
-    }
+    // Items are scenario-major: item `i` is replication
+    // `i % replications` of scenario `i / replications`. (The replays
+    // solve through the service's own context, not the worker's.)
+    let (items, _) = run_indexed(
+        threads,
+        cells.len() * cfg.replications,
+        |_ctx, i| {
+            let (c, rep) = (i / cfg.replications, i % cfg.replications);
+            // The trace seed depends on the replication only, so every
+            // scenario disrupts the *same* traces; the chaos seed differs
+            // per cell so scenarios draw independent fault parameters.
+            let seed = derive_seed(cfg.base_seed, 0, rep as u64);
+            let chaos_seed = derive_seed(cfg.chaos_seed, c as u64, rep as u64);
+            measure(cfg, &cells[c].1, seed, chaos_seed)
+        },
+        |_, _| {},
+    );
 
     // Fold in item order: deterministic aggregates.
     let mut points: Vec<ChaosPoint> = cells
@@ -251,9 +218,8 @@ pub fn run(cfg: &ChaosExpConfig, threads: usize) -> ChaosResult {
             spent: SummaryStats::new(),
         })
         .collect();
-    for (idx, &(c, _)) in items.iter().enumerate() {
-        let item = slots[idx].expect("every item executed");
-        let p = &mut points[c];
+    for (i, item) in items.iter().enumerate() {
+        let p = &mut points[i / cfg.replications];
         p.clean.push(item.clean);
         p.disrupted.push(item.disrupted);
         p.retention.push(item.retention);

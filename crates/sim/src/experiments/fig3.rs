@@ -6,8 +6,8 @@
 //! Paper parameters: `n = 100`, `m = 5`, `ρ = 0.35`, `β = 0.5`,
 //! `μ ∈ [5, 20]`, 100 experiments per point.
 
+use crate::engine::run_indexed;
 use crate::report::TextTable;
-use crate::runner::{run_replications, Execution};
 use crate::stats::SummaryStats;
 use dsct_core::guarantee::absolute_guarantee;
 use dsct_core::solver::ApproxSolver;
@@ -84,8 +84,9 @@ pub struct Fig3Result {
     pub points: Vec<Fig3Point>,
 }
 
-/// Runs the sweep.
-pub fn run(cfg: &Fig3Config, execution: Execution) -> Fig3Result {
+/// Runs the sweep on `threads` workers (`0` = all cores). The returned
+/// data is bit-identical for any worker count.
+pub fn run(cfg: &Fig3Config, threads: usize) -> Fig3Result {
     let points = cfg
         .mus
         .iter()
@@ -97,26 +98,20 @@ pub fn run(cfg: &Fig3Config, execution: Execution) -> Fig3Result {
                 beta: cfg.beta,
             };
             // Seeds are salted per μ so points are independent.
-            let salt = (mu * 1000.0) as u64;
-            let samples = run_replications(
-                cfg.base_seed.wrapping_add(salt),
+            let base_seed = cfg.base_seed.wrapping_add((mu * 1000.0) as u64);
+            let (samples, _) = run_indexed(
+                threads,
                 cfg.replications,
-                execution,
-                |seed| {
-                    let inst = generate(&icfg, seed);
-                    let sol = ApproxSolver::new().solve_typed(&inst);
+                |ctx, rep| {
+                    let inst = generate(&icfg, base_seed + rep as u64);
+                    let sol = ApproxSolver::new().solve_typed_with(&inst, ctx);
                     let n = inst.num_tasks() as f64;
                     let ub = sol.fractional.total_accuracy / n;
                     let got = sol.total_accuracy / n;
-                    Ok::<_, std::convert::Infallible>((
-                        ub - got,
-                        got,
-                        ub,
-                        absolute_guarantee(&inst) / n,
-                    ))
+                    (ub - got, got, ub, absolute_guarantee(&inst) / n)
                 },
-            )
-            .expect("infallible");
+                |_, _| {},
+            );
             let mut gap = SummaryStats::new();
             let mut approx = SummaryStats::new();
             let mut ub = SummaryStats::new();
@@ -192,7 +187,7 @@ mod tests {
 
     #[test]
     fn quick_sweep_gap_is_small_and_below_guarantee() {
-        let r = run(&Fig3Config::quick(), Execution::Parallel);
+        let r = run(&Fig3Config::quick(), 0);
         assert_eq!(r.points.len(), 3);
         for p in &r.points {
             assert!(p.gap.mean() >= 0.0);
@@ -224,8 +219,8 @@ mod tests {
             m: 2,
             ..Fig3Config::default()
         };
-        let a = run(&cfg, Execution::Parallel);
-        let b = run(&cfg, Execution::Sequential);
+        let a = run(&cfg, 0);
+        let b = run(&cfg, 1);
         assert!((a.points[0].gap.mean() - b.points[0].gap.mean()).abs() < 1e-15);
     }
 }

@@ -11,8 +11,8 @@
 //!   high-value tasks force the refinement to shift work onto machine 2,
 //!   deviating visibly from the naive profile at small β.
 
+use crate::engine::run_indexed;
 use crate::report::TextTable;
-use crate::runner::{run_replications, Execution};
 use crate::stats::SummaryStats;
 use dsct_core::solver::FrOptSolver;
 use dsct_machines::catalog::fig6_two_machine_park;
@@ -109,8 +109,9 @@ pub struct Fig6Result {
     pub mean_profile_deviation: f64,
 }
 
-/// Runs the sweep.
-pub fn run(cfg: &Fig6Config, execution: Execution) -> Fig6Result {
+/// Runs the sweep on `threads` workers (`0` = all cores). The returned
+/// data is bit-identical for any worker count.
+pub fn run(cfg: &Fig6Config, threads: usize) -> Fig6Result {
     let park = fig6_two_machine_park();
     let points: Vec<Fig6Point> = cfg
         .betas
@@ -122,24 +123,23 @@ pub fn run(cfg: &Fig6Config, execution: Execution) -> Fig6Result {
                 rho: cfg.rho,
                 beta,
             };
-            let salt = (beta * 1000.0) as u64;
-            let samples = run_replications(
-                cfg.base_seed.wrapping_add(salt),
+            let base_seed = cfg.base_seed.wrapping_add((beta * 1000.0) as u64);
+            let (samples, _) = run_indexed(
+                threads,
                 cfg.replications,
-                execution,
-                |seed| {
-                    let inst = generate(&icfg, seed);
+                |ctx, rep| {
+                    let inst = generate(&icfg, base_seed + rep as u64);
                     let d_max = inst.d_max();
-                    let sol = FrOptSolver::new().solve_typed(&inst);
-                    Ok::<_, std::convert::Infallible>((
+                    let sol = FrOptSolver::new().solve_typed_with(&inst, ctx);
+                    (
                         sol.profile[0] / d_max,
                         sol.profile[1] / d_max,
                         sol.naive_profile.cap(0) / d_max,
                         sol.naive_profile.cap(1) / d_max,
-                    ))
+                    )
                 },
-            )
-            .expect("infallible");
+                |_, _| {},
+            );
             let mut point = Fig6Point {
                 beta,
                 p1: SummaryStats::new(),
@@ -210,14 +210,8 @@ mod tests {
 
     #[test]
     fn uniform_profiles_track_naive_more_closely_than_split() {
-        let uni = run(
-            &Fig6Config::quick(Fig6Scenario::UniformTasks),
-            Execution::Parallel,
-        );
-        let split = run(
-            &Fig6Config::quick(Fig6Scenario::EarliestHighEfficient),
-            Execution::Parallel,
-        );
+        let uni = run(&Fig6Config::quick(Fig6Scenario::UniformTasks), 0);
+        let split = run(&Fig6Config::quick(Fig6Scenario::EarliestHighEfficient), 0);
         // The paper's qualitative claim: the split scenario deviates more
         // from the naive profile than the uniform one.
         assert!(
@@ -230,10 +224,7 @@ mod tests {
 
     #[test]
     fn profiles_are_normalized_and_bounded() {
-        let r = run(
-            &Fig6Config::quick(Fig6Scenario::UniformTasks),
-            Execution::Parallel,
-        );
+        let r = run(&Fig6Config::quick(Fig6Scenario::UniformTasks), 0);
         for p in &r.points {
             for v in [
                 p.p1.mean(),

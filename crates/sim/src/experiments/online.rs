@@ -11,13 +11,12 @@
 //! jitter the clairvoyant value upper-bounds any online schedule and the
 //! reported regret `1 − online/bound` is non-negative.
 //!
-//! Determinism under any worker count follows the engine idiom
-//! ([`crate::engine`]): per-item seeds come from
-//! [`crate::engine::derive_seed`] on `(master, cell, rep)` alone, items
-//! land in a slot array indexed by item id, and cells fold in item
-//! order — the result is bit-identical for 1 or 64 workers.
+//! The sweep runs on the engine's worker loop ([`crate::engine`]):
+//! per-item seeds come from [`crate::engine::derive_seed`] on
+//! `(master, cell, rep)` alone and cells fold in item order, so the
+//! result is bit-identical for 1 or 64 workers.
 
-use crate::engine::derive_seed;
+use crate::engine::{derive_seed, run_indexed};
 use crate::report::TextTable;
 use crate::stats::SummaryStats;
 use dsct_core::solver::{FrOptSolver, SolverContext};
@@ -26,8 +25,6 @@ use dsct_workload::{
     generate_arrivals, ArrivalConfig, MachineConfig, TaskConfig, ThetaDistribution,
 };
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Configuration.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -158,51 +155,18 @@ fn measure(cfg: &OnlineExpConfig, load: f64, seed: u64, ctx: &mut SolverContext)
 /// Runs the sweep on `threads` workers (`0` = all cores). The returned
 /// data is bit-identical for any worker count.
 pub fn run(cfg: &OnlineExpConfig, threads: usize) -> OnlineResult {
-    let items: Vec<(usize, usize)> = (0..cfg.loads.len())
-        .flat_map(|c| (0..cfg.replications).map(move |rep| (c, rep)))
-        .collect();
-    let workers = if threads == 0 {
-        dsct_core::available_cores()
-    } else {
-        threads
-    }
-    .min(items.len().max(1));
-
-    let mut slots: Vec<Option<Item>> = vec![None; items.len()];
-    if workers <= 1 {
-        let mut ctx = SolverContext::new();
-        for (idx, &(c, rep)) in items.iter().enumerate() {
+    // Items are load-major: item `i` is replication `i % replications` of
+    // load cell `i / replications`.
+    let (items, _) = run_indexed(
+        threads,
+        cfg.loads.len() * cfg.replications,
+        |ctx, i| {
+            let (c, rep) = (i / cfg.replications, i % cfg.replications);
             let seed = derive_seed(cfg.base_seed, c as u64, rep as u64);
-            slots[idx] = Some(measure(cfg, cfg.loads[c], seed, &mut ctx));
-        }
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Item)>();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let items = &items;
-                scope.spawn(move || {
-                    let mut ctx = SolverContext::new();
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        if idx >= items.len() {
-                            break;
-                        }
-                        let (c, rep) = items[idx];
-                        let seed = derive_seed(cfg.base_seed, c as u64, rep as u64);
-                        let item = measure(cfg, cfg.loads[c], seed, &mut ctx);
-                        let _ = tx.send((idx, item));
-                    }
-                });
-            }
-            drop(tx);
-            for (idx, item) in rx {
-                slots[idx] = Some(item);
-            }
-        });
-    }
+            measure(cfg, cfg.loads[c], seed, ctx)
+        },
+        |_, _| {},
+    );
 
     // Fold in item order: deterministic aggregates.
     let mut points: Vec<OnlinePoint> = cfg
@@ -219,9 +183,8 @@ pub fn run(cfg: &OnlineExpConfig, threads: usize) -> OnlineResult {
             solves: SummaryStats::new(),
         })
         .collect();
-    for (idx, &(c, _)) in items.iter().enumerate() {
-        let item = slots[idx].expect("every item executed");
-        let p = &mut points[c];
+    for (i, item) in items.iter().enumerate() {
+        let p = &mut points[i / cfg.replications];
         p.bound.push(item.bound);
         p.admit_all.push(item.admit_all);
         p.degrade.push(item.degrade);

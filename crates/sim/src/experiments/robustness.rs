@@ -10,10 +10,10 @@
 //! robustness value of task compressibility — the same property the paper
 //! exploits at planning time, paying off again at run time.
 
+use crate::engine::run_indexed;
 use crate::report::TextTable;
-use crate::runner::{run_replications, Execution};
 use crate::stats::SummaryStats;
-use dsct_core::solver::ApproxSolver;
+use dsct_core::solver::{ApproxSolver, SolverContext};
 use dsct_exec::{execute, ExecutionConfig, OverrunPolicy};
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
 use serde::{Deserialize, Serialize};
@@ -89,8 +89,9 @@ pub struct RobustnessResult {
     pub points: Vec<RobustnessPoint>,
 }
 
-/// Runs the sweep.
-pub fn run(cfg: &RobustnessConfig, execution: Execution) -> RobustnessResult {
+/// Runs the sweep on `threads` workers (`0` = all cores). The returned
+/// data is bit-identical for any worker count.
+pub fn run(cfg: &RobustnessConfig, threads: usize) -> RobustnessResult {
     let icfg = InstanceConfig {
         tasks: TaskConfig::paper(cfg.n, ThetaDistribution::Uniform { min: 0.1, max: 2.0 }),
         machines: MachineConfig::paper_random(cfg.m),
@@ -101,10 +102,11 @@ pub fn run(cfg: &RobustnessConfig, execution: Execution) -> RobustnessResult {
         .jitters
         .iter()
         .map(|&jitter| {
-            let samples = run_replications(cfg.base_seed, cfg.replications, execution, |seed| {
+            let replicate = |ctx: &mut SolverContext, rep: usize| {
+                let seed = cfg.base_seed + rep as u64;
                 let inst = generate(&icfg, seed);
                 let n = inst.num_tasks() as f64;
-                let plan = ApproxSolver::new().solve_typed(&inst);
+                let plan = ApproxSolver::new().solve_typed_with(&inst, ctx);
                 let run = |overrun: OverrunPolicy| {
                     execute(
                         &inst,
@@ -118,15 +120,15 @@ pub fn run(cfg: &RobustnessConfig, execution: Execution) -> RobustnessResult {
                 };
                 let c = run(OverrunPolicy::Compress);
                 let d = run(OverrunPolicy::Drop);
-                Ok::<_, std::convert::Infallible>((
+                (
                     plan.total_accuracy / n,
                     c.realized_accuracy / n,
                     d.realized_accuracy / n,
                     c.compressions as f64,
                     d.drops as f64,
-                ))
-            })
-            .expect("infallible");
+                )
+            };
+            let (samples, _) = run_indexed(threads, cfg.replications, replicate, |_, _| {});
             let mut point = RobustnessPoint {
                 jitter,
                 planned: SummaryStats::new(),
@@ -197,7 +199,7 @@ mod tests {
 
     #[test]
     fn compress_dominates_drop_and_degrades_gracefully() {
-        let r = run(&RobustnessConfig::quick(), Execution::Parallel);
+        let r = run(&RobustnessConfig::quick(), 0);
         assert_eq!(r.points.len(), 3);
         // Zero jitter: realized == planned for both policies.
         let zero = &r.points[0];

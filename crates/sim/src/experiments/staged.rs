@@ -9,8 +9,8 @@
 //! the added catalog points are all dominated, so the gap must be flat
 //! across the operating-point axis.
 
+use crate::engine::run_indexed;
 use crate::report::TextTable;
-use crate::runner::{run_replications, Execution};
 use crate::stats::SummaryStats;
 use dsct_core::staged::StagedApproxSolver;
 use dsct_workload::{
@@ -93,8 +93,9 @@ pub struct StagedExpResult {
     pub cells: Vec<StagedPoint>,
 }
 
-/// Runs the sweep.
-pub fn run(cfg: &StagedExpConfig, execution: Execution) -> StagedExpResult {
+/// Runs the sweep on `threads` workers (`0` = all cores). The returned
+/// data is bit-identical for any worker count.
+pub fn run(cfg: &StagedExpConfig, threads: usize) -> StagedExpResult {
     let mut cells = Vec::with_capacity(cfg.depths.len() * cfg.points.len());
     for &depth in &cfg.depths {
         for &points in &cfg.points {
@@ -115,15 +116,15 @@ pub fn run(cfg: &StagedExpConfig, execution: Execution) -> StagedExpResult {
             // Salt seeds per depth only: cells along the points axis
             // share draws, so the dominated-point invariance is a paired
             // (bit-exact) comparison rather than a statistical one.
-            let salt = (depth as u64) << 32;
-            let samples = run_replications(
-                cfg.base_seed.wrapping_add(salt),
+            let base_seed = cfg.base_seed.wrapping_add((depth as u64) << 32);
+            let (samples, _) = run_indexed(
+                threads,
                 cfg.replications,
-                execution,
-                |seed| {
-                    let inst = generate_staged(&scfg, seed).expect("valid staged config");
+                |ctx, rep| {
+                    let inst = generate_staged(&scfg, base_seed + rep as u64)
+                        .expect("valid staged config");
                     let sol = StagedApproxSolver::checked()
-                        .solve(&inst)
+                        .solve_with(&inst, ctx)
                         .expect("staged solve succeeds on generated instances");
                     let n = inst.num_tasks() as f64;
                     let acc = sol.total_accuracy / n;
@@ -133,10 +134,10 @@ pub fn run(cfg: &StagedExpConfig, execution: Execution) -> StagedExpResult {
                     } else {
                         0.0
                     };
-                    Ok::<_, std::convert::Infallible>((acc, (ub - acc).max(0.0), frac))
+                    (acc, (ub - acc).max(0.0), frac)
                 },
-            )
-            .expect("infallible");
+                |_, _| {},
+            );
             let mut accuracy = SummaryStats::new();
             let mut gap = SummaryStats::new();
             let mut energy_fraction = SummaryStats::new();
@@ -207,7 +208,7 @@ mod tests {
 
     #[test]
     fn quick_sweep_respects_the_bound_and_budget() {
-        let r = run(&StagedExpConfig::quick(), Execution::Parallel);
+        let r = run(&StagedExpConfig::quick(), 0);
         assert_eq!(r.cells.len(), 4);
         for c in &r.cells {
             assert!(c.accuracy.mean() > 0.0, "cell {}x{}", c.depth, c.points);
@@ -234,7 +235,7 @@ mod tests {
             replications: 3,
             ..StagedExpConfig::default()
         };
-        let r = run(&cfg, Execution::Sequential);
+        let r = run(&cfg, 1);
         assert_eq!(r.cells.len(), 2);
         assert_eq!(
             r.cells[0].accuracy.mean().to_bits(),
@@ -256,8 +257,8 @@ mod tests {
             replications: 3,
             ..StagedExpConfig::default()
         };
-        let a = run(&cfg, Execution::Parallel);
-        let b = run(&cfg, Execution::Sequential);
+        let a = run(&cfg, 0);
+        let b = run(&cfg, 1);
         assert_eq!(
             a.cells[0].accuracy.mean().to_bits(),
             b.cells[0].accuracy.mean().to_bits()

@@ -8,14 +8,15 @@
 //! result struct, and a text renderer that prints the same rows/series the
 //! paper reports. The `dsct-experiments` binary drives them all.
 //!
-//! Grid experiments execute on the deterministic multi-threaded
-//! [`engine`]: (cell × replication × solver) work items on scoped worker
-//! threads, per-item seeds derived from the grid coordinates so results
-//! are bit-identical regardless of thread count. The simpler [`runner`]
-//! remains for single-loop replication sweeps.
+//! Every sweep executes on the deterministic multi-threaded [`engine`]:
+//! work items claimed from one atomic cursor by scoped worker threads,
+//! per-item seeds derived from the item's coordinates and results folded
+//! in item order, so the data is bit-identical regardless of thread
+//! count. Grid experiments hand it an [`engine::ExperimentPlan`]
+//! (cell × replication × solver); single-loop sweeps hand its worker
+//! loop a replication index.
 
 pub mod engine;
 pub mod experiments;
 pub mod report;
-pub mod runner;
 pub mod stats;

@@ -2,7 +2,6 @@
 //! asserting the paper's qualitative claims hold on each.
 
 use dsct_sim::experiments::{fig1, fig2, fig3, fig4, fig5, fig6, table1};
-use dsct_sim::runner::Execution;
 
 #[test]
 fn fig1_trend_is_positive_and_renders() {
@@ -28,7 +27,7 @@ fn fig2_fit_is_tight_and_concave() {
 
 #[test]
 fn fig3_gap_far_below_guarantee() {
-    let r = fig3::run(&fig3::Fig3Config::quick(), Execution::Parallel);
+    let r = fig3::run(&fig3::Fig3Config::quick(), 0);
     for p in &r.points {
         assert!(
             p.gap.max() < p.guarantee_per_task / 2.0,
@@ -111,11 +110,11 @@ fn fig5_ordering_and_energy_gain() {
 fn fig6_split_scenario_deviates_from_naive() {
     let uni = fig6::run(
         &fig6::Fig6Config::quick(fig6::Fig6Scenario::UniformTasks),
-        Execution::Parallel,
+        0,
     );
     let split = fig6::run(
         &fig6::Fig6Config::quick(fig6::Fig6Scenario::EarliestHighEfficient),
-        Execution::Parallel,
+        0,
     );
     assert!(split.mean_profile_deviation > uni.mean_profile_deviation);
     // In the split scenario at small β the less-efficient machine must
