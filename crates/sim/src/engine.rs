@@ -28,7 +28,7 @@
 //! back per-item results until a cell's last item arrives, then folds and
 //! emits that cell's [`CellSummary`] (see [`ExperimentPlan::run_streaming`]).
 //!
-//! The worker loop itself is [`run_indexed`], and every sweep of this
+//! The worker loop itself is `run_indexed`, and every sweep of this
 //! crate runs on it: the grid plans here, and the single-loop experiments
 //! ([`crate::experiments::fig3`], `fig6`, `robustness`, `staged`,
 //! `online`, `chaos`), which hand it a replication index and fold the
@@ -526,9 +526,9 @@ impl ExperimentPlan {
         let mut cells_out = Vec::with_capacity(self.cells.len());
         let mut timing_out = Vec::with_capacity(self.cells.len());
         for c in 0..self.cells.len() {
-            let (items, outputs) = (&items[cell_range(c)], &outputs[cell_range(c)]);
-            cells_out.push(self.summarize_cell(c, items, outputs.iter()));
-            timing_out.push(self.time_cell(c, items, outputs));
+            let (cell_items, cell_outputs) = (&items[cell_range(c)], &outputs[cell_range(c)]);
+            cells_out.push(self.summarize_cell(c, cell_items, cell_outputs.iter()));
+            timing_out.push(self.time_cell(c, cell_items, cell_outputs));
         }
         let mut solver_timing: Vec<SolverTiming> = self
             .solvers
@@ -576,9 +576,7 @@ impl ExperimentPlan {
             wall_time: t_run.elapsed().as_secs_f64(),
         }
     }
-}
 
-impl ExperimentPlan {
     /// Folds cell `c`'s aggregate from its items and their outputs, in
     /// item-id order (= replication-major, solver-minor) — the canonical
     /// order that makes the fold deterministic.
