@@ -13,8 +13,11 @@ use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDi
 /// FR-OPT's `Solution` passes the feasibility oracle on twelve seeds at
 /// `n = 316, m = 32`. Before `Solution::from_fr` derived `flops` from the
 /// schedule, eight of these twelve reported `FlopsMismatch`. Optimality
-/// claims (KKT stationarity) are not made here: their residual misses
-/// belong to the line-search item of ROADMAP.md.
+/// claims (KKT stationarity) are not made here: seed 4008 reports
+/// `KktNotStationary` with golden section and with the exact line search
+/// alike. Its refined profile's `V(p)` is the LP optimum; the waterfill
+/// that materializes the schedule leaves 0.0086 GFLOP of the last task
+/// undistributed, below its `eps_work` stopping threshold.
 #[test]
 #[cfg_attr(debug_assertions, ignore = "release-profile guard; minutes in debug")]
 fn fr_opt_solutions_pass_the_oracle_at_n316_m32() {
