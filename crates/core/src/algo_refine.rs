@@ -26,25 +26,6 @@ use crate::problem::Instance;
 use crate::schedule::FractionalSchedule;
 use dsct_accuracy::PwlAccuracy;
 
-/// Options for the refinement pass.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RefineOptions {
-    /// Allow drawing from unspent budget (ψ = 0 source). Disabling
-    /// reproduces the paper's literal transfer-only listing (ablation).
-    pub use_slack: bool,
-    /// Hard iteration cap; `0` selects `64·(n·(K+m) + 16)` automatically.
-    pub max_iterations: usize,
-}
-
-impl Default for RefineOptions {
-    fn default() -> Self {
-        Self {
-            use_slack: true,
-            max_iterations: 0,
-        }
-    }
-}
-
 /// Statistics of a refinement run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefineOutcome {
@@ -119,12 +100,13 @@ fn deadline_slack(inst: &Instance, schedule: &FractionalSchedule, r: usize, out:
 }
 
 /// Runs the refinement in place on `schedule` (with per-task work `flops`
-/// kept in sync). Returns convergence statistics.
+/// kept in sync), drawing on unspent budget as a ψ = 0 source and
+/// stopping after at most `64·(n·(K+m) + 16)` transfers. Returns
+/// convergence statistics.
 pub fn refine_profile(
     inst: &Instance,
     schedule: &mut FractionalSchedule,
     flops: &mut [f64],
-    opts: &RefineOptions,
 ) -> RefineOutcome {
     let n = inst.num_tasks();
     let m = inst.num_machines();
@@ -134,11 +116,7 @@ pub fn refine_profile(
         .map(|t| t.accuracy.num_segments())
         .max()
         .unwrap_or(1);
-    let max_iters = if opts.max_iterations > 0 {
-        opts.max_iterations
-    } else {
-        64 * (n * (k_max + m) + 16)
-    };
+    let max_iters = 64 * (n * (k_max + m) + 16);
 
     let machines = inst.machines();
     let eff: Vec<f64> = (0..m).map(|r| machines[r].efficiency()).collect();
@@ -187,11 +165,7 @@ pub fn refine_profile(
 
         // Best source: unspent budget (ψ = 0) or the shrink candidate with
         // the lowest ψ⁻ = loss-slope · E_{r'}.
-        let slack_energy = if opts.use_slack {
-            (budget - energy_used).max(0.0)
-        } else {
-            0.0
-        };
+        let slack_energy = (budget - energy_used).max(0.0);
         let mut best_shrink: Option<(usize, usize, f64, f64)> = None; // (j', r', psi, room_energy)
         for j in 0..n {
             let Some((lslope, drain_flops)) = shrink_info(&inst.task(j).accuracy, flops[j]) else {
@@ -342,7 +316,7 @@ mod tests {
 
         let mut schedule = naive.schedule.clone();
         let mut flops = naive.flops.clone();
-        let out = refine_profile(&inst, &mut schedule, &mut flops, &RefineOptions::default());
+        let out = refine_profile(&inst, &mut schedule, &mut flops);
         assert!(out.converged);
         let refined_acc = schedule.total_accuracy(&inst);
         assert!(
@@ -366,39 +340,51 @@ mod tests {
         let mut schedule = naive.schedule.clone();
         let mut flops = naive.flops.clone();
         let before = schedule.total_accuracy(&inst);
-        let out = refine_profile(&inst, &mut schedule, &mut flops, &RefineOptions::default());
+        let out = refine_profile(&inst, &mut schedule, &mut flops);
         assert!(out.converged);
         assert!((schedule.total_accuracy(&inst) - before).abs() < 1e-9);
     }
 
     #[test]
     fn slack_source_uses_leftover_budget() {
-        // Deadline binds on the efficient machine before the budget is
-        // spent; the slack source lets the other machine absorb the rest.
+        // Task 0's deadline caps its time on the efficient machine well
+        // below the naive profile's `d_max`, and task 1 is small, so the
+        // naive solution leaves budget unspent. Only the slack source
+        // can hand it to task 0 on the other machine.
         let park = MachinePark::new(vec![
             Machine::from_efficiency(1000.0, 100.0).unwrap(), // 10 W
             Machine::from_efficiency(1000.0, 10.0).unwrap(),  // 100 W
         ]);
-        let t0 = Task::new(1.0, acc(&[(0.0, 0.0), (2000.0, 0.8)]));
-        // Budget 60 J: naive profile gives machine 0 its full 1 s (10 J)
-        // and machine 1 0.5 s (50 J); fine. Tighten: budget 15 J → naive
-        // profile: m0 1 s (10 J), m1 0.05 s (5 J).
-        let inst = Instance::new(vec![t0], park, 15.0).unwrap();
+        let t0 = Task::new(0.5, acc(&[(0.0, 0.0), (2000.0, 0.8)]));
+        let t1 = Task::new(2.0, acc(&[(0.0, 0.0), (100.0, 0.3)]));
+        let inst = Instance::new(vec![t0, t1], park, 25.0).unwrap();
         let profile = naive_profile(&inst);
         let naive = compute_naive_solution(&inst, &profile);
+        let naive_acc = naive.schedule.total_accuracy(&inst);
+        let naive_energy = naive.schedule.energy(&inst);
+        assert!(
+            naive_energy < inst.budget() - 1.0,
+            "naive spent {naive_energy}"
+        );
+
         let mut schedule = naive.schedule;
         let mut flops = naive.flops;
-        let no_slack = RefineOptions {
-            use_slack: false,
-            ..Default::default()
-        };
-        let mut s2 = schedule.clone();
-        let mut f2 = flops.clone();
-        refine_profile(&inst, &mut s2, &mut f2, &no_slack);
-        let acc_no_slack = s2.total_accuracy(&inst);
-        refine_profile(&inst, &mut schedule, &mut flops, &RefineOptions::default());
-        let acc_slack = schedule.total_accuracy(&inst);
-        assert!(acc_slack >= acc_no_slack - 1e-9);
+        let out = refine_profile(&inst, &mut schedule, &mut flops);
+        assert!(out.converged);
+        let refined_acc = schedule.total_accuracy(&inst);
+        assert!(
+            refined_acc > naive_acc + 1e-6,
+            "refined {refined_acc} vs naive {naive_acc}"
+        );
+        let energy = schedule.energy(&inst);
+        assert!(
+            energy > naive_energy + 1e-6,
+            "leftover budget stayed unspent"
+        );
+        assert!(
+            energy <= inst.budget() + 1e-9,
+            "spent {energy} over the budget"
+        );
         schedule.validate(&inst, ScheduleKind::Fractional).unwrap();
     }
 }

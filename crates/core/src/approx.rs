@@ -24,24 +24,11 @@ use crate::problem::Instance;
 use crate::schedule::FractionalSchedule;
 use crate::EPS_TIME;
 
-/// Machine-selection rule for the list-scheduling step (ablation hook; the
-/// paper uses least-loaded).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// Schedule on the machine with the least accumulated work (paper).
-    #[default]
-    LeastLoaded,
-    /// Schedule on the first machine with remaining cap (ablation).
-    FirstFit,
-}
-
 /// Options for the approximation algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ApproxOptions {
     /// Options forwarded to the fractional solver.
     pub fr: FrOptOptions,
-    /// Machine-selection rule.
-    pub placement: Placement,
 }
 
 /// Result of the approximation algorithm.
@@ -68,7 +55,7 @@ pub(crate) fn solve_approx_with(
     ws: &mut ValueFnWorkspace,
 ) -> ApproxSolution {
     let fractional = solve_fr_opt_with(inst, &opts.fr, ws);
-    let schedule = assign_from_fractional(inst, &fractional, opts.placement);
+    let schedule = assign_from_fractional(inst, &fractional);
     finish(inst, fractional, schedule)
 }
 
@@ -83,18 +70,14 @@ pub(crate) fn solve_approx_warm_with(
     warm: &crate::profile::EnergyProfile,
 ) -> ApproxSolution {
     let fractional = crate::fr_opt::solve_fr_opt_warm_with(inst, &opts.fr, ws, warm);
-    let schedule = assign_from_fractional(inst, &fractional, opts.placement);
+    let schedule = assign_from_fractional(inst, &fractional);
     finish(inst, fractional, schedule)
 }
 
 /// Runs the list-scheduling and cut phases on an existing fractional
-/// solution (lets callers reuse one fractional solve across ablations).
-pub fn approx_from_fractional(
-    inst: &Instance,
-    fractional: FrSolution,
-    placement: Placement,
-) -> ApproxSolution {
-    let schedule = assign_from_fractional(inst, &fractional, placement);
+/// solution (the renewable-supply solver builds its own).
+pub fn approx_from_fractional(inst: &Instance, fractional: FrSolution) -> ApproxSolution {
+    let schedule = assign_from_fractional(inst, &fractional);
     finish(inst, fractional, schedule)
 }
 
@@ -111,11 +94,7 @@ fn finish(inst: &Instance, fractional: FrSolution, schedule: FractionalSchedule)
     }
 }
 
-fn assign_from_fractional(
-    inst: &Instance,
-    fr: &FrSolution,
-    placement: Placement,
-) -> FractionalSchedule {
+fn assign_from_fractional(inst: &Instance, fr: &FrSolution) -> FractionalSchedule {
     let n = inst.num_tasks();
     let m = inst.num_machines();
     let machines = inst.machines();
@@ -125,21 +104,17 @@ fn assign_from_fractional(
     let mut load = vec![0.0f64; m];
     let mut schedule = FractionalSchedule::zero(n, m);
 
-    // Phase 1: list-schedule each task's total fractional time onto one
-    // machine, capped by the machine's remaining profile and by the
-    // task's full-model time on that machine.
+    // Phase 1: list-schedule each task's total fractional time onto the
+    // least-loaded machine with cap left, capped by the machine's
+    // remaining profile and by the task's full-model time on it.
     for j in 0..n {
         let total_time = fr.schedule.task_time(j);
         if total_time <= EPS_TIME {
             continue;
         }
-        let open = |r: usize, load: &[f64]| caps[r] - load[r] > EPS_TIME;
-        let r_best = match placement {
-            Placement::LeastLoaded => (0..m)
-                .filter(|&r| open(r, &load))
-                .min_by(|&a, &b| load[a].total_cmp(&load[b]).then(a.cmp(&b))),
-            Placement::FirstFit => (0..m).find(|&r| open(r, &load)),
-        };
+        let r_best = (0..m)
+            .filter(|&r| caps[r] - load[r] > EPS_TIME)
+            .min_by(|&a, &b| load[a].total_cmp(&load[b]).then(a.cmp(&b)));
         let Some(r) = r_best else {
             continue; // every machine is at its profile: task gets nothing
         };
@@ -255,19 +230,5 @@ mod tests {
             sol.total_accuracy,
             sol.fractional.total_accuracy
         );
-    }
-
-    #[test]
-    fn first_fit_is_feasible_but_no_better_than_bound() {
-        let inst = instance(40.0);
-        let opts = ApproxOptions {
-            placement: Placement::FirstFit,
-            ..Default::default()
-        };
-        let sol = solve(&inst, &opts);
-        sol.schedule
-            .validate(&inst, ScheduleKind::Integral)
-            .unwrap();
-        assert!(sol.total_accuracy <= sol.fractional.total_accuracy + 1e-9);
     }
 }

@@ -9,7 +9,7 @@
 //! constant.
 
 use crate::algo_naive::{compute_naive_solution, ValueFnWorkspace};
-use crate::algo_refine::{refine_profile, RefineOptions};
+use crate::algo_refine::refine_profile;
 use crate::problem::Instance;
 use crate::profile::{naive_profile, EnergyProfile};
 use crate::profile_search::{profile_search_with, ProfileSearchOptions, ProfileSearchOutcome};
@@ -20,14 +20,6 @@ use crate::schedule::FractionalSchedule;
 pub struct FrOptOptions {
     /// Skip all refinement (ablation: naive profile only).
     pub skip_refine: bool,
-    /// Skip the task-level transfer pass (the literal Algorithm 3), going
-    /// straight to the profile search.
-    pub skip_transfer_pass: bool,
-    /// Skip the profile-level coordinate ascent (ablation: the literal
-    /// Algorithm 3 alone, which can stall at local optima).
-    pub skip_profile_search: bool,
-    /// Options for the task-level transfer pass.
-    pub refine: RefineOptions,
     /// Options for the profile search.
     pub search: ProfileSearchOptions,
 }
@@ -51,7 +43,7 @@ pub struct FrSolution {
     /// Refinement iterations performed (0 when skipped).
     pub refine_iterations: usize,
     /// Profile-search statistics (sweeps, transfers, `V(p)` probe
-    /// counters), `None` when the search was skipped.
+    /// counters), `None` when refinement was skipped.
     pub search: Option<ProfileSearchOutcome>,
 }
 
@@ -82,28 +74,23 @@ pub(crate) fn solve_fr_opt_with(
     let mut search = None;
 
     if !opts.skip_refine {
-        if !opts.skip_transfer_pass {
-            refine_iterations =
-                refine_profile(inst, &mut schedule, &mut flops, &opts.refine).iterations;
-        }
-        if !opts.skip_profile_search {
-            // Start the profile search from the realized loads of the best
-            // schedule so far; its exact re-solve is monotone.
-            let start = EnergyProfile::new(
-                schedule
-                    .profile()
-                    .iter()
-                    .map(|&p| p.min(inst.d_max()))
-                    .collect(),
-            );
-            let before = schedule.total_accuracy(inst);
-            let (_, refined, outcome) = profile_search_with(inst, &start, &opts.search, ws);
-            refine_iterations += outcome.transfers;
-            search = Some(outcome);
-            if refined.schedule.total_accuracy(inst) >= before {
-                schedule = refined.schedule;
-                flops = refined.flops;
-            }
+        refine_iterations = refine_profile(inst, &mut schedule, &mut flops).iterations;
+        // Start the profile search from the realized loads of the best
+        // schedule so far; its exact re-solve is monotone.
+        let start = EnergyProfile::new(
+            schedule
+                .profile()
+                .iter()
+                .map(|&p| p.min(inst.d_max()))
+                .collect(),
+        );
+        let before = schedule.total_accuracy(inst);
+        let (_, refined, outcome) = profile_search_with(inst, &start, &opts.search, ws);
+        refine_iterations += outcome.transfers;
+        search = Some(outcome);
+        if refined.schedule.total_accuracy(inst) >= before {
+            schedule = refined.schedule;
+            flops = refined.flops;
         }
     }
 
@@ -142,33 +129,9 @@ pub(crate) fn solve_fr_opt_warm_with(
     ws: &mut ValueFnWorkspace,
     warm: &EnergyProfile,
 ) -> FrSolution {
-    if warm.len() != inst.num_machines() || opts.skip_refine || opts.skip_profile_search {
+    let Some(start) = warm_start(inst, opts, warm) else {
         return solve_fr_opt_with(inst, opts, ws);
-    }
-    let machines = inst.machines().machines();
-    let mut caps: Vec<f64> = warm
-        .caps()
-        .iter()
-        .map(|&c| {
-            if c.is_finite() {
-                c.clamp(0.0, inst.d_max())
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    let energy: f64 = caps
-        .iter()
-        .zip(machines)
-        .map(|(&c, mach)| c * mach.power())
-        .sum();
-    if energy > inst.budget() && energy > 0.0 {
-        let scale = inst.budget() / energy;
-        for c in &mut caps {
-            *c *= scale;
-        }
-    }
-    let start = EnergyProfile::new(caps);
+    };
     let (_, refined, outcome) = profile_search_with(inst, &start, &opts.search, ws);
     let total_accuracy = refined.schedule.total_accuracy(inst);
     let energy = refined.schedule.energy(inst);
@@ -192,16 +155,30 @@ pub(crate) fn solve_fr_opt_warm_with(
 /// the replanner's tentative-evaluation path for admission decisions.
 ///
 /// Returns `None` whenever [`solve_fr_opt_warm_with`] would fall back to
-/// the cold pipeline (wrong-length hint, refinement or profile search
-/// disabled): the caller must run the full solve in those cases, because
-/// no cheap estimate reproduces the cold pipeline's value.
+/// the cold pipeline (wrong-length hint, refinement disabled): the
+/// caller must run the full solve in those cases, because no cheap
+/// estimate reproduces the cold pipeline's value.
 pub(crate) fn fr_value_estimate_warm_with(
     inst: &Instance,
     opts: &FrOptOptions,
     ws: &mut ValueFnWorkspace,
     warm: &EnergyProfile,
 ) -> Option<crate::profile_search::ValueSearchResult> {
-    if warm.len() != inst.num_machines() || opts.skip_refine || opts.skip_profile_search {
+    let start = warm_start(inst, opts, warm)?;
+    Some(crate::profile_search::profile_search_value_with(
+        inst,
+        &start,
+        &opts.search,
+        ws,
+    ))
+}
+
+/// The sanitized start profile of the warm paths: non-finite caps
+/// dropped, caps clamped to `[0, d_max]`, the whole vector scaled down
+/// when its energy exceeds the budget. `None` — run the cold pipeline —
+/// for a wrong-length hint or with refinement disabled.
+fn warm_start(inst: &Instance, opts: &FrOptOptions, warm: &EnergyProfile) -> Option<EnergyProfile> {
+    if warm.len() != inst.num_machines() || opts.skip_refine {
         return None;
     }
     let machines = inst.machines().machines();
@@ -227,13 +204,7 @@ pub(crate) fn fr_value_estimate_warm_with(
             *c *= scale;
         }
     }
-    let start = EnergyProfile::new(caps);
-    Some(crate::profile_search::profile_search_value_with(
-        inst,
-        &start,
-        &opts.search,
-        ws,
-    ))
+    Some(EnergyProfile::new(caps))
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 //! Algorithm 5 list scheduling, giving the same `OPT − G ≤ SOL` guarantee
 //! relative to the windowed fractional optimum.
 
-use crate::approx::{approx_from_fractional, ApproxSolution, Placement};
+use crate::approx::{approx_from_fractional, ApproxSolution};
 use crate::fr_opt::FrSolution;
 use crate::lp_model::build_fr_lp;
 use crate::problem::Instance;
@@ -190,7 +190,7 @@ pub fn solve_renewable(
         refine_iterations: 0,
         search: None,
     };
-    let mut approx = approx_from_fractional(&relaxed, fractional.clone(), Placement::LeastLoaded);
+    let mut approx = approx_from_fractional(&relaxed, fractional.clone());
     // Window cut: the list scheduling respects the total budget through
     // the fractional profile caps, but an integral placement can front-load
     // energy a slowly-arriving supply has not delivered yet. Walk tasks in

@@ -16,10 +16,9 @@
 //! goes through a [`Replanner`](dsct_core::replan::Replanner) —
 //! warm-started, under [`ReplanStrategy::WarmStart`], from the
 //! incumbent's fractional profile restricted to still-pending tasks;
-//! under [`ReplanStrategy::Incremental`] adopted plans replay the cold
-//! pipeline (or its fingerprint-keyed cache) bit for bit, while the
-//! tentative admission evaluations go through the replanner's value-only
-//! estimates and checkpoint membership deltas.
+//! under [`ReplanStrategy::Incremental`] adopted plans are cold solves,
+//! bit for bit, while the tentative admission evaluations go through the
+//! replanner's checkpoint membership deltas and value-only estimates.
 //!
 //! Machine availability is restored at plan-materialization time: tasks
 //! landing on a still-busy machine are cut at their *absolute* deadline
@@ -55,7 +54,7 @@ use dsct_accuracy::PwlAccuracy;
 use dsct_core::oracle::{self, Claims};
 use dsct_core::problem::{Instance, Task};
 use dsct_core::profile::EnergyProfile;
-use dsct_core::replan::{Replanner, DEFAULT_CACHE_CAPACITY};
+use dsct_core::replan::Replanner;
 use dsct_core::residual::{residual_instance, ResidualItem};
 use dsct_core::solver::{ApproxSolver, Solution};
 use dsct_core::EPS_TIME;
@@ -108,11 +107,6 @@ pub struct OnlineConfig {
     pub policy: AdmissionPolicy,
     /// Re-solve strategy.
     pub replan: ReplanStrategy,
-    /// Capacity bound of the replanner's fingerprint-keyed stores (full
-    /// plans and value estimates are bounded separately; see
-    /// [`dsct_core::replan`]); `0` disables caching. Only
-    /// [`ReplanStrategy::Incremental`] reads the stores.
-    pub replan_cache: usize,
     /// Multiplicative speed-jitter half-width in `[0, 1)` (the
     /// [`dsct_exec`] model; `0.0` = deterministic nominal speeds).
     pub speed_jitter: f64,
@@ -138,7 +132,6 @@ impl Default for OnlineConfig {
         Self {
             policy: AdmissionPolicy::AdmitAll,
             replan: ReplanStrategy::WarmStart,
-            replan_cache: DEFAULT_CACHE_CAPACITY,
             speed_jitter: 0.0,
             jitter_seed: 0,
             overrun: OverrunPolicy::Compress,
@@ -218,8 +211,8 @@ pub struct OnlineReport {
     pub summary: OnlineSummary,
     /// Final ledger state.
     pub ledger: EnergyLedger,
-    /// The replanner's path counters (cache hits, estimates, delta
-    /// bounds, fallbacks). Diagnostics only — deliberately outside
+    /// The replanner's path counters (solves, estimates, delta bounds,
+    /// fallbacks). Diagnostics only — deliberately outside
     /// [`OnlineSummary`], so the byte-comparable digest stays identical
     /// across [`ReplanStrategy`] arms.
     pub replan: ReplanStats,
@@ -349,19 +342,6 @@ pub struct OnlineService {
     decisions: Vec<(u64, Decision)>,
     events: Vec<TraceEvent>,
     replanner: Replanner,
-    /// Same-state probe memo ([`ReplanStrategy::Incremental`] only):
-    /// exact tentative values of gated evaluations against the *current*
-    /// service state, keyed by the candidate's structural words and
-    /// cleared on any mutation of pool, clock, ledger, park, or plan.
-    /// Lets a repeated candidate skip residual construction entirely —
-    /// the per-arrival cost of a memoized rejection is independent of
-    /// the pool size.
-    probe_memo: Vec<(Vec<u64>, f64, f64)>,
-    /// Memoized [`Self::baseline_value`] for the same lifetime as
-    /// `probe_memo` (Incremental only; bitwise what recomputation gives).
-    baseline_memo: Option<f64>,
-    /// Probe-memo hits, folded into [`ReplanStats::memo_hits`].
-    memo_hits: u64,
     replans: usize,
     solves: usize,
     expired: usize,
@@ -390,7 +370,7 @@ impl OnlineService {
             return Err(OnlineError::InvalidBudget(budget));
         }
         let m = park.len();
-        let replanner = Replanner::new(ApproxSolver::new(), cfg.replan, cfg.replan_cache);
+        let replanner = Replanner::new(ApproxSolver::new(), cfg.replan);
         Ok(Self {
             cfg,
             ledger: EnergyLedger::new(budget),
@@ -405,9 +385,6 @@ impl OnlineService {
             decisions: Vec::new(),
             events: Vec::new(),
             replanner,
-            probe_memo: Vec::new(),
-            baseline_memo: None,
-            memo_hits: 0,
             replans: 0,
             solves: 0,
             expired: 0,
@@ -455,13 +432,10 @@ impl OnlineService {
         self.pool.len()
     }
 
-    /// The replanner's path counters so far (cache hits, estimates,
-    /// delta bounds, fallbacks). The sharded server snapshots these at
-    /// shard-kill time to attribute a dead cell's replanning history.
+    /// The replanner's path counters so far (solves, estimates, delta
+    /// bounds, fallbacks).
     pub fn replan_stats(&self) -> ReplanStats {
-        let mut stats = self.replanner.stats();
-        stats.memo_hits = self.memo_hits;
-        stats
+        self.replanner.stats()
     }
 
     /// Bulk-admits `tasks` (arrival order, non-decreasing arrivals)
@@ -500,7 +474,6 @@ impl OnlineService {
                 self.decisions.push((task.id, Decision::Rejected));
                 continue;
             }
-            self.invalidate_probe_memo();
             self.pool.push(task.clone());
             self.plan_dirty = true;
             self.decisions.push((task.id, Decision::Admitted));
@@ -560,14 +533,13 @@ impl OnlineService {
 
         let decision = match self.cfg.policy {
             AdmissionPolicy::AdmitAll => {
-                self.invalidate_probe_memo();
                 self.pool.push(task.clone());
                 self.plan_dirty = true;
                 Decision::Admitted
             }
             policy => {
                 self.ensure_plan();
-                let baseline = self.cached_baseline();
+                let baseline = self.baseline_value();
                 self.decide_and_adopt(task, policy, baseline)
             }
         };
@@ -609,7 +581,6 @@ impl OnlineService {
     /// and queues are dropped; the remaining pool re-plans on the next
     /// clock advance.
     pub fn drain_pending(&mut self) -> Vec<OnlineTask> {
-        self.invalidate_probe_memo();
         let carry = &self.carry;
         let (drained, kept): (Vec<OnlineTask>, Vec<OnlineTask>) = std::mem::take(&mut self.pool)
             .into_iter()
@@ -639,7 +610,6 @@ impl OnlineService {
         if drained.is_empty() {
             return drained;
         }
-        self.invalidate_probe_memo();
         self.plan = None;
         self.clear_queues();
         self.replanner.clear_anchor();
@@ -709,7 +679,6 @@ impl OnlineService {
             self.advance_to(at);
             self.now = at;
         }
-        self.invalidate_probe_memo();
         match *d {
             Disruption::MachineFailure { machine } => {
                 if self.alive[machine] {
@@ -804,11 +773,7 @@ impl OnlineService {
             decisions: self.decisions,
             summary,
             ledger: self.ledger,
-            replan: {
-                let mut stats = self.replanner.stats();
-                stats.memo_hits = self.memo_hits;
-                stats
-            },
+            replan: self.replanner.stats(),
         }
     }
 
@@ -819,7 +784,6 @@ impl OnlineService {
     /// then settles every completion at or before `t`. Re-plans first
     /// when the pool changed since the incumbent was computed.
     fn advance_to(&mut self, t: f64) {
-        self.invalidate_probe_memo();
         if self.plan_dirty {
             self.replan();
         }
@@ -879,7 +843,6 @@ impl OnlineService {
     /// policy, and — under [`OverrunPolicy::Compress`] — returns the
     /// remaining work to the pool as a shifted residual accuracy curve.
     fn cut_inflight(&mut self, id: u64, at: f64) {
-        self.invalidate_probe_memo();
         let fl = self
             .inflight
             .remove(&id)
@@ -1056,7 +1019,6 @@ impl OnlineService {
         if expired.is_empty() {
             return;
         }
-        self.invalidate_probe_memo();
         self.pool.retain(|p| p.deadline - now > EPS_TIME);
         for task in &expired {
             self.expired += 1;
@@ -1093,58 +1055,6 @@ impl OnlineService {
                 speed_factor: 1.0,
             },
         );
-    }
-
-    /// Drops the same-state probe memo. Called on *every* mutation of an
-    /// input the gated tentative evaluation reads — pool contents, the
-    /// clock, the ledger, the park's alive/degrade state, or the
-    /// incumbent plan — so a surviving memo entry is proof the next
-    /// evaluation of the same candidate would recompute bitwise the
-    /// same values. Over-invalidation only costs hits, never bytes.
-    fn invalidate_probe_memo(&mut self) {
-        self.probe_memo.clear();
-        self.baseline_memo = None;
-    }
-
-    /// The candidate's structural words — every bit the tentative value
-    /// depends on through the candidate itself. `id` and `tenant` are
-    /// deliberately excluded: the candidate is appended after the pool
-    /// under the residual's stable deadline sort, so two candidates with
-    /// equal deadline and accuracy land at the same position and flop
-    /// vector whatever their ids.
-    fn candidate_words(task: &OnlineTask) -> Vec<u64> {
-        let acc = &task.accuracy;
-        let mut words = Vec::with_capacity(1 + acc.breakpoints().len() + acc.values().len());
-        words.push(task.deadline.to_bits());
-        words.extend(acc.breakpoints().iter().map(|f| f.to_bits()));
-        words.extend(acc.values().iter().map(|a| a.to_bits()));
-        words
-    }
-
-    /// Memoizes one gated evaluation's exact tentative values against
-    /// the current service state (bounded FIFO; any mutation clears it).
-    fn remember_probe(&mut self, words: Vec<u64>, tentative: f64, tentative_cand: f64) {
-        const PROBE_MEMO_CAP: usize = 16;
-        if self.probe_memo.len() >= PROBE_MEMO_CAP {
-            self.probe_memo.remove(0);
-        }
-        self.probe_memo.push((words, tentative, tentative_cand));
-    }
-
-    /// [`Self::baseline_value`], served from the same-state memo under
-    /// [`ReplanStrategy::Incremental`] (the memoized value is bitwise
-    /// what recomputation yields, so the decision arithmetic is
-    /// strategy-independent either way).
-    fn cached_baseline(&mut self) -> f64 {
-        if self.cfg.replan != ReplanStrategy::Incremental {
-            return self.baseline_value();
-        }
-        if let Some(b) = self.baseline_memo {
-            return b;
-        }
-        let b = self.baseline_value();
-        self.baseline_memo = Some(b);
-        b
     }
 
     /// The admission baseline: the incumbent plan's *fractional* value
@@ -1184,9 +1094,6 @@ impl OnlineService {
     /// adoption on admission.
     ///
     /// Path order under [`ReplanStrategy::Incremental`]:
-    /// 0. the same-state probe memo replays the exact tentative values
-    ///    of an identical candidate seen since the last state mutation
-    ///    (pool-size-independent);
     /// 1. a checkpoint *insertion delta* lower-bounds the tentative
     ///    value at the incumbent's anchored caps —
     ///    [`AdmissionPolicy::DegradeToFit`]'s test is monotone in the
@@ -1194,8 +1101,7 @@ impl OnlineService {
     ///    the re-optimized value clears it too (early admit only; a low
     ///    bound proves nothing and falls through);
     /// 2. a value-only warm estimate (the full descent without the
-    ///    waterfill/assignment/oracle finishers), served from the
-    ///    replanner's fingerprint-keyed estimate cache on repeats;
+    ///    waterfill/assignment/oracle finishers);
     /// 3. the full solve — the only path under `Cold`/`WarmStart`
     ///    (where it doubles as the adoption solve), and the bit-exact
     ///    fallback whenever the cheap paths decline to answer.
@@ -1213,28 +1119,8 @@ impl OnlineService {
                 // DegradeToFit's test; NaN poisons any future misuse.
                 if policy.decide(baseline, bound, f64::NAN, cand_floor) == Decision::Admitted {
                     self.solves += 1;
-                    return self.admit_via_cache(task);
+                    return self.admit_and_solve(task);
                 }
-            }
-        }
-        // Same-state probe memo: an identical candidate against an
-        // unmutated service replays its exact tentative values without
-        // rebuilding the residual — the per-arrival cost of a repeated
-        // rejection stays flat however large the pool is.
-        let memo_words =
-            (self.cfg.replan == ReplanStrategy::Incremental).then(|| Self::candidate_words(task));
-        if let Some(words) = memo_words.as_ref() {
-            if let Some(&(_, tentative, tentative_cand)) =
-                self.probe_memo.iter().find(|(seen, _, _)| seen == words)
-            {
-                self.memo_hits += 1;
-                self.solves += 1;
-                let decision = policy.decide(baseline, tentative, tentative_cand, cand_floor);
-                if decision == Decision::Admitted {
-                    return self.admit_via_cache(task);
-                }
-                self.record_unserved(task, self.now);
-                return decision;
             }
         }
         let Some((res, machine_ids)) = self.residual_for(Some(task)) else {
@@ -1252,12 +1138,9 @@ impl OnlineService {
                 .position(|&id| id == task.id)
                 .expect("candidate is live, so it is in the residual");
             let tentative_cand = res.instance.task(jc).accuracy.eval(est.flops[jc]);
-            if let Some(words) = memo_words {
-                self.remember_probe(words, est.total_accuracy, tentative_cand);
-            }
             let decision = policy.decide(baseline, est.total_accuracy, tentative_cand, cand_floor);
             if decision == Decision::Admitted {
-                return self.admit_via_cache(task);
+                return self.admit_and_solve(task);
             }
             self.record_unserved(task, self.now);
             return decision;
@@ -1275,12 +1158,8 @@ impl OnlineService {
             .task(jc)
             .accuracy
             .eval(approx.fractional.flops[jc]);
-        if let Some(words) = memo_words {
-            self.remember_probe(words, tentative, tentative_cand);
-        }
         let decision = policy.decide(baseline, tentative, tentative_cand, cand_floor);
         if decision == Decision::Admitted {
-            self.invalidate_probe_memo();
             self.pool.push(task.clone());
             self.replanner
                 .anchor(&res.instance, &approx.fractional.profile);
@@ -1298,13 +1177,11 @@ impl OnlineService {
 
     /// Admission reached without a full tentative solve (the delta-bound
     /// or estimate path): the adopted plan must still be bitwise what
-    /// the cold pipeline produces, so the full solve runs now — served
-    /// from the replanner's plan cache whenever this residual state was
-    /// solved before. Deliberately *not* counted as a solver invocation:
+    /// the cold pipeline produces, so the full solve runs now.
+    /// Deliberately *not* counted as a solver invocation:
     /// the full-solve arms adopt their tentative solve directly, and
     /// counter parity across strategies is part of the digest contract.
-    fn admit_via_cache(&mut self, task: &OnlineTask) -> Decision {
-        self.invalidate_probe_memo();
+    fn admit_and_solve(&mut self, task: &OnlineTask) -> Decision {
         self.pool.push(task.clone());
         match self.solve_pool(None) {
             Some((approx, res, machine_ids)) => {
@@ -1349,7 +1226,6 @@ impl OnlineService {
     /// Re-plans the pending pool at the current time and adopts the
     /// result as the incumbent.
     fn replan(&mut self) {
-        self.invalidate_probe_memo();
         self.plan_dirty = false;
         self.purge_expired();
         if self.pool.is_empty() {
@@ -1517,7 +1393,6 @@ impl OnlineService {
     /// with an availability offset). Cutting only shortens times, so the
     /// materialized plan consumes at most the solved plan's energy.
     fn adopt(&mut self, plan: Plan) {
-        self.invalidate_probe_memo();
         self.clear_queues();
         let schedule = &plan.approx.schedule;
         for (r_sub, &r) in plan.machine_ids.iter().enumerate() {
@@ -2086,7 +1961,7 @@ mod tests {
             assert_eq!(cold.summary, inc.summary, "policy {policy:?}");
             assert_eq!(cold.ledger, inc.ledger, "policy {policy:?}");
             assert!(
-                inc.replan.estimates + inc.replan.delta_bounds + inc.replan.cache_hits > 0,
+                inc.replan.estimates + inc.replan.delta_bounds > 0,
                 "the incremental arm must exercise at least one cheap path"
             );
         }

@@ -41,9 +41,7 @@ use dsct_chaos::ShardKillPlan;
 use dsct_core::EPS_TIME;
 use dsct_exec::{ExecError, TaskOutcome};
 use dsct_machines::{Machine, MachinePark};
-use dsct_online::{
-    Decision, Disruption, OnlineError, OnlineService, OnlineSummary, ReplanStats, ReplayConfig,
-};
+use dsct_online::{Decision, Disruption, OnlineError, OnlineService, OnlineSummary, ReplayConfig};
 use dsct_workload::{ArrivalTrace, OnlineTask};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -78,7 +76,7 @@ impl ServerConfig {
 
 /// One task handed from a killed shard to a survivor (or dropped, when
 /// no survivor exists).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DrainRecord {
     /// Kill time (the drained task re-arrives at this instant).
     pub at: f64,
@@ -90,45 +88,6 @@ pub struct DrainRecord {
     pub to: Option<usize>,
     /// The receiver's admission decision, `None` when dropped.
     pub decision: Option<Decision>,
-    /// The dead cell's replanner path counters at kill time — what the
-    /// shard's re-solve history looked like when its work was handed
-    /// away, for drain attribution in post-mortems.
-    pub replan: ReplanStats,
-}
-
-// Hand-written (de)serialization: `replan` is in-memory attribution
-// only and must stay out of [`ServerReport::digest`], so the wire shape
-// remains the original five fields and digests stay byte-identical
-// across [`dsct_online::ReplanStrategy`] arms (the derive shim has no
-// `#[serde(skip)]`).
-impl ::serde::Serialize for DrainRecord {
-    fn to_json(&self, out: &mut String) {
-        out.push('{');
-        out.push_str("\"at\":");
-        ::serde::Serialize::to_json(&self.at, out);
-        out.push_str(",\"task\":");
-        ::serde::Serialize::to_json(&self.task, out);
-        out.push_str(",\"from\":");
-        ::serde::Serialize::to_json(&self.from, out);
-        out.push_str(",\"to\":");
-        ::serde::Serialize::to_json(&self.to, out);
-        out.push_str(",\"decision\":");
-        ::serde::Serialize::to_json(&self.decision, out);
-        out.push('}');
-    }
-}
-
-impl ::serde::Deserialize for DrainRecord {
-    fn from_json(v: &::serde::json::Value) -> Result<Self, ::serde::json::Error> {
-        Ok(Self {
-            at: ::serde::json::field(v, "at")?,
-            task: ::serde::json::field(v, "task")?,
-            from: ::serde::json::field(v, "from")?,
-            to: ::serde::json::field(v, "to")?,
-            decision: ::serde::json::field(v, "decision")?,
-            replan: ReplanStats::default(),
-        })
-    }
 }
 
 /// One task re-assigned by the load-skew rebalancer: drained out of a
@@ -628,12 +587,7 @@ impl ScheduleServer {
         let at = at.max(self.now);
         self.tick(at)?;
         self.router.kill(shard);
-        // Snapshot the victim's replanner history before the drain
-        // wipes its incumbent: every record of this kill carries the
-        // same attribution.
-        let victim = &mut self.cells[shard];
-        let replan = victim.replan_stats();
-        let drained = victim.drain_pending();
+        let drained = self.cells[shard].drain_pending();
         for machine in 0..self.shard_machines[shard].len() {
             self.inject(shard, at, &Disruption::MachineFailure { machine })?;
         }
@@ -649,7 +603,6 @@ impl ScheduleServer {
                         from: shard,
                         to: Some(dst),
                         decision: Some(decision),
-                        replan,
                     });
                 }
                 None => {
@@ -659,7 +612,6 @@ impl ScheduleServer {
                         from: shard,
                         to: None,
                         decision: None,
-                        replan,
                     });
                 }
             }

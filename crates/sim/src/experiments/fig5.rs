@@ -14,9 +14,8 @@
 use crate::engine::{CellSpec, ExperimentPlan, ExperimentRun};
 use crate::report::TextTable;
 use crate::stats::SummaryStats;
-use dsct_core::approx::{approx_from_fractional, Placement};
-use dsct_core::solver::{ApproxSolver, EdfSolver, FrOptSolver, Solver};
-use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
+use dsct_core::solver::{ApproxSolver, EdfSolver, Solver};
+use dsct_workload::{InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -193,20 +192,6 @@ fn compute_energy_gain(cfg: &Fig5Config, points: &[Fig5Point]) -> Option<EnergyG
         energy_saved: 1.0 - hit.beta / beta_max,
         accuracy_loss: (reference - hit.approx.mean()).max(0.0),
     })
-}
-
-/// Internal ablation entry point: Fig. 5's APPROX series with first-fit
-/// placement instead of least-loaded (used by the ablation bench).
-pub fn approx_accuracy_with_placement(
-    cfg: &Fig5Config,
-    beta: f64,
-    placement: Placement,
-    seed: u64,
-) -> f64 {
-    let inst = generate(&cfg.instance_config(beta), seed);
-    let fr = FrOptSolver::new().solve_typed(&inst);
-    let sol = approx_from_fractional(&inst, fr, placement);
-    sol.total_accuracy / inst.num_tasks() as f64
 }
 
 /// Text rendering.
