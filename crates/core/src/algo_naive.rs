@@ -21,16 +21,18 @@
 //! grow with `j`, any cap-respecting distribution preserves the aggregate
 //! capacity argument, so the achieved accuracies are unchanged.
 //!
-//! Steps 2–3 as written ([`compute_naive_solution`]: Algorithm 1 on the
-//! slack tree, then the waterfill) are what materializes every adopted
-//! schedule. The profile search only needs step 2's objective, the
-//! profile value function `V(p)`, thousands of times per solve, and
-//! [`NaiveSolver`] is its one evaluator: [`NaiveSolver::checkpoint_into`]
-//! evaluates `V` at an incumbent profile and records a
-//! [`ValueCheckpoint`] there, and [`NaiveSolver::value_delta`] evaluates
-//! `V` at that incumbent with ≤ 3 caps changed, recomputing only what the
-//! change can reach. The unit tests hold both to the materialized
-//! schedule's accuracy.
+//! [`NaiveSolver`] is the one evaluator of all of it, built once per
+//! solve. Steps 2–3 as written ([`NaiveSolver::solution_under`]: Algorithm
+//! 1 on the slack tree, then the waterfill) materialize every adopted
+//! schedule; [`compute_naive_solution`] is that finisher on a fresh
+//! evaluator. The profile search only needs step 2's objective, the
+//! profile value function `V(p)`, thousands of times per solve:
+//! [`NaiveSolver::checkpoint_into`] evaluates `V` at an incumbent profile
+//! and records a [`ValueCheckpoint`] there, and
+//! [`NaiveSolver::value_delta`] evaluates `V` at that incumbent with ≤ 3
+//! caps changed, recomputing only what the change can reach. The unit
+//! tests hold all three to the reference walk ([`collect_segments`] into
+//! [`crate::algo_single::schedule_single_machine`]), which no solve runs.
 //!
 //! Step 2 is a linear program in its right-hand side, and the greedy that
 //! solves it also determines its optimal *dual* prices:
@@ -40,8 +42,7 @@
 //! (`tests/price_certificate.rs`).
 
 use crate::algo_single::{
-    accuracy_gain_buckets_lanes, schedule_single_machine, times_tree_lanes, BucketSlack,
-    SegmentSpec, SlackTree,
+    accuracy_gain_buckets_lanes, times_tree_lanes, BucketSlack, SegmentSpec, SlackTree,
 };
 use crate::kernels;
 use crate::problem::{Instance, Task};
@@ -59,7 +60,10 @@ pub struct NaiveSolution {
     pub flops: Vec<f64>,
 }
 
-/// Builds the flattened segment list of an instance for Algorithm 1.
+/// Builds the flattened segment list of an instance for Algorithm 1 —
+/// the tests' reference input to
+/// [`crate::algo_single::schedule_single_machine`]; solves walk the
+/// evaluator's [`SegmentLanes`] instead.
 pub fn collect_segments(inst: &Instance) -> Vec<SegmentSpec> {
     let mut segs = Vec::new();
     collect_segments_into(inst, &mut segs);
@@ -84,18 +88,22 @@ fn collect_segments_into(inst: &Instance, segs: &mut Vec<SegmentSpec>) {
 /// Reusable Algorithm 2 evaluator for one instance.
 ///
 /// The profile search evaluates the value function `V(p)` thousands of
-/// times on the same task set; the segment list, its slope-descending
-/// order, and the zero-work base accuracy are invariant across
+/// times on the same task set; the slope-sorted segments, the deadlines,
+/// the speeds and the zero-work base accuracy are invariant across
 /// evaluations, and the distribution step is unnecessary when only the
 /// achieved accuracy is needed (it is fully determined by Algorithm 1's
 /// work vector). This struct hoists all of that out of the hot path.
+///
+/// It owns copies of everything it reads, so it borrows nothing: one
+/// build serves a whole cold solve — the naive stage, the descent, the
+/// finisher — and, under [`crate::replan::ReplanStrategy::Incremental`],
+/// outlives the solve as the replanner's membership anchor. It answers
+/// for the instance it was built from and no other.
 #[derive(Debug, Clone)]
-pub struct NaiveSolver<'a> {
-    inst: &'a Instance,
-    segments: Vec<SegmentSpec>,
-    order: Vec<usize>,
-    /// The positive-gain segments of `order`, as contiguous SoA lanes —
-    /// what every probe walks (see [`crate::soa`]).
+pub struct NaiveSolver {
+    /// The positive-gain segments in [`crate::algo_single::sort_segments`]
+    /// order, as contiguous SoA lanes — what every probe walks (see
+    /// [`crate::soa`]).
     lanes: SegmentLanes,
     /// Flat segment index over all tasks' accuracy breakpoints, for the
     /// value-search finisher's per-task evaluation.
@@ -457,21 +465,25 @@ impl ValueFnWorkspace {
     }
 }
 
-impl<'a> NaiveSolver<'a> {
+impl NaiveSolver {
     /// Prepares the evaluator for an instance.
-    pub fn new(inst: &'a Instance) -> Self {
+    pub fn new(inst: &Instance) -> Self {
         Self::new_in(inst, &mut ScratchArena::new())
     }
 
     /// [`NaiveSolver::new`] with every buffer pulled from `arena` —
     /// pair with [`NaiveSolver::recycle`] so repeated solves through one
-    /// workspace reuse the warm capacity instead of allocating.
-    pub fn new_in(inst: &'a Instance, arena: &mut ScratchArena) -> Self {
+    /// workspace reuse the warm capacity instead of allocating. The AoS
+    /// segment list and its sort order are build scratch, back in the
+    /// arena before this returns.
+    pub fn new_in(inst: &Instance, arena: &mut ScratchArena) -> Self {
         let mut segments = arena.take_specs();
         collect_segments_into(inst, &mut segments);
         let mut order = arena.take_usize();
         crate::algo_single::sort_segments_into(&segments, &mut order);
         let lanes = SegmentLanes::build_in(&segments, &order, arena);
+        arena.put_specs(segments);
+        arena.put_usize(order);
         let pwl = PwlLanes::build_in(inst, arena);
         let machines = inst.machines();
         let mut speeds = arena.take_f64();
@@ -480,9 +492,6 @@ impl<'a> NaiveSolver<'a> {
         let mut deadlines = arena.take_f64();
         deadlines.extend((0..inst.num_tasks()).map(|j| inst.task(j).deadline));
         Self {
-            inst,
-            segments,
-            order,
             lanes,
             pwl,
             speeds,
@@ -494,8 +503,6 @@ impl<'a> NaiveSolver<'a> {
     /// Returns every buffer of a [`NaiveSolver::new_in`]-built solver to
     /// `arena`.
     pub fn recycle(self, arena: &mut ScratchArena) {
-        arena.put_specs(self.segments);
-        arena.put_usize(self.order);
         self.lanes.recycle(arena);
         self.pwl.recycle(arena);
         arena.put_f64(self.speeds);
@@ -516,7 +523,7 @@ impl<'a> NaiveSolver<'a> {
 
     /// Creates a [`ValueFnWorkspace`] sized for this instance.
     pub fn workspace(&self) -> ValueFnWorkspace {
-        ValueFnWorkspace::with_capacity(self.inst.num_tasks(), self.inst.num_machines())
+        ValueFnWorkspace::with_capacity(self.deadlines.len(), self.speeds.len())
     }
 
     /// The full evaluation of the profile value function: computes
@@ -673,10 +680,12 @@ impl<'a> NaiveSolver<'a> {
     /// (capacity is monotone in the deadline), so the checkpointed bucket
     /// array is patched by splitting exactly one bucket; the greedy then
     /// reruns once over the merged segment list (the incumbent's
-    /// slope-sorted segments interleaved with the new task's, ties broken
-    /// as [`crate::algo_single::sort_segments`] breaks them) with task
-    /// indices at or above the insertion point shifted up. No profile
-    /// descent, no capacity transform.
+    /// slope-sorted lanes interleaved with the new task's segments, ties
+    /// broken as [`crate::algo_single::sort_segments`] breaks them) with
+    /// task indices at or above the insertion point shifted up. No profile
+    /// descent, no capacity transform. The lanes drop the incumbent's
+    /// flat segments, which sort after every positive slope and take
+    /// nothing, so the merge makes the same takes as over the full list.
     ///
     /// The inserted task lands at EDF position `partition_point(d ≤
     /// d_new)` — after every equal deadline, matching a stable
@@ -692,8 +701,7 @@ impl<'a> NaiveSolver<'a> {
         chk: &ValueCheckpoint,
         extra: &Task,
     ) -> Option<f64> {
-        let machines = self.inst.machines().machines();
-        let m = machines.len();
+        let m = self.speeds.len();
         let n = self.deadlines.len();
         let d_new = extra.deadline;
         if !chk.valid || chk.caps.len() != m || !d_new.is_finite() || d_new < 0.0 {
@@ -703,10 +711,11 @@ impl<'a> NaiveSolver<'a> {
         ws.stats.incremental_probes += 1;
 
         let p = self.deadlines.partition_point(|&d| d <= d_new);
-        let raw_new: f64 = machines
+        let raw_new: f64 = self
+            .speeds
             .iter()
             .zip(&chk.caps)
-            .map(|(mach, &c)| c.min(d_new) * mach.speed())
+            .map(|(&s, &c)| c.min(d_new) * s)
             .sum();
         let prev = if p == 0 { 0.0 } else { chk.td[p - 1] };
         let guarded_new = if raw_new < prev { prev } else { raw_new };
@@ -722,8 +731,8 @@ impl<'a> NaiveSolver<'a> {
         ws.buckets
             .load_with_prefix(&chk.buckets[..p], &chk.bit_words, &ws.delta_buckets);
 
-        // Merged greedy: walk the incumbent's slope order and the new
-        // task's segments (position order is slope-descending on a concave
+        // Merged greedy: walk the incumbent's lanes and the new task's
+        // segments (position order is slope-descending on a concave
         // curve) together; old task indices ≥ p shift up by one.
         let mut new_segs = extra.accuracy.segments();
         let mut pending_new = new_segs.next();
@@ -733,13 +742,16 @@ impl<'a> NaiveSolver<'a> {
             if ws.buckets.exhausted() {
                 break;
             }
-            let old = self.order.get(oi).map(|&si| &self.segments[si]);
+            let old = (oi < self.lanes.len()).then(|| {
+                let t = self.lanes.task[oi] as usize;
+                let shifted = if t < p { t } else { t + 1 };
+                (self.lanes.slope[oi], shifted, self.lanes.width[oi])
+            });
             let (slope, bound, flops) = match (old, &pending_new) {
                 (None, None) => break,
                 (Some(seg), None) => {
                     oi += 1;
-                    let t = if seg.task < p { seg.task } else { seg.task + 1 };
-                    (seg.slope, t, seg.total_flops)
+                    seg
                 }
                 (None, Some(s)) => {
                     let out = (s.slope, p, s.width());
@@ -747,17 +759,16 @@ impl<'a> NaiveSolver<'a> {
                     out
                 }
                 (Some(seg), Some(s)) => {
-                    let old_task = if seg.task < p { seg.task } else { seg.task + 1 };
                     // sort_segments order: slope descending, then task,
                     // then position; old and new never share a task index.
-                    let old_first = match seg.slope.total_cmp(&s.slope) {
+                    let old_first = match seg.0.total_cmp(&s.slope) {
                         std::cmp::Ordering::Greater => true,
                         std::cmp::Ordering::Less => false,
-                        std::cmp::Ordering::Equal => old_task < p,
+                        std::cmp::Ordering::Equal => seg.1 < p,
                     };
                     if old_first {
                         oi += 1;
-                        (seg.slope, old_task, seg.total_flops)
+                        seg
                     } else {
                         let out = (s.slope, p, s.width());
                         pending_new = new_segs.next();
@@ -798,7 +809,7 @@ impl<'a> NaiveSolver<'a> {
         chk: &ValueCheckpoint,
         removed: usize,
     ) -> Option<f64> {
-        let m = self.inst.num_machines();
+        let m = self.speeds.len();
         let n = self.deadlines.len();
         if !chk.valid || chk.caps.len() != m || removed >= n {
             return None;
@@ -837,7 +848,7 @@ impl<'a> NaiveSolver<'a> {
                 gain += self.lanes.slope[i] * c;
             }
         }
-        Some(self.base_accuracy - self.inst.task(removed).accuracy.a_min() + gain)
+        Some(self.base_accuracy - self.pwl.a_min(removed) + gain)
     }
 
     /// Prices the checkpoint's incumbent: the bucket greedy's per-task
@@ -972,7 +983,7 @@ impl<'a> NaiveSolver<'a> {
     /// Algorithm 1's pooled per-task work vector for `caps`: the
     /// fractional flops each task receives under the profile, skipping
     /// Algorithm 2's machine distribution entirely. Bit-identical to the
-    /// `flops` of [`compute_naive_solution`] at the same profile (the same
+    /// reference walk's per-task times at the same profile (the same
     /// temporary-deadline transform, and a tree greedy whose zero takes
     /// mutate nothing and whose filtered segments never contributed); the
     /// distribution step only spreads these totals across machines. The
@@ -980,95 +991,125 @@ impl<'a> NaiveSolver<'a> {
     /// only the returned vector (which escapes into the search result) is
     /// allocated.
     pub fn flops_under_with(&self, ws: &mut ValueFnWorkspace, caps: &[f64]) -> Vec<f64> {
-        crate::profile::temp_deadlines_into(self.inst, caps, &mut ws.temp_deadlines);
+        crate::profile::temp_deadlines_into(
+            &self.deadlines,
+            &self.speeds,
+            caps,
+            &mut ws.temp_deadlines,
+        );
         let mut times = ws.arena.take_f64();
         times.resize(self.deadlines.len(), 0.0);
         times_tree_lanes(&ws.temp_deadlines, &self.lanes, &mut ws.tree, &mut times);
         times
     }
-}
 
-/// Runs Algorithm 2 under the given energy profile.
-pub fn compute_naive_solution(inst: &Instance, profile: &EnergyProfile) -> NaiveSolution {
-    let n = inst.num_tasks();
-    let m = inst.num_machines();
-    assert_eq!(profile.len(), m, "profile/machine count mismatch");
+    /// Algorithm 2's steps 2–3 under `profile`: the pooled work of
+    /// [`NaiveSolver::flops_under_with`], distributed onto the machines
+    /// by equal time increments across the active set, each machine
+    /// capped at `min(p_r, d_j)`. The one waterfill: every solve
+    /// materializes its schedules here, on the evaluator it searched with.
+    pub fn solution_under(
+        &self,
+        ws: &mut ValueFnWorkspace,
+        profile: &EnergyProfile,
+    ) -> NaiveSolution {
+        let n = self.deadlines.len();
+        let m = self.speeds.len();
+        assert_eq!(profile.len(), m, "profile/machine count mismatch");
+        let flops = self.flops_under_with(ws, profile.caps()); // unit speed: time == work
 
-    // Step 2: temporary deadlines in work units (GFLOP) on a unit-speed
-    // machine: the aggregate capacity reachable by each real deadline.
-    let mut temp_deadlines = Vec::with_capacity(n);
-    crate::profile::temp_deadlines_into(inst, profile.caps(), &mut temp_deadlines);
-    let segments = collect_segments(inst);
-    let single = schedule_single_machine(&temp_deadlines, 1.0, &segments);
-    let flops = single.times; // unit speed: time == work
-
-    // Step 3: distribute work onto machines, equal time increments across
-    // the active set, capped at min(p_r, d_j).
-    let mut schedule = FractionalSchedule::zero(n, m);
-    let mut load = vec![0.0f64; m];
-    let speeds: Vec<f64> = (0..m).map(|r| inst.machines()[r].speed()).collect();
-    // Work below the machine-time resolution is not distributable; the
-    // tolerance must scale with the park's aggregate speed.
-    let eps_work =
-        (EPS_TIME * inst.machines().total_speed()).max(crate::EPS_FLOPS) * (m as f64 + 1.0);
-    let mut caps = vec![0.0f64; m];
-    let mut act: Vec<usize> = Vec::with_capacity(m);
-    for j in 0..n {
-        let d_j = inst.task(j).deadline;
-        let mut w = flops[j];
-        while w > eps_work {
-            for (r, c) in caps.iter_mut().enumerate() {
-                *c = profile.cap(r).min(d_j);
-            }
-            act.clear();
-            act.extend((0..m).filter(|&r| load[r] + EPS_TIME < caps[r]));
-            if act.is_empty() {
-                // Unreachable when `flops` came from the capacity-consistent
-                // single-machine solve; guard against accumulated rounding.
-                debug_assert!(
-                    w <= 1e3 * eps_work + 1e-9 * flops[j],
-                    "undistributable work {w} GFLOP for task {j}"
-                );
-                break;
-            }
-            let total_speed: f64 = act.iter().map(|&r| speeds[r]).sum();
-            let delta = w / total_speed;
-            let step_min = act
-                .iter()
-                .map(|&r| caps[r] - load[r])
-                .fold(f64::INFINITY, f64::min);
-            let step = delta.min(step_min);
-            for &r in &act {
-                *schedule.t_mut(j, r) += step;
-                load[r] += step;
-                w -= speeds[r] * step;
-            }
-            if step >= delta {
-                break; // the whole remaining work fit in this round
+        let speeds = &self.speeds;
+        let mut schedule = FractionalSchedule::zero(n, m);
+        let mut load = ws.arena.take_f64();
+        load.resize(m, 0.0);
+        // Work below the machine-time resolution is not distributable; the
+        // tolerance must scale with the park's aggregate speed.
+        let eps_work =
+            (EPS_TIME * speeds.iter().sum::<f64>()).max(crate::EPS_FLOPS) * (m as f64 + 1.0);
+        let mut caps = ws.arena.take_f64();
+        caps.resize(m, 0.0);
+        let mut act = ws.arena.take_usize();
+        for j in 0..n {
+            let d_j = self.deadlines[j];
+            let mut w = flops[j];
+            while w > eps_work {
+                for (r, c) in caps.iter_mut().enumerate() {
+                    *c = profile.cap(r).min(d_j);
+                }
+                act.clear();
+                act.extend((0..m).filter(|&r| load[r] + EPS_TIME < caps[r]));
+                if act.is_empty() {
+                    // Unreachable when `flops` came from the capacity-
+                    // consistent single-machine solve; guard against
+                    // accumulated rounding.
+                    debug_assert!(
+                        w <= 1e3 * eps_work + 1e-9 * flops[j],
+                        "undistributable work {w} GFLOP for task {j}"
+                    );
+                    break;
+                }
+                let total_speed: f64 = act.iter().map(|&r| speeds[r]).sum();
+                let delta = w / total_speed;
+                let step_min = act
+                    .iter()
+                    .map(|&r| caps[r] - load[r])
+                    .fold(f64::INFINITY, f64::min);
+                let step = delta.min(step_min);
+                for &r in act.iter() {
+                    *schedule.t_mut(j, r) += step;
+                    load[r] += step;
+                    w -= speeds[r] * step;
+                }
+                if step >= delta {
+                    break; // the whole remaining work fit in this round
+                }
             }
         }
+        ws.arena.put_f64(load);
+        ws.arena.put_f64(caps);
+        ws.arena.put_usize(act);
+        NaiveSolution { schedule, flops }
     }
+}
 
-    NaiveSolution { schedule, flops }
+/// Runs Algorithm 2 under the given energy profile: a fresh
+/// [`NaiveSolver`] and its [`NaiveSolver::solution_under`].
+pub fn compute_naive_solution(inst: &Instance, profile: &EnergyProfile) -> NaiveSolution {
+    let solver = NaiveSolver::new(inst);
+    solver.solution_under(&mut solver.workspace(), profile)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algo_single::accuracy_of;
+    use crate::algo_single::{accuracy_of, schedule_single_machine, SingleMachineSolution};
     use crate::problem::Task;
     use crate::profile::naive_profile;
     use crate::schedule::ScheduleKind;
     use dsct_accuracy::PwlAccuracy;
     use dsct_machines::{Machine, MachinePark};
 
-    /// `V(caps)` the way a schedule is materialized: temporary deadlines →
-    /// Algorithm 1 on the slack tree → accuracy of the work it used.
-    fn reference_value(inst: &Instance, caps: &[f64]) -> f64 {
+    /// The reference walk: temporary deadlines → Algorithm 1 on the slack
+    /// tree over the AoS segment list, and that list.
+    fn reference_walk(inst: &Instance, caps: &[f64]) -> (Vec<SegmentSpec>, SingleMachineSolution) {
+        let deadlines: Vec<f64> = inst.tasks().iter().map(|t| t.deadline).collect();
+        let speeds: Vec<f64> = inst
+            .machines()
+            .machines()
+            .iter()
+            .map(|r| r.speed())
+            .collect();
         let mut temp_deadlines = Vec::new();
-        crate::profile::temp_deadlines_into(inst, caps, &mut temp_deadlines);
+        crate::profile::temp_deadlines_into(&deadlines, &speeds, caps, &mut temp_deadlines);
         let segments = collect_segments(inst);
         let single = schedule_single_machine(&temp_deadlines, 1.0, &segments);
+        (segments, single)
+    }
+
+    /// `V(caps)` the way a schedule is materialized: the reference walk →
+    /// accuracy of the work it used.
+    fn reference_value(inst: &Instance, caps: &[f64]) -> f64 {
+        let (segments, single) = reference_walk(inst, caps);
         accuracy_of(&segments, &single.used_flops, inst.total_min_accuracy())
     }
 
@@ -1472,8 +1513,12 @@ mod tests {
         }
     }
 
+    /// The evaluator's pooled work is the reference walk's per-task times,
+    /// bit for bit, at the naive profile and at random ones — and so is the
+    /// `flops` of the schedule [`compute_naive_solution`] materializes.
     #[test]
     fn flops_under_matches_compute_naive_solution() {
+        use rand::{Rng, SeedableRng};
         let park = MachinePark::new(vec![
             Machine::from_efficiency(2.0, 5.0).unwrap(),
             Machine::from_efficiency(4.0, 8.0).unwrap(),
@@ -1481,16 +1526,25 @@ mod tests {
         let tasks = vec![
             Task::new(1.0, acc(&[(0.4, 3.0), (0.2, 3.0)])),
             Task::new(2.0, acc(&[(0.3, 4.0)])),
-            Task::new(3.0, acc(&[(0.5, 2.0), (0.1, 6.0)])),
+            Task::new(3.0, acc(&[(0.5, 2.0), (0.1, 6.0), (0.0, 1.0)])),
         ];
         let inst = Instance::new(tasks, park, 6.0).unwrap();
-        let profile = naive_profile(&inst);
-        let full = compute_naive_solution(&inst, &profile);
         let solver = NaiveSolver::new(&inst);
-        let pooled = solver.flops_under_with(&mut solver.workspace(), profile.caps());
-        assert_eq!(pooled.len(), full.flops.len());
-        for (j, (&a, &b)) in pooled.iter().zip(&full.flops).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "task {j}: {a} vs {b}");
+        let mut ws = solver.workspace();
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1476);
+        let mut profiles = vec![naive_profile(&inst)];
+        profiles.extend(
+            (0..50).map(|_| EnergyProfile::new((0..2).map(|_| rng.gen_range(0.0..3.5)).collect())),
+        );
+        for profile in &profiles {
+            let (_, reference) = reference_walk(&inst, profile.caps());
+            let pooled = solver.flops_under_with(&mut ws, profile.caps());
+            let full = compute_naive_solution(&inst, profile);
+            assert_eq!(pooled.len(), reference.times.len());
+            for (j, &want) in reference.times.iter().enumerate() {
+                assert_eq!(pooled[j].to_bits(), want.to_bits(), "task {j}");
+                assert_eq!(full.flops[j].to_bits(), want.to_bits(), "task {j}");
+            }
         }
     }
 

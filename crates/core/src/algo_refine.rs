@@ -21,6 +21,16 @@
 //!   is equivalent to explicit `usedFlops` tracking (work always fills a
 //!   concave function's segments in slope order) and immune to the
 //!   listing's sign typo on line 16.
+//!
+//! Each task's frontier — the slope and room of its next segment to grow
+//! and of its last segment to shrink — is a function of `f_j` alone, and a
+//! transfer moves the work of at most two tasks. The pass therefore keeps
+//! every task's frontier in a cache and re-derives only the grown and the
+//! shrunk task's after each transfer, instead of a binary search per task
+//! per transfer. The scans read the cache in the same `(j, r)` order with
+//! the same strict comparisons, so the pass makes the same transfers;
+//! builds with `debug_assertions` check every cached frontier against a
+//! fresh derivation as the scans read it.
 
 use crate::problem::Instance;
 use crate::schedule::FractionalSchedule;
@@ -136,6 +146,20 @@ pub fn refine_profile(
         })
         .collect();
 
+    // Frontier per task at its current work, refreshed for the (at most
+    // two) tasks each transfer moves.
+    let frontier = |j: usize, f: f64| {
+        let acc = &inst.task(j).accuracy;
+        (grow_info(acc, f), shrink_info(acc, f))
+    };
+    let mut grow = Vec::with_capacity(n);
+    let mut shrink = Vec::with_capacity(n);
+    for (j, &f) in flops.iter().enumerate() {
+        let (g, s) = frontier(j, f);
+        grow.push(g);
+        shrink.push(s);
+    }
+
     let mut iterations = 0usize;
     let mut accuracy_gain = 0.0f64;
     let mut converged = false;
@@ -145,7 +169,12 @@ pub fn refine_profile(
         // with positive deadline slack.
         let mut best_grow: Option<(usize, usize, f64, f64, f64)> = None; // (j, r, psi, slope, room_flops)
         for j in 0..n {
-            let Some((gslope, room_flops)) = grow_info(&inst.task(j).accuracy, flops[j]) else {
+            debug_assert_eq!(
+                grow[j],
+                frontier(j, flops[j]).0,
+                "stale grow frontier of task {j}"
+            );
+            let Some((gslope, room_flops)) = grow[j] else {
                 continue;
             };
             for r in 0..m {
@@ -168,7 +197,12 @@ pub fn refine_profile(
         let slack_energy = (budget - energy_used).max(0.0);
         let mut best_shrink: Option<(usize, usize, f64, f64)> = None; // (j', r', psi, room_energy)
         for j in 0..n {
-            let Some((lslope, drain_flops)) = shrink_info(&inst.task(j).accuracy, flops[j]) else {
+            debug_assert_eq!(
+                shrink[j],
+                frontier(j, flops[j]).1,
+                "stale shrink frontier of task {j}"
+            );
+            let Some((lslope, drain_flops)) = shrink[j] else {
                 continue;
             };
             for r in 0..m {
@@ -230,6 +264,7 @@ pub fn refine_profile(
         accuracy_gain += inst.task(gj).accuracy.eval(flops[gj]) - acc_before_g;
         energy_used += delta_e;
         deadline_slack(inst, schedule, gr, &mut slack[gr]);
+        (grow[gj], shrink[gj]) = frontier(gj, flops[gj]);
 
         // … and shrink the source if it was a task.
         if let Some((sj, sr)) = source {
@@ -242,6 +277,7 @@ pub fn refine_profile(
             accuracy_gain += inst.task(sj).accuracy.eval(flops[sj]) - acc_before_s;
             energy_used -= delta_e;
             deadline_slack(inst, schedule, sr, &mut slack[sr]);
+            (grow[sj], shrink[sj]) = frontier(sj, flops[sj]);
         }
 
         iterations += 1;
@@ -343,6 +379,204 @@ mod tests {
         let out = refine_profile(&inst, &mut schedule, &mut flops);
         assert!(out.converged);
         assert!((schedule.total_accuracy(&inst) - before).abs() < 1e-9);
+    }
+
+    /// The pass as it was before the frontier cache: every transfer
+    /// re-derives every task's grow and shrink frontier. Otherwise line
+    /// for line [`refine_profile`].
+    fn refine_rescan(
+        inst: &Instance,
+        schedule: &mut FractionalSchedule,
+        flops: &mut [f64],
+    ) -> RefineOutcome {
+        let n = inst.num_tasks();
+        let m = inst.num_machines();
+        let k_max: usize = inst
+            .tasks()
+            .iter()
+            .map(|t| t.accuracy.num_segments())
+            .max()
+            .unwrap_or(1);
+        let max_iters = 64 * (n * (k_max + m) + 16);
+        let machines = inst.machines();
+        let eff: Vec<f64> = (0..m).map(|r| machines[r].efficiency()).collect();
+        let power: Vec<f64> = (0..m).map(|r| machines[r].power()).collect();
+        let mut energy_used = schedule.energy(inst);
+        let budget = inst.budget();
+        let min_transfer = 1e-12 * (1.0 + budget);
+        let mut slack: Vec<Vec<f64>> = (0..m)
+            .map(|r| {
+                let mut v = vec![0.0; n];
+                deadline_slack(inst, schedule, r, &mut v);
+                v
+            })
+            .collect();
+        let mut iterations = 0usize;
+        let mut accuracy_gain = 0.0f64;
+        let mut converged = false;
+        while iterations < max_iters {
+            let mut best_grow: Option<(usize, usize, f64, f64, f64)> = None;
+            for j in 0..n {
+                let Some((gslope, room_flops)) = grow_info(&inst.task(j).accuracy, flops[j]) else {
+                    continue;
+                };
+                for r in 0..m {
+                    if slack[r][j] <= crate::EPS_TIME {
+                        continue;
+                    }
+                    let psi = gslope * eff[r];
+                    if best_grow.is_none_or(|(_, _, p, _, _)| psi > p) {
+                        best_grow = Some((j, r, psi, gslope, room_flops));
+                    }
+                }
+            }
+            let Some((gj, gr, gpsi, _gslope, groom_flops)) = best_grow else {
+                converged = true;
+                break;
+            };
+            let slack_energy = (budget - energy_used).max(0.0);
+            let mut best_shrink: Option<(usize, usize, f64, f64)> = None;
+            for j in 0..n {
+                let Some((lslope, drain_flops)) = shrink_info(&inst.task(j).accuracy, flops[j])
+                else {
+                    continue;
+                };
+                for r in 0..m {
+                    let t = schedule.t(j, r);
+                    if t <= crate::EPS_TIME || (j == gj && r == gr) {
+                        continue;
+                    }
+                    let psi = lslope * eff[r];
+                    let room_energy = (t * power[r]).min(drain_flops / eff[r]);
+                    if room_energy <= min_transfer {
+                        continue;
+                    }
+                    if best_shrink.is_none_or(|(_, _, p, _)| psi < p) {
+                        best_shrink = Some((j, r, psi, room_energy));
+                    }
+                }
+            }
+            let psi_eps = 1e-9 * (1.0 + gpsi.abs());
+            let use_slack_source =
+                slack_energy > min_transfer && best_shrink.is_none_or(|(_, _, p, _)| p >= 0.0);
+            let (source_psi, source_energy, source) = if use_slack_source {
+                (0.0, slack_energy, None)
+            } else if let Some((sj, sr, spsi, sroom)) = best_shrink {
+                (spsi, sroom, Some((sj, sr)))
+            } else {
+                converged = true;
+                break;
+            };
+            if gpsi <= source_psi + psi_eps && !(source.is_none() && gpsi > psi_eps) {
+                converged = true;
+                break;
+            }
+            let grow_energy_cap = (slack[gr][gj] * power[gr]).min(groom_flops / eff[gr]);
+            let delta_e = grow_energy_cap.min(source_energy);
+            if delta_e <= min_transfer {
+                converged = true;
+                break;
+            }
+            let dt_grow = delta_e / power[gr];
+            let df_grow = delta_e * eff[gr];
+            let acc_before_g = inst.task(gj).accuracy.eval(flops[gj]);
+            *schedule.t_mut(gj, gr) += dt_grow;
+            flops[gj] = (flops[gj] + df_grow).min(inst.task(gj).f_max());
+            accuracy_gain += inst.task(gj).accuracy.eval(flops[gj]) - acc_before_g;
+            energy_used += delta_e;
+            deadline_slack(inst, schedule, gr, &mut slack[gr]);
+            if let Some((sj, sr)) = source {
+                let dt_shrink = delta_e / power[sr];
+                let df_shrink = delta_e * eff[sr];
+                let acc_before_s = inst.task(sj).accuracy.eval(flops[sj]);
+                let t = schedule.t_mut(sj, sr);
+                *t = (*t - dt_shrink).max(0.0);
+                flops[sj] = (flops[sj] - df_shrink).max(0.0);
+                accuracy_gain += inst.task(sj).accuracy.eval(flops[sj]) - acc_before_s;
+                energy_used -= delta_e;
+                deadline_slack(inst, schedule, sr, &mut slack[sr]);
+            }
+            iterations += 1;
+        }
+        RefineOutcome {
+            iterations,
+            accuracy_gain,
+            converged,
+        }
+    }
+
+    /// The paper's generator in miniature (θ ~ U(0.1, 1.0), five-segment
+    /// curves, machines from the paper's ranges) at work ratio `rho` and
+    /// budget ratio `beta`.
+    fn seeded(n: usize, m: usize, seed: u64, rho: f64, beta: f64) -> Instance {
+        use dsct_accuracy::fit::BreakpointSpacing;
+        use dsct_accuracy::ExponentialAccuracy;
+        use dsct_machines::gen::MachineSampler;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let park = MachineSampler::PAPER.sample_park(&mut rng, m);
+        let accs: Vec<PwlAccuracy> = (0..n)
+            .map(|_| {
+                ExponentialAccuracy::paper_defaults_with(rng.gen_range(0.1..=1.0), 1e-3, 0.82)
+                    .and_then(|e| e.to_pwl_theta_normalized(5, BreakpointSpacing::Geometric))
+                    .unwrap()
+            })
+            .collect();
+        let d_max = rho * accs.iter().map(|a| a.f_max()).sum::<f64>() / park.total_speed();
+        let mut deadlines: Vec<f64> = (0..n)
+            .map(|_| rng.gen_range(0.0..1.0f64).max(1e-6) * d_max)
+            .collect();
+        deadlines.sort_by(f64::total_cmp);
+        *deadlines.last_mut().unwrap() = d_max;
+        let budget = beta * d_max * park.total_power();
+        let tasks = deadlines
+            .into_iter()
+            .zip(accs)
+            .map(|(d, a)| Task::new(d, a));
+        Instance::new(tasks.collect(), park, budget).unwrap()
+    }
+
+    /// The cached-frontier pass makes the rescanning pass's transfers, bit
+    /// for bit: every processing time, every task's work and the iteration
+    /// count agree, from the naive solution of each seeded instance.
+    #[test]
+    fn cached_frontiers_replay_the_rescanning_pass() {
+        let mut slack_drawn = 0;
+        let mut transfers = 0;
+        for seed in 0..24 {
+            let (rho, beta) = [(0.35, 0.5), (0.1, 0.8), (0.6, 0.3)][seed as usize % 3];
+            let inst = seeded(30, 5, seed, rho, beta);
+            let naive = compute_naive_solution(&inst, &naive_profile(&inst));
+            let (mut cached, mut cached_flops) = (naive.schedule.clone(), naive.flops.clone());
+            let (mut rescan, mut rescan_flops) = (naive.schedule.clone(), naive.flops.clone());
+            let a = refine_profile(&inst, &mut cached, &mut cached_flops);
+            let b = refine_rescan(&inst, &mut rescan, &mut rescan_flops);
+            assert_eq!(a.iterations, b.iterations, "seed {seed}");
+            assert_eq!(a.converged, b.converged, "seed {seed}");
+            assert_eq!(
+                a.accuracy_gain.to_bits(),
+                b.accuracy_gain.to_bits(),
+                "seed {seed}"
+            );
+            for j in 0..inst.num_tasks() {
+                assert_eq!(
+                    cached_flops[j].to_bits(),
+                    rescan_flops[j].to_bits(),
+                    "seed {seed} task {j}"
+                );
+                for r in 0..inst.num_machines() {
+                    assert_eq!(
+                        cached.t(j, r).to_bits(),
+                        rescan.t(j, r).to_bits(),
+                        "seed {seed} t({j}, {r})"
+                    );
+                }
+            }
+            transfers += a.iterations;
+            slack_drawn += usize::from(cached.energy(&inst) > naive.schedule.energy(&inst) + 1e-9);
+        }
+        assert!(transfers >= 50, "{transfers} transfers");
+        assert!(slack_drawn > 0, "no instance drew on the slack source");
     }
 
     #[test]

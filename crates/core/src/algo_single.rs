@@ -39,6 +39,10 @@ pub struct SingleMachineSolution {
 /// `deadlines` must be non-decreasing; `segments` lists the linear segments
 /// of every task's accuracy function (any order; they are sorted here).
 ///
+/// Solves run the same walk over their evaluator's lanes
+/// ([`crate::algo_naive::NaiveSolver::flops_under_with`]); this AoS form,
+/// with its per-segment work, is the reference the tests hold them to.
+///
 /// # Panics
 /// Panics when deadlines are not sorted non-decreasingly or a segment
 /// references a task out of range — both are caller bugs.

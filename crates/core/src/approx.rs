@@ -18,8 +18,8 @@
 //! finish the full model in less than the fractional total time), and the
 //! load accumulator update the listing omits is restored.
 
-use crate::algo_naive::ValueFnWorkspace;
-use crate::fr_opt::{solve_fr_opt_with, FrOptOptions, FrSolution};
+use crate::algo_naive::{NaiveSolver, ValueFnWorkspace};
+use crate::fr_opt::{solve_fr_opt_in, FrOptOptions, FrSolution};
 use crate::problem::Instance;
 use crate::schedule::FractionalSchedule;
 use crate::EPS_TIME;
@@ -54,7 +54,21 @@ pub(crate) fn solve_approx_with(
     opts: &ApproxOptions,
     ws: &mut ValueFnWorkspace,
 ) -> ApproxSolution {
-    let fractional = solve_fr_opt_with(inst, &opts.fr, ws);
+    let solver = NaiveSolver::new_in(inst, &mut ws.arena);
+    let solution = solve_approx_in(&solver, inst, opts, ws);
+    solver.recycle(&mut ws.arena);
+    solution
+}
+
+/// [`solve_approx_with`] on the caller's evaluator, built for `inst`
+/// (see [`crate::fr_opt`]'s `solve_fr_opt_in`).
+pub(crate) fn solve_approx_in(
+    solver: &NaiveSolver,
+    inst: &Instance,
+    opts: &ApproxOptions,
+    ws: &mut ValueFnWorkspace,
+) -> ApproxSolution {
+    let fractional = solve_fr_opt_in(solver, inst, &opts.fr, ws);
     let schedule = assign_from_fractional(inst, &fractional);
     finish(inst, fractional, schedule)
 }

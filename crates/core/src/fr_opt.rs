@@ -2,17 +2,20 @@
 //! solver for the fractional relaxation DSCT-EA-FR with piecewise-linear
 //! accuracy functions.
 //!
-//! Composition of [`crate::algo_naive::compute_naive_solution`] (optimal
-//! solution for the naive energy profile) and
+//! Composition of Algorithm 2 (optimal solution for the naive energy
+//! profile, [`crate::algo_naive::NaiveSolver::solution_under`]) and
 //! [`crate::algo_refine::refine_profile`] (energy transfers to a KKT
 //! point). Runs in `O(n² m²)` time up to the refinement's convergence
-//! constant.
+//! constant. A cold solve builds its [`NaiveSolver`] once: the naive
+//! stage, the profile search and its finisher all run on it.
 
-use crate::algo_naive::{compute_naive_solution, ValueFnWorkspace};
+use crate::algo_naive::{NaiveSolver, ValueFnWorkspace};
 use crate::algo_refine::refine_profile;
 use crate::problem::Instance;
 use crate::profile::{naive_profile, EnergyProfile};
-use crate::profile_search::{profile_search_with, ProfileSearchOptions, ProfileSearchOutcome};
+use crate::profile_search::{
+    profile_search_in, profile_search_with, ProfileSearchOptions, ProfileSearchOutcome,
+};
 use crate::schedule::FractionalSchedule;
 
 /// Options for the fractional solver.
@@ -66,8 +69,22 @@ pub(crate) fn solve_fr_opt_with(
     opts: &FrOptOptions,
     ws: &mut ValueFnWorkspace,
 ) -> FrSolution {
+    let solver = NaiveSolver::new_in(inst, &mut ws.arena);
+    let solution = solve_fr_opt_in(&solver, inst, opts, ws);
+    solver.recycle(&mut ws.arena);
+    solution
+}
+
+/// [`solve_fr_opt_with`] on the caller's evaluator, built for `inst` —
+/// the replanner keeps it past the solve as its membership anchor.
+pub(crate) fn solve_fr_opt_in(
+    solver: &NaiveSolver,
+    inst: &Instance,
+    opts: &FrOptOptions,
+    ws: &mut ValueFnWorkspace,
+) -> FrSolution {
     let naive = naive_profile(inst);
-    let base = compute_naive_solution(inst, &naive);
+    let base = solver.solution_under(ws, &naive);
     let mut schedule = base.schedule;
     let mut flops = base.flops;
     let mut refine_iterations = 0;
@@ -85,7 +102,7 @@ pub(crate) fn solve_fr_opt_with(
                 .collect(),
         );
         let before = schedule.total_accuracy(inst);
-        let (_, refined, outcome) = profile_search_with(inst, &start, &opts.search, ws);
+        let (_, refined, outcome) = profile_search_in(solver, inst, &start, &opts.search, ws);
         refine_iterations += outcome.transfers;
         search = Some(outcome);
         if refined.schedule.total_accuracy(inst) >= before {

@@ -72,23 +72,22 @@ impl EnergyProfile {
 }
 
 /// Fills `out` with the temporary deadlines of Algorithm 2 for raw caps:
-/// `out[j] = Σ_r min(caps[r], d_j) · s_r` (GFLOP on a unit-speed machine),
-/// clamped to be non-decreasing — summation can otherwise break the
-/// monotonicity Algorithm 1 requires by a few ulps.
+/// `out[j] = Σ_r min(caps[r], d_j) · s_r` (GFLOP on a unit-speed machine)
+/// for task deadlines `deadlines` and machine speeds `speeds`, clamped to
+/// be non-decreasing — summation can otherwise break the monotonicity
+/// Algorithm 1 requires by a few ulps.
 ///
 /// This is the cold (per-call `O(n·m)`) transformation; the profile
 /// search's hot path computes the same quantity from reusable
 /// prefix-capacity vectors in [`crate::algo_naive::ValueFnWorkspace`].
-pub fn temp_deadlines_into(inst: &Instance, caps: &[f64], out: &mut Vec<f64>) {
-    let machines = inst.machines();
-    debug_assert_eq!(caps.len(), machines.len(), "profile/machine count mismatch");
+pub fn temp_deadlines_into(deadlines: &[f64], speeds: &[f64], caps: &[f64], out: &mut Vec<f64>) {
+    debug_assert_eq!(caps.len(), speeds.len(), "profile/machine count mismatch");
     out.clear();
     let mut prev = 0.0f64;
-    for task in inst.tasks() {
-        let d = task.deadline;
+    for &d in deadlines {
         let mut cap = 0.0;
         for (r, &p) in caps.iter().enumerate() {
-            cap += p.min(d) * machines[r].speed();
+            cap += p.min(d) * speeds[r];
         }
         if cap < prev {
             cap = prev;

@@ -104,8 +104,7 @@
 //! range the gate itself reasons about.
 
 use crate::algo_naive::{
-    compute_naive_solution, NaiveSolution, NaiveSolver, PriceBlocks, ProbeStats, ValueCheckpoint,
-    ValueFnWorkspace,
+    NaiveSolution, NaiveSolver, PriceBlocks, ProbeStats, ValueCheckpoint, ValueFnWorkspace,
 };
 use crate::problem::Instance;
 use crate::profile::EnergyProfile;
@@ -260,10 +259,11 @@ struct LineSearch {
 
 /// The search's evaluator and its incumbent: the caps, their value, and
 /// the [`ValueCheckpoint`] anchored at them that every probe runs
-/// against. The workspace is borrowed so callers (worker threads of the
-/// experiment engine) reuse its buffers across many solves.
-struct Ascent<'a, 'w> {
-    solver: NaiveSolver<'a>,
+/// against. The evaluator is the solve's, borrowed; the workspace is
+/// borrowed so callers (worker threads of the experiment engine) reuse
+/// its buffers across many solves.
+struct Ascent<'s, 'w> {
+    solver: &'s NaiveSolver,
     ws: &'w mut ValueFnWorkspace,
     chk: ValueCheckpoint,
     /// Incumbent caps; `chk` is anchored here between accepted transfers.
@@ -297,18 +297,18 @@ struct Gate {
     open: bool,
 }
 
-impl<'a, 'w> Ascent<'a, 'w> {
-    /// Anchors the search at `caps` (`power` by machine index), with the
-    /// solver, checkpoint and price buffers drawn from the workspace's
-    /// arena.
+impl<'s, 'w> Ascent<'s, 'w> {
+    /// Anchors the search at `caps` (`power` by machine index) on
+    /// `solver`, built for `inst`, with the checkpoint and price buffers
+    /// drawn from the workspace's arena.
     fn anchored(
-        inst: &'a Instance,
+        solver: &'s NaiveSolver,
+        inst: &Instance,
         caps: Vec<f64>,
         power: Vec<f64>,
         opts: &ProfileSearchOptions,
         ws: &'w mut ValueFnWorkspace,
     ) -> Self {
-        let solver = NaiveSolver::new_in(inst, &mut ws.arena);
         let mut chk = ValueCheckpoint::new_in(&mut ws.arena);
         let prices = PriceBlocks::new_in(&mut ws.arena);
         let probe_caps = ws.arena.take_f64();
@@ -733,10 +733,25 @@ pub fn profile_search_with(
     opts: &ProfileSearchOptions,
     ws: &mut ValueFnWorkspace,
 ) -> (EnergyProfile, NaiveSolution, ProfileSearchOutcome) {
-    let (state, solver) = descend(inst, start, opts, ws);
+    let solver = NaiveSolver::new_in(inst, &mut ws.arena);
+    let found = profile_search_in(&solver, inst, start, opts, ws);
     solver.recycle(&mut ws.arena);
+    found
+}
+
+/// [`profile_search_with`] on the caller's evaluator, built for `inst`:
+/// the descent probes through it and [`NaiveSolver::solution_under`]
+/// materializes the refined profile's schedule on it.
+pub(crate) fn profile_search_in(
+    solver: &NaiveSolver,
+    inst: &Instance,
+    start: &EnergyProfile,
+    opts: &ProfileSearchOptions,
+    ws: &mut ValueFnWorkspace,
+) -> (EnergyProfile, NaiveSolution, ProfileSearchOutcome) {
+    let state = descend(solver, inst, start, opts, ws);
     let profile = EnergyProfile::new(state.caps);
-    let solution = compute_naive_solution(inst, &profile);
+    let solution = solver.solution_under(ws, &profile);
     (profile, solution, state.outcome)
 }
 
@@ -749,7 +764,7 @@ pub struct ValueSearchResult {
     /// The refined (budget-feasible) energy profile.
     pub profile: EnergyProfile,
     /// Per-task pooled flops under the refined profile — bit-identical to
-    /// the stage-1 flops [`compute_naive_solution`] assigns before
+    /// the stage-1 flops [`NaiveSolver::solution_under`] assigns before
     /// waterfilling them across machines.
     pub flops: Vec<f64>,
     /// `Σ_j A_j(flops[j])`, summed in task order: the fractional total
@@ -771,7 +786,8 @@ pub fn profile_search_value_with(
     opts: &ProfileSearchOptions,
     ws: &mut ValueFnWorkspace,
 ) -> ValueSearchResult {
-    let (state, solver) = descend(inst, start, opts, ws);
+    let solver = NaiveSolver::new_in(inst, &mut ws.arena);
+    let state = descend(&solver, inst, start, opts, ws);
     let profile = EnergyProfile::new(state.caps);
     let flops = solver.flops_under_with(ws, profile.caps());
     // Flat segment index instead of per-task binary searches — same bits
@@ -796,17 +812,17 @@ struct DescentState {
     outcome: ProfileSearchOutcome,
 }
 
-/// The shared ascent loop behind [`profile_search_with`] and
+/// The shared ascent loop behind [`profile_search_in`] and
 /// [`profile_search_value_with`]: slack absorption, gated pairwise
-/// sweeps, triple polish at stalls. Also returns the solver (holding the
-/// instance's sorted segment order) so finishers can materialize whatever
-/// they need without rebuilding it.
-fn descend<'a>(
-    inst: &'a Instance,
+/// sweeps, triple polish at stalls, probing through `solver` (built for
+/// `inst`), which the finishers then materialize through.
+fn descend(
+    solver: &NaiveSolver,
+    inst: &Instance,
     start: &EnergyProfile,
     opts: &ProfileSearchOptions,
     ws: &mut ValueFnWorkspace,
-) -> (DescentState, NaiveSolver<'a>) {
+) -> DescentState {
     let stats_before = ws.stats;
     let m = inst.num_machines();
     let d_max = inst.d_max();
@@ -835,7 +851,7 @@ fn descend<'a>(
         }
     }
 
-    let mut ascent = Ascent::anchored(inst, caps, power, opts, ws);
+    let mut ascent = Ascent::anchored(solver, inst, caps, power, opts, ws);
     let mut sweeps = 0usize;
     let mut converged = false;
 
@@ -860,10 +876,9 @@ fn descend<'a>(
         }
     }
 
-    // Return every pooled buffer; the solver outlives the descent (the
-    // finishers materialize through it) and is recycled by them.
+    // Return every pooled buffer but the solver's: it belongs to the
+    // caller, whose finisher materializes through it.
     let Ascent {
-        solver,
         ws,
         chk,
         caps,
@@ -883,23 +898,21 @@ fn descend<'a>(
     }
     ws.arena.put_f64(power);
     ws.arena.put_f64(probe_caps);
-    (
-        DescentState {
-            caps,
-            outcome: ProfileSearchOutcome {
-                sweeps,
-                transfers,
-                converged,
-                probe_stats: ws.stats.since(stats_before),
-            },
+    DescentState {
+        caps,
+        outcome: ProfileSearchOutcome {
+            sweeps,
+            transfers,
+            converged,
+            probe_stats: ws.stats.since(stats_before),
         },
-        solver,
-    )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo_naive::compute_naive_solution;
     use crate::problem::Task;
     use crate::profile::naive_profile;
     use crate::schedule::ScheduleKind;
@@ -1017,7 +1030,15 @@ mod tests {
         assert!(out.converged);
         let power: Vec<f64> = (0..3).map(|r| inst.machines()[r].power()).collect();
         let mut ws = ValueFnWorkspace::new();
-        let mut ascent = Ascent::anchored(&inst, refined.caps().to_vec(), power, &opts, &mut ws);
+        let solver = NaiveSolver::new(&inst);
+        let mut ascent = Ascent::anchored(
+            &solver,
+            &inst,
+            refined.caps().to_vec(),
+            power,
+            &opts,
+            &mut ws,
+        );
         let pairs: Vec<[(usize, f64); 2]> = (0..3)
             .flat_map(|from| (0..3).map(move |to| [(from, -1.0), (to, 1.0)]))
             .filter(|dir| dir[0].0 != dir[1].0)
@@ -1095,15 +1116,17 @@ mod tests {
         Instance::new(tasks.collect(), park, budget).unwrap()
     }
 
-    fn ascent_at<'a, 'w>(
-        inst: &'a Instance,
+    fn ascent_at<'s, 'w>(
+        solver: &'s NaiveSolver,
+        inst: &Instance,
         caps: &[f64],
         ws: &'w mut ValueFnWorkspace,
-    ) -> Ascent<'a, 'w> {
+    ) -> Ascent<'s, 'w> {
         let power = (0..inst.num_machines())
             .map(|r| inst.machines()[r].power())
             .collect();
         Ascent::anchored(
+            solver,
             inst,
             caps.to_vec(),
             power,
@@ -1167,8 +1190,9 @@ mod tests {
         for (n, m, seeds) in [(40usize, 6usize, 0..4u64), (100, 10, 10..13)] {
             for seed in seeds {
                 let inst = paper_like(n, m, seed);
+                let solver = NaiveSolver::new(&inst);
                 let mut ws = ValueFnWorkspace::new();
-                let mut ascent = ascent_at(&inst, naive_profile(&inst).caps(), &mut ws);
+                let mut ascent = ascent_at(&solver, &inst, naive_profile(&inst).caps(), &mut ws);
                 for round in 0..3 {
                     for from in 0..m {
                         for to in
@@ -1228,8 +1252,9 @@ mod tests {
         let caps = [5.0, 2.0];
         let tasks = vec![Task::new(10.0, acc(&[(0.0, 0.0), (100.0, 0.9)]))];
         let inst = two_machines(tasks, caps);
+        let solver = NaiveSolver::new(&inst);
         let mut ws = ValueFnWorkspace::new();
-        let mut ascent = ascent_at(&inst, &caps, &mut ws);
+        let mut ascent = ascent_at(&solver, &inst, &caps, &mut ws);
         let (found, dm, spent) = search(&mut ascent, &TO_M1);
         assert_eq!(spent, 0);
         assert_eq!((found.delta, found.value), (0.0, ascent.current));
@@ -1243,8 +1268,9 @@ mod tests {
         let caps = [5.0, 2.0];
         let tasks = vec![Task::new(10.0, acc(&[(0.0, 0.0), (1e6, 0.9)]))];
         let inst = two_machines(tasks, caps);
+        let solver = NaiveSolver::new(&inst);
         let mut ws = ValueFnWorkspace::new();
-        let mut ascent = ascent_at(&inst, &caps, &mut ws);
+        let mut ascent = ascent_at(&solver, &inst, &caps, &mut ws);
         let (found, dm, _) = search(&mut ascent, &TO_M1);
         assert_eq!(dm, 80.0, "m1 reaches the horizon first");
         assert_eq!(found.delta.to_bits(), dm.to_bits());
@@ -1262,8 +1288,9 @@ mod tests {
         let caps = [5.0, 2.0];
         let tasks = vec![Task::new(10.0, acc(&[(0.0, 0.0), (1e6, 0.9)]))];
         let inst = two_machines(tasks, caps);
+        let solver = NaiveSolver::new(&inst);
         let mut ws = ValueFnWorkspace::new();
-        let mut ascent = ascent_at(&inst, &caps, &mut ws);
+        let mut ascent = ascent_at(&solver, &inst, &caps, &mut ws);
         let dm = ascent.step_limit(&TO_M1).expect("the ray has room");
         ascent.assert_closed(&TO_M1, 1e-3 * dm, dm, None);
     }
@@ -1271,8 +1298,9 @@ mod tests {
     #[test]
     fn a_kink_inside_the_gate_step_is_found() {
         let (inst, caps) = kinked(1e-4);
+        let solver = NaiveSolver::new(&inst);
         let mut ws = ValueFnWorkspace::new();
-        let mut ascent = ascent_at(&inst, &caps, &mut ws);
+        let mut ascent = ascent_at(&solver, &inst, &caps, &mut ws);
         let (found, dm, _) = search(&mut ascent, &TO_M1);
         let kink = 1e-3;
         assert!(kink < 1e-3 * dm, "the kink lies inside (0, ε)");
@@ -1298,8 +1326,9 @@ mod tests {
             Task::new(10.0, acc(&[(0.0, 0.0), (1e6, 0.5)])),
         ];
         let inst = two_machines(tasks, caps);
+        let solver = NaiveSolver::new(&inst);
         let mut ws = ValueFnWorkspace::new();
-        let mut ascent = ascent_at(&inst, &caps, &mut ws);
+        let mut ascent = ascent_at(&solver, &inst, &caps, &mut ws);
         let (found, dm, _) = search(&mut ascent, &TO_M1);
         let kink = (10.0 - 4e-9 - caps[1]) * 10.0;
         assert!(dm - kink <= 1e-9 * dm);
@@ -1319,11 +1348,12 @@ mod tests {
     #[test]
     fn an_uncertifiable_anchor_searches_from_the_gate_chord() {
         let inst = paper_like(40, 6, 7);
+        let solver = NaiveSolver::new(&inst);
         let mut ws = ValueFnWorkspace::new();
         let mut priced = ValueFnWorkspace::new();
         let caps = naive_profile(&inst).caps().to_vec();
-        let mut ascent = ascent_at(&inst, &caps, &mut ws);
-        let mut reference_ascent = ascent_at(&inst, &caps, &mut priced);
+        let mut ascent = ascent_at(&solver, &inst, &caps, &mut ws);
+        let mut reference_ascent = ascent_at(&solver, &inst, &caps, &mut priced);
         ascent.prices = PriceBlocks::new();
         ascent.prices_stale = false;
         let mut moved = 0;
@@ -1352,8 +1382,9 @@ mod tests {
     #[test]
     fn a_search_under_the_bar_stops_at_the_probe_that_proves_it() {
         let (inst, caps) = kinked(1e-10);
+        let solver = NaiveSolver::new(&inst);
         let mut ws = ValueFnWorkspace::new();
-        let mut ascent = ascent_at(&inst, &caps, &mut ws);
+        let mut ascent = ascent_at(&solver, &inst, &caps, &mut ws);
         let from_m1 = [(1, -1.0), (0, 1.0)];
         let (found, _, spent) = search(&mut ascent, &from_m1);
         assert_eq!(spent, 0, "the anchor's line falls");

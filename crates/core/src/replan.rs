@@ -26,6 +26,20 @@
 //! would never repeat (a traced overload run read 0 hits in 5,920
 //! lookups) and a store would only cost a clone per solve.
 //!
+//! # One evaluator per cold solve
+//!
+//! The membership anchor is the [`NaiveSolver`] of the solve that made
+//! the incumbent, not a copy of its instance: an `Incremental` full solve
+//! ([`Replanner::solve_keeping`]) builds the evaluator once, runs the
+//! naive stage, the descent and the finisher on it, and hands it back as
+//! a [`SolvedEvaluator`]; [`Replanner::anchor_solved`] checkpoints the
+//! adopted caps on it, and every insertion/removal probe then runs on the
+//! anchor's evaluator with no rebuild and no sort. The pairing is by
+//! construction — only a solve mints the token, for the instance it
+//! solved — so no anchor compares instances. [`Replanner::anchor`], for
+//! an instance nobody solved, builds a fresh evaluator. `Cold` and
+//! `WarmStart` never anchor, so their solves keep nothing.
+//!
 //! # Delta validity and fallback
 //!
 //! The insertion/removal bounds are exact values of the extended/reduced
@@ -104,16 +118,24 @@ impl ReplanStats {
     }
 }
 
-/// The incumbent membership anchor for checkpoint deltas: an owned copy
+/// The incumbent membership anchor for checkpoint deltas: the evaluator
 /// of the pool's residual instance plus a [`ValueCheckpoint`] of its
-/// value at the incumbent caps. Owning the instance keeps the anchor
-/// valid after the service mutates its pool; the borrowing
-/// [`NaiveSolver`] is rebuilt per probe.
+/// value at the incumbent caps. The evaluator owns copies of everything
+/// it reads, so the anchor stays valid after the service mutates its
+/// pool, and every probe runs on it without a rebuild.
 #[derive(Debug, Clone)]
 struct DeltaAnchor {
-    inst: Instance,
+    solver: NaiveSolver,
     chk: ValueCheckpoint,
 }
+
+/// The evaluator a full solve built for its instance, handed back by
+/// [`Replanner::solve_keeping`] so [`Replanner::anchor_solved`] can anchor
+/// that instance without building another. Only an
+/// [`ReplanStrategy::Incremental`] solve keeps one (the other strategies
+/// never anchor); the token is empty otherwise.
+#[derive(Debug)]
+pub struct SolvedEvaluator(Option<NaiveSolver>);
 
 /// The unified re-solve engine: owns the [`ApproxSolver`], the reusable
 /// [`SolverContext`], the strategy, and the incumbent delta anchor.
@@ -162,17 +184,47 @@ impl Replanner {
     /// adopted plans are bit-identical to [`ReplanStrategy::Cold`]'s —
     /// the byte-identity contract of the online digests.
     pub fn solve(&mut self, inst: &Instance, warm: Option<&EnergyProfile>) -> ApproxSolution {
+        let (approx, evaluator) = self.solve_keeping(inst, warm);
+        self.release(evaluator);
+        approx
+    }
+
+    /// [`Replanner::solve`], also handing back the evaluator the solve
+    /// ran on. Give it to [`Replanner::anchor_solved`] to anchor `inst`,
+    /// or to [`Replanner::release`] when the plan is not adopted.
+    pub fn solve_keeping(
+        &mut self,
+        inst: &Instance,
+        warm: Option<&EnergyProfile>,
+    ) -> (ApproxSolution, SolvedEvaluator) {
         self.stats.requests += 1;
         match (self.strategy, warm) {
             (ReplanStrategy::WarmStart, Some(profile)) => {
                 self.stats.warm_solves += 1;
-                self.solver
-                    .solve_typed_warm_with(inst, &mut self.ctx, profile)
+                let approx = self
+                    .solver
+                    .solve_typed_warm_with(inst, &mut self.ctx, profile);
+                (approx, SolvedEvaluator(None))
+            }
+            (ReplanStrategy::Incremental, _) => {
+                self.stats.cold_solves += 1;
+                let ws = self.ctx.workspace();
+                let solver = NaiveSolver::new_in(inst, ws.arena_mut());
+                let approx = crate::approx::solve_approx_in(&solver, inst, &self.solver.opts, ws);
+                (approx, SolvedEvaluator(Some(solver)))
             }
             _ => {
                 self.stats.cold_solves += 1;
-                self.solver.solve_typed_with(inst, &mut self.ctx)
+                let approx = self.solver.solve_typed_with(inst, &mut self.ctx);
+                (approx, SolvedEvaluator(None))
             }
+        }
+    }
+
+    /// Returns an unanchored solve's evaluator to the context's arena.
+    pub fn release(&mut self, evaluator: SolvedEvaluator) {
+        if let Some(solver) = evaluator.0 {
+            solver.recycle(self.ctx.workspace().arena_mut());
         }
     }
 
@@ -208,32 +260,45 @@ impl Replanner {
         }
     }
 
-    /// Anchors the membership-delta checkpoint on the incumbent pool's
-    /// residual instance at `caps` (the incumbent's realized profile).
-    /// Call after every adoption/refresh; any shape mismatch or
-    /// non-finite cap silently clears the anchor instead, so later
-    /// probes fall back to the full solve.
+    /// Anchors the membership-delta checkpoint on an instance no solve
+    /// handed back an evaluator for, at `caps`: builds a fresh one (see
+    /// [`Replanner::anchor_solved`]).
     pub fn anchor(&mut self, inst: &Instance, caps: &[f64]) {
-        if self.strategy != ReplanStrategy::Incremental
-            || caps.len() != inst.num_machines()
-            || caps.iter().any(|c| !c.is_finite())
-        {
-            self.anchor = None;
+        let evaluator = (self.strategy == ReplanStrategy::Incremental)
+            .then(|| NaiveSolver::new_in(inst, self.ctx.workspace().arena_mut()));
+        self.anchor_solved(SolvedEvaluator(evaluator), caps);
+    }
+
+    /// Anchors the membership-delta checkpoint on the instance
+    /// `evaluator`'s solve ran on, at `caps` (the incumbent's realized
+    /// profile), keeping the evaluator for every probe until the next
+    /// anchor. Call after every adoption/refresh; any shape mismatch or
+    /// non-finite cap silently clears the anchor instead, so later probes
+    /// fall back to the full solve.
+    pub fn anchor_solved(&mut self, evaluator: SolvedEvaluator, caps: &[f64]) {
+        self.clear_anchor();
+        let Some(solver) = evaluator.0 else {
+            return;
+        };
+        let ws = self.ctx.workspace();
+        if caps.len() != solver.speeds().len() || caps.iter().any(|c| !c.is_finite()) {
+            solver.recycle(ws.arena_mut());
             return;
         }
-        let owned = inst.clone();
-        let mut chk = ValueCheckpoint::new();
-        let ws = self.ctx.workspace();
-        let solver = NaiveSolver::new_in(&owned, ws.arena_mut());
+        let mut chk = ValueCheckpoint::new_in(ws.arena_mut());
         solver.checkpoint_into(ws, caps, &mut chk);
-        solver.recycle(self.ctx.workspace().arena_mut());
-        self.anchor = Some(DeltaAnchor { inst: owned, chk });
+        self.anchor = Some(DeltaAnchor { solver, chk });
     }
 
     /// Drops the membership anchor (the incumbent changed in a way the
-    /// caller cannot re-anchor from).
+    /// caller cannot re-anchor from), returning its buffers to the
+    /// context's arena.
     pub fn clear_anchor(&mut self) {
-        self.anchor = None;
+        if let Some(DeltaAnchor { solver, chk }) = self.anchor.take() {
+            let arena = self.ctx.workspace().arena_mut();
+            solver.recycle(arena);
+            chk.recycle(arena);
+        }
     }
 
     /// Whether a membership anchor is currently held.
@@ -243,16 +308,15 @@ impl Replanner {
 
     /// Exact value of the anchored pool **plus** `extra`, at the
     /// anchored incumbent caps: a lower bound on the re-optimized
-    /// tentative value, computed as a checkpoint insertion delta without
-    /// any descent. `None` when the anchor cannot support the delta —
-    /// the caller must run the full evaluation then (bit-exact
-    /// fallback).
+    /// tentative value, computed as a checkpoint insertion delta on the
+    /// anchor's evaluator without any descent. `None` when the anchor
+    /// cannot support the delta — the caller must run the full
+    /// evaluation then (bit-exact fallback).
     pub fn insert_value_bound(&mut self, extra: &Task) -> Option<f64> {
         let anchor = self.anchor.as_ref()?;
-        let ws = self.ctx.workspace();
-        let solver = NaiveSolver::new_in(&anchor.inst, ws.arena_mut());
-        let bound = solver.value_insert_delta(ws, &anchor.chk, extra);
-        solver.recycle(self.ctx.workspace().arena_mut());
+        let bound = anchor
+            .solver
+            .value_insert_delta(self.ctx.workspace(), &anchor.chk, extra);
         match bound {
             Some(_) => self.stats.delta_bounds += 1,
             None => self.stats.fallbacks += 1,
@@ -265,10 +329,9 @@ impl Replanner {
     /// twin of [`Replanner::insert_value_bound`].
     pub fn remove_value_bound(&mut self, removed: usize) -> Option<f64> {
         let anchor = self.anchor.as_ref()?;
-        let ws = self.ctx.workspace();
-        let solver = NaiveSolver::new_in(&anchor.inst, ws.arena_mut());
-        let bound = solver.value_remove_delta(ws, &anchor.chk, removed);
-        solver.recycle(self.ctx.workspace().arena_mut());
+        let bound = anchor
+            .solver
+            .value_remove_delta(self.ctx.workspace(), &anchor.chk, removed);
         match bound {
             Some(_) => self.stats.delta_bounds += 1,
             None => self.stats.fallbacks += 1,
@@ -334,8 +397,8 @@ mod tests {
     fn insert_bound_lower_bounds_the_reoptimized_tentative() {
         let inst = instance(40.0);
         let mut rp = Replanner::new(ApproxSolver::new(), ReplanStrategy::Incremental);
-        let incumbent = rp.solve(&inst, None);
-        rp.anchor(&inst, &incumbent.fractional.profile);
+        let (incumbent, evaluator) = rp.solve_keeping(&inst, None);
+        rp.anchor_solved(evaluator, &incumbent.fractional.profile);
         assert!(rp.has_anchor());
 
         let extra = Task::new(0.6, acc(&[(0.0, 0.0), (400.0, 0.45)]));

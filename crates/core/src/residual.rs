@@ -47,7 +47,8 @@ pub struct ResidualInstance {
     pub expired: Vec<u64>,
 }
 
-/// Builds the residual instance of `items` at time `now`.
+/// Builds the residual instance of `items` at time `now`, moving each
+/// live item's accuracy curve into its task.
 ///
 /// Items with `deadline − now <= 0` land in
 /// [`ResidualInstance::expired`]; the rest are stably sorted by residual
@@ -57,19 +58,19 @@ pub struct ResidualInstance {
 /// to `>= 0` so a ledger overdraft (runtime jitter overshooting the
 /// plan) degrades to a zero-budget instance instead of an error.
 pub fn residual_instance(
-    items: &[ResidualItem],
+    items: Vec<ResidualItem>,
     now: f64,
     machines: &MachinePark,
     remaining_budget: f64,
 ) -> Result<Option<ResidualInstance>, ProblemError> {
     let mut expired = Vec::new();
-    let mut live: Vec<(u64, f64, &PwlAccuracy)> = Vec::with_capacity(items.len());
+    let mut live: Vec<(u64, f64, PwlAccuracy)> = Vec::with_capacity(items.len());
     for item in items {
         let residual = item.deadline - now;
         if residual <= EPS_TIME {
             expired.push(item.id);
         } else {
-            live.push((item.id, residual, &item.accuracy));
+            live.push((item.id, residual, item.accuracy));
         }
     }
     if live.is_empty() {
@@ -79,7 +80,7 @@ pub fn residual_instance(
     let task_ids: Vec<u64> = live.iter().map(|&(id, _, _)| id).collect();
     let tasks: Vec<Task> = live
         .into_iter()
-        .map(|(_, d, acc)| Task::new(d, acc.clone()))
+        .map(|(_, d, acc)| Task::new(d, acc))
         .collect();
     let instance = Instance::new(tasks, machines.clone(), remaining_budget.max(0.0))?;
     Ok(Some(ResidualInstance {
@@ -112,8 +113,8 @@ mod tests {
 
     #[test]
     fn shifts_deadlines_and_sorts_stably() {
-        let items = [item(7, 5.0), item(3, 2.0), item(9, 5.0)];
-        let r = residual_instance(&items, 1.0, &park(), 10.0)
+        let items = vec![item(7, 5.0), item(3, 2.0), item(9, 5.0)];
+        let r = residual_instance(items, 1.0, &park(), 10.0)
             .unwrap()
             .unwrap();
         // Sorted by residual deadline; the 5.0 tie keeps input order.
@@ -125,8 +126,8 @@ mod tests {
 
     #[test]
     fn expired_items_are_excluded() {
-        let items = [item(0, 0.5), item(1, 3.0)];
-        let r = residual_instance(&items, 1.0, &park(), 10.0)
+        let items = vec![item(0, 0.5), item(1, 3.0)];
+        let r = residual_instance(items, 1.0, &park(), 10.0)
             .unwrap()
             .unwrap();
         assert_eq!(r.expired, vec![0]);
@@ -135,14 +136,14 @@ mod tests {
 
     #[test]
     fn all_expired_yields_none() {
-        let items = [item(0, 0.5), item(1, 0.9)];
-        assert_eq!(residual_instance(&items, 1.0, &park(), 10.0), Ok(None));
+        let items = vec![item(0, 0.5), item(1, 0.9)];
+        assert_eq!(residual_instance(items, 1.0, &park(), 10.0), Ok(None));
     }
 
     #[test]
     fn at_time_zero_reproduces_the_offline_instance() {
-        let items = [item(0, 1.0), item(1, 2.0)];
-        let r = residual_instance(&items, 0.0, &park(), 7.0)
+        let items = vec![item(0, 1.0), item(1, 2.0)];
+        let r = residual_instance(items, 0.0, &park(), 7.0)
             .unwrap()
             .unwrap();
         let offline = Instance::new(
@@ -156,8 +157,8 @@ mod tests {
 
     #[test]
     fn negative_budget_clamps_to_zero() {
-        let items = [item(0, 2.0)];
-        let r = residual_instance(&items, 0.0, &park(), -3.0)
+        let items = vec![item(0, 2.0)];
+        let r = residual_instance(items, 0.0, &park(), -3.0)
             .unwrap()
             .unwrap();
         assert_eq!(r.instance.budget(), 0.0);

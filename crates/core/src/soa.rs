@@ -27,9 +27,11 @@
 //! machine-power lane) is taken from the owning workspace's arena and
 //! returned on recycle, so steady-state solves reuse warm capacity
 //! instead of allocating. Lifetime rule: a taken buffer must be returned
-//! to the *same* arena before the solve ends; the arena never frees while
-//! the workspace lives, so pooled capacity only grows to the
-//! high-water mark of one solve.
+//! to the *same* arena — scratch before the solve ends, an evaluator the
+//! replanner keeps as its anchor when that anchor is replaced or cleared
+//! (DESIGN.md §15.2); the arena never frees while the workspace lives, so
+//! pooled capacity only grows to the high-water mark of one solve plus
+//! one anchored evaluator.
 
 use crate::algo_single::SegmentSpec;
 use crate::problem::Instance;
@@ -220,6 +222,13 @@ impl PwlLanes {
         self.val[lo + k] + self.slope[lo - j + k] * (f - self.bp[lo + k])
     }
 
+    /// Zero-work accuracy of task `j` — bit-identical to
+    /// `inst.task(j).accuracy.a_min()`.
+    #[inline]
+    pub fn a_min(&self, j: usize) -> f64 {
+        self.val[self.off[j] as usize]
+    }
+
     /// Returns the lane buffers to `arena`.
     pub(crate) fn recycle(self, arena: &mut ScratchArena) {
         arena.put_u32(self.off);
@@ -334,6 +343,7 @@ mod tests {
                 for &f in &probes {
                     prop_assert_eq!(lanes.eval(j, f).to_bits(), acc.eval(f).to_bits());
                 }
+                prop_assert_eq!(lanes.a_min(j).to_bits(), acc.a_min().to_bits());
                 // Exactly at each breakpoint, too (segment ownership edges).
                 for &bp in acc.breakpoints() {
                     prop_assert_eq!(lanes.eval(j, bp).to_bits(), acc.eval(bp).to_bits());

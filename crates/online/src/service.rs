@@ -54,7 +54,7 @@ use dsct_accuracy::PwlAccuracy;
 use dsct_core::oracle::{self, Claims};
 use dsct_core::problem::{Instance, Task};
 use dsct_core::profile::EnergyProfile;
-use dsct_core::replan::Replanner;
+use dsct_core::replan::{Replanner, SolvedEvaluator};
 use dsct_core::residual::{residual_instance, ResidualItem};
 use dsct_core::solver::{ApproxSolver, Solution};
 use dsct_core::EPS_TIME;
@@ -1145,7 +1145,7 @@ impl OnlineService {
             self.record_unserved(task, self.now);
             return decision;
         }
-        let approx = self.solve_residual(&res, warm.as_ref());
+        let (approx, evaluator) = self.solve_residual(&res, warm.as_ref());
         self.solves += 1;
         let jc = res
             .task_ids
@@ -1162,7 +1162,7 @@ impl OnlineService {
         if decision == Decision::Admitted {
             self.pool.push(task.clone());
             self.replanner
-                .anchor(&res.instance, &approx.fractional.profile);
+                .anchor_solved(evaluator, &approx.fractional.profile);
             self.adopt(Plan {
                 time: self.now,
                 task_ids: res.task_ids,
@@ -1170,6 +1170,7 @@ impl OnlineService {
                 approx,
             });
         } else {
+            self.replanner.release(evaluator);
             self.record_unserved(task, self.now);
         }
         decision
@@ -1183,25 +1184,13 @@ impl OnlineService {
     /// counter parity across strategies is part of the digest contract.
     fn admit_and_solve(&mut self, task: &OnlineTask) -> Decision {
         self.pool.push(task.clone());
-        match self.solve_pool(None) {
-            Some((approx, res, machine_ids)) => {
-                self.replanner
-                    .anchor(&res.instance, &approx.fractional.profile);
-                self.adopt(Plan {
-                    time: self.now,
-                    task_ids: res.task_ids,
-                    machine_ids,
-                    approx,
-                });
-            }
-            // Unreachable in practice — the cheap paths only answer with
-            // a live candidate on a live sub-park — but stay safe.
-            None => {
-                self.plan = None;
-                self.plan_dirty = false;
-                self.clear_queues();
-                self.replanner.clear_anchor();
-            }
+        // Unreachable in practice — the cheap paths only answer with a
+        // live candidate on a live sub-park — but stay safe.
+        if !self.solve_and_adopt_pool() {
+            self.plan = None;
+            self.plan_dirty = false;
+            self.clear_queues();
+            self.replanner.clear_anchor();
         }
         Decision::Admitted
     }
@@ -1234,25 +1223,14 @@ impl OnlineService {
             self.replanner.clear_anchor();
             return;
         }
-        // `None` here means every machine is dead: pooled tasks can only
-        // starve, and there is nothing to plan.
-        match self.solve_pool(None) {
-            Some((approx, res, machine_ids)) => {
-                self.solves += 1;
-                self.replanner
-                    .anchor(&res.instance, &approx.fractional.profile);
-                self.adopt(Plan {
-                    time: self.now,
-                    task_ids: res.task_ids,
-                    machine_ids,
-                    approx,
-                });
-            }
-            None => {
-                self.plan = None;
-                self.clear_queues();
-                self.replanner.clear_anchor();
-            }
+        // Nothing adopted here means every machine is dead: pooled tasks
+        // can only starve, and there is nothing to plan.
+        if self.solve_and_adopt_pool() {
+            self.solves += 1;
+        } else {
+            self.plan = None;
+            self.clear_queues();
+            self.replanner.clear_anchor();
         }
     }
 
@@ -1298,6 +1276,7 @@ impl OnlineService {
         extra: Option<&OnlineTask>,
     ) -> Option<(dsct_core::residual::ResidualInstance, Vec<usize>)> {
         let (park, machine_ids) = self.alive_park()?;
+        // One clone per curve, moved into the residual's tasks.
         let mut items: Vec<ResidualItem> = self
             .pool
             .iter()
@@ -1317,48 +1296,54 @@ impl OnlineService {
         // Infallible by construction: `try_submit` rejects NaN/infinite
         // deadlines at the boundary, `purge_expired` removed non-positive
         // residuals, and the ledger clamps the remaining budget at zero.
-        let res = residual_instance(&items, self.now, &park, self.ledger.remaining())
+        let res = residual_instance(items, self.now, &park, self.ledger.remaining())
             .expect("pool tasks are validated at submission and the budget is clamped")?;
         debug_assert!(res.expired.is_empty(), "pool purged before solving");
         Some((res, machine_ids))
     }
 
     /// Runs a residual instance through the replanner's full-solve path,
-    /// enforcing the invariant oracle on the result when configured.
+    /// enforcing the invariant oracle on the result when configured. The
+    /// solve's evaluator comes back for the caller to anchor the adopted
+    /// plan on, or to release.
     fn solve_residual(
         &mut self,
         res: &dsct_core::residual::ResidualInstance,
         warm: Option<&EnergyProfile>,
-    ) -> dsct_core::approx::ApproxSolution {
-        let approx = self.replanner.solve(&res.instance, warm);
+    ) -> (dsct_core::approx::ApproxSolution, SolvedEvaluator) {
+        let (approx, evaluator) = self.replanner.solve_keeping(&res.instance, warm);
         if self.cfg.check_invariants {
             let sol = Solution::from_approx(&res.instance, approx.clone());
             oracle::enforce(&res.instance, &sol, &Claims::approx(), "online-residual");
         }
-        approx
+        (approx, evaluator)
     }
 
-    /// Solves the residual instance of the pool (plus an optional
-    /// candidate) at the current time, warm-starting when configured and
-    /// an incumbent exists. Returns `None` when there is nothing to
+    /// Solves the residual instance of the pool at the current time,
+    /// warm-starting when configured and an incumbent exists, and adopts
+    /// the result as the incumbent, anchored on the solve's evaluator.
+    /// Returns `false`, adopting nothing, when there is nothing to
     /// schedule — no live item, or no live machine.
-    fn solve_pool(
-        &mut self,
-        extra: Option<&OnlineTask>,
-    ) -> Option<(
-        dsct_core::approx::ApproxSolution,
-        dsct_core::residual::ResidualInstance,
-        Vec<usize>,
-    )> {
-        let (res, machine_ids) = self.residual_for(extra)?;
-        // `Replanner::solve` reads the hint under `WarmStart` only
+    fn solve_and_adopt_pool(&mut self) -> bool {
+        let Some((res, machine_ids)) = self.residual_for(None) else {
+            return false;
+        };
+        // `Replanner::solve_keeping` reads the hint under `WarmStart` only
         // (`Incremental` re-solves cold by contract), so only then is it
         // worth its pass over the pool.
         let warm = (self.cfg.replan == ReplanStrategy::WarmStart)
             .then(|| self.warm_hint(&machine_ids))
             .flatten();
-        let approx = self.solve_residual(&res, warm.as_ref());
-        Some((approx, res, machine_ids))
+        let (approx, evaluator) = self.solve_residual(&res, warm.as_ref());
+        self.replanner
+            .anchor_solved(evaluator, &approx.fractional.profile);
+        self.adopt(Plan {
+            time: self.now,
+            task_ids: res.task_ids,
+            machine_ids,
+            approx,
+        });
+        true
     }
 
     /// The warm-start hint: the incumbent's fractional profile summed

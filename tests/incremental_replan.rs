@@ -12,11 +12,16 @@
 //! 3. **Invalid-delta fallback** — when the cheap paths decline (a
 //!    missing/mismatched anchor, a wrong-shape warm hint), the replanner
 //!    falls back to the full solve bit-exactly.
+//! 4. **The retained evaluator** — an anchor keeps the evaluator its solve
+//!    ran on, and every insertion bound it answers is, to the bit, what an
+//!    evaluator freshly built on the anchored instance answers.
 
 use dsct_ea::accuracy::PwlAccuracy;
+use dsct_ea::core::algo_naive::{NaiveSolver, ValueCheckpoint};
 use dsct_ea::core::problem::{Instance, Task};
 use dsct_ea::core::profile::EnergyProfile;
 use dsct_ea::core::replan::Replanner;
+use dsct_ea::core::residual::{residual_instance, ResidualItem};
 use dsct_ea::core::solver::ApproxSolver;
 use dsct_ea::machines::{Machine, MachinePark};
 use dsct_ea::online::{
@@ -85,6 +90,64 @@ fn incremental_replays_are_byte_identical_to_cold_across_seeds_and_loads() {
         cheap_paths > 0,
         "no incremental replay ever used an estimate or a delta bound"
     );
+}
+
+/// The sweep's traces replayed at the replanner: at every arrival the
+/// pool's residual is solved and anchored on the solve's own evaluator,
+/// and the anchor is asked for the insertion bound of the arrival and of
+/// the next three. Each bound equals, by `to_bits`, the bound a
+/// `NaiveSolver` freshly built on the anchored instance gives at the same
+/// caps.
+#[test]
+fn retained_anchor_bounds_match_a_fresh_evaluator_across_seeds_and_loads() {
+    let mut compared = 0usize;
+    for (t, &load) in [0.3, 1.0, 2.5].iter().enumerate() {
+        for seed in 0..24u64 {
+            let trace = generate_arrivals(&arrival_config(18, load), 7000 * t as u64 + seed)
+                .expect("valid config");
+            let mut rp = Replanner::new(ApproxSolver::new(), ReplanStrategy::Incremental);
+            let mut pool: Vec<&OnlineTask> = Vec::new();
+            for (k, task) in trace.tasks.iter().enumerate() {
+                let now = task.arrival;
+                let items = pool
+                    .iter()
+                    .map(|p| ResidualItem {
+                        id: p.id,
+                        deadline: p.deadline,
+                        accuracy: p.accuracy.clone(),
+                    })
+                    .collect();
+                pool.push(task);
+                let Some(res) = residual_instance(items, now, &trace.park, trace.budget)
+                    .expect("valid residual")
+                else {
+                    continue;
+                };
+                let (approx, evaluator) = rp.solve_keeping(&res.instance, None);
+                let caps = approx.fractional.profile;
+                rp.anchor_solved(evaluator, &caps);
+                let fresh = NaiveSolver::new(&res.instance);
+                let mut ws = fresh.workspace();
+                let mut chk = ValueCheckpoint::new();
+                fresh.checkpoint_into(&mut ws, &caps, &mut chk);
+                for cand in trace.tasks[k..].iter().take(4) {
+                    let extra = Task::new(cand.deadline - now, cand.accuracy.clone());
+                    let retained = rp.insert_value_bound(&extra).expect("anchored delta");
+                    let rebuilt = fresh
+                        .value_insert_delta(&mut ws, &chk, &extra)
+                        .expect("anchored delta");
+                    assert_eq!(
+                        retained.to_bits(),
+                        rebuilt.to_bits(),
+                        "load {load} seed {seed} arrival {k} candidate {}",
+                        cand.id
+                    );
+                    compared += 1;
+                }
+            }
+        }
+    }
+    assert!(compared > 2000, "{compared} bounds compared");
 }
 
 /// A shallow zero-floor probe `RejectIfInfeasible` always turns away:

@@ -1,12 +1,15 @@
 //! The SoA/arena contract of the probe path (DESIGN.md §15.1): once a
 //! workspace is warm, neither a `V(p)` Δ-probe, nor a re-anchor with its
-//! price-block build, nor a line search's priced probes touch the
-//! allocator.
+//! price-block build, nor a line search's priced probes, nor a
+//! replanner's insertion bound against its anchor touch the allocator.
 //!
 //! This file holds exactly one test: the allocator below counts for the
 //! whole process, so a second test running beside it would be counted too.
 
 use dsct_core::algo_naive::{NaiveSolver, PriceBlocks, ValueCheckpoint};
+use dsct_core::problem::Task;
+use dsct_core::replan::{ReplanStrategy, Replanner};
+use dsct_core::solver::ApproxSolver;
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +51,9 @@ fn allocated_bytes() -> u64 {
 /// caps and price it — ten times over, after one warm-up: zero bytes too.
 /// Then ten line searches' worth of what one does beside the incumbent:
 /// step the caps, anchor a probe checkpoint there, price it and read the
-/// ray's slope.
+/// ray's slope. Last, an `Incremental` replanner solves the instance and
+/// anchors on the solve's evaluator: after one warm-up, ten insertion
+/// bounds against that anchor allocate zero bytes.
 #[test]
 fn steady_state_delta_probes_allocate_nothing() {
     let cfg = InstanceConfig {
@@ -137,5 +142,26 @@ fn steady_state_delta_probes_allocate_nothing() {
         allocated_bytes() - before,
         0,
         "a line search's priced probes touched the allocator"
+    );
+
+    let mut rp = Replanner::new(ApproxSolver::new(), ReplanStrategy::Incremental);
+    let (approx, evaluator) = rp.solve_keeping(&inst, None);
+    rp.anchor_solved(evaluator, &approx.fractional.profile);
+    let arrivals: Vec<Task> = (0..10)
+        .map(|k| {
+            let task = inst.task(k * 9);
+            Task::new(task.deadline * 0.97, task.accuracy.clone())
+        })
+        .collect();
+    let mut bound = |extra: &Task| {
+        std::hint::black_box(rp.insert_value_bound(extra).expect("anchored delta"));
+    };
+    bound(&arrivals[0]);
+    let before = allocated_bytes();
+    arrivals.iter().for_each(&mut bound);
+    assert_eq!(
+        allocated_bytes() - before,
+        0,
+        "an insertion bound against the anchor touched the allocator"
     );
 }
