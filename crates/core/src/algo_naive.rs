@@ -31,8 +31,8 @@
 //! and records a [`ValueCheckpoint`] there, and
 //! [`NaiveSolver::value_delta`] evaluates `V` at that incumbent with ≤ 3
 //! caps changed, recomputing only what the change can reach. The unit
-//! tests hold all three to the reference walk ([`collect_segments`] into
-//! [`crate::algo_single::schedule_single_machine`]), which no solve runs.
+//! tests hold all three to Algorithm 1's reference walk over the AoS
+//! segment list, which is compiled for the tests only.
 //!
 //! Step 2 is a linear program in its right-hand side, and the greedy that
 //! solves it also determines its optimal *dual* prices:
@@ -48,7 +48,7 @@ use crate::kernels;
 use crate::problem::{Instance, Task};
 use crate::profile::EnergyProfile;
 use crate::schedule::FractionalSchedule;
-use crate::soa::{PwlLanes, ScratchArena, SegmentLanes};
+use crate::soa::{ScratchArena, SegmentLanes};
 use crate::EPS_TIME;
 
 /// Output of `ComputeNaiveSolution`.
@@ -64,13 +64,15 @@ pub struct NaiveSolution {
 /// the tests' reference input to
 /// [`crate::algo_single::schedule_single_machine`]; solves walk the
 /// evaluator's [`SegmentLanes`] instead.
+#[cfg(test)]
 pub fn collect_segments(inst: &Instance) -> Vec<SegmentSpec> {
     let mut segs = Vec::new();
     collect_segments_into(inst, &mut segs);
     segs
 }
 
-/// [`collect_segments`] into a caller-owned (arena-pooled) buffer.
+/// Flattens every task's accuracy segments into a caller-owned
+/// (arena-pooled) buffer, in task then position order.
 fn collect_segments_into(inst: &Instance, segs: &mut Vec<SegmentSpec>) {
     segs.clear();
     for (j, task) in inst.tasks().iter().enumerate() {
@@ -101,13 +103,10 @@ fn collect_segments_into(inst: &Instance, segs: &mut Vec<SegmentSpec>) {
 /// for the instance it was built from and no other.
 #[derive(Debug, Clone)]
 pub struct NaiveSolver {
-    /// The positive-gain segments in [`crate::algo_single::sort_segments`]
-    /// order, as contiguous SoA lanes — what every probe walks (see
+    /// The positive-gain segments in slope-descending processing order,
+    /// as contiguous SoA lanes — what every probe walks (see
     /// [`crate::soa`]).
     lanes: SegmentLanes,
-    /// Flat segment index over all tasks' accuracy breakpoints, for the
-    /// value-search finisher's per-task evaluation.
-    pwl: PwlLanes,
     /// Machine speeds by index, hoisted out of the per-probe loops.
     speeds: Vec<f64>,
     base_accuracy: f64,
@@ -124,7 +123,7 @@ pub struct ProbeStats {
     /// Total `V(p)` evaluations.
     pub probes: u64,
     /// Evaluations served by a checkpoint delta
-    /// ([`NaiveSolver::value_delta`] and its insertion/removal twins);
+    /// ([`NaiveSolver::value_delta`] and its insertion twin);
     /// the remainder anchored a checkpoint
     /// ([`NaiveSolver::checkpoint_into`]).
     pub incremental_probes: u64,
@@ -162,7 +161,7 @@ pub struct ValueFnWorkspace {
     /// `capwork_prefix[k] = Σ_{i < k} p_{cap_index[i]} · s_{cap_index[i]}`.
     capwork_prefix: Vec<f64>,
     /// Temporary deadlines (aggregate work capacity per task) of the
-    /// value-only finisher ([`NaiveSolver::flops_under_with`]).
+    /// schedule finisher ([`NaiveSolver::solution_under`]).
     temp_deadlines: Vec<f64>,
     /// Algorithm 1 slack tree of the same finisher, reset in place.
     tree: SlackTree,
@@ -484,7 +483,6 @@ impl NaiveSolver {
         let lanes = SegmentLanes::build_in(&segments, &order, arena);
         arena.put_specs(segments);
         arena.put_usize(order);
-        let pwl = PwlLanes::build_in(inst, arena);
         let machines = inst.machines();
         let mut speeds = arena.take_f64();
         speeds.extend((0..machines.len()).map(|r| machines[r].speed()));
@@ -493,7 +491,6 @@ impl NaiveSolver {
         deadlines.extend((0..inst.num_tasks()).map(|j| inst.task(j).deadline));
         Self {
             lanes,
-            pwl,
             speeds,
             base_accuracy,
             deadlines,
@@ -504,16 +501,8 @@ impl NaiveSolver {
     /// `arena`.
     pub fn recycle(self, arena: &mut ScratchArena) {
         self.lanes.recycle(arena);
-        self.pwl.recycle(arena);
         arena.put_f64(self.speeds);
         arena.put_f64(self.deadlines);
-    }
-
-    /// Accuracy of task `j` at work level `f` through the flat segment
-    /// index — bit-identical to `inst.task(j).accuracy.eval(f)`.
-    #[inline]
-    pub fn accuracy_at(&self, j: usize, f: f64) -> f64 {
-        self.pwl.eval(j, f)
     }
 
     /// Machine speeds by index.
@@ -681,7 +670,7 @@ impl NaiveSolver {
     /// array is patched by splitting exactly one bucket; the greedy then
     /// reruns once over the merged segment list (the incumbent's
     /// slope-sorted lanes interleaved with the new task's segments, ties
-    /// broken as [`crate::algo_single::sort_segments`] breaks them) with
+    /// broken as the lanes' processing order breaks them) with
     /// task indices at or above the insertion point shifted up. No profile
     /// descent, no capacity transform. The lanes drop the incumbent's
     /// flat segments, which sort after every positive slope and take
@@ -759,7 +748,7 @@ impl NaiveSolver {
                     out
                 }
                 (Some(seg), Some(s)) => {
-                    // sort_segments order: slope descending, then task,
+                    // `sort_segments_into` order: slope descending, then task,
                     // then position; old and new never share a task index.
                     let old_first = match seg.0.total_cmp(&s.slope) {
                         std::cmp::Ordering::Greater => true,
@@ -785,70 +774,6 @@ impl NaiveSolver {
             }
         }
         Some(self.base_accuracy + extra.accuracy.a_min() + gain)
-    }
-
-    /// Δ-probe across a *task removal*: `V(caps)` of the instance with
-    /// the task at EDF index `removed` dropped, at the checkpoint's
-    /// unchanged caps. The twin of [`NaiveSolver::value_insert_delta`]
-    /// for completion/cancellation deltas.
-    ///
-    /// Dropping a deadline can deflate the monotone guard downstream of
-    /// it (the removed entry may have been the running max), so the
-    /// guarded suffix from the removal point is rebuilt from the
-    /// checkpointed raw sums — the same suffix patch
-    /// [`NaiveSolver::value_delta`] performs for cap changes — and the
-    /// greedy reruns with the removed task's segments skipped and higher
-    /// task indices shifted down.
-    ///
-    /// Returns `None` when the checkpoint cannot support the delta (no
-    /// incumbent, machine-count mismatch, index out of range); the caller
-    /// falls back to the full solve bit-exactly.
-    pub fn value_remove_delta(
-        &self,
-        ws: &mut ValueFnWorkspace,
-        chk: &ValueCheckpoint,
-        removed: usize,
-    ) -> Option<f64> {
-        let m = self.speeds.len();
-        let n = self.deadlines.len();
-        if !chk.valid || chk.caps.len() != m || removed >= n {
-            return None;
-        }
-        ws.stats.probes += 1;
-        ws.stats.incremental_probes += 1;
-
-        ws.delta_buckets.clear();
-        let mut prev = if removed == 0 {
-            0.0
-        } else {
-            chk.td[removed - 1]
-        };
-        for j in removed + 1..n {
-            let raw = chk.td_raw[j];
-            let guarded = if raw < prev { prev } else { raw };
-            ws.delta_buckets.push(guarded - prev);
-            prev = guarded;
-        }
-        ws.buckets
-            .load_with_prefix(&chk.buckets[..removed], &chk.bit_words, &ws.delta_buckets);
-
-        let mut gain = 0.0f64;
-        let removed_u = removed as u32;
-        for i in 0..self.lanes.len() {
-            if ws.buckets.exhausted() {
-                break;
-            }
-            let t = self.lanes.task[i];
-            if t == removed_u {
-                continue;
-            }
-            let bound = if t < removed_u { t } else { t - 1 };
-            let c = ws.buckets.consume(bound as usize, self.lanes.width[i]);
-            if c > 0.0 {
-                gain += self.lanes.slope[i] * c;
-            }
-        }
-        Some(self.base_accuracy - self.pwl.a_min(removed) + gain)
     }
 
     /// Prices the checkpoint's incumbent: the bucket greedy's per-task
@@ -988,9 +913,9 @@ impl NaiveSolver {
     /// mutate nothing and whose filtered segments never contributed); the
     /// distribution step only spreads these totals across machines. The
     /// temporary deadlines and the tree live in workspace scratch, so
-    /// only the returned vector (which escapes into the search result) is
+    /// only the returned vector (which escapes into the solution) is
     /// allocated.
-    pub fn flops_under_with(&self, ws: &mut ValueFnWorkspace, caps: &[f64]) -> Vec<f64> {
+    pub(crate) fn flops_under_with(&self, ws: &mut ValueFnWorkspace, caps: &[f64]) -> Vec<f64> {
         crate::profile::temp_deadlines_into(
             &self.deadlines,
             &self.speeds,
@@ -1302,12 +1227,12 @@ mod tests {
             .is_none());
     }
 
-    /// Insertion and removal Δ-probes agree with full evaluations of the
-    /// extended/reduced instance, across random profiles and insertion
-    /// points (including duplicate deadlines), and invalid deltas fall
-    /// back with `None` instead of answering wrongly.
+    /// Insertion Δ-probes agree with full evaluations of the extended
+    /// instance, across random profiles and insertion points (including
+    /// duplicate deadlines), and invalid deltas fall back with `None`
+    /// instead of answering wrongly.
     #[test]
-    fn insert_and_remove_deltas_match_full_evaluation() {
+    fn insert_deltas_match_full_evaluation() {
         use rand::{Rng, SeedableRng};
         let park = MachinePark::new(vec![
             Machine::from_efficiency(2.0, 5.0).unwrap(),
@@ -1362,24 +1287,6 @@ mod tests {
                 "trial {trial} insert: delta {inc} vs full {full}"
             );
 
-            // Removal: delta vs the reference on the reduced instance.
-            let q = rng.gen_range(0..n);
-            let rem = solver
-                .value_remove_delta(&mut ws, &chk, q)
-                .expect("in-range removal must be delta-eligible");
-            let mut reduced = tasks.clone();
-            reduced.remove(q);
-            let full_rem = if reduced.is_empty() {
-                0.0
-            } else {
-                let red_inst = Instance::new(reduced, park.clone(), 15.0).unwrap();
-                reference_value(&red_inst, &caps)
-            };
-            assert!(
-                (rem - full_rem).abs() <= 1e-9 * (1.0 + full_rem.abs()),
-                "trial {trial} remove idx {q}: delta {rem} vs full {full_rem}"
-            );
-
             // The checkpoint survives membership probes untouched.
             let again = solver
                 .value_delta(&mut ws, &chk, &[])
@@ -1395,9 +1302,7 @@ mod tests {
         let mut chk = ValueCheckpoint::new();
         let bad = Task::new(1.0, acc(&[(0.5, 1.0)]));
         assert!(solver.value_insert_delta(&mut ws, &chk, &bad).is_none());
-        assert!(solver.value_remove_delta(&mut ws, &chk, 0).is_none());
         solver.checkpoint_into(&mut ws, &[1.0, 1.0, 1.0], &mut chk);
-        assert!(solver.value_remove_delta(&mut ws, &chk, 7).is_none());
         assert!(solver
             .value_insert_delta(&mut ws, &chk, &Task::new(f64::NAN, acc(&[(0.5, 1.0)])))
             .is_none());

@@ -8,6 +8,12 @@
 //!
 //! Deviations from the paper's listing (see DESIGN.md §3): the deadline cap
 //! loop includes the segment's own task (`i ≥ j`, not `i > j`).
+//!
+//! Solves run the walk over their evaluator's lanes: the per-task times
+//! on the slack tree (`times_tree_lanes`) and the accuracy gain on the
+//! capacity buckets (`accuracy_gain_buckets_lanes`). The AoS form as
+//! listed, with its per-segment work, is compiled for the tests only:
+//! it is the reference they hold both walks to.
 
 /// One linear segment of a task's accuracy function, as consumed by the
 /// single-machine scheduler.
@@ -24,6 +30,7 @@ pub struct SegmentSpec {
 }
 
 /// Result of the single-machine solve.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq)]
 pub struct SingleMachineSolution {
     /// Processing time per task (seconds).
@@ -39,13 +46,10 @@ pub struct SingleMachineSolution {
 /// `deadlines` must be non-decreasing; `segments` lists the linear segments
 /// of every task's accuracy function (any order; they are sorted here).
 ///
-/// Solves run the same walk over their evaluator's lanes
-/// ([`crate::algo_naive::NaiveSolver::flops_under_with`]); this AoS form,
-/// with its per-segment work, is the reference the tests hold them to.
-///
 /// # Panics
 /// Panics when deadlines are not sorted non-decreasingly or a segment
 /// references a task out of range — both are caller bugs.
+#[cfg(test)]
 pub fn schedule_single_machine(
     deadlines: &[f64],
     speed: f64,
@@ -60,17 +64,19 @@ pub fn schedule_single_machine(
     schedule_single_machine_ordered(deadlines, speed, segments, &order)
 }
 
-/// Slope-descending processing order for a segment list (ties broken by
-/// `(task, position)` for determinism). The order depends only on the
-/// segments, so callers solving the same task set under many deadline
-/// vectors (the profile search) compute it once.
+/// [`sort_segments_into`] into a fresh vector.
+#[cfg(test)]
 pub fn sort_segments(segments: &[SegmentSpec]) -> Vec<usize> {
     let mut order = Vec::new();
     sort_segments_into(segments, &mut order);
     order
 }
 
-/// [`sort_segments`] into a caller-owned (arena-pooled) buffer.
+/// Slope-descending processing order for a segment list (ties broken by
+/// `(task, position)` for determinism), into a caller-owned
+/// (arena-pooled) buffer. The order depends only on the segments, so an
+/// evaluator solving the same task set under many deadline vectors (the
+/// profile search) computes it once.
 pub(crate) fn sort_segments_into(segments: &[SegmentSpec], order: &mut Vec<usize>) {
     order.clear();
     order.extend(0..segments.len());
@@ -85,6 +91,7 @@ pub(crate) fn sort_segments_into(segments: &[SegmentSpec], order: &mut Vec<usize
 
 /// Algorithm 1 with a precomputed processing order (see
 /// [`sort_segments`]).
+#[cfg(test)]
 pub fn schedule_single_machine_ordered(
     deadlines: &[f64],
     speed: f64,
@@ -134,7 +141,7 @@ pub fn schedule_single_machine_ordered(
 /// segment of `lanes`, in slope-descending order, then takes
 /// `min(width, free capacity in buckets 0..=task)`.
 ///
-/// Equivalence with [`schedule_single_machine_ordered`]'s slack tree:
+/// Equivalence with the reference walk's slack tree:
 /// the prefix constraints `Σ_{i≤j} t_i ≤ d_j` (non-decreasing `d`) form a
 /// chain polymatroid whose rank marginals are what the greedy collects,
 /// and those marginals are placement-independent. Draining the *latest*
@@ -310,11 +317,11 @@ pub(crate) fn accuracy_gain_buckets_lanes(lanes: &SegmentLanes, slack: &mut Buck
     ((g0 + g1) + g2) + g3
 }
 
-/// [`schedule_single_machine_ordered`] reduced to its per-task times, over
-/// [`SegmentLanes`] at unit speed: `times[j]` accumulates exactly the
-/// contributions the full solve records (zero takes mutate nothing, and
-/// the filtered segments never contributed), so the vector is
-/// bit-identical to [`SingleMachineSolution::times`] on the same inputs.
+/// The reference walk (`schedule_single_machine_ordered`) reduced to its
+/// per-task times, over [`SegmentLanes`] at unit speed: `times[j]`
+/// accumulates exactly the contributions the full walk records (zero
+/// takes mutate nothing, and the filtered segments never contributed),
+/// so the vector is bit-identical to its `times` on the same inputs.
 /// `times` must be zero-filled with one entry per task.
 pub(crate) fn times_tree_lanes(
     deadlines: &[f64],
@@ -682,6 +689,7 @@ impl SlackTree {
 
 /// Convenience: total accuracy achieved by a single-machine solution given
 /// the per-segment accuracy gains.
+#[cfg(test)]
 pub fn accuracy_of(segments: &[SegmentSpec], used_flops: &[f64], base: f64) -> f64 {
     base + segments
         .iter()

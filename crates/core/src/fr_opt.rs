@@ -138,65 +138,16 @@ pub(crate) fn solve_fr_opt_in(
 /// exceeds the budget), so *any* profile of the right length is valid:
 /// the search's exact re-solve and slack absorption make the result a
 /// profile-search optimum regardless of the start — the hint only
-/// shortens the path to it. Wrong-length hints fall back to the cold
-/// pipeline.
+/// shortens the path to it. Wrong-length hints, and disabled refinement,
+/// fall back to the cold pipeline.
 pub(crate) fn solve_fr_opt_warm_with(
     inst: &Instance,
     opts: &FrOptOptions,
     ws: &mut ValueFnWorkspace,
     warm: &EnergyProfile,
 ) -> FrSolution {
-    let Some(start) = warm_start(inst, opts, warm) else {
-        return solve_fr_opt_with(inst, opts, ws);
-    };
-    let (_, refined, outcome) = profile_search_with(inst, &start, &opts.search, ws);
-    let total_accuracy = refined.schedule.total_accuracy(inst);
-    let energy = refined.schedule.energy(inst);
-    let profile = refined.schedule.profile();
-    FrSolution {
-        flops: refined.flops,
-        total_accuracy,
-        naive_profile: naive_profile(inst),
-        profile,
-        energy,
-        refine_iterations: outcome.transfers,
-        search: Some(outcome),
-        schedule: refined.schedule,
-    }
-}
-
-/// Value-only twin of [`solve_fr_opt_warm_with`]: the identical warm-hint
-/// sanitization and the identical descent, finished with the pooled flop
-/// vector and its fractional accuracy instead of a full [`FrSolution`].
-/// Skips the waterfill, assignment, and every post-search schedule walk —
-/// the replanner's tentative-evaluation path for admission decisions.
-///
-/// Returns `None` whenever [`solve_fr_opt_warm_with`] would fall back to
-/// the cold pipeline (wrong-length hint, refinement disabled): the
-/// caller must run the full solve in those cases, because no cheap
-/// estimate reproduces the cold pipeline's value.
-pub(crate) fn fr_value_estimate_warm_with(
-    inst: &Instance,
-    opts: &FrOptOptions,
-    ws: &mut ValueFnWorkspace,
-    warm: &EnergyProfile,
-) -> Option<crate::profile_search::ValueSearchResult> {
-    let start = warm_start(inst, opts, warm)?;
-    Some(crate::profile_search::profile_search_value_with(
-        inst,
-        &start,
-        &opts.search,
-        ws,
-    ))
-}
-
-/// The sanitized start profile of the warm paths: non-finite caps
-/// dropped, caps clamped to `[0, d_max]`, the whole vector scaled down
-/// when its energy exceeds the budget. `None` — run the cold pipeline —
-/// for a wrong-length hint or with refinement disabled.
-fn warm_start(inst: &Instance, opts: &FrOptOptions, warm: &EnergyProfile) -> Option<EnergyProfile> {
     if warm.len() != inst.num_machines() || opts.skip_refine {
-        return None;
+        return solve_fr_opt_with(inst, opts, ws);
     }
     let machines = inst.machines().machines();
     let mut caps: Vec<f64> = warm
@@ -221,7 +172,21 @@ fn warm_start(inst: &Instance, opts: &FrOptOptions, warm: &EnergyProfile) -> Opt
             *c *= scale;
         }
     }
-    Some(EnergyProfile::new(caps))
+    let start = EnergyProfile::new(caps);
+    let (_, refined, outcome) = profile_search_with(inst, &start, &opts.search, ws);
+    let total_accuracy = refined.schedule.total_accuracy(inst);
+    let energy = refined.schedule.energy(inst);
+    let profile = refined.schedule.profile();
+    FrSolution {
+        flops: refined.flops,
+        total_accuracy,
+        naive_profile: naive_profile(inst),
+        profile,
+        energy,
+        refine_iterations: outcome.transfers,
+        search: Some(outcome),
+        schedule: refined.schedule,
+    }
 }
 
 #[cfg(test)]

@@ -28,9 +28,9 @@
 //! - [`guarantee`] — the absolute performance bound `G` (Eq. 14);
 //! - [`baselines`] — `EDF-NoCompression` and `EDF-3CompressionLevels` (§6);
 //! - [`residual`] — residual instances for online rolling-horizon re-plans;
-//! - [`replan`] — the incremental re-solve engine (checkpoint
-//!   membership deltas, value-only estimates) the online service and
-//!   every server shard cell replan through;
+//! - [`replan`] — the incremental re-solve engine (cold solves plus a
+//!   checkpoint insertion bound) the online service and every server
+//!   shard cell replan through;
 //! - [`renewable`] — extension: time-varying (renewable) energy supply;
 //! - [`lp_model`] — the DSCT-EA-FR linear program for [`dsct_lp`] (§3.2);
 //! - [`mip_model`] — the full DSCT-EA MIP for [`dsct_mip`] (§3);

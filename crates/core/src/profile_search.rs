@@ -740,8 +740,9 @@ pub fn profile_search_with(
 }
 
 /// [`profile_search_with`] on the caller's evaluator, built for `inst`:
-/// the descent probes through it and [`NaiveSolver::solution_under`]
-/// materializes the refined profile's schedule on it.
+/// slack absorption, gated pairwise sweeps and triple polish at stalls
+/// probe through it, and [`NaiveSolver::solution_under`] materializes
+/// the refined profile's schedule on it.
 pub(crate) fn profile_search_in(
     solver: &NaiveSolver,
     inst: &Instance,
@@ -749,80 +750,6 @@ pub(crate) fn profile_search_in(
     opts: &ProfileSearchOptions,
     ws: &mut ValueFnWorkspace,
 ) -> (EnergyProfile, NaiveSolution, ProfileSearchOutcome) {
-    let state = descend(solver, inst, start, opts, ws);
-    let profile = EnergyProfile::new(state.caps);
-    let solution = solver.solution_under(ws, &profile);
-    (profile, solution, state.outcome)
-}
-
-/// A value-only profile search result: the refined profile, the pooled
-/// per-task flop allocation under it, and the fractional accuracy those
-/// flops realize — everything an admission decision needs, with no
-/// waterfill or per-machine time distribution.
-#[derive(Debug, Clone)]
-pub struct ValueSearchResult {
-    /// The refined (budget-feasible) energy profile.
-    pub profile: EnergyProfile,
-    /// Per-task pooled flops under the refined profile — bit-identical to
-    /// the stage-1 flops [`NaiveSolver::solution_under`] assigns before
-    /// waterfilling them across machines.
-    pub flops: Vec<f64>,
-    /// `Σ_j A_j(flops[j])`, summed in task order: the fractional total
-    /// accuracy of the refined profile.
-    pub total_accuracy: f64,
-    /// Search statistics (same meaning as the full search's).
-    pub outcome: ProfileSearchOutcome,
-}
-
-/// [`profile_search_with`] without the solution materialization: the
-/// identical descent (bit-identical caps, probe counters, and trajectory
-/// for equal inputs) finished with only the pooled flop vector and its
-/// fractional accuracy instead of the waterfilled [`NaiveSolution`].
-/// This is the replanner's tentative-evaluation fast path: an admission
-/// decision needs the value, not the schedule.
-pub fn profile_search_value_with(
-    inst: &Instance,
-    start: &EnergyProfile,
-    opts: &ProfileSearchOptions,
-    ws: &mut ValueFnWorkspace,
-) -> ValueSearchResult {
-    let solver = NaiveSolver::new_in(inst, &mut ws.arena);
-    let state = descend(&solver, inst, start, opts, ws);
-    let profile = EnergyProfile::new(state.caps);
-    let flops = solver.flops_under_with(ws, profile.caps());
-    // Flat segment index instead of per-task binary searches — same bits
-    // (see [`NaiveSolver::accuracy_at`]).
-    let total_accuracy = flops
-        .iter()
-        .enumerate()
-        .map(|(j, &f)| solver.accuracy_at(j, f))
-        .sum();
-    solver.recycle(&mut ws.arena);
-    ValueSearchResult {
-        profile,
-        flops,
-        total_accuracy,
-        outcome: state.outcome,
-    }
-}
-
-/// The descent's terminal state, before a finisher materializes it.
-struct DescentState {
-    caps: Vec<f64>,
-    outcome: ProfileSearchOutcome,
-}
-
-/// The shared ascent loop behind [`profile_search_in`] and
-/// [`profile_search_value_with`]: slack absorption, gated pairwise
-/// sweeps, triple polish at stalls, probing through `solver` (built for
-/// `inst`), which the finishers then materialize through.
-fn descend(
-    solver: &NaiveSolver,
-    inst: &Instance,
-    start: &EnergyProfile,
-    opts: &ProfileSearchOptions,
-    ws: &mut ValueFnWorkspace,
-) -> DescentState {
     let stats_before = ws.stats;
     let m = inst.num_machines();
     let d_max = inst.d_max();
@@ -877,7 +804,7 @@ fn descend(
     }
 
     // Return every pooled buffer but the solver's: it belongs to the
-    // caller, whose finisher materializes through it.
+    // caller, and the schedule materializes through it.
     let Ascent {
         ws,
         chk,
@@ -898,15 +825,15 @@ fn descend(
     }
     ws.arena.put_f64(power);
     ws.arena.put_f64(probe_caps);
-    DescentState {
-        caps,
-        outcome: ProfileSearchOutcome {
-            sweeps,
-            transfers,
-            converged,
-            probe_stats: ws.stats.since(stats_before),
-        },
-    }
+    let outcome = ProfileSearchOutcome {
+        sweeps,
+        transfers,
+        converged,
+        probe_stats: ws.stats.since(stats_before),
+    };
+    let profile = EnergyProfile::new(caps);
+    let solution = solver.solution_under(ws, &profile);
+    (profile, solution, outcome)
 }
 
 #[cfg(test)]
@@ -970,42 +897,6 @@ mod tests {
         assert!(
             acc_refined >= 0.52 - 1e-6,
             "refined accuracy {acc_refined} below achievable 0.52"
-        );
-    }
-
-    /// The value-only finisher runs the identical descent: same caps,
-    /// same outcome counters, and stage-1 flops bit-identical to the full
-    /// search's materialized solution.
-    #[test]
-    fn value_search_matches_full_search_bitwise() {
-        let park = MachinePark::new(vec![
-            Machine::from_efficiency(2000.0, 80.0).unwrap(),
-            Machine::from_efficiency(5000.0, 70.0).unwrap(),
-            Machine::from_efficiency(900.0, 40.0).unwrap(),
-        ]);
-        let tasks = vec![
-            Task::new(0.05, acc(&[(0.0, 0.0), (500.0, 0.8)])),
-            Task::new(0.7, acc(&[(0.0, 0.1), (1500.0, 0.6)])),
-            Task::new(2.0, acc(&[(0.0, 0.0), (4000.0, 0.4)])),
-        ];
-        let inst = Instance::new(tasks, park, 55.0).unwrap();
-        let start = naive_profile(&inst);
-        let opts = ProfileSearchOptions::default();
-        let mut ws_a = ValueFnWorkspace::new();
-        let (profile, sol, out) = profile_search_with(&inst, &start, &opts, &mut ws_a);
-        let mut ws_b = ValueFnWorkspace::new();
-        let est = profile_search_value_with(&inst, &start, &opts, &mut ws_b);
-        assert_eq!(profile.caps(), est.profile.caps(), "caps diverged");
-        assert_eq!(out, est.outcome, "outcome counters diverged");
-        assert_eq!(sol.flops.len(), est.flops.len());
-        for (j, (&a, &b)) in sol.flops.iter().zip(&est.flops).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "task {j} flops: {a} vs {b}");
-        }
-        let realized = sol.schedule.total_accuracy(&inst);
-        assert!(
-            (est.total_accuracy - realized).abs() <= 1e-9 * (1.0 + realized.abs()),
-            "fractional accuracy {} vs realized {realized}",
-            est.total_accuracy
         );
     }
 

@@ -1,7 +1,7 @@
 //! The incremental re-solve engine behind the online/sharded replan
-//! path: a [`Replanner`] that owns the solver and answers
-//! single-arrival/-completion probes through the [`ValueCheckpoint`]
-//! insertion/removal deltas instead of a cold [`ApproxSolver`] run.
+//! path: a [`Replanner`] that owns the solver and settles gated
+//! admissions through a [`ValueCheckpoint`] insertion delta instead of
+//! a cold [`ApproxSolver`] run whenever it can.
 //!
 //! # Strategy semantics
 //!
@@ -14,12 +14,9 @@
 //! - [`ReplanStrategy::Incremental`] — full solves are **cold**: the
 //!   result of [`Replanner::solve`] is bitwise what `Cold` computes. The
 //!   speed win comes from the *decision* path instead:
-//!   [`Replanner::insert_value_bound`] /
-//!   [`Replanner::remove_value_bound`] answer membership probes as ≤3-cap
-//!   style checkpoint deltas in `O(m + n_suffix)` without any descent at
-//!   all, and [`Replanner::estimate`] runs the value-only warm-started
-//!   descent ([`crate::profile_search::profile_search_value_with`]) that
-//!   skips the waterfill, assignment, and cut phases.
+//!   [`Replanner::insert_value_bound`] answers a membership probe as a
+//!   checkpoint delta in `O(m + n_suffix)` without any descent at all.
+//!   A gated evaluation the bound cannot settle takes the full solve.
 //!
 //! No result is cached: between two solves of a live cell the remaining
 //! budget or the clock moves, so a key on the residual's exact bits
@@ -33,30 +30,28 @@
 //! ([`Replanner::solve_keeping`]) builds the evaluator once, runs the
 //! naive stage, the descent and the finisher on it, and hands it back as
 //! a [`SolvedEvaluator`]; [`Replanner::anchor_solved`] checkpoints the
-//! adopted caps on it, and every insertion/removal probe then runs on the
+//! adopted caps on it, and every insertion probe then runs on the
 //! anchor's evaluator with no rebuild and no sort. The pairing is by
 //! construction — only a solve mints the token, for the instance it
-//! solved — so no anchor compares instances. [`Replanner::anchor`], for
-//! an instance nobody solved, builds a fresh evaluator. `Cold` and
-//! `WarmStart` never anchor, so their solves keep nothing.
+//! solved — so no anchor compares instances. `Cold` and `WarmStart`
+//! never anchor, so their solves keep nothing.
 //!
 //! # Delta validity and fallback
 //!
-//! The insertion/removal bounds are exact values of the extended/reduced
-//! pool at the *anchored incumbent caps* — lower bounds on the
-//! re-optimized tentative value, usable for monotone early-admit
-//! decisions but never for rejection. Whenever a delta cannot be
-//! supported (no anchor, machine-count mismatch, non-finite deadline,
-//! out-of-range index) the probe returns `None` and the caller falls
-//! back to the full solve — bit-exactly the result it would have
-//! computed anyway, which is what keeps the fallback oracle-checkable
-//! via [`crate::solver::SolverOptions::check_invariants`].
+//! The insertion bound is the exact value of the extended pool at the
+//! *anchored incumbent caps* — a lower bound on the re-optimized
+//! tentative value, usable for monotone early-admit decisions but never
+//! for rejection. Whenever the bound cannot be supported (no anchor,
+//! machine-count mismatch, non-finite deadline) or does not clear the
+//! caller's test, the probe returns `None` and the caller falls back to
+//! the full solve — bit-exactly the result it would have computed
+//! anyway, which is what keeps the fallback oracle-checkable via
+//! [`crate::solver::SolverOptions::check_invariants`].
 
 use crate::algo_naive::{NaiveSolver, ProbeStats, ValueCheckpoint};
 use crate::approx::ApproxSolution;
 use crate::problem::{Instance, Task};
 use crate::profile::EnergyProfile;
-use crate::profile_search::ValueSearchResult;
 use crate::solver::{ApproxSolver, SolverContext};
 use serde::{Deserialize, Serialize};
 
@@ -73,8 +68,8 @@ pub enum ReplanStrategy {
     /// fractional profile.
     #[default]
     WarmStart,
-    /// Cold full solves, with checkpoint deltas and value-only
-    /// estimates on the decision path.
+    /// Cold full solves, with a checkpoint insertion delta on the
+    /// decision path.
     Incremental,
 }
 
@@ -87,9 +82,12 @@ pub struct ReplanStats {
     pub cold_solves: u64,
     /// Requests served by the warm-started pipeline.
     pub warm_solves: u64,
-    /// Value-only warm estimates served ([`Replanner::estimate`]).
+    /// Always 0: no path serves a value-only estimate any more (a traced
+    /// overload run read 0 of them in 3,000 arrivals). Kept, like
+    /// [`Self::cache_hits`], so readers of the stats keep compiling.
     pub estimates: u64,
-    /// Membership probes answered by a checkpoint delta.
+    /// Gated evaluations the anchor's insertion bound settled
+    /// ([`Replanner::insert_value_bound`] returned `Some`).
     pub delta_bounds: u64,
     /// Always 0: nothing is cached (see the module docs). Kept, like
     /// the other zero-reading counters, so readers of the stats keep
@@ -97,8 +95,11 @@ pub struct ReplanStats {
     pub cache_hits: u64,
     /// Always 0, like [`Self::cache_hits`].
     pub cache_misses: u64,
-    /// Estimate/delta requests that could not be served and fell back to
-    /// the caller's full-solve path.
+    /// Under [`ReplanStrategy::Incremental`], the gated evaluations the
+    /// insertion bound could not settle (no anchor, no delta, or a bound
+    /// below the caller's bar), which the caller's full solve decided;
+    /// so `delta_bounds + fallbacks` counts every bound asked for.
+    /// Always 0 under the other strategies, which never ask.
     pub fallbacks: u64,
     /// Always 0, like [`Self::cache_hits`].
     pub evictions: u64,
@@ -228,47 +229,6 @@ impl Replanner {
         }
     }
 
-    /// Value-only tentative estimate: the warm-started descent of
-    /// [`ApproxSolver::estimate_value_warm_with`]. Only
-    /// [`ReplanStrategy::Incremental`] answers;
-    /// every `None` means "run the full solve instead" (and counts as a
-    /// fallback when the strategy wanted to answer but could not).
-    pub fn estimate(
-        &mut self,
-        inst: &Instance,
-        warm: Option<&EnergyProfile>,
-    ) -> Option<ValueSearchResult> {
-        if self.strategy != ReplanStrategy::Incremental {
-            return None;
-        }
-        let Some(profile) = warm else {
-            self.stats.fallbacks += 1;
-            return None;
-        };
-        match self
-            .solver
-            .estimate_value_warm_with(inst, &mut self.ctx, profile)
-        {
-            Some(est) => {
-                self.stats.estimates += 1;
-                Some(est)
-            }
-            None => {
-                self.stats.fallbacks += 1;
-                None
-            }
-        }
-    }
-
-    /// Anchors the membership-delta checkpoint on an instance no solve
-    /// handed back an evaluator for, at `caps`: builds a fresh one (see
-    /// [`Replanner::anchor_solved`]).
-    pub fn anchor(&mut self, inst: &Instance, caps: &[f64]) {
-        let evaluator = (self.strategy == ReplanStrategy::Incremental)
-            .then(|| NaiveSolver::new_in(inst, self.ctx.workspace().arena_mut()));
-        self.anchor_solved(SolvedEvaluator(evaluator), caps);
-    }
-
     /// Anchors the membership-delta checkpoint on the instance
     /// `evaluator`'s solve ran on, at `caps` (the incumbent's realized
     /// profile), keeping the evaluator for every probe until the next
@@ -307,31 +267,28 @@ impl Replanner {
     }
 
     /// Exact value of the anchored pool **plus** `extra`, at the
-    /// anchored incumbent caps: a lower bound on the re-optimized
-    /// tentative value, computed as a checkpoint insertion delta on the
-    /// anchor's evaluator without any descent. `None` when the anchor
-    /// cannot support the delta — the caller must run the full
-    /// evaluation then (bit-exact fallback).
-    pub fn insert_value_bound(&mut self, extra: &Task) -> Option<f64> {
-        let anchor = self.anchor.as_ref()?;
-        let bound = anchor
-            .solver
-            .value_insert_delta(self.ctx.workspace(), &anchor.chk, extra);
-        match bound {
-            Some(_) => self.stats.delta_bounds += 1,
-            None => self.stats.fallbacks += 1,
+    /// anchored incumbent caps, when `settles` accepts it: a lower bound
+    /// on the re-optimized tentative value, computed as a checkpoint
+    /// insertion delta on the anchor's evaluator without any descent.
+    /// `None` when there is no anchor, the anchor cannot support the
+    /// delta, or `settles` rejects the bound — the caller must run the
+    /// full evaluation then (bit-exact fallback). Under
+    /// [`ReplanStrategy::Incremental`] every call counts once, as a
+    /// delta bound or as a fallback.
+    pub fn insert_value_bound(
+        &mut self,
+        extra: &Task,
+        settles: impl FnOnce(f64) -> bool,
+    ) -> Option<f64> {
+        if self.strategy != ReplanStrategy::Incremental {
+            return None;
         }
-        bound
-    }
-
-    /// Exact value of the anchored pool **minus** the task at EDF index
-    /// `removed`, at the anchored incumbent caps — the completion-side
-    /// twin of [`Replanner::insert_value_bound`].
-    pub fn remove_value_bound(&mut self, removed: usize) -> Option<f64> {
-        let anchor = self.anchor.as_ref()?;
-        let bound = anchor
-            .solver
-            .value_remove_delta(self.ctx.workspace(), &anchor.chk, removed);
+        let ws = self.ctx.workspace();
+        let bound = self
+            .anchor
+            .as_ref()
+            .and_then(|anchor| anchor.solver.value_insert_delta(ws, &anchor.chk, extra))
+            .filter(|&bound| settles(bound));
         match bound {
             Some(_) => self.stats.delta_bounds += 1,
             None => self.stats.fallbacks += 1,
@@ -367,33 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn estimate_only_answers_under_incremental() {
-        let inst = instance(40.0);
-        let warm = EnergyProfile::new(vec![0.2, 0.3]);
-        let mut warm_rp = Replanner::new(ApproxSolver::new(), ReplanStrategy::WarmStart);
-        assert!(warm_rp.estimate(&inst, Some(&warm)).is_none());
-        assert_eq!(warm_rp.stats().fallbacks, 0);
-
-        let mut inc = Replanner::new(ApproxSolver::new(), ReplanStrategy::Incremental);
-        assert!(inc.estimate(&inst, None).is_none());
-        assert_eq!(inc.stats().fallbacks, 1);
-        let est = inc.estimate(&inst, Some(&warm)).expect("estimate runs");
-        assert_eq!(est.flops.len(), inst.num_tasks());
-        // The estimate is the fractional optimum's value: it matches the
-        // cold solve's embedded fractional accuracy to fp tolerance.
-        let cold = Replanner::new(ApproxSolver::new(), ReplanStrategy::Cold)
-            .solve(&inst, None)
-            .fractional
-            .total_accuracy;
-        assert!(
-            (est.total_accuracy - cold).abs() <= 1e-6 * (1.0 + cold.abs()),
-            "estimate {} vs cold fractional {}",
-            est.total_accuracy,
-            cold
-        );
-    }
-
-    #[test]
     fn insert_bound_lower_bounds_the_reoptimized_tentative() {
         let inst = instance(40.0);
         let mut rp = Replanner::new(ApproxSolver::new(), ReplanStrategy::Incremental);
@@ -402,7 +332,9 @@ mod tests {
         assert!(rp.has_anchor());
 
         let extra = Task::new(0.6, acc(&[(0.0, 0.0), (400.0, 0.45)]));
-        let bound = rp.insert_value_bound(&extra).expect("anchored delta");
+        let bound = rp
+            .insert_value_bound(&extra, |_| true)
+            .expect("anchored delta");
 
         // Cold tentative optimum of pool + extra dominates the bound.
         let mut tasks = inst.tasks().to_vec();
@@ -422,13 +354,19 @@ mod tests {
         );
         assert_eq!(rp.stats().delta_bounds, 1);
 
-        // Removal twin: dropping a task is also answerable.
-        assert!(rp.remove_value_bound(0).is_some());
-        // Invalid index falls back.
-        assert!(rp.remove_value_bound(99).is_none());
-        assert_eq!(rp.stats().fallbacks, 1);
-
+        // A bound below the caller's bar settles nothing, and neither
+        // does a cleared anchor: each is one fallback.
+        assert!(rp.insert_value_bound(&extra, |b| b > bound).is_none());
         rp.clear_anchor();
-        assert!(rp.insert_value_bound(&extra).is_none());
+        assert!(rp.insert_value_bound(&extra, |_| true).is_none());
+        assert_eq!((rp.stats().delta_bounds, rp.stats().fallbacks), (1, 2));
+
+        // `Cold` never anchors and never asks, so it counts nothing.
+        let mut cold = Replanner::new(ApproxSolver::new(), ReplanStrategy::Cold);
+        let (incumbent, evaluator) = cold.solve_keeping(&inst, None);
+        cold.anchor_solved(evaluator, &incumbent.fractional.profile);
+        assert!(!cold.has_anchor());
+        assert!(cold.insert_value_bound(&extra, |_| true).is_none());
+        assert_eq!(cold.stats().fallbacks, 0);
     }
 }

@@ -13,15 +13,7 @@
 //! therefore every value it produces — is bit-identical to the AoS
 //! greedy's.
 //!
-//! [`PwlLanes`] flattens every task's accuracy breakpoints into shared
-//! lanes behind a plain offset table, replacing the per-call binary search
-//! of [`dsct_accuracy::PwlAccuracy::eval`] on the value-search finisher
-//! path with an offset lookup plus a `K ≤ 8`-step linear scan. (A
-//! PGM-style ε-bounded learned index over the breakpoint lane is the
-//! drop-in upgrade if K ever grows large; at the paper's K = 5 the offset
-//! table is already exact and branch-predictable.)
-//!
-//! [`ScratchArena`] is the bump-style recycling pool behind both: every
+//! [`ScratchArena`] is the bump-style recycling pool behind them: every
 //! per-solve buffer ([`crate::algo_naive::NaiveSolver`]'s lanes, the
 //! [`crate::algo_naive::ValueCheckpoint`]'s vectors, the descent's
 //! machine-power lane) is taken from the owning workspace's arena and
@@ -34,7 +26,6 @@
 //! one anchored evaluator.
 
 use crate::algo_single::SegmentSpec;
-use crate::problem::Instance;
 
 /// Recycling pool for per-solve scratch buffers, owned by a
 /// [`crate::algo_naive::ValueFnWorkspace`]. `take_*` hands out a cleared
@@ -84,11 +75,12 @@ impl ScratchArena {
 /// The instance's positive-gain PWL segments in slope-descending
 /// processing order, as three contiguous lanes. Built once per
 /// [`crate::algo_naive::NaiveSolver`]; the probe walk (buckets) and the
-/// value-only finisher (tree) walk these lanes instead of the AoS
+/// schedule finisher (tree) walk these lanes instead of the AoS
 /// `order → segments` indirection.
 ///
 /// Invariants: `task`, `width`, `slope` have equal length; entries appear
-/// in exactly the order [`crate::algo_single::sort_segments`] produces,
+/// in exactly Algorithm 1's processing order (slope descending, then
+/// task, then position),
 /// with `width ≤ 0` and `slope ≤ 0` entries removed (the greedy skips
 /// them without touching any state, so removal preserves the take
 /// sequence bit-for-bit).
@@ -151,97 +143,10 @@ impl SegmentLanes {
     }
 }
 
-/// Flat segment index over every task's PWL accuracy curve: concatenated
-/// breakpoint/value lanes (one entry per breakpoint) and a slope lane
-/// (one entry per segment), addressed through a plain offset table.
-///
-/// `eval(j, f)` reproduces [`dsct_accuracy::PwlAccuracy::eval`]
-/// bit-for-bit: the same segment is selected (breakpoints belong to the
-/// segment on their right; `f ≥ f_max` saturates at `a_max`) and the same
-/// `values[k] + slopes[k]·(f − breakpoints[k])` expression evaluated —
-/// only the lookup changed from a per-call binary search over the task's
-/// own vectors to an offset into shared lanes.
-#[derive(Debug, Clone, Default)]
-pub struct PwlLanes {
-    /// `off[j]..off[j+1]` is task `j`'s breakpoint range (`n + 1` entries).
-    off: Vec<u32>,
-    /// Concatenated breakpoint abscissae.
-    bp: Vec<f64>,
-    /// Concatenated breakpoint accuracies (aligned with `bp`).
-    val: Vec<f64>,
-    /// Concatenated segment slopes; task `j`'s segment `k` lives at
-    /// `off[j] - j + k` (each task has one more breakpoint than segments).
-    slope: Vec<f64>,
-}
-
-impl PwlLanes {
-    /// Flattens every task's accuracy curve, pulling buffers from `arena`.
-    pub(crate) fn build_in(inst: &Instance, arena: &mut ScratchArena) -> Self {
-        let n = inst.num_tasks();
-        let mut off = arena.take_u32();
-        let mut bp = arena.take_f64();
-        let mut val = arena.take_f64();
-        let mut slope = arena.take_f64();
-        off.reserve(n + 1);
-        off.push(0);
-        for j in 0..n {
-            let acc = &inst.task(j).accuracy;
-            bp.extend_from_slice(acc.breakpoints());
-            val.extend_from_slice(acc.values());
-            slope.extend_from_slice(acc.slopes());
-            debug_assert!(bp.len() < u32::MAX as usize, "breakpoint lane overflow");
-            off.push(bp.len() as u32);
-        }
-        Self {
-            off,
-            bp,
-            val,
-            slope,
-        }
-    }
-
-    /// Accuracy of task `j` at work level `f` — bit-identical to
-    /// `inst.task(j).accuracy.eval(f)`.
-    #[inline]
-    pub fn eval(&self, j: usize, f: f64) -> f64 {
-        debug_assert!(f >= 0.0, "work must be non-negative, got {f}");
-        let lo = self.off[j] as usize;
-        let hi = self.off[j + 1] as usize;
-        if f >= self.bp[hi - 1] {
-            return self.val[hi - 1];
-        }
-        // Count of breakpoints ≤ f, clamped to ≥ 1 (bp[lo] = 0 ≤ f): the
-        // linear-scan equivalent of `partition_point(|&p| p <= f).max(1)`,
-        // exact because breakpoints ascend. K stays small (the paper uses
-        // 5 segments), so the scan beats a binary search's branch misses.
-        let mut count = 1usize;
-        while lo + count < hi && self.bp[lo + count] <= f {
-            count += 1;
-        }
-        let k = count - 1;
-        self.val[lo + k] + self.slope[lo - j + k] * (f - self.bp[lo + k])
-    }
-
-    /// Zero-work accuracy of task `j` — bit-identical to
-    /// `inst.task(j).accuracy.a_min()`.
-    #[inline]
-    pub fn a_min(&self, j: usize) -> f64 {
-        self.val[self.off[j] as usize]
-    }
-
-    /// Returns the lane buffers to `arena`.
-    pub(crate) fn recycle(self, arena: &mut ScratchArena) {
-        arena.put_u32(self.off);
-        arena.put_f64(self.bp);
-        arena.put_f64(self.val);
-        arena.put_f64(self.slope);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::Task;
+    use crate::problem::{Instance, Task};
     use dsct_accuracy::PwlAccuracy;
     use dsct_machines::{Machine, MachinePark};
     use proptest::prelude::*;
@@ -331,26 +236,6 @@ mod tests {
             lanes2.recycle(&mut arena);
             lanes.recycle(&mut arena);
         }
-
-        /// The flat PWL index evaluates bit-identically to the per-task
-        /// binary search it replaced, across random work levels.
-        #[test]
-        fn pwl_lanes_round_trip_eval(inst in arb_instance(), probes in proptest::collection::vec(0.0f64..300.0, 1..20)) {
-            let mut arena = ScratchArena::new();
-            let lanes = PwlLanes::build_in(&inst, &mut arena);
-            for j in 0..inst.num_tasks() {
-                let acc = &inst.task(j).accuracy;
-                for &f in &probes {
-                    prop_assert_eq!(lanes.eval(j, f).to_bits(), acc.eval(f).to_bits());
-                }
-                prop_assert_eq!(lanes.a_min(j).to_bits(), acc.a_min().to_bits());
-                // Exactly at each breakpoint, too (segment ownership edges).
-                for &bp in acc.breakpoints() {
-                    prop_assert_eq!(lanes.eval(j, bp).to_bits(), acc.eval(bp).to_bits());
-                }
-            }
-            lanes.recycle(&mut arena);
-        }
     }
 
     #[test]
@@ -402,33 +287,6 @@ mod tests {
         assert_eq!(lanes.task, vec![0, 1]);
         assert_eq!(lanes.slope, vec![2.0, 1.0]);
         assert_eq!(lanes.width, vec![1.0, 2.0]);
-        lanes.recycle(&mut arena);
-    }
-
-    #[test]
-    fn pwl_lanes_eval_is_bit_identical() {
-        let park = MachinePark::new(vec![Machine::new(1.0, 1.0).unwrap()]);
-        let tasks = vec![
-            Task::new(
-                1.0,
-                PwlAccuracy::new(&[(0.0, 0.1), (1.0, 0.5), (2.0, 0.7), (4.0, 0.8)]).unwrap(),
-            ),
-            Task::new(2.0, PwlAccuracy::new(&[(0.0, 0.0), (3.0, 0.9)]).unwrap()),
-        ];
-        let inst = Instance::new(tasks, park, 10.0).unwrap();
-        let mut arena = ScratchArena::new();
-        let lanes = PwlLanes::build_in(&inst, &mut arena);
-        for j in 0..2 {
-            for f in [0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 3.999, 4.0, 100.0] {
-                let want = inst.task(j).accuracy.eval(f);
-                let got = lanes.eval(j, f);
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "task {j} at f = {f}: {got} vs {want}"
-                );
-            }
-        }
         lanes.recycle(&mut arena);
     }
 }

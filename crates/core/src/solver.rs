@@ -484,24 +484,6 @@ impl ApproxSolver {
     ) -> ApproxSolution {
         crate::approx::solve_approx_warm_with(inst, &self.opts, ctx.workspace(), warm)
     }
-
-    /// Value-only warm-started estimate of the embedded fractional solve:
-    /// the identical descent [`Self::solve_typed_warm_with`]'s fractional
-    /// stage runs, minus the waterfill, list-scheduling, and cut phases —
-    /// only the refined profile, the pooled per-task flops, and their
-    /// fractional accuracy come back. This is the replanner's
-    /// tentative-evaluation path: admission needs a value, not a
-    /// schedule. `None` whenever the warm path would fall back to the
-    /// cold pipeline (wrong-length hint, search disabled); callers must
-    /// run the full solve then.
-    pub fn estimate_value_warm_with(
-        &self,
-        inst: &Instance,
-        ctx: &mut SolverContext,
-        warm: &crate::profile::EnergyProfile,
-    ) -> Option<crate::profile_search::ValueSearchResult> {
-        crate::fr_opt::fr_value_estimate_warm_with(inst, &self.opts.fr, ctx.workspace(), warm)
-    }
 }
 
 impl Solver for ApproxSolver {

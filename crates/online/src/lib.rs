@@ -17,10 +17,10 @@
 //!   and re-plans the pending pool as a residual instance
 //!   ([`dsct_core::residual`]) through a [`dsct_core::replan::Replanner`]
 //!   — warm-started from the incumbent plan's fractional profile under
-//!   [`ReplanStrategy::WarmStart`], or decided by checkpoint membership
-//!   deltas and value-only estimates under
-//!   [`ReplanStrategy::Incremental`] (adopted plans are cold solves, bit
-//!   for bit);
+//!   [`ReplanStrategy::WarmStart`], or, under
+//!   [`ReplanStrategy::Incremental`], admitted early where a checkpoint
+//!   insertion bound settles the decision (adopted plans are cold
+//!   solves, bit for bit);
 //! - [`AdmissionPolicy`] — pluggable admission: [`AdmissionPolicy::AdmitAll`],
 //!   [`AdmissionPolicy::RejectIfInfeasible`] (protects the planned
 //!   accuracy of already-admitted tasks), and

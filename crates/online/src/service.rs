@@ -17,8 +17,9 @@
 //! warm-started, under [`ReplanStrategy::WarmStart`], from the
 //! incumbent's fractional profile restricted to still-pending tasks;
 //! under [`ReplanStrategy::Incremental`] adopted plans are cold solves,
-//! bit for bit, while the tentative admission evaluations go through the
-//! replanner's checkpoint membership deltas and value-only estimates.
+//! bit for bit, while an [`AdmissionPolicy::DegradeToFit`] evaluation
+//! first asks the replanner's checkpoint insertion bound and takes the
+//! full solve only when the bound cannot settle it.
 //!
 //! Machine availability is restored at plan-materialization time: tasks
 //! landing on a still-busy machine are cut at their *absolute* deadline
@@ -172,8 +173,8 @@ pub struct OnlineSummary {
     pub replans: usize,
     /// Total tentative/re-plan evaluations: one per incumbent re-plan
     /// plus one per gated admission evaluation, whichever replanner path
-    /// (full solve, value estimate, or checkpoint delta bound) answered
-    /// it — so the count is strategy-independent by construction.
+    /// (full solve or checkpoint insertion bound) answered it — so the
+    /// count is strategy-independent by construction.
     pub solves: usize,
     /// Realized total accuracy `Σ_j a_j(work_j)` over **all** arrivals
     /// (rejected/expired/starved tasks contribute their zero-work
@@ -211,8 +212,8 @@ pub struct OnlineReport {
     pub summary: OnlineSummary,
     /// Final ledger state.
     pub ledger: EnergyLedger,
-    /// The replanner's path counters (solves, estimates, delta bounds,
-    /// fallbacks). Diagnostics only — deliberately outside
+    /// The replanner's path counters (solves, delta bounds, fallbacks).
+    /// Diagnostics only — deliberately outside
     /// [`OnlineSummary`], so the byte-comparable digest stays identical
     /// across [`ReplanStrategy`] arms.
     pub replan: ReplanStats,
@@ -432,8 +433,8 @@ impl OnlineService {
         self.pool.len()
     }
 
-    /// The replanner's path counters so far (solves, estimates, delta
-    /// bounds, fallbacks).
+    /// The replanner's path counters so far (solves, delta bounds,
+    /// fallbacks).
     pub fn replan_stats(&self) -> ReplanStats {
         self.replanner.stats()
     }
@@ -1060,8 +1061,7 @@ impl OnlineService {
     /// The admission baseline: the incumbent plan's *fractional* value
     /// restricted to still-pending tasks — `Σ_j a_j(f_j)` over the
     /// incumbent's pooled flop vector, summed in plan order. The same
-    /// plain arithmetic on every strategy and on both the full-solve and
-    /// value-estimate tentative paths, so a decision threshold cannot
+    /// plain arithmetic on every strategy, so a decision threshold cannot
     /// drift between replanner arms. `0.0` without an incumbent.
     fn baseline_value(&self) -> f64 {
         let Some(plan) = self.plan.as_ref() else {
@@ -1077,10 +1077,8 @@ impl OnlineService {
             .sum()
     }
 
-    /// The fractional tentative value of a full solve: bit-identical to
-    /// the `Σ_j a_j(f_j)` sum the value-estimate path reports for the
-    /// same flop vector, so the two tentative paths feed the admission
-    /// policy through one arithmetic.
+    /// The fractional tentative value of a full solve: `Σ_j a_j(f_j)` in
+    /// task order, the arithmetic of [`Self::baseline_value`].
     fn fractional_total(inst: &Instance, flops: &[f64]) -> f64 {
         flops
             .iter()
@@ -1093,18 +1091,15 @@ impl OnlineService {
     /// invocation whichever replanner path answers it, followed by plan
     /// adoption on admission.
     ///
-    /// Path order under [`ReplanStrategy::Incremental`]:
-    /// 1. a checkpoint *insertion delta* lower-bounds the tentative
-    ///    value at the incumbent's anchored caps —
-    ///    [`AdmissionPolicy::DegradeToFit`]'s test is monotone in the
-    ///    tentative value, so clearing the bar at a lower bound proves
-    ///    the re-optimized value clears it too (early admit only; a low
-    ///    bound proves nothing and falls through);
-    /// 2. a value-only warm estimate (the full descent without the
-    ///    waterfill/assignment/oracle finishers);
-    /// 3. the full solve — the only path under `Cold`/`WarmStart`
-    ///    (where it doubles as the adoption solve), and the bit-exact
-    ///    fallback whenever the cheap paths decline to answer.
+    /// Under [`ReplanStrategy::Incremental`],
+    /// [`AdmissionPolicy::DegradeToFit`] first asks the checkpoint
+    /// *insertion bound*: the tentative value at the incumbent's anchored
+    /// caps, a lower bound on the re-optimized one. The policy's test is
+    /// monotone in the tentative value, so clearing the bar at the bound
+    /// proves the re-optimized value clears it too (early admit only; a
+    /// low bound proves nothing). Everything else — every other strategy
+    /// or policy, and every evaluation the bound cannot settle — takes
+    /// the full solve, which doubles as the adoption solve.
     fn decide_and_adopt(
         &mut self,
         task: &OnlineTask,
@@ -1114,13 +1109,17 @@ impl OnlineService {
         let cand_floor = task.accuracy.a_min();
         if policy == AdmissionPolicy::DegradeToFit {
             let residual_cand = Task::new(task.deadline - self.now, task.accuracy.clone());
-            if let Some(bound) = self.replanner.insert_value_bound(&residual_cand) {
-                // `tentative_cand` is unknown on this path and unused by
-                // DegradeToFit's test; NaN poisons any future misuse.
-                if policy.decide(baseline, bound, f64::NAN, cand_floor) == Decision::Admitted {
-                    self.solves += 1;
-                    return self.admit_and_solve(task);
-                }
+            // `tentative_cand` is unknown on this path and unused by
+            // DegradeToFit's test; NaN poisons any future misuse.
+            let clears =
+                |bound| policy.decide(baseline, bound, f64::NAN, cand_floor) == Decision::Admitted;
+            if self
+                .replanner
+                .insert_value_bound(&residual_cand, clears)
+                .is_some()
+            {
+                self.solves += 1;
+                return self.admit_and_solve(task);
             }
         }
         let Some((res, machine_ids)) = self.residual_for(Some(task)) else {
@@ -1130,21 +1129,6 @@ impl OnlineService {
             return Decision::Rejected;
         };
         let warm = self.warm_hint(&machine_ids);
-        if let Some(est) = self.replanner.estimate(&res.instance, warm.as_ref()) {
-            self.solves += 1;
-            let jc = res
-                .task_ids
-                .iter()
-                .position(|&id| id == task.id)
-                .expect("candidate is live, so it is in the residual");
-            let tentative_cand = res.instance.task(jc).accuracy.eval(est.flops[jc]);
-            let decision = policy.decide(baseline, est.total_accuracy, tentative_cand, cand_floor);
-            if decision == Decision::Admitted {
-                return self.admit_and_solve(task);
-            }
-            self.record_unserved(task, self.now);
-            return decision;
-        }
         let (approx, evaluator) = self.solve_residual(&res, warm.as_ref());
         self.solves += 1;
         let jc = res
@@ -1176,16 +1160,16 @@ impl OnlineService {
         decision
     }
 
-    /// Admission reached without a full tentative solve (the delta-bound
-    /// or estimate path): the adopted plan must still be bitwise what
+    /// Admission reached without a full tentative solve (the insertion
+    /// bound settled it): the adopted plan must still be bitwise what
     /// the cold pipeline produces, so the full solve runs now.
     /// Deliberately *not* counted as a solver invocation:
     /// the full-solve arms adopt their tentative solve directly, and
     /// counter parity across strategies is part of the digest contract.
     fn admit_and_solve(&mut self, task: &OnlineTask) -> Decision {
         self.pool.push(task.clone());
-        // Unreachable in practice — the cheap paths only answer with a
-        // live candidate on a live sub-park — but stay safe.
+        // Unreachable in practice — the bound only settles with a live
+        // candidate on a live sub-park — but stay safe.
         if !self.solve_and_adopt_pool() {
             self.plan = None;
             self.plan_dirty = false;
@@ -1320,7 +1304,7 @@ impl OnlineService {
     }
 
     /// Solves the residual instance of the pool at the current time,
-    /// warm-starting when configured and an incumbent exists, and adopts
+    /// warm-started when [`Self::warm_hint`] gives a hint, and adopts
     /// the result as the incumbent, anchored on the solve's evaluator.
     /// Returns `false`, adopting nothing, when there is nothing to
     /// schedule — no live item, or no live machine.
@@ -1328,12 +1312,7 @@ impl OnlineService {
         let Some((res, machine_ids)) = self.residual_for(None) else {
             return false;
         };
-        // `Replanner::solve_keeping` reads the hint under `WarmStart` only
-        // (`Incremental` re-solves cold by contract), so only then is it
-        // worth its pass over the pool.
-        let warm = (self.cfg.replan == ReplanStrategy::WarmStart)
-            .then(|| self.warm_hint(&machine_ids))
-            .flatten();
+        let warm = self.warm_hint(&machine_ids);
         let (approx, evaluator) = self.solve_residual(&res, warm.as_ref());
         self.replanner
             .anchor_solved(evaluator, &approx.fractional.profile);
@@ -1351,9 +1330,12 @@ impl OnlineService {
     /// shrinks as the plan is consumed), re-indexed from the incumbent's
     /// machine set onto `machine_ids` (the new solve's sub-park). A
     /// machine that failed since the incumbent was solved simply loses
-    /// its share of the hint.
+    /// its share of the hint. `None` unless the strategy is
+    /// [`ReplanStrategy::WarmStart`], the only one that reads a hint
+    /// (`Incremental` re-solves cold by contract), so no other strategy
+    /// pays this pass over the pool.
     fn warm_hint(&self, machine_ids: &[usize]) -> Option<EnergyProfile> {
-        if self.cfg.replan == ReplanStrategy::Cold {
+        if self.cfg.replan != ReplanStrategy::WarmStart {
             return None;
         }
         let plan = self.plan.as_ref()?;
@@ -1917,8 +1899,8 @@ mod tests {
     /// The byte-identity contract of the replanner redesign, end to end
     /// at the service level: under every gated policy, the `Incremental`
     /// arm's decisions, summary, ledger, and outcomes equal the `Cold`
-    /// arm's — even though its tentative evaluations run through value
-    /// estimates and checkpoint delta bounds.
+    /// arm's — even though its `DegradeToFit` evaluations are settled by
+    /// checkpoint insertion bounds where they can be.
     #[test]
     fn incremental_runs_are_byte_identical_to_cold() {
         for policy in [
@@ -1945,10 +1927,12 @@ mod tests {
             assert_eq!(cold.decisions, inc.decisions, "policy {policy:?}");
             assert_eq!(cold.summary, inc.summary, "policy {policy:?}");
             assert_eq!(cold.ledger, inc.ledger, "policy {policy:?}");
-            assert!(
-                inc.replan.estimates + inc.replan.delta_bounds > 0,
-                "the incremental arm must exercise at least one cheap path"
-            );
+            if policy == AdmissionPolicy::DegradeToFit {
+                // Each gated arrival is settled by the bound or falls back.
+                let r = inc.replan;
+                assert_eq!(r.delta_bounds + r.fallbacks, 8, "{r:?}");
+                assert!(r.delta_bounds > 0, "no evaluation was settled by its bound");
+            }
         }
     }
 }

@@ -210,3 +210,32 @@ fn zero_budget_corpus_instance_forces_floor_accuracy() {
         "zero budget must pin every task at its floor accuracy"
     );
 }
+
+/// Known failure, kept under `tests/corpus/known/` so the main corpus
+/// loop does not read it: APPROX misses the paper's absolute guarantee
+/// (Eq. 13/14) on an ordinary `online-residual` instance (`n = 201`,
+/// `m = 4`, `B = 41.4 J`) that the oracle dumped during a
+/// debug-assertions run of the `serve_overload` benchmark workload at
+/// seed 4242. ROADMAP's "APPROX misses the paper's guarantee on an
+/// ordinary instance" item tracks it. This test pins the violation:
+/// the change that fixes the bound or the rounding flips the assertion
+/// and moves the file into the main corpus.
+#[test]
+fn known_failure_approx_misses_its_guarantee_on_online_residual_d7cfbd() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/corpus/known/online-residual-d7cfbd309357dec5.json");
+    let inst = support::instance_from_json(&std::fs::read_to_string(path).expect("seeded file"))
+        .expect("valid corpus file");
+    assert_eq!((inst.num_tasks(), inst.num_machines()), (201, 4));
+    let sol = Solution::from_approx(&inst, ApproxSolver::new().solve_typed(&inst));
+    let ub = sol
+        .upper_bound
+        .expect("APPROX reports its fractional bound");
+    let g = dsct_core::guarantee::absolute_guarantee(&inst);
+    assert!(
+        ub - sol.total_accuracy > g,
+        "UB {ub} − SOL {} = {} is within G = {g}: the known failure is fixed",
+        sol.total_accuracy,
+        ub - sol.total_accuracy
+    );
+}

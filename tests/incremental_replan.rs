@@ -4,14 +4,15 @@
 //!    [`ReplanStrategy::Incremental`] produces decisions, summary, and
 //!    energy ledger byte-identical to [`ReplanStrategy::Cold`], over 24
 //!    seeds × 3 load factors and both gated admission policies. The
-//!    incremental arm may decide gated evaluations from checkpoint deltas
-//!    or value-only estimates — whichever path answers, the adopted plans
-//!    are cold solves, bit for bit.
+//!    incremental arm may settle a `DegradeToFit` evaluation by the
+//!    anchor's insertion bound; whichever path answers, the adopted plans
+//!    are cold solves, bit for bit, and every gated evaluation is counted
+//!    once, as a delta bound or as a fallback.
 //! 2. **Repeated probes** — a standing pool probed again and again
 //!    decides the same under every strategy, with `Cold`'s summary.
-//! 3. **Invalid-delta fallback** — when the cheap paths decline (a
-//!    missing/mismatched anchor, a wrong-shape warm hint), the replanner
-//!    falls back to the full solve bit-exactly.
+//! 3. **Invalid-delta fallback** — when the bound declines (a missing or
+//!    mismatched anchor), the replanner falls back to the full solve
+//!    bit-exactly.
 //! 4. **The retained evaluator** — an anchor keeps the evaluator its solve
 //!    ran on, and every insertion bound it answers is, to the bit, what an
 //!    evaluator freshly built on the anchored instance answers.
@@ -19,7 +20,6 @@
 use dsct_ea::accuracy::PwlAccuracy;
 use dsct_ea::core::algo_naive::{NaiveSolver, ValueCheckpoint};
 use dsct_ea::core::problem::{Instance, Task};
-use dsct_ea::core::profile::EnergyProfile;
 use dsct_ea::core::replan::Replanner;
 use dsct_ea::core::residual::{residual_instance, ResidualItem};
 use dsct_ea::core::solver::ApproxSolver;
@@ -58,7 +58,7 @@ fn incremental_replays_are_byte_identical_to_cold_across_seeds_and_loads() {
         AdmissionPolicy::RejectIfInfeasible,
         AdmissionPolicy::DegradeToFit,
     ];
-    let mut cheap_paths = 0u64;
+    let mut delta_bounds = 0u64;
     for (t, &load) in [0.3, 1.0, 2.5].iter().enumerate() {
         for seed in 0..24u64 {
             let trace = generate_arrivals(&arrival_config(18, load), 7000 * t as u64 + seed)
@@ -81,14 +81,30 @@ fn incremental_replays_are_byte_identical_to_cold_across_seeds_and_loads() {
                 cold.ledger, inc.ledger,
                 "load {load} seed {seed} {policy:?}: ledgers diverged"
             );
-            cheap_paths += inc.replan.estimates + inc.replan.delta_bounds;
+            if policy == AdmissionPolicy::DegradeToFit {
+                // No disruption and no dead-on-arrival task: every
+                // arrival reaches the admission test, and each one is
+                // settled by the bound or falls back, exactly once.
+                let gated = trace
+                    .tasks
+                    .iter()
+                    .filter(|t| t.deadline - t.arrival > 1e-9)
+                    .count() as u64;
+                let r = inc.replan;
+                assert_eq!(
+                    r.delta_bounds + r.fallbacks,
+                    gated,
+                    "load {load} seed {seed}: {r:?}"
+                );
+            }
+            delta_bounds += inc.replan.delta_bounds;
         }
     }
-    // The sweep must actually exercise the cheap paths, not pass
-    // vacuously with every request falling back to the full solve.
+    // The sweep must actually exercise the bound, not pass vacuously
+    // with every request falling back to the full solve.
     assert!(
-        cheap_paths > 0,
-        "no incremental replay ever used an estimate or a delta bound"
+        delta_bounds > 0,
+        "no incremental replay ever settled an evaluation by its bound"
     );
 }
 
@@ -132,7 +148,9 @@ fn retained_anchor_bounds_match_a_fresh_evaluator_across_seeds_and_loads() {
                 fresh.checkpoint_into(&mut ws, &caps, &mut chk);
                 for cand in trace.tasks[k..].iter().take(4) {
                     let extra = Task::new(cand.deadline - now, cand.accuracy.clone());
-                    let retained = rp.insert_value_bound(&extra).expect("anchored delta");
+                    let retained = rp
+                        .insert_value_bound(&extra, |_| true)
+                        .expect("anchored delta");
                     let rebuilt = fresh
                         .value_insert_delta(&mut ws, &chk, &extra)
                         .expect("anchored delta");
@@ -237,24 +255,22 @@ fn invalid_deltas_fall_back_to_the_full_solve_bit_exactly() {
     let mut cold = Replanner::new(ApproxSolver::new(), ReplanStrategy::Cold);
 
     // A wrong-shape anchor self-clears instead of poisoning deltas …
-    inc.anchor(&inst, &[1.0; 3]);
+    let (_, evaluator) = inc.solve_keeping(&inst, None);
+    inc.anchor_solved(evaluator, &[1.0; 3]);
     assert!(
         !inc.has_anchor(),
         "a 3-cap anchor over 2 machines must clear"
     );
+    // … so the bound declines, and is counted as a fallback.
     assert!(
-        inc.insert_value_bound(&Task::new(0.5, inst.task(0).accuracy.clone()))
+        inc.insert_value_bound(&Task::new(0.5, inst.task(0).accuracy.clone()), |_| true)
             .is_none(),
         "no anchor, no delta"
     );
-    // … a missing warm hint declines the estimate …
-    assert!(inc.estimate(&inst, None).is_none());
-    // … and a wrong-length warm hint declines it too.
-    let bad_warm = EnergyProfile::new(vec![0.5; 3]);
-    assert!(inc.estimate(&inst, Some(&bad_warm)).is_none());
-    assert!(
-        inc.stats().fallbacks >= 2,
-        "declined cheap paths must be counted as fallbacks"
+    assert_eq!(
+        (inc.stats().delta_bounds, inc.stats().fallbacks),
+        (0, 1),
+        "a declined bound must be counted as a fallback"
     );
 
     // The fallback full solve is bit-identical to the cold pipeline.

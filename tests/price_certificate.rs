@@ -10,6 +10,7 @@
 use dsct_accuracy::PwlAccuracy;
 use dsct_core::algo_naive::{NaiveSolver, PriceBlocks, ValueCheckpoint};
 use dsct_core::problem::{Instance, Task};
+use dsct_core::profile::EnergyProfile;
 use dsct_machines::{Machine, MachinePark};
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
 use proptest::prelude::*;
@@ -356,7 +357,9 @@ fn inconsistent_work_is_uncertifiable() {
         let mut chk = ValueCheckpoint::new();
         let mut blocks = PriceBlocks::new();
         solver.checkpoint_into(&mut ws, &caps, &mut chk);
-        let work = solver.flops_under_with(&mut ws, &caps);
+        let work = solver
+            .solution_under(&mut ws, &EnergyProfile::new(caps.clone()))
+            .flops;
         solver.price_work_into(&mut ws, &chk, &work, &mut blocks);
         assert!(blocks.is_certifiable(), "seed {seed}: the optimum itself");
         let sink = [(caps[0], 1.0)];

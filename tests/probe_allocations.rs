@@ -154,7 +154,10 @@ fn steady_state_delta_probes_allocate_nothing() {
         })
         .collect();
     let mut bound = |extra: &Task| {
-        std::hint::black_box(rp.insert_value_bound(extra).expect("anchored delta"));
+        std::hint::black_box(
+            rp.insert_value_bound(extra, |_| true)
+                .expect("anchored delta"),
+        );
     };
     bound(&arrivals[0]);
     let before = allocated_bytes();
