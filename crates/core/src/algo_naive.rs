@@ -203,6 +203,10 @@ pub struct ValueCheckpoint {
     /// Δ-probes reload the untouched prefix by word copy instead of an
     /// element scan.
     bit_words: Vec<u64>,
+    /// Work the bucket greedy gave each task on the way to `value`,
+    /// kept so pricing the incumbent needs no second walk
+    /// ([`NaiveSolver::price_blocks_into`]).
+    work: Vec<f64>,
     /// `V(caps)` as evaluated by the bucket greedy.
     value: f64,
     /// Whether the checkpoint holds a usable incumbent.
@@ -223,6 +227,7 @@ impl ValueCheckpoint {
             td: arena.take_f64(),
             buckets: arena.take_f64(),
             bit_words: arena.take_u64(),
+            work: arena.take_f64(),
             value: 0.0,
             valid: false,
         }
@@ -235,6 +240,7 @@ impl ValueCheckpoint {
         arena.put_f64(self.td);
         arena.put_f64(self.buckets);
         arena.put_u64(self.bit_words);
+        arena.put_f64(self.work);
     }
 
     /// Whether the checkpoint holds a usable incumbent.
@@ -250,6 +256,12 @@ impl ValueCheckpoint {
     /// The incumbent caps (empty while invalid).
     pub fn caps(&self) -> &[f64] {
         &self.caps
+    }
+
+    /// The work the bucket greedy gave each task at the caps, in task
+    /// order (meaningless while invalid).
+    pub fn work(&self) -> &[f64] {
+        &self.work
     }
 }
 
@@ -588,7 +600,9 @@ impl NaiveSolver {
         ws.buckets.load(&chk.buckets, &[]);
         chk.bit_words.clear();
         chk.bit_words.extend_from_slice(ws.buckets.bits_words());
-        let gain = accuracy_gain_buckets_lanes(&self.lanes, &mut ws.buckets);
+        chk.work.clear();
+        chk.work.resize(n, 0.0);
+        let gain = accuracy_gain_buckets_lanes::<true>(&self.lanes, &mut ws.buckets, &mut chk.work);
         chk.value = self.base_accuracy + gain;
         chk.valid = true;
         chk.value
@@ -654,7 +668,7 @@ impl NaiveSolver {
 
         ws.buckets
             .load_with_prefix(&chk.buckets[..a], &chk.bit_words, &ws.delta_buckets);
-        let gain = accuracy_gain_buckets_lanes(&self.lanes, &mut ws.buckets);
+        let gain = accuracy_gain_buckets_lanes::<false>(&self.lanes, &mut ws.buckets, &mut []);
         Some(self.base_accuracy + gain)
     }
 
@@ -776,19 +790,46 @@ impl NaiveSolver {
         Some(self.base_accuracy + extra.accuracy.a_min() + gain)
     }
 
-    /// Prices the checkpoint's incumbent: the bucket greedy's per-task
-    /// takes on the checkpointed capacities (the walk behind
-    /// [`NaiveSolver::checkpoint_into`], through `BucketSlack::consume` so
-    /// the takes can be kept), then [`NaiveSolver::price_work_into`].
-    /// `O(n + segments)`; allocates nothing on a warm workspace and counts
-    /// no probe.
+    /// Prices the checkpoint's incumbent: [`NaiveSolver::price_work_into`]
+    /// on the per-task work its greedy recorded as it ran
+    /// ([`ValueCheckpoint::work`]), so pricing walks no lane a second
+    /// time. Builds with `debug_assertions` hold the recorded work to a
+    /// fresh walk ([`NaiveSolver::walk_work_into`]) bit for bit. `O(n +
+    /// segments)`; allocates nothing on a warm workspace and counts no
+    /// probe.
     pub fn price_blocks_into(
         &self,
         ws: &mut ValueFnWorkspace,
         chk: &ValueCheckpoint,
         out: &mut PriceBlocks,
     ) {
-        let mut work = ws.arena.take_f64();
+        #[cfg(debug_assertions)]
+        if chk.valid && chk.work.len() == self.deadlines.len() {
+            let mut walked = ws.arena.take_f64();
+            self.walk_work_into(ws, chk, &mut walked);
+            assert!(
+                walked
+                    .iter()
+                    .map(|w| w.to_bits())
+                    .eq(chk.work.iter().map(|w| w.to_bits())),
+                "recorded takes differ from a fresh walk's"
+            );
+            ws.arena.put_f64(walked);
+        }
+        self.price_work_into(ws, chk, &chk.work, out);
+    }
+
+    /// The bucket greedy's per-task work at the checkpoint's caps, by a
+    /// fresh walk through `BucketSlack::consume` into `work` (one entry
+    /// per task): what [`NaiveSolver::checkpoint_into`] records as its
+    /// greedy runs, derived the long way. Counts no probe.
+    pub fn walk_work_into(
+        &self,
+        ws: &mut ValueFnWorkspace,
+        chk: &ValueCheckpoint,
+        work: &mut Vec<f64>,
+    ) {
+        work.clear();
         work.resize(self.deadlines.len(), 0.0);
         ws.buckets
             .load_with_prefix(&chk.buckets, &chk.bit_words, &[]);
@@ -799,8 +840,6 @@ impl NaiveSolver {
             let j = self.lanes.task[i] as usize;
             work[j] += ws.buckets.consume(j, self.lanes.width[i]);
         }
-        self.price_work_into(ws, chk, &work, out);
-        ws.arena.put_f64(work);
     }
 
     /// Builds the [`PriceBlocks`] that certify `work` (per-task GFLOP, EDF

@@ -155,7 +155,16 @@ pub fn schedule_single_machine_ordered(
 /// every bucket is drained, and a zero take at task `j` means buckets
 /// `0..=j` are drained — buckets only drain — so every later segment of
 /// a task `≤ j` is skipped without a lookup.
-pub(crate) fn accuracy_gain_buckets_lanes(lanes: &SegmentLanes, slack: &mut BucketSlack) -> f64 {
+///
+/// With `RECORD`, each productive lane also adds its take to
+/// `takes[task]` (one entry per bucket, zeroed by the caller): the
+/// per-task work a checkpoint keeps so its prices need no second walk.
+/// Without it `takes` is never read and may be empty.
+pub(crate) fn accuracy_gain_buckets_lanes<const RECORD: bool>(
+    lanes: &SegmentLanes,
+    slack: &mut BucketSlack,
+    takes: &mut [f64],
+) -> f64 {
     let n = lanes.len();
     let tasks = &lanes.task[..n];
     let widths = &lanes.width[..n];
@@ -192,6 +201,7 @@ pub(crate) fn accuracy_gain_buckets_lanes(lanes: &SegmentLanes, slack: &mut Buck
         slack.bits.len() == nb.div_ceil(64) && slack.summary.len() == slack.bits.len().div_ceil(64),
         "BucketSlack occupancy words out of sync with bucket count"
     );
+    assert!(!RECORD || takes.len() == nb, "one take slot per bucket");
     let free = &mut slack.free[..];
     let bits = &mut slack.bits[..];
     let summary = &mut slack.summary[..];
@@ -301,6 +311,9 @@ pub(crate) fn accuracy_gain_buckets_lanes(lanes: &SegmentLanes, slack: &mut Buck
             from = b - 1;
         }
         if taken > 0.0 {
+            if RECORD {
+                takes[j as usize] += taken;
+            }
             let t = g0 + slopes[i] * taken;
             g0 = g1;
             g1 = g2;
@@ -909,7 +922,10 @@ mod tests {
         let mut buckets = BucketSlack::default();
         buckets.load(&widths, &[]);
         let lanes = SegmentLanes::build_in(segments, &order, &mut crate::soa::ScratchArena::new());
-        (accuracy_gain_buckets_lanes(&lanes, &mut buckets), want)
+        (
+            accuracy_gain_buckets_lanes::<false>(&lanes, &mut buckets, &mut []),
+            want,
+        )
     }
 
     /// The bucket greedy is the tree greedy: identical gain on random

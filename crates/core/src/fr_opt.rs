@@ -10,7 +10,7 @@
 //! stage, the profile search and its finisher all run on it.
 
 use crate::algo_naive::{NaiveSolver, ValueFnWorkspace};
-use crate::algo_refine::refine_profile;
+use crate::algo_refine::refine_profile_in;
 use crate::problem::Instance;
 use crate::profile::{naive_profile, EnergyProfile};
 use crate::profile_search::{
@@ -91,7 +91,8 @@ pub(crate) fn solve_fr_opt_in(
     let mut search = None;
 
     if !opts.skip_refine {
-        refine_iterations = refine_profile(inst, &mut schedule, &mut flops).iterations;
+        refine_iterations =
+            refine_profile_in(inst, &mut schedule, &mut flops, &mut ws.arena).iterations;
         // Start the profile search from the realized loads of the best
         // schedule so far; its exact re-solve is monotone.
         let start = EnergyProfile::new(

@@ -1067,14 +1067,39 @@ impl OnlineService {
         let Some(plan) = self.plan.as_ref() else {
             return 0.0;
         };
-        let by_id: BTreeMap<u64, &PwlAccuracy> =
-            self.pool.iter().map(|p| (p.id, &p.accuracy)).collect();
+        let by_id = self.pool_by_id();
         let flops = &plan.approx.fractional.flops;
         plan.task_ids
             .iter()
             .enumerate()
-            .filter_map(|(j, id)| by_id.get(id).map(|acc| acc.eval(flops[j])))
+            .filter_map(|(j, &id)| {
+                // The last pooled entry of `id`, as an id-keyed map
+                // collected from the pool would keep.
+                let &(_, i) = Self::entries_of(&by_id, id).last()?;
+                Some(self.pool[i].accuracy.eval(flops[j]))
+            })
             .sum()
+    }
+
+    /// `(id, pool index)` of every pooled task, sorted — equal ids in
+    /// pool order — so a plan walk finds each of its tasks by binary
+    /// search instead of a scan of the pool.
+    fn pool_by_id(&self) -> Vec<(u64, usize)> {
+        let mut by_id: Vec<(u64, usize)> = self
+            .pool
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.id, i))
+            .collect();
+        by_id.sort_unstable();
+        by_id
+    }
+
+    /// The entries of `id` in a [`Self::pool_by_id`] index, in pool order.
+    fn entries_of(by_id: &[(u64, usize)], id: u64) -> &[(u64, usize)] {
+        let lo = by_id.partition_point(|&(k, _)| k < id);
+        let hi = by_id.partition_point(|&(k, _)| k <= id);
+        &by_id[lo..hi]
     }
 
     /// The fractional tentative value of a full solve: `Σ_j a_j(f_j)` in
@@ -1361,6 +1386,7 @@ impl OnlineService {
     /// materialized plan consumes at most the solved plan's energy.
     fn adopt(&mut self, plan: Plan) {
         self.clear_queues();
+        let by_id = self.pool_by_id();
         let schedule = &plan.approx.schedule;
         for (r_sub, &r) in plan.machine_ids.iter().enumerate() {
             let mut completion = self.free_at[r].max(plan.time);
@@ -1369,12 +1395,11 @@ impl OnlineService {
                 if t <= 0.0 {
                     continue;
                 }
-                let task = self
-                    .pool
-                    .iter()
-                    .find(|p| p.id == id)
+                // The first pooled entry of `id`.
+                let &(_, i) = Self::entries_of(&by_id, id)
+                    .first()
                     .expect("planned tasks are pooled");
-                let d = task.deadline;
+                let d = self.pool[i].deadline;
                 let new_t = if completion + t > d {
                     (d - completion).max(0.0)
                 } else {

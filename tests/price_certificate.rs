@@ -10,7 +10,8 @@
 use dsct_accuracy::PwlAccuracy;
 use dsct_core::algo_naive::{NaiveSolver, PriceBlocks, ValueCheckpoint};
 use dsct_core::problem::{Instance, Task};
-use dsct_core::profile::EnergyProfile;
+use dsct_core::profile::{naive_profile, EnergyProfile};
+use dsct_core::solver::FrOptSolver;
 use dsct_machines::{Machine, MachinePark};
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
 use proptest::prelude::*;
@@ -399,6 +400,55 @@ fn inconsistent_work_is_uncertifiable() {
 }
 
 /// Total capacity the park can offer under `caps`.
+/// Every bit of a block set.
+type BlockBits = (bool, u64, Vec<u64>, Vec<u64>, Vec<u64>);
+
+fn block_bits(b: &PriceBlocks) -> BlockBits {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect();
+    (
+        b.is_certifiable(),
+        b.slop().to_bits(),
+        bits(b.deadlines()),
+        bits(b.low()),
+        bits(b.high()),
+    )
+}
+
+/// (e) Pricing walks the greedy once: the work a checkpoint records as
+/// its greedy runs is, bit for bit, what a fresh walk of the greedy
+/// takes, and the blocks [`NaiveSolver::price_blocks_into`] builds from it
+/// are the ones [`NaiveSolver::price_work_into`] builds from the fresh
+/// walk — at the naive profile and at FR-OPT's final profile, on 40
+/// seeds each of the paper's shape and the online service's.
+#[test]
+fn recorded_takes_price_like_a_fresh_walk() {
+    let mut certified = 0;
+    for (n, m) in [(100usize, 10usize), (200, 4)] {
+        for seed in 0..40u64 {
+            let inst = paper_instance(n, m, seed);
+            let solver = NaiveSolver::new(&inst);
+            let mut ws = solver.workspace();
+            let final_caps = FrOptSolver::new().solve_typed(&inst).profile;
+            let naive_caps = naive_profile(&inst).caps().to_vec();
+            for (at, caps) in [("naive", naive_caps), ("FR-OPT", final_caps)] {
+                let label = format!("n{n} m{m} seed {seed} at the {at} profile");
+                let mut chk = ValueCheckpoint::new();
+                let (mut fused, mut walked) = (PriceBlocks::new(), PriceBlocks::new());
+                solver.checkpoint_into(&mut ws, &caps, &mut chk);
+                solver.price_blocks_into(&mut ws, &chk, &mut fused);
+                let mut work = Vec::new();
+                solver.walk_work_into(&mut ws, &chk, &mut work);
+                solver.price_work_into(&mut ws, &chk, &work, &mut walked);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(chk.work()), bits(&work), "{label}: takes");
+                assert_eq!(block_bits(&fused), block_bits(&walked), "{label}: blocks");
+                certified += usize::from(fused.is_certifiable());
+            }
+        }
+    }
+    assert!(certified >= 120, "only {certified} of 160 profiles priced");
+}
+
 fn total_capacity(inst: &Instance, caps: &[f64]) -> f64 {
     caps.iter()
         .enumerate()

@@ -1,13 +1,16 @@
 //! The SoA/arena contract of the probe path (DESIGN.md §15.1): once a
 //! workspace is warm, neither a `V(p)` Δ-probe, nor a re-anchor with its
 //! price-block build, nor a line search's priced probes, nor a
-//! replanner's insertion bound against its anchor touch the allocator.
+//! replanner's insertion bound against its anchor, nor a task-level
+//! refinement pass touch the allocator.
 //!
 //! This file holds exactly one test: the allocator below counts for the
 //! whole process, so a second test running beside it would be counted too.
 
 use dsct_core::algo_naive::{NaiveSolver, PriceBlocks, ValueCheckpoint};
+use dsct_core::algo_refine::refine_profile_in;
 use dsct_core::problem::Task;
+use dsct_core::profile::naive_profile;
 use dsct_core::replan::{ReplanStrategy, Replanner};
 use dsct_core::solver::ApproxSolver;
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
@@ -53,7 +56,9 @@ fn allocated_bytes() -> u64 {
 /// step the caps, anchor a probe checkpoint there, price it and read the
 /// ray's slope. Last, an `Incremental` replanner solves the instance and
 /// anchors on the solve's evaluator: after one warm-up, ten insertion
-/// bounds against that anchor allocate zero bytes.
+/// bounds against that anchor allocate zero bytes. And after one warm-up
+/// on the workspace's arena, three refinement passes from the naive
+/// solution allocate zero bytes.
 #[test]
 fn steady_state_delta_probes_allocate_nothing() {
     let cfg = InstanceConfig {
@@ -166,5 +171,24 @@ fn steady_state_delta_probes_allocate_nothing() {
         allocated_bytes() - before,
         0,
         "an insertion bound against the anchor touched the allocator"
+    );
+
+    // Each pass moves its own copy of the naive solution, made up front.
+    let naive = solver.solution_under(&mut ws, &naive_profile(&inst));
+    let mut copies: Vec<_> = (0..4)
+        .map(|_| (naive.schedule.clone(), naive.flops.clone()))
+        .collect();
+    let (schedule, flops) = &mut copies[0];
+    let warm = refine_profile_in(&inst, schedule, flops, ws.arena_mut());
+    assert!(warm.iterations > 0, "the pass made no transfer");
+    let before = allocated_bytes();
+    for (schedule, flops) in &mut copies[1..] {
+        let pass = refine_profile_in(&inst, schedule, flops, ws.arena_mut());
+        assert_eq!(std::hint::black_box(pass), warm);
+    }
+    assert_eq!(
+        allocated_bytes() - before,
+        0,
+        "a refinement pass touched the allocator"
     );
 }
