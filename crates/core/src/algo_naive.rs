@@ -22,17 +22,20 @@
 //! capacity argument, so the achieved accuracies are unchanged.
 //!
 //! [`NaiveSolver`] is the one evaluator of all of it, built once per
-//! solve. Steps 2–3 as written ([`NaiveSolver::solution_under`]: Algorithm
-//! 1 on the slack tree, then the waterfill) materialize every adopted
-//! schedule; [`compute_naive_solution`] is that finisher on a fresh
-//! evaluator. The profile search only needs step 2's objective, the
-//! profile value function `V(p)`, thousands of times per solve:
-//! [`NaiveSolver::checkpoint_into`] evaluates `V` at an incumbent profile
-//! and records a [`ValueCheckpoint`] there, and
+//! solve, and Algorithm 1 runs in one form on it: the bucket greedy. The
+//! profile search needs step 2's objective, the profile value function
+//! `V(p)`, thousands of times per solve: [`NaiveSolver::checkpoint_into`]
+//! evaluates `V` at an incumbent profile and records a [`ValueCheckpoint`]
+//! there — the greedy's per-task takes included — and
 //! [`NaiveSolver::value_delta`] evaluates `V` at that incumbent with ≤ 3
-//! caps changed, recomputing only what the change can reach. The unit
-//! tests hold all three to Algorithm 1's reference walk over the AoS
-//! segment list, which is compiled for the tests only.
+//! caps changed, recomputing only what the change can reach. Step 3
+//! ([`NaiveSolver::solution_at`], the waterfill) materializes every
+//! adopted schedule from a checkpoint's recorded takes, so a schedule
+//! carries exactly the work its checkpoint's prices certify;
+//! [`NaiveSolver::solution_under`] anchors that checkpoint first, and
+//! [`compute_naive_solution`] is that on a fresh evaluator. The unit tests
+//! hold the greedy to Algorithm 1's reference walk on the slack tree over
+//! the AoS segment list, which is compiled for the tests only.
 //!
 //! Step 2 is a linear program in its right-hand side, and the greedy that
 //! solves it also determines its optimal *dual* prices:
@@ -41,9 +44,7 @@
 //! close most transfer gates without evaluating `V` at all
 //! (`tests/price_certificate.rs`).
 
-use crate::algo_single::{
-    accuracy_gain_buckets_lanes, times_tree_lanes, BucketSlack, SegmentSpec, SlackTree,
-};
+use crate::algo_single::{accuracy_gain_buckets_lanes, BucketSlack, SegmentSpec};
 use crate::kernels;
 use crate::problem::{Instance, Task};
 use crate::profile::EnergyProfile;
@@ -160,14 +161,9 @@ pub struct ValueFnWorkspace {
     speed_suffix: Vec<f64>,
     /// `capwork_prefix[k] = Σ_{i < k} p_{cap_index[i]} · s_{cap_index[i]}`.
     capwork_prefix: Vec<f64>,
-    /// Temporary deadlines (aggregate work capacity per task) of the
-    /// schedule finisher ([`NaiveSolver::solution_under`]).
-    temp_deadlines: Vec<f64>,
-    /// Algorithm 1 slack tree of the same finisher, reset in place.
-    tree: SlackTree,
     /// Δ-probe scratch: recomputed capacity-bucket suffix.
     delta_buckets: Vec<f64>,
-    /// Union-find slack buckets, reloaded from the checkpoint per probe.
+    /// Bitmask slack buckets, reloaded from the checkpoint per probe.
     buckets: BucketSlack,
     /// Recycling pool for per-solve scratch (solver lanes, checkpoint
     /// vectors, descent buffers): steady-state solves through one
@@ -204,8 +200,9 @@ pub struct ValueCheckpoint {
     /// element scan.
     bit_words: Vec<u64>,
     /// Work the bucket greedy gave each task on the way to `value`,
-    /// kept so pricing the incumbent needs no second walk
-    /// ([`NaiveSolver::price_blocks_into`]).
+    /// kept so neither pricing the incumbent
+    /// ([`NaiveSolver::price_blocks_into`]) nor materializing its schedule
+    /// ([`NaiveSolver::solution_at`]) walks the lanes again.
     work: Vec<f64>,
     /// `V(caps)` as evaluated by the bucket greedy.
     value: f64,
@@ -461,8 +458,6 @@ impl ValueFnWorkspace {
             cap_sorted: Vec::with_capacity(m),
             speed_suffix: Vec::with_capacity(m + 1),
             capwork_prefix: Vec::with_capacity(m + 1),
-            temp_deadlines: Vec::with_capacity(n),
-            tree: SlackTree::new(&[]),
             delta_buckets: Vec::with_capacity(n),
             buckets: BucketSlack::default(),
             arena: ScratchArena::new(),
@@ -491,7 +486,7 @@ impl NaiveSolver {
         let mut segments = arena.take_specs();
         collect_segments_into(inst, &mut segments);
         let mut order = arena.take_usize();
-        crate::algo_single::sort_segments_into(&segments, &mut order);
+        crate::algo_single::sort_segments_into(&segments, &mut order, arena);
         let lanes = SegmentLanes::build_in(&segments, &order, arena);
         arena.put_specs(segments);
         arena.put_usize(order);
@@ -540,20 +535,24 @@ impl NaiveSolver {
     /// `d_j · s_r` (a speed suffix), and the deadlines ascend so one
     /// two-pointer pass covers all tasks. The value comes from the bucket
     /// greedy, so it is fp-consistent with every subsequent
-    /// [`NaiveSolver::value_delta`] against this checkpoint; both drift
-    /// from the materialized schedule's accuracy
-    /// ([`compute_naive_solution`]) by at most 1e-9-relative
-    /// summation-order noise, which the unit tests bound.
+    /// [`NaiveSolver::value_delta`] against this checkpoint, and its
+    /// recorded takes are the work [`NaiveSolver::solution_at`]
+    /// waterfills.
     pub fn checkpoint_into(
         &self,
         ws: &mut ValueFnWorkspace,
         caps: &[f64],
         chk: &mut ValueCheckpoint,
     ) -> f64 {
+        ws.stats.probes += 1;
+        self.anchor(ws, caps, chk)
+    }
+
+    /// [`NaiveSolver::checkpoint_into`] without the probe count.
+    fn anchor(&self, ws: &mut ValueFnWorkspace, caps: &[f64], chk: &mut ValueCheckpoint) -> f64 {
         let n = self.deadlines.len();
         let m = self.speeds.len();
         debug_assert_eq!(caps.len(), m, "profile/machine count mismatch");
-        ws.stats.probes += 1;
         chk.valid = false;
 
         // The raw (unguarded) sums are kept beside the guarded ones: a
@@ -944,68 +943,68 @@ impl NaiveSolver {
         out.certifiable = certifiable && slop.is_finite();
     }
 
-    /// Algorithm 1's pooled per-task work vector for `caps`: the
-    /// fractional flops each task receives under the profile, skipping
-    /// Algorithm 2's machine distribution entirely. Bit-identical to the
-    /// reference walk's per-task times at the same profile (the same
-    /// temporary-deadline transform, and a tree greedy whose zero takes
-    /// mutate nothing and whose filtered segments never contributed); the
-    /// distribution step only spreads these totals across machines. The
-    /// temporary deadlines and the tree live in workspace scratch, so
-    /// only the returned vector (which escapes into the solution) is
-    /// allocated.
-    pub(crate) fn flops_under_with(&self, ws: &mut ValueFnWorkspace, caps: &[f64]) -> Vec<f64> {
-        crate::profile::temp_deadlines_into(
-            &self.deadlines,
-            &self.speeds,
-            caps,
-            &mut ws.temp_deadlines,
-        );
-        let mut times = ws.arena.take_f64();
-        times.resize(self.deadlines.len(), 0.0);
-        times_tree_lanes(&ws.temp_deadlines, &self.lanes, &mut ws.tree, &mut times);
-        times
-    }
-
-    /// Algorithm 2's steps 2–3 under `profile`: the pooled work of
-    /// [`NaiveSolver::flops_under_with`], distributed onto the machines
-    /// by equal time increments across the active set, each machine
-    /// capped at `min(p_r, d_j)`. The one waterfill: every solve
-    /// materializes its schedules here, on the evaluator it searched with.
+    /// Algorithm 2's steps 2–3 under `profile`: a checkpoint anchored at
+    /// its caps (drawn from the workspace's arena; it counts no probe),
+    /// then [`NaiveSolver::solution_at`] on it.
     pub fn solution_under(
         &self,
         ws: &mut ValueFnWorkspace,
         profile: &EnergyProfile,
     ) -> NaiveSolution {
+        assert_eq!(
+            profile.len(),
+            self.speeds.len(),
+            "profile/machine count mismatch"
+        );
+        let mut chk = ValueCheckpoint::new_in(&mut ws.arena);
+        self.anchor(ws, profile.caps(), &mut chk);
+        let solution = self.solution_at(ws, &chk);
+        chk.recycle(&mut ws.arena);
+        solution
+    }
+
+    /// Algorithm 2's step 3 at a valid checkpoint: the work its greedy
+    /// recorded ([`ValueCheckpoint::work`]), distributed onto the machines
+    /// by equal time increments across the active set, each machine
+    /// capped at `min(p_r, d_j)` of the checkpoint's caps. The one
+    /// waterfill: every solve materializes its schedules here, on the
+    /// evaluator it searched with, and runs no greedy to do it.
+    ///
+    /// A task's work is distributed down to `max(EPS_FLOPS, 1e-12·f_j)`
+    /// GFLOP. Every round either fits the remaining work or saturates a
+    /// machine, so a task takes at most `m + 1` rounds.
+    pub(crate) fn solution_at(
+        &self,
+        ws: &mut ValueFnWorkspace,
+        chk: &ValueCheckpoint,
+    ) -> NaiveSolution {
         let n = self.deadlines.len();
         let m = self.speeds.len();
-        assert_eq!(profile.len(), m, "profile/machine count mismatch");
-        let flops = self.flops_under_with(ws, profile.caps()); // unit speed: time == work
-
+        assert!(
+            chk.valid && chk.caps.len() == m && chk.work.len() == n,
+            "solution_at needs a valid checkpoint of this instance"
+        );
+        let flops = chk.work.clone(); // unit speed: time == work
         let speeds = &self.speeds;
         let mut schedule = FractionalSchedule::zero(n, m);
         let mut load = ws.arena.take_f64();
         load.resize(m, 0.0);
-        // Work below the machine-time resolution is not distributable; the
-        // tolerance must scale with the park's aggregate speed.
-        let eps_work =
-            (EPS_TIME * speeds.iter().sum::<f64>()).max(crate::EPS_FLOPS) * (m as f64 + 1.0);
         let mut caps = ws.arena.take_f64();
         caps.resize(m, 0.0);
         let mut act = ws.arena.take_usize();
         for j in 0..n {
             let d_j = self.deadlines[j];
             let mut w = flops[j];
+            let eps_work = crate::EPS_FLOPS.max(1e-12 * flops[j]);
+            for (c, &p) in caps.iter_mut().zip(&chk.caps) {
+                *c = p.min(d_j);
+            }
             while w > eps_work {
-                for (r, c) in caps.iter_mut().enumerate() {
-                    *c = profile.cap(r).min(d_j);
-                }
                 act.clear();
                 act.extend((0..m).filter(|&r| load[r] + EPS_TIME < caps[r]));
                 if act.is_empty() {
-                    // Unreachable when `flops` came from the capacity-
-                    // consistent single-machine solve; guard against
-                    // accumulated rounding.
+                    // Unreachable for the checkpoint's capacity-consistent
+                    // takes; guard against accumulated rounding.
                     debug_assert!(
                         w <= 1e3 * eps_work + 1e-9 * flops[j],
                         "undistributable work {w} GFLOP for task {j}"
@@ -1457,9 +1456,10 @@ mod tests {
         }
     }
 
-    /// The evaluator's pooled work is the reference walk's per-task times,
-    /// bit for bit, at the naive profile and at random ones — and so is the
-    /// `flops` of the schedule [`compute_naive_solution`] materializes.
+    /// The schedule [`compute_naive_solution`] materializes carries its
+    /// checkpoint's recorded takes bit for bit, at the naive profile and
+    /// at random ones, and those are the reference walk's per-task times
+    /// up to the buckets' rounding (DESIGN.md §9).
     #[test]
     fn flops_under_matches_compute_naive_solution() {
         use rand::{Rng, SeedableRng};
@@ -1475,19 +1475,25 @@ mod tests {
         let inst = Instance::new(tasks, park, 6.0).unwrap();
         let solver = NaiveSolver::new(&inst);
         let mut ws = solver.workspace();
+        let mut chk = ValueCheckpoint::new();
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(1476);
         let mut profiles = vec![naive_profile(&inst)];
         profiles.extend(
             (0..50).map(|_| EnergyProfile::new((0..2).map(|_| rng.gen_range(0.0..3.5)).collect())),
         );
         for profile in &profiles {
+            solver.checkpoint_into(&mut ws, profile.caps(), &mut chk);
             let (_, reference) = reference_walk(&inst, profile.caps());
-            let pooled = solver.flops_under_with(&mut ws, profile.caps());
             let full = compute_naive_solution(&inst, profile);
-            assert_eq!(pooled.len(), reference.times.len());
+            let total: f64 = reference.times.iter().sum();
+            assert_eq!(full.flops.len(), reference.times.len());
             for (j, &want) in reference.times.iter().enumerate() {
-                assert_eq!(pooled[j].to_bits(), want.to_bits(), "task {j}");
-                assert_eq!(full.flops[j].to_bits(), want.to_bits(), "task {j}");
+                assert_eq!(full.flops[j].to_bits(), chk.work()[j].to_bits(), "task {j}");
+                assert!(
+                    (full.flops[j] - want).abs() <= 1e-9 * (1.0 + total),
+                    "task {j}: takes {} vs reference {want}",
+                    full.flops[j]
+                );
             }
         }
     }

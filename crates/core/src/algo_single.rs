@@ -9,11 +9,12 @@
 //! Deviations from the paper's listing (see DESIGN.md §3): the deadline cap
 //! loop includes the segment's own task (`i ≥ j`, not `i > j`).
 //!
-//! Solves run the walk over their evaluator's lanes: the per-task times
-//! on the slack tree (`times_tree_lanes`) and the accuracy gain on the
-//! capacity buckets (`accuracy_gain_buckets_lanes`). The AoS form as
-//! listed, with its per-segment work, is compiled for the tests only:
-//! it is the reference they hold both walks to.
+//! Solves run one walk over their evaluator's lanes, on the capacity
+//! buckets (`accuracy_gain_buckets_lanes`): its gain is `V(p)` and its
+//! recorded per-task takes are the work every schedule is materialized
+//! from. The AoS form as listed, on the slack tree and with its
+//! per-segment work, is compiled for the tests only: it is the reference
+//! they hold the bucket walk to.
 
 /// One linear segment of a task's accuracy function, as consumed by the
 /// single-machine scheduler.
@@ -44,7 +45,8 @@ pub struct SingleMachineSolution {
 /// on a single machine of the given `speed` (GFLOP/s).
 ///
 /// `deadlines` must be non-decreasing; `segments` lists the linear segments
-/// of every task's accuracy function (any order; they are sorted here).
+/// of every task's accuracy function, task-major and position-minor (they
+/// are sorted by slope here).
 ///
 /// # Panics
 /// Panics when deadlines are not sorted non-decreasingly or a segment
@@ -68,7 +70,7 @@ pub fn schedule_single_machine(
 #[cfg(test)]
 pub fn sort_segments(segments: &[SegmentSpec]) -> Vec<usize> {
     let mut order = Vec::new();
-    sort_segments_into(segments, &mut order);
+    sort_segments_into(segments, &mut order, &mut ScratchArena::new());
     order
 }
 
@@ -77,16 +79,39 @@ pub fn sort_segments(segments: &[SegmentSpec]) -> Vec<usize> {
 /// (arena-pooled) buffer. The order depends only on the segments, so an
 /// evaluator solving the same task set under many deadline vectors (the
 /// profile search) computes it once.
-pub(crate) fn sort_segments_into(segments: &[SegmentSpec], order: &mut Vec<usize>) {
+///
+/// `segments` must be listed task-major and position-minor, as
+/// `collect_segments_into` lists them: index order is then `(task,
+/// position)` order, and one sort of packed `(descending total-order
+/// slope bits, index)` keys — from `arena`, returned before this does —
+/// yields the comparator order without an indirect load per comparison.
+pub(crate) fn sort_segments_into(
+    segments: &[SegmentSpec],
+    order: &mut Vec<usize>,
+    arena: &mut ScratchArena,
+) {
+    debug_assert!(
+        segments
+            .windows(2)
+            .all(|w| (w[0].task, w[0].position) < (w[1].task, w[1].position)),
+        "segments must be listed task-major, position-minor"
+    );
+    let mut keys = arena.take_u128();
+    keys.extend(segments.iter().enumerate().map(|(i, s)| {
+        // `f64::total_cmp`'s order as an unsigned key, then complemented
+        // so that ascending keys are descending slopes.
+        let bits = s.slope.to_bits();
+        let ascending = if bits >> 63 == 1 {
+            !bits
+        } else {
+            bits | 1 << 63
+        };
+        (u128::from(!ascending) << 64) | i as u128
+    }));
+    keys.sort_unstable();
     order.clear();
-    order.extend(0..segments.len());
-    order.sort_by(|&a, &b| {
-        let (sa, sb) = (&segments[a], &segments[b]);
-        sb.slope
-            .total_cmp(&sa.slope)
-            .then(sa.task.cmp(&sb.task))
-            .then(sa.position.cmp(&sb.position))
-    });
+    order.extend(keys.iter().map(|&k| k as u64 as usize));
+    arena.put_u128(keys);
 }
 
 /// Algorithm 1 with a precomputed processing order (see
@@ -330,34 +355,7 @@ pub(crate) fn accuracy_gain_buckets_lanes<const RECORD: bool>(
     ((g0 + g1) + g2) + g3
 }
 
-/// The reference walk (`schedule_single_machine_ordered`) reduced to its
-/// per-task times, over [`SegmentLanes`] at unit speed: `times[j]`
-/// accumulates exactly the contributions the full walk records (zero
-/// takes mutate nothing, and the filtered segments never contributed),
-/// so the vector is bit-identical to its `times` on the same inputs.
-/// `times` must be zero-filled with one entry per task.
-pub(crate) fn times_tree_lanes(
-    deadlines: &[f64],
-    lanes: &SegmentLanes,
-    tree: &mut SlackTree,
-    times: &mut [f64],
-) {
-    debug_assert_eq!(times.len(), deadlines.len());
-    if deadlines.is_empty() {
-        return;
-    }
-    tree.reset(deadlines);
-    let n = lanes.len();
-    for i in 0..n {
-        let j = lanes.task[i] as usize;
-        let contribution = tree.consume(j, lanes.width[i]);
-        if contribution > 0.0 {
-            times[j] += contribution;
-        }
-    }
-}
-
-use crate::soa::SegmentLanes;
+use crate::soa::{ScratchArena, SegmentLanes};
 
 /// Bitmask slack buckets: the checkpoint/rollback representation of
 /// Algorithm 1's remaining capacity.
@@ -545,14 +543,14 @@ impl BucketSlack {
 }
 
 /// Lazy segment tree supporting suffix add and suffix min over the slack
-/// values `v_i = d_i − Σ_{k≤i} t_k`.
+/// values `v_i = d_i − Σ_{k≤i} t_k`: the reference walk's slack
+/// structure, compiled for the tests only.
 ///
-/// Fully iterative over a power-of-two leaf layout (leaves at
-/// `[size, size + n)`, padding at `INFINITY`): the tree sits in the value
-/// function's hot path, where the recursive formulation's call overhead
-/// dominated unoptimized profile runs. `mins[node]` is the true range
+/// Fully iterative over a power-of-two leaf layout (leaves at `[size,
+/// size + n)`, padding at `INFINITY`). `mins[node]` is the true range
 /// minimum; `lazy[node]` is a pending addition for the node's *strict*
 /// descendants (already folded into `mins[node]` itself).
+#[cfg(test)]
 #[derive(Debug, Clone)]
 pub(crate) struct SlackTree {
     n: usize,
@@ -562,35 +560,25 @@ pub(crate) struct SlackTree {
     lazy: Vec<f64>,
 }
 
+#[cfg(test)]
 impl SlackTree {
     pub(crate) fn new(values: &[f64]) -> Self {
-        let mut t = Self {
-            n: 0,
-            size: 1,
-            mins: Vec::new(),
-            lazy: Vec::new(),
-        };
-        t.reset(values);
-        t
-    }
-
-    /// Rebuilds the tree over new slack values, reusing the node storage.
-    pub(crate) fn reset(&mut self, values: &[f64]) {
         let n = values.len();
-        self.n = n;
-        self.size = n.max(1).next_power_of_two();
-        self.mins.clear();
-        self.mins.resize(2 * self.size, f64::INFINITY);
-        self.lazy.clear();
-        self.lazy.resize(2 * self.size, 0.0);
-        self.mins[self.size..self.size + n].copy_from_slice(values);
-        for node in (1..self.size).rev() {
-            self.mins[node] = self.mins[2 * node].min(self.mins[2 * node + 1]);
+        let size = n.max(1).next_power_of_two();
+        let mut mins = vec![f64::INFINITY; 2 * size];
+        mins[size..size + n].copy_from_slice(values);
+        for node in (1..size).rev() {
+            mins[node] = mins[2 * node].min(mins[2 * node + 1]);
+        }
+        Self {
+            n,
+            size,
+            mins,
+            lazy: vec![0.0; 2 * size],
         }
     }
 
     /// `min(v_i for i in from..n)`; `INFINITY` when the range is empty.
-    #[cfg(test)]
     fn suffix_min(&self, from: usize) -> f64 {
         if from >= self.n {
             return f64::INFINITY;
@@ -669,7 +657,6 @@ impl SlackTree {
     }
 
     /// `v_i += delta` for all `i in from..n`.
-    #[cfg(test)]
     fn suffix_add(&mut self, from: usize, delta: f64) {
         if from >= self.n {
             return;
@@ -836,10 +823,9 @@ mod tests {
         schedule_single_machine(&[2.0, 1.0], 1.0, &[]);
     }
 
-    /// Reference implementation with the paper's literal O(n) inner loop,
-    /// used to cross-check the segment-tree path.
-    fn schedule_naive(deadlines: &[f64], speed: f64, segments: &[SegmentSpec]) -> Vec<f64> {
-        let n = deadlines.len();
+    /// Algorithm 1's processing order by its comparator: slope
+    /// descending in `f64::total_cmp`'s order, then task, then position.
+    fn comparator_order(segments: &[SegmentSpec]) -> Vec<usize> {
         let mut order: Vec<usize> = (0..segments.len()).collect();
         order.sort_by(|&a, &b| {
             let (sa, sb) = (&segments[a], &segments[b]);
@@ -848,6 +834,52 @@ mod tests {
                 .then(sa.task.cmp(&sb.task))
                 .then(sa.position.cmp(&sb.position))
         });
+        order
+    }
+
+    /// The packed-key sort is the comparator's order on task-major
+    /// segment lists whose slopes tie across tasks, whose curves repeat
+    /// whole, and which hold ±0.0 and negative slopes.
+    #[test]
+    fn packed_key_order_is_the_comparator_order() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(8080);
+        let pool = [2.0, 1.5, 1.0, 0.5, 0.25, 0.0, -0.0, -0.5];
+        for trial in 0..300 {
+            let mut segments = Vec::new();
+            let mut last: Vec<f64> = Vec::new();
+            for task in 0..rng.gen_range(0..20) {
+                let curve: Vec<f64> = if !last.is_empty() && rng.gen_bool(0.3) {
+                    last.clone() // a repeated curve
+                } else {
+                    (0..rng.gen_range(1..5))
+                        .map(|_| {
+                            if rng.gen_bool(0.6) {
+                                pool[rng.gen_range(0..pool.len())]
+                            } else {
+                                rng.gen_range(-1.0..3.0)
+                            }
+                        })
+                        .collect()
+                };
+                for (position, &slope) in curve.iter().enumerate() {
+                    segments.push(seg(task, position, slope, 1.0));
+                }
+                last = curve;
+            }
+            assert_eq!(
+                sort_segments(&segments),
+                comparator_order(&segments),
+                "trial {trial}"
+            );
+        }
+    }
+
+    /// Reference implementation with the paper's literal O(n) inner loop,
+    /// used to cross-check the segment-tree path.
+    fn schedule_naive(deadlines: &[f64], speed: f64, segments: &[SegmentSpec]) -> Vec<f64> {
+        let n = deadlines.len();
+        let order = comparator_order(segments);
         let mut times = vec![0.0f64; n];
         for &si in &order {
             let seg = &segments[si];

@@ -77,9 +77,10 @@ impl EnergyProfile {
 /// be non-decreasing — summation can otherwise break the monotonicity
 /// Algorithm 1 requires by a few ulps.
 ///
-/// This is the cold (per-call `O(n·m)`) transformation; the profile
-/// search's hot path computes the same quantity from reusable
-/// prefix-capacity vectors in [`crate::algo_naive::ValueFnWorkspace`].
+/// This is the cold (per-call `O(n·m)`) transformation of the tests'
+/// reference walk; solves compute the same quantity from reusable
+/// prefix-capacity vectors in [`crate::algo_naive::NaiveSolver::checkpoint_into`].
+#[cfg(test)]
 pub fn temp_deadlines_into(deadlines: &[f64], speeds: &[f64], caps: &[f64], out: &mut Vec<f64>) {
     debug_assert_eq!(caps.len(), speeds.len(), "profile/machine count mismatch");
     out.clear();

@@ -741,8 +741,9 @@ pub fn profile_search_with(
 
 /// [`profile_search_with`] on the caller's evaluator, built for `inst`:
 /// slack absorption, gated pairwise sweeps and triple polish at stalls
-/// probe through it, and [`NaiveSolver::solution_under`] materializes
-/// the refined profile's schedule on it.
+/// probe through it, and [`NaiveSolver::solution_at`] materializes the
+/// refined profile's schedule from the final incumbent's checkpoint,
+/// without another greedy.
 pub(crate) fn profile_search_in(
     solver: &NaiveSolver,
     inst: &Instance,
@@ -803,8 +804,11 @@ pub(crate) fn profile_search_in(
         }
     }
 
-    // Return every pooled buffer but the solver's: it belongs to the
-    // caller, and the schedule materializes through it.
+    // The incumbent's checkpoint is anchored at the final caps: its takes
+    // are the refined profile's work. Then return every pooled buffer but
+    // the solver's, which belongs to the caller.
+    debug_assert_eq!(ascent.chk.caps(), ascent.caps, "the incumbent is anchored");
+    let solution = solver.solution_at(ascent.ws, &ascent.chk);
     let Ascent {
         ws,
         chk,
@@ -831,9 +835,7 @@ pub(crate) fn profile_search_in(
         converged,
         probe_stats: ws.stats.since(stats_before),
     };
-    let profile = EnergyProfile::new(caps);
-    let solution = solver.solution_under(ws, &profile);
-    (profile, solution, outcome)
+    (EnergyProfile::new(caps), solution, outcome)
 }
 
 #[cfg(test)]

@@ -8,10 +8,10 @@
 //! `position` field through the cache; [`SegmentLanes`] stores the same
 //! sequence as three contiguous lanes (task, width, slope) pre-filtered of
 //! the zero-width/flat segments every greedy skips anyway. Filtering is
-//! trajectory-preserving: skipped segments never touch the slack tree or
-//! the capacity buckets, so the lane greedy's take sequence — and
-//! therefore every value it produces — is bit-identical to the AoS
-//! greedy's.
+//! trajectory-preserving: skipped segments never touch the capacity
+//! buckets (or the reference walk's slack tree), so the lane greedy's
+//! take sequence — and therefore every value it produces — is
+//! bit-identical to the AoS greedy's.
 //!
 //! [`ScratchArena`] is the bump-style recycling pool behind them: every
 //! per-solve buffer ([`crate::algo_naive::NaiveSolver`]'s lanes, the
@@ -36,6 +36,7 @@ pub struct ScratchArena {
     usizes: Vec<Vec<usize>>,
     u32s: Vec<Vec<u32>>,
     u64s: Vec<Vec<u64>>,
+    u128s: Vec<Vec<u128>>,
     specs: Vec<Vec<SegmentSpec>>,
 }
 
@@ -69,13 +70,14 @@ impl ScratchArena {
     pool!(take_usize, put_usize, usizes, usize);
     pool!(take_u32, put_u32, u32s, u32);
     pool!(take_u64, put_u64, u64s, u64);
+    pool!(take_u128, put_u128, u128s, u128);
     pool!(take_specs, put_specs, specs, SegmentSpec);
 }
 
 /// The instance's positive-gain PWL segments in slope-descending
 /// processing order, as three contiguous lanes. Built once per
-/// [`crate::algo_naive::NaiveSolver`]; the probe walk (buckets) and the
-/// schedule finisher (tree) walk these lanes instead of the AoS
+/// [`crate::algo_naive::NaiveSolver`]; the bucket walk behind every probe
+/// and every materialized schedule walks these lanes instead of the AoS
 /// `order → segments` indirection.
 ///
 /// Invariants: `task`, `width`, `slope` have equal length; entries appear

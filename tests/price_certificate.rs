@@ -11,6 +11,7 @@ use dsct_accuracy::PwlAccuracy;
 use dsct_core::algo_naive::{NaiveSolver, PriceBlocks, ValueCheckpoint};
 use dsct_core::problem::{Instance, Task};
 use dsct_core::profile::{naive_profile, EnergyProfile};
+use dsct_core::profile_search::{profile_search, ProfileSearchOptions};
 use dsct_core::solver::FrOptSolver;
 use dsct_machines::{Machine, MachinePark};
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
@@ -414,12 +415,15 @@ fn block_bits(b: &PriceBlocks) -> BlockBits {
     )
 }
 
-/// (e) Pricing walks the greedy once: the work a checkpoint records as
-/// its greedy runs is, bit for bit, what a fresh walk of the greedy
-/// takes, and the blocks [`NaiveSolver::price_blocks_into`] builds from it
-/// are the ones [`NaiveSolver::price_work_into`] builds from the fresh
-/// walk — at the naive profile and at FR-OPT's final profile, on 40
-/// seeds each of the paper's shape and the online service's.
+/// (e) One greedy from probe to schedule: the work a checkpoint records
+/// as its greedy runs is, bit for bit, what a fresh walk of the greedy
+/// takes and what the schedule [`NaiveSolver::solution_under`]
+/// materializes carries, and the blocks [`NaiveSolver::price_blocks_into`]
+/// builds from it are the ones [`NaiveSolver::price_work_into`] builds
+/// from the fresh walk — at the naive profile and at FR-OPT's final
+/// profile, on 40 seeds each of the paper's shape and the online
+/// service's. Schedules therefore carry exactly the work the prices
+/// certify.
 #[test]
 fn recorded_takes_price_like_a_fresh_walk() {
     let mut certified = 0;
@@ -439,14 +443,42 @@ fn recorded_takes_price_like_a_fresh_walk() {
                 let mut work = Vec::new();
                 solver.walk_work_into(&mut ws, &chk, &mut work);
                 solver.price_work_into(&mut ws, &chk, &work, &mut walked);
+                let schedule = solver.solution_under(&mut ws, &EnergyProfile::new(caps.clone()));
                 let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
                 assert_eq!(bits(chk.work()), bits(&work), "{label}: takes");
+                assert_eq!(bits(chk.work()), bits(&schedule.flops), "{label}: schedule");
                 assert_eq!(block_bits(&fused), block_bits(&walked), "{label}: blocks");
                 certified += usize::from(fused.is_certifiable());
             }
         }
     }
     assert!(certified >= 120, "only {certified} of 160 profiles priced");
+}
+
+/// (f) The profile search's finisher runs no greedy: the schedule it
+/// returns carries its final incumbent's recorded takes, which are what a
+/// fresh checkpoint at the returned profile records, bit for bit.
+#[test]
+fn the_finisher_carries_the_final_incumbents_takes() {
+    for (n, m) in [(100usize, 10usize), (200, 4)] {
+        for seed in 0..10u64 {
+            let inst = paper_instance(n, m, seed);
+            let (profile, solution, _) = profile_search(
+                &inst,
+                &naive_profile(&inst),
+                &ProfileSearchOptions::default(),
+            );
+            let solver = NaiveSolver::new(&inst);
+            let mut chk = ValueCheckpoint::new();
+            solver.checkpoint_into(&mut solver.workspace(), profile.caps(), &mut chk);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&solution.flops),
+                bits(chk.work()),
+                "n{n} m{m} seed {seed}"
+            );
+        }
+    }
 }
 
 fn total_capacity(inst: &Instance, caps: &[f64]) -> f64 {

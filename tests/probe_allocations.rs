@@ -2,7 +2,8 @@
 //! workspace is warm, neither a `V(p)` Δ-probe, nor a re-anchor with its
 //! price-block build, nor a line search's priced probes, nor a
 //! replanner's insertion bound against its anchor, nor a task-level
-//! refinement pass touch the allocator.
+//! refinement pass, nor an evaluator build and its recycle touch the
+//! allocator.
 //!
 //! This file holds exactly one test: the allocator below counts for the
 //! whole process, so a second test running beside it would be counted too.
@@ -58,7 +59,9 @@ fn allocated_bytes() -> u64 {
 /// anchors on the solve's evaluator: after one warm-up, ten insertion
 /// bounds against that anchor allocate zero bytes. And after one warm-up
 /// on the workspace's arena, three refinement passes from the naive
-/// solution allocate zero bytes.
+/// solution allocate zero bytes. Last, after a few warm-up cycles, ten
+/// evaluator builds (the segment sort's keys included) and their
+/// recycles allocate zero bytes.
 #[test]
 fn steady_state_delta_probes_allocate_nothing() {
     let cfg = InstanceConfig {
@@ -190,5 +193,16 @@ fn steady_state_delta_probes_allocate_nothing() {
         allocated_bytes() - before,
         0,
         "a refinement pass touched the allocator"
+    );
+
+    let arena = ws.arena_mut();
+    let mut cycle = || NaiveSolver::new_in(&inst, arena).recycle(arena);
+    (0..4).for_each(|_| cycle());
+    let before = allocated_bytes();
+    (0..10).for_each(|_| cycle());
+    assert_eq!(
+        allocated_bytes() - before,
+        0,
+        "an evaluator build and its recycle touched the allocator"
     );
 }

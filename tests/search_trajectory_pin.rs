@@ -21,10 +21,14 @@ use dsct_core::solver::FrOptSolver;
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
 
 /// Recorded at commit c11f664 (`cargo test --test search_trajectory_pin`)
-/// and re-recorded when the exact line search replaced golden section: the
-/// same 81 transfers, each landing on its ray's maximum rather than within
-/// golden section's last bracket of it.
-const PINNED: u64 = 0xfcae_203b_2c6d_18d3;
+/// and re-recorded twice: when the exact line search replaced golden
+/// section (the same 81 transfers, each landing on its ray's maximum rather
+/// than within golden section's last bracket of it), and when schedules
+/// began to carry the bucket greedy's recorded takes instead of the slack
+/// tree's per-task times. The two round differently by at most ~1e-15 of
+/// the total work; the same sweeps and 81 transfers follow, and the
+/// realized profiles and accuracies move in their last bits.
+const PINNED: u64 = 0xf54d_c91c_566c_9ecf;
 
 fn fold(h: u64, word: u64) -> u64 {
     let mut z = (h ^ word).wrapping_add(0x9E37_79B9_7F4A_7C15);
