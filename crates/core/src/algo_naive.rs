@@ -46,7 +46,7 @@
 
 use crate::algo_single::{accuracy_gain_buckets_lanes, BucketSlack, SegmentSpec};
 use crate::kernels;
-use crate::problem::{Instance, Task};
+use crate::problem::Instance;
 use crate::profile::EnergyProfile;
 use crate::schedule::FractionalSchedule;
 use crate::soa::{ScratchArena, SegmentLanes};
@@ -99,8 +99,8 @@ fn collect_segments_into(inst: &Instance, segs: &mut Vec<SegmentSpec>) {
 ///
 /// It owns copies of everything it reads, so it borrows nothing: one
 /// build serves a whole cold solve — the naive stage, the descent, the
-/// finisher — and, under [`crate::replan::ReplanStrategy::Incremental`],
-/// outlives the solve as the replanner's membership anchor. It answers
+/// finisher — and, in the replanner, outlives the solve to price the
+/// adopted plan for the admission certificate ([`crate::fr_dual`]). It answers
 /// for the instance it was built from and no other.
 #[derive(Debug, Clone)]
 pub struct NaiveSolver {
@@ -124,7 +124,7 @@ pub struct ProbeStats {
     /// Total `V(p)` evaluations.
     pub probes: u64,
     /// Evaluations served by a checkpoint delta
-    /// ([`NaiveSolver::value_delta`] and its insertion twin);
+    /// ([`NaiveSolver::value_delta`]);
     /// the remainder anchored a checkpoint
     /// ([`NaiveSolver::checkpoint_into`]).
     pub incremental_probes: u64,
@@ -353,6 +353,24 @@ impl PriceBlocks {
         &self.hi
     }
 
+    /// One work price per task of the priced instance, given its
+    /// `deadlines` in EDF order: `lo + t·(hi − lo)` of the task's block,
+    /// 0 beyond the last block — the `λ` that [`crate::fr_dual`] takes.
+    pub fn task_prices_into(&self, deadlines: &[f64], t: f64, out: &mut Vec<f64>) {
+        out.clear();
+        let mut k = 0;
+        for &d in deadlines {
+            while k < self.deadline.len() && self.deadline[k] < d {
+                k += 1;
+            }
+            out.push(if k < self.deadline.len() {
+                self.lo[k] + t * (self.hi[k] - self.lo[k])
+            } else {
+                0.0
+            });
+        }
+    }
+
     fn reset(&mut self) {
         self.deadline.clear();
         self.lo.clear();
@@ -517,6 +535,16 @@ impl NaiveSolver {
         &self.speeds
     }
 
+    /// Task deadlines in task (EDF) order.
+    pub fn deadlines(&self) -> &[f64] {
+        &self.deadlines
+    }
+
+    /// The positive-gain segments in processing order.
+    pub(crate) fn lanes(&self) -> &SegmentLanes {
+        &self.lanes
+    }
+
     /// Creates a [`ValueFnWorkspace`] sized for this instance.
     pub fn workspace(&self) -> ValueFnWorkspace {
         ValueFnWorkspace::with_capacity(self.deadlines.len(), self.speeds.len())
@@ -549,7 +577,12 @@ impl NaiveSolver {
     }
 
     /// [`NaiveSolver::checkpoint_into`] without the probe count.
-    fn anchor(&self, ws: &mut ValueFnWorkspace, caps: &[f64], chk: &mut ValueCheckpoint) -> f64 {
+    pub(crate) fn anchor(
+        &self,
+        ws: &mut ValueFnWorkspace,
+        caps: &[f64],
+        chk: &mut ValueCheckpoint,
+    ) -> f64 {
         let n = self.deadlines.len();
         let m = self.speeds.len();
         debug_assert_eq!(caps.len(), m, "profile/machine count mismatch");
@@ -669,124 +702,6 @@ impl NaiveSolver {
             .load_with_prefix(&chk.buckets[..a], &chk.bit_words, &ws.delta_buckets);
         let gain = accuracy_gain_buckets_lanes::<false>(&self.lanes, &mut ws.buckets, &mut []);
         Some(self.base_accuracy + gain)
-    }
-
-    /// Δ-probe across a *task insertion*: `V(caps)` of the instance
-    /// extended with `extra`, evaluated at the checkpoint's unchanged
-    /// caps — the [`ValueCheckpoint`] machinery generalized from cap
-    /// changes to pool-membership changes.
-    ///
-    /// With the caps fixed, inserting a deadline cannot change the
-    /// aggregate capacity reachable by any *existing* deadline, and the
-    /// new deadline's own capacity is sandwiched between its neighbors'
-    /// (capacity is monotone in the deadline), so the checkpointed bucket
-    /// array is patched by splitting exactly one bucket; the greedy then
-    /// reruns once over the merged segment list (the incumbent's
-    /// slope-sorted lanes interleaved with the new task's segments, ties
-    /// broken as the lanes' processing order breaks them) with
-    /// task indices at or above the insertion point shifted up. No profile
-    /// descent, no capacity transform. The lanes drop the incumbent's
-    /// flat segments, which sort after every positive slope and take
-    /// nothing, so the merge makes the same takes as over the full list.
-    ///
-    /// The inserted task lands at EDF position `partition_point(d ≤
-    /// d_new)` — after every equal deadline, matching a stable
-    /// deadline sort of the pool with the newcomer appended last.
-    ///
-    /// Returns `None` when the checkpoint cannot support the delta (no
-    /// incumbent, machine-count mismatch, non-finite deadline); the
-    /// caller then falls back to the full solve, which is bit-exact by
-    /// construction.
-    pub fn value_insert_delta(
-        &self,
-        ws: &mut ValueFnWorkspace,
-        chk: &ValueCheckpoint,
-        extra: &Task,
-    ) -> Option<f64> {
-        let m = self.speeds.len();
-        let n = self.deadlines.len();
-        let d_new = extra.deadline;
-        if !chk.valid || chk.caps.len() != m || !d_new.is_finite() || d_new < 0.0 {
-            return None;
-        }
-        ws.stats.probes += 1;
-        ws.stats.incremental_probes += 1;
-
-        let p = self.deadlines.partition_point(|&d| d <= d_new);
-        let raw_new: f64 = self
-            .speeds
-            .iter()
-            .zip(&chk.caps)
-            .map(|(&s, &c)| c.min(d_new) * s)
-            .sum();
-        let prev = if p == 0 { 0.0 } else { chk.td[p - 1] };
-        let guarded_new = if raw_new < prev { prev } else { raw_new };
-        ws.delta_buckets.clear();
-        ws.delta_buckets.push(guarded_new - prev);
-        if p < n {
-            // The old bucket at `p` splits around the new deadline; the
-            // clamp guards against summation-order noise pushing the new
-            // capacity a bit past its successor's.
-            ws.delta_buckets.push((chk.td[p] - guarded_new).max(0.0));
-            ws.delta_buckets.extend_from_slice(&chk.buckets[p + 1..]);
-        }
-        ws.buckets
-            .load_with_prefix(&chk.buckets[..p], &chk.bit_words, &ws.delta_buckets);
-
-        // Merged greedy: walk the incumbent's lanes and the new task's
-        // segments (position order is slope-descending on a concave
-        // curve) together; old task indices ≥ p shift up by one.
-        let mut new_segs = extra.accuracy.segments();
-        let mut pending_new = new_segs.next();
-        let mut oi = 0usize;
-        let mut gain = 0.0f64;
-        loop {
-            if ws.buckets.exhausted() {
-                break;
-            }
-            let old = (oi < self.lanes.len()).then(|| {
-                let t = self.lanes.task[oi] as usize;
-                let shifted = if t < p { t } else { t + 1 };
-                (self.lanes.slope[oi], shifted, self.lanes.width[oi])
-            });
-            let (slope, bound, flops) = match (old, &pending_new) {
-                (None, None) => break,
-                (Some(seg), None) => {
-                    oi += 1;
-                    seg
-                }
-                (None, Some(s)) => {
-                    let out = (s.slope, p, s.width());
-                    pending_new = new_segs.next();
-                    out
-                }
-                (Some(seg), Some(s)) => {
-                    // `sort_segments_into` order: slope descending, then task,
-                    // then position; old and new never share a task index.
-                    let old_first = match seg.0.total_cmp(&s.slope) {
-                        std::cmp::Ordering::Greater => true,
-                        std::cmp::Ordering::Less => false,
-                        std::cmp::Ordering::Equal => seg.1 < p,
-                    };
-                    if old_first {
-                        oi += 1;
-                        seg
-                    } else {
-                        let out = (s.slope, p, s.width());
-                        pending_new = new_segs.next();
-                        out
-                    }
-                }
-            };
-            if flops <= 0.0 || slope <= 0.0 {
-                continue;
-            }
-            let c = ws.buckets.consume(bound, flops);
-            if c > 0.0 {
-                gain += slope * c;
-            }
-        }
-        Some(self.base_accuracy + extra.accuracy.a_min() + gain)
     }
 
     /// Prices the checkpoint's incumbent: [`NaiveSolver::price_work_into`]
@@ -1262,87 +1177,6 @@ mod tests {
             .is_none());
         assert!(solver
             .value_delta(&mut ws, &ValueCheckpoint::new(), &[(0, 1.0)])
-            .is_none());
-    }
-
-    /// Insertion Δ-probes agree with full evaluations of the extended
-    /// instance, across random profiles and insertion points (including
-    /// duplicate deadlines), and invalid deltas fall back with `None`
-    /// instead of answering wrongly.
-    #[test]
-    fn insert_deltas_match_full_evaluation() {
-        use rand::{Rng, SeedableRng};
-        let park = MachinePark::new(vec![
-            Machine::from_efficiency(2.0, 5.0).unwrap(),
-            Machine::from_efficiency(4.0, 8.0).unwrap(),
-            Machine::from_efficiency(1.0, 12.0).unwrap(),
-        ]);
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(4242);
-        for trial in 0..60 {
-            let n = rng.gen_range(1..8);
-            let mut tasks: Vec<Task> = (0..n)
-                .map(|_| {
-                    let d = if rng.gen_bool(0.25) {
-                        2.0 // force duplicate deadlines regularly
-                    } else {
-                        rng.gen_range(0.2..4.0)
-                    };
-                    let s1: f64 = rng.gen_range(0.1..0.8);
-                    let s2 = s1 * rng.gen_range(0.2..0.9);
-                    Task::new(d, acc(&[(s1, rng.gen_range(0.5..3.0)), (s2, 2.0)]))
-                })
-                .collect();
-            tasks.sort_by(|a, b| a.deadline.total_cmp(&b.deadline));
-            let inst = Instance::new(tasks.clone(), park.clone(), 15.0).unwrap();
-            let solver = NaiveSolver::new(&inst);
-            let mut ws = solver.workspace();
-            let mut chk = ValueCheckpoint::new();
-            let caps: Vec<f64> = (0..3).map(|_| rng.gen_range(0.0..4.0)).collect();
-            solver.checkpoint_into(&mut ws, &caps, &mut chk);
-
-            // Insertion: delta vs the reference on the extended instance.
-            let extra = Task::new(
-                if rng.gen_bool(0.3) {
-                    2.0
-                } else {
-                    rng.gen_range(0.1..4.5)
-                },
-                acc(&[(rng.gen_range(0.1..0.9), rng.gen_range(0.5..2.5))]),
-            );
-            let inc = solver
-                .value_insert_delta(&mut ws, &chk, &extra)
-                .expect("valid insertion must be delta-eligible");
-            let mut extended = tasks.clone();
-            let p = extended
-                .iter()
-                .position(|t| t.deadline > extra.deadline)
-                .unwrap_or(extended.len());
-            extended.insert(p, extra.clone());
-            let ext_inst = Instance::new(extended, park.clone(), 15.0).unwrap();
-            let full = reference_value(&ext_inst, &caps);
-            assert!(
-                (inc - full).abs() <= 1e-9 * (1.0 + full.abs()),
-                "trial {trial} insert: delta {inc} vs full {full}"
-            );
-
-            // The checkpoint survives membership probes untouched.
-            let again = solver
-                .value_delta(&mut ws, &chk, &[])
-                .expect("empty delta stays valid");
-            assert_eq!(again.to_bits(), chk.value().to_bits());
-        }
-
-        // Invalid deltas: fall back, never guess.
-        let tasks = vec![Task::new(1.0, acc(&[(0.5, 2.0)]))];
-        let inst = Instance::new(tasks, park.clone(), 5.0).unwrap();
-        let solver = NaiveSolver::new(&inst);
-        let mut ws = solver.workspace();
-        let mut chk = ValueCheckpoint::new();
-        let bad = Task::new(1.0, acc(&[(0.5, 1.0)]));
-        assert!(solver.value_insert_delta(&mut ws, &chk, &bad).is_none());
-        solver.checkpoint_into(&mut ws, &[1.0, 1.0, 1.0], &mut chk);
-        assert!(solver
-            .value_insert_delta(&mut ws, &chk, &Task::new(f64::NAN, acc(&[(0.5, 1.0)])))
             .is_none());
     }
 

@@ -28,9 +28,10 @@
 //! - [`guarantee`] — the absolute performance bound `G` (Eq. 14);
 //! - [`baselines`] — `EDF-NoCompression` and `EDF-3CompressionLevels` (§6);
 //! - [`residual`] — residual instances for online rolling-horizon re-plans;
-//! - [`replan`] — the incremental re-solve engine (cold solves plus a
-//!   checkpoint insertion bound) the online service and every server
-//!   shard cell replan through;
+//! - [`replan`] — the re-solve engine the online service and every
+//!   server shard cell replan through, with the admission certificate;
+//! - [`fr_dual`] — weak-duality upper bounds on the fractional optimum
+//!   for any work prices (the certificate's arithmetic);
 //! - [`renewable`] — extension: time-varying (renewable) energy supply;
 //! - [`lp_model`] — the DSCT-EA-FR linear program for [`dsct_lp`] (§3.2);
 //! - [`mip_model`] — the full DSCT-EA MIP for [`dsct_mip`] (§3);
@@ -47,6 +48,7 @@ pub mod algo_refine;
 pub mod algo_single;
 pub mod approx;
 pub mod baselines;
+pub mod fr_dual;
 pub mod fr_opt;
 pub mod guarantee;
 mod kernels;

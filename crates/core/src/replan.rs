@@ -1,59 +1,54 @@
-//! The incremental re-solve engine behind the online/sharded replan
-//! path: a [`Replanner`] that owns the solver and settles gated
-//! admissions through a [`ValueCheckpoint`] insertion delta instead of
-//! a cold [`ApproxSolver`] run whenever it can.
+//! The re-solve engine behind the online/sharded replan path: a
+//! [`Replanner`] that owns the solver and, for a gated admission, bounds
+//! the pool's optimum from the prices of the adoption solve instead of
+//! re-planning the pool.
 //!
 //! # Strategy semantics
 //!
 //! [`ReplanStrategy`] selects how a full re-solve request is served:
 //!
-//! - [`ReplanStrategy::Cold`] — every solve runs the cold pipeline;
+//! - [`ReplanStrategy::Cold`] — every solve runs the cold pipeline and
+//!   hands its evaluator back ([`Replanner::solve_keeping`]) for the
+//!   admission certificate;
+//! - [`ReplanStrategy::Incremental`] — the same path as `Cold`, bit for
+//!   bit; the name stays so configurations that select it keep working;
 //! - [`ReplanStrategy::WarmStart`] — solves run warm-started from the
 //!   caller's hint (the incumbent plan's surviving fractional profile)
-//!   when one is supplied, cold otherwise;
-//! - [`ReplanStrategy::Incremental`] — full solves are **cold**: the
-//!   result of [`Replanner::solve`] is bitwise what `Cold` computes. The
-//!   speed win comes from the *decision* path instead:
-//!   [`Replanner::insert_value_bound`] answers a membership probe as a
-//!   checkpoint delta in `O(m + n_suffix)` without any descent at all.
-//!   A gated evaluation the bound cannot settle takes the full solve.
+//!   when one is supplied, cold otherwise. They keep no evaluator, so
+//!   nothing is certified: the hint needs the re-planned incumbent
+//!   before the adoption solve anyway.
 //!
 //! No result is cached: between two solves of a live cell the remaining
 //! budget or the clock moves, so a key on the residual's exact bits
 //! would never repeat (a traced overload run read 0 hits in 5,920
 //! lookups) and a store would only cost a clone per solve.
 //!
-//! # One evaluator per cold solve
+//! # The admission certificate
 //!
-//! The membership anchor is the [`NaiveSolver`] of the solve that made
-//! the incumbent, not a copy of its instance: an `Incremental` full solve
-//! ([`Replanner::solve_keeping`]) builds the evaluator once, runs the
-//! naive stage, the descent and the finisher on it, and hands it back as
-//! a [`SolvedEvaluator`]; [`Replanner::anchor_solved`] checkpoints the
-//! adopted caps on it, and every insertion probe then runs on the
-//! anchor's evaluator with no rebuild and no sort. The pairing is by
-//! construction — only a solve mints the token, for the instance it
-//! solved — so no anchor compares instances. `Cold` and `WarmStart`
-//! never anchor, so their solves keep nothing.
-//!
-//! # Delta validity and fallback
-//!
-//! The insertion bound is the exact value of the extended pool at the
-//! *anchored incumbent caps* — a lower bound on the re-optimized
-//! tentative value, usable for monotone early-admit decisions but never
-//! for rejection. Whenever the bound cannot be supported (no anchor,
-//! machine-count mismatch, non-finite deadline) or does not clear the
-//! caller's test, the probe returns `None` and the caller falls back to
-//! the full solve — bit-exactly the result it would have computed
-//! anyway, which is what keeps the fallback oracle-checkable via
-//! [`crate::solver::SolverOptions::check_invariants`].
+//! A gated admission compares the value of the pool plus the candidate
+//! against a baseline, the value of a re-plan of the pool alone, and
+//! both gated tests only get easier as the baseline falls. Any upper
+//! bound on the pool's optimum `V*(P)` therefore stands in for the
+//! baseline when the test passes at the bound. [`Replanner::certify_without`]
+//! gets one from the adoption solve of `P ∪ {c}`: it checkpoints the
+//! adopted profile on the solve's own evaluator, prices it
+//! ([`PriceBlocks`]), and evaluates the weak-duality bound of
+//! [`crate::fr_dual`] with the candidate left out, at each block's lower,
+//! upper and middle price in turn. A bound the caller's test rejects
+//! proves nothing, and the caller re-plans the pool for the exact
+//! baseline.
 
-use crate::algo_naive::{NaiveSolver, ProbeStats, ValueCheckpoint};
+use crate::algo_naive::{NaiveSolver, PriceBlocks, ProbeStats, ValueCheckpoint};
 use crate::approx::ApproxSolution;
-use crate::problem::{Instance, Task};
+use crate::fr_dual::dual_bound;
+use crate::problem::Instance;
 use crate::profile::EnergyProfile;
 use crate::solver::{ApproxSolver, SolverContext};
 use serde::{Deserialize, Serialize};
+
+/// Relative slack added to every certified bound, covering the rounding
+/// of its sums and of the baseline's (both are ~1e-15 relative).
+const CERT_SLOP: f64 = 1e-9;
 
 /// How an online service (or a server shard cell) re-solves its residual
 /// instance. Strategy never changes *which* plans are feasible — only
@@ -68,8 +63,8 @@ pub enum ReplanStrategy {
     /// fractional profile.
     #[default]
     WarmStart,
-    /// Cold full solves, with a checkpoint insertion delta on the
-    /// decision path.
+    /// Same as [`ReplanStrategy::Cold`]: cold solves whose evaluator
+    /// prices the admission certificate.
     Incremental,
 }
 
@@ -86,8 +81,8 @@ pub struct ReplanStats {
     /// overload run read 0 of them in 3,000 arrivals). Kept, like
     /// [`Self::cache_hits`], so readers of the stats keep compiling.
     pub estimates: u64,
-    /// Gated evaluations the anchor's insertion bound settled
-    /// ([`Replanner::insert_value_bound`] returned `Some`).
+    /// Gated admissions the certificate settled
+    /// ([`Replanner::certify_without`] returned `Some`).
     pub delta_bounds: u64,
     /// Always 0: nothing is cached (see the module docs). Kept, like
     /// the other zero-reading counters, so readers of the stats keep
@@ -95,11 +90,10 @@ pub struct ReplanStats {
     pub cache_hits: u64,
     /// Always 0, like [`Self::cache_hits`].
     pub cache_misses: u64,
-    /// Under [`ReplanStrategy::Incremental`], the gated evaluations the
-    /// insertion bound could not settle (no anchor, no delta, or a bound
-    /// below the caller's bar), which the caller's full solve decided;
-    /// so `delta_bounds + fallbacks` counts every bound asked for.
-    /// Always 0 under the other strategies, which never ask.
+    /// Gated evaluations the certificate could not settle, which needed
+    /// the exact baseline; so `delta_bounds + fallbacks` counts every
+    /// certificate asked for. Always 0 under
+    /// [`ReplanStrategy::WarmStart`], which never asks.
     pub fallbacks: u64,
     /// Always 0, like [`Self::cache_hits`].
     pub evictions: u64,
@@ -119,36 +113,22 @@ impl ReplanStats {
     }
 }
 
-/// The incumbent membership anchor for checkpoint deltas: the evaluator
-/// of the pool's residual instance plus a [`ValueCheckpoint`] of its
-/// value at the incumbent caps. The evaluator owns copies of everything
-/// it reads, so the anchor stays valid after the service mutates its
-/// pool, and every probe runs on it without a rebuild.
-#[derive(Debug, Clone)]
-struct DeltaAnchor {
-    solver: NaiveSolver,
-    chk: ValueCheckpoint,
-}
-
 /// The evaluator a full solve built for its instance, handed back by
-/// [`Replanner::solve_keeping`] so [`Replanner::anchor_solved`] can anchor
-/// that instance without building another. Only an
-/// [`ReplanStrategy::Incremental`] solve keeps one (the other strategies
-/// never anchor); the token is empty otherwise.
+/// [`Replanner::solve_keeping`] so [`Replanner::certify_without`] can
+/// price the adopted plan without building another. Empty under
+/// [`ReplanStrategy::WarmStart`], which never certifies.
 #[derive(Debug)]
 pub struct SolvedEvaluator(Option<NaiveSolver>);
 
 /// The unified re-solve engine: owns the [`ApproxSolver`], the reusable
-/// [`SolverContext`], the strategy, and the incumbent delta anchor.
-/// [`crate::residual`] callers (`dsct-online`'s service, every
-/// `dsct-server` shard cell) go through this instead of calling the
-/// solver directly.
+/// [`SolverContext`] and the strategy. [`crate::residual`] callers
+/// (`dsct-online`'s service, every `dsct-server` shard cell) go through
+/// this instead of calling the solver directly.
 #[derive(Debug)]
 pub struct Replanner {
     solver: ApproxSolver,
     ctx: SolverContext,
     strategy: ReplanStrategy,
-    anchor: Option<DeltaAnchor>,
     stats: ReplanStats,
 }
 
@@ -159,7 +139,6 @@ impl Replanner {
             solver,
             ctx: SolverContext::new(),
             strategy,
-            anchor: None,
             stats: ReplanStats::default(),
         }
     }
@@ -180,10 +159,10 @@ impl Replanner {
     }
 
     /// Full re-solve of `inst` under the configured strategy. The warm
-    /// hint is honored only by [`ReplanStrategy::WarmStart`];
-    /// [`ReplanStrategy::Incremental`] runs the cold pipeline so its
-    /// adopted plans are bit-identical to [`ReplanStrategy::Cold`]'s —
-    /// the byte-identity contract of the online digests.
+    /// hint is honored only by [`ReplanStrategy::WarmStart`]; `Cold` and
+    /// [`ReplanStrategy::Incremental`] run the one cold pipeline, so
+    /// their plans are bit-identical — the byte-identity contract of the
+    /// online digests.
     pub fn solve(&mut self, inst: &Instance, warm: Option<&EnergyProfile>) -> ApproxSolution {
         let (approx, evaluator) = self.solve_keeping(inst, warm);
         self.release(evaluator);
@@ -191,104 +170,86 @@ impl Replanner {
     }
 
     /// [`Replanner::solve`], also handing back the evaluator the solve
-    /// ran on. Give it to [`Replanner::anchor_solved`] to anchor `inst`,
-    /// or to [`Replanner::release`] when the plan is not adopted.
+    /// ran on. Give it to [`Replanner::certify_without`] or to
+    /// [`Replanner::release`].
     pub fn solve_keeping(
         &mut self,
         inst: &Instance,
         warm: Option<&EnergyProfile>,
     ) -> (ApproxSolution, SolvedEvaluator) {
         self.stats.requests += 1;
-        match (self.strategy, warm) {
-            (ReplanStrategy::WarmStart, Some(profile)) => {
-                self.stats.warm_solves += 1;
-                let approx = self
-                    .solver
-                    .solve_typed_warm_with(inst, &mut self.ctx, profile);
-                (approx, SolvedEvaluator(None))
-            }
-            (ReplanStrategy::Incremental, _) => {
-                self.stats.cold_solves += 1;
-                let ws = self.ctx.workspace();
-                let solver = NaiveSolver::new_in(inst, ws.arena_mut());
-                let approx = crate::approx::solve_approx_in(&solver, inst, &self.solver.opts, ws);
-                (approx, SolvedEvaluator(Some(solver)))
-            }
-            _ => {
-                self.stats.cold_solves += 1;
-                let approx = self.solver.solve_typed_with(inst, &mut self.ctx);
-                (approx, SolvedEvaluator(None))
-            }
+        if let (ReplanStrategy::WarmStart, Some(profile)) = (self.strategy, warm) {
+            self.stats.warm_solves += 1;
+            let approx = self
+                .solver
+                .solve_typed_warm_with(inst, &mut self.ctx, profile);
+            return (approx, SolvedEvaluator(None));
         }
+        self.stats.cold_solves += 1;
+        let ws = self.ctx.workspace();
+        let solver = NaiveSolver::new_in(inst, ws.arena_mut());
+        let approx = crate::approx::solve_approx_in(&solver, inst, &self.solver.opts, ws);
+        let kept = match self.strategy {
+            ReplanStrategy::WarmStart => {
+                solver.recycle(ws.arena_mut());
+                None
+            }
+            _ => Some(solver),
+        };
+        (approx, SolvedEvaluator(kept))
     }
 
-    /// Returns an unanchored solve's evaluator to the context's arena.
+    /// Returns a solve's evaluator to the context's arena.
     pub fn release(&mut self, evaluator: SolvedEvaluator) {
         if let Some(solver) = evaluator.0 {
             solver.recycle(self.ctx.workspace().arena_mut());
         }
     }
 
-    /// Anchors the membership-delta checkpoint on the instance
-    /// `evaluator`'s solve ran on, at `caps` (the incumbent's realized
-    /// profile), keeping the evaluator for every probe until the next
-    /// anchor. Call after every adoption/refresh; any shape mismatch or
-    /// non-finite cap silently clears the anchor instead, so later probes
-    /// fall back to the full solve.
-    pub fn anchor_solved(&mut self, evaluator: SolvedEvaluator, caps: &[f64]) {
-        self.clear_anchor();
-        let Some(solver) = evaluator.0 else {
-            return;
-        };
-        let ws = self.ctx.workspace();
-        if caps.len() != solver.speeds().len() || caps.iter().any(|c| !c.is_finite()) {
-            solver.recycle(ws.arena_mut());
-            return;
-        }
-        let mut chk = ValueCheckpoint::new_in(ws.arena_mut());
-        solver.checkpoint_into(ws, caps, &mut chk);
-        self.anchor = Some(DeltaAnchor { solver, chk });
+    /// A cold solve of `inst` that moves no counter: the replan and
+    /// probe counters read afterwards what they read before. For
+    /// cross-checks that must not show in the stats.
+    pub fn solve_uncounted(&mut self, inst: &Instance) -> ApproxSolution {
+        let probes = self.ctx.probe_stats();
+        let approx = self.solver.solve_typed_with(inst, &mut self.ctx);
+        self.ctx.workspace().stats = probes;
+        approx
     }
 
-    /// Drops the membership anchor (the incumbent changed in a way the
-    /// caller cannot re-anchor from), returning its buffers to the
-    /// context's arena.
-    pub fn clear_anchor(&mut self) {
-        if let Some(DeltaAnchor { solver, chk }) = self.anchor.take() {
-            let arena = self.ctx.workspace().arena_mut();
-            solver.recycle(arena);
-            chk.recycle(arena);
-        }
-    }
-
-    /// Whether a membership anchor is currently held.
-    pub fn has_anchor(&self) -> bool {
-        self.anchor.is_some()
-    }
-
-    /// Exact value of the anchored pool **plus** `extra`, at the
-    /// anchored incumbent caps, when `settles` accepts it: a lower bound
-    /// on the re-optimized tentative value, computed as a checkpoint
-    /// insertion delta on the anchor's evaluator without any descent.
-    /// `None` when there is no anchor, the anchor cannot support the
-    /// delta, or `settles` rejects the bound — the caller must run the
-    /// full evaluation then (bit-exact fallback). Under
-    /// [`ReplanStrategy::Incremental`] every call counts once, as a
-    /// delta bound or as a fallback.
-    pub fn insert_value_bound(
+    /// The admission certificate (see the module docs): an upper bound
+    /// on the optimum of `inst` without task `skip`, plus a relative slop
+    /// for rounding, from the prices of the plan `evaluator`'s solve of
+    /// `inst` realized at `caps` (one cap per machine). Tries each block's lower, upper and
+    /// middle price and returns the first bound `settles` accepts;
+    /// `None` when none does, or when the solve kept no evaluator
+    /// ([`ReplanStrategy::WarmStart`], which is not counted). Consumes
+    /// the evaluator; allocates nothing on a warm context.
+    pub fn certify_without(
         &mut self,
-        extra: &Task,
-        settles: impl FnOnce(f64) -> bool,
+        evaluator: SolvedEvaluator,
+        inst: &Instance,
+        caps: &[f64],
+        skip: usize,
+        settles: impl Fn(f64) -> bool,
     ) -> Option<f64> {
-        if self.strategy != ReplanStrategy::Incremental {
-            return None;
-        }
+        let solver = evaluator.0?;
         let ws = self.ctx.workspace();
-        let bound = self
-            .anchor
-            .as_ref()
-            .and_then(|anchor| anchor.solver.value_insert_delta(ws, &anchor.chk, extra))
-            .filter(|&bound| settles(bound));
+        let mut chk = ValueCheckpoint::new_in(ws.arena_mut());
+        let mut prices = PriceBlocks::new_in(ws.arena_mut());
+        let mut lambda = ws.arena_mut().take_f64();
+        solver.anchor(ws, caps, &mut chk);
+        solver.price_blocks_into(ws, &chk, &mut prices);
+        let bound = [0.0, 1.0, 0.5].into_iter().find_map(|t| {
+            prices.task_prices_into(solver.deadlines(), t, &mut lambda);
+            let ub = dual_bound(&solver, inst, &lambda, Some(skip), None, ws.arena_mut());
+            let ub = ub + CERT_SLOP * (1.0 + ub.abs());
+            settles(ub).then_some(ub)
+        });
+        let arena = ws.arena_mut();
+        chk.recycle(arena);
+        prices.recycle(arena);
+        arena.put_f64(lambda);
+        solver.recycle(arena);
         match bound {
             Some(_) => self.stats.delta_bounds += 1,
             None => self.stats.fallbacks += 1,
@@ -300,6 +261,7 @@ impl Replanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::Task;
     use dsct_accuracy::PwlAccuracy;
     use dsct_machines::{Machine, MachinePark};
 
@@ -323,50 +285,49 @@ mod tests {
         Instance::new(tasks, park(), budget).unwrap()
     }
 
+    /// The certificate of a pool without one task upper-bounds that
+    /// pool's optimum, counts once per call, and is never asked of a
+    /// warm-started solve.
     #[test]
-    fn insert_bound_lower_bounds_the_reoptimized_tentative() {
-        let inst = instance(40.0);
-        let mut rp = Replanner::new(ApproxSolver::new(), ReplanStrategy::Incremental);
-        let (incumbent, evaluator) = rp.solve_keeping(&inst, None);
-        rp.anchor_solved(evaluator, &incumbent.fractional.profile);
-        assert!(rp.has_anchor());
-
-        let extra = Task::new(0.6, acc(&[(0.0, 0.0), (400.0, 0.45)]));
-        let bound = rp
-            .insert_value_bound(&extra, |_| true)
-            .expect("anchored delta");
-
-        // Cold tentative optimum of pool + extra dominates the bound.
-        let mut tasks = inst.tasks().to_vec();
-        let pos = tasks.iter().position(|t| t.deadline > extra.deadline);
-        match pos {
-            Some(p) => tasks.insert(p, extra.clone()),
-            None => tasks.push(extra.clone()),
+    fn certificate_upper_bounds_the_pool_without_the_candidate() {
+        for budget in [5.0, 40.0, 400.0] {
+            let inst = instance(budget);
+            let mut rp = Replanner::new(ApproxSolver::new(), ReplanStrategy::Incremental);
+            for skip in 0..inst.num_tasks() {
+                let mut pool = inst.tasks().to_vec();
+                pool.remove(skip);
+                let pool = Instance::new(pool, park(), budget).unwrap();
+                let optimum = Replanner::new(ApproxSolver::new(), ReplanStrategy::Cold)
+                    .solve(&pool, None)
+                    .fractional
+                    .total_accuracy;
+                let (approx, evaluator) = rp.solve_keeping(&inst, None);
+                let caps = approx.fractional.profile.clone();
+                let bound = rp
+                    .certify_without(evaluator, &inst, &caps, skip, |_| true)
+                    .expect("an accepting test settles on the first price");
+                assert!(
+                    bound >= optimum,
+                    "budget {budget} skip {skip}: bound {bound} below the pool's {optimum}"
+                );
+                // A test no bound passes settles nothing.
+                let (_, evaluator) = rp.solve_keeping(&inst, None);
+                assert!(rp
+                    .certify_without(evaluator, &inst, &caps, skip, |_| false)
+                    .is_none());
+            }
+            let stats = rp.stats();
+            assert_eq!((stats.delta_bounds, stats.fallbacks), (3, 3));
         }
-        let extended = Instance::new(tasks, park(), 40.0).unwrap();
-        let tentative = Replanner::new(ApproxSolver::new(), ReplanStrategy::Cold)
-            .solve(&extended, None)
-            .fractional
-            .total_accuracy;
-        assert!(
-            bound <= tentative + 1e-9 * (1.0 + tentative.abs()),
-            "bound {bound} must lower-bound the tentative optimum {tentative}"
-        );
-        assert_eq!(rp.stats().delta_bounds, 1);
 
-        // A bound below the caller's bar settles nothing, and neither
-        // does a cleared anchor: each is one fallback.
-        assert!(rp.insert_value_bound(&extra, |b| b > bound).is_none());
-        rp.clear_anchor();
-        assert!(rp.insert_value_bound(&extra, |_| true).is_none());
-        assert_eq!((rp.stats().delta_bounds, rp.stats().fallbacks), (1, 2));
-
-        // `Cold` never anchors and never asks, so it counts nothing.
-        let mut cold = Replanner::new(ApproxSolver::new(), ReplanStrategy::Cold);
-        let (incumbent, evaluator) = cold.solve_keeping(&inst, None);
-        cold.anchor_solved(evaluator, &incumbent.fractional.profile);
-        assert!(!cold.has_anchor());
-        assert!(cold.insert_value_bound(&extra, |_| true).is_none());
-        assert_eq!(cold.stats().fallbacks, 0);
+        // `WarmStart` keeps no evaluator, so it certifies and counts nothing.
+        let inst = instance(40.0);
+        let mut warm = Replanner::new(ApproxSolver::new(), ReplanStrategy::WarmStart);
+        let (approx, evaluator) = warm.solve_keeping(&inst, None);
+        let caps = approx.fractional.profile.clone();
+        assert!(warm
+            .certify_without(evaluator, &inst, &caps, 0, |_| true)
+            .is_none());
+        assert_eq!((warm.stats().delta_bounds, warm.stats().fallbacks), (0, 0));
     }
 }

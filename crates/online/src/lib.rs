@@ -17,10 +17,10 @@
 //!   and re-plans the pending pool as a residual instance
 //!   ([`dsct_core::residual`]) through a [`dsct_core::replan::Replanner`]
 //!   — warm-started from the incumbent plan's fractional profile under
-//!   [`ReplanStrategy::WarmStart`], or, under
-//!   [`ReplanStrategy::Incremental`], admitted early where a checkpoint
-//!   insertion bound settles the decision (adopted plans are cold
-//!   solves, bit for bit);
+//!   [`ReplanStrategy::WarmStart`], or, under `Cold` and
+//!   [`ReplanStrategy::Incremental`] (one path), solved cold with the
+//!   candidate first and admitted without a re-plan of the pool where a
+//!   weak-duality bound certifies the decision;
 //! - [`AdmissionPolicy`] — pluggable admission: [`AdmissionPolicy::AdmitAll`],
 //!   [`AdmissionPolicy::RejectIfInfeasible`] (protects the planned
 //!   accuracy of already-admitted tasks), and

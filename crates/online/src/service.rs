@@ -16,10 +16,10 @@
 //! goes through a [`Replanner`](dsct_core::replan::Replanner) —
 //! warm-started, under [`ReplanStrategy::WarmStart`], from the
 //! incumbent's fractional profile restricted to still-pending tasks;
-//! under [`ReplanStrategy::Incremental`] adopted plans are cold solves,
-//! bit for bit, while an [`AdmissionPolicy::DegradeToFit`] evaluation
-//! first asks the replanner's checkpoint insertion bound and takes the
-//! full solve only when the bound cannot settle it.
+//! under [`ReplanStrategy::Cold`] and [`ReplanStrategy::Incremental`]
+//! (one path) a gated arrival is solved with the candidate first, and
+//! the pool is re-planned for the admission baseline only when the
+//! replanner's certificate cannot settle the decision.
 //!
 //! Machine availability is restored at plan-materialization time: tasks
 //! landing on a still-busy machine are cut at their *absolute* deadline
@@ -53,7 +53,7 @@ use crate::error::OnlineError;
 use crate::ledger::EnergyLedger;
 use dsct_accuracy::PwlAccuracy;
 use dsct_core::oracle::{self, Claims};
-use dsct_core::problem::{Instance, Task};
+use dsct_core::problem::Instance;
 use dsct_core::profile::EnergyProfile;
 use dsct_core::replan::{Replanner, SolvedEvaluator};
 use dsct_core::residual::{residual_instance, ResidualItem};
@@ -169,12 +169,15 @@ pub struct OnlineSummary {
     pub starved: usize,
     /// Tasks actually dispatched to a machine.
     pub dispatched: usize,
-    /// Re-plans adopted as the incumbent.
+    /// Plans adopted as the incumbent: one per re-plan of the pool and
+    /// one per admission a gated policy adopts.
     pub replans: usize,
-    /// Total tentative/re-plan evaluations: one per incumbent re-plan
-    /// plus one per gated admission evaluation, whichever replanner path
-    /// (full solve or checkpoint insertion bound) answered it — so the
-    /// count is strategy-independent by construction.
+    /// Solver runs: one per re-plan of the pool plus one per gated
+    /// admission evaluation. Under [`ReplanStrategy::Cold`] and
+    /// [`ReplanStrategy::Incremental`] a gated evaluation the admission
+    /// certificate settles skips the re-plan of the pool, so those
+    /// strategies count fewer solves and replans than
+    /// [`ReplanStrategy::WarmStart`] on the same decisions.
     pub solves: usize,
     /// Realized total accuracy `Σ_j a_j(work_j)` over **all** arrivals
     /// (rejected/expired/starved tasks contribute their zero-work
@@ -538,11 +541,7 @@ impl OnlineService {
                 self.plan_dirty = true;
                 Decision::Admitted
             }
-            policy => {
-                self.ensure_plan();
-                let baseline = self.baseline_value();
-                self.decide_and_adopt(task, policy, baseline)
-            }
+            policy => self.decide_and_adopt(task, policy),
         };
         self.decisions.push((task.id, decision));
         Ok(decision)
@@ -589,7 +588,6 @@ impl OnlineService {
         self.pool = kept;
         self.plan = None;
         self.clear_queues();
-        self.replanner.clear_anchor();
         self.plan_dirty = !self.pool.is_empty();
         drained
     }
@@ -613,7 +611,6 @@ impl OnlineService {
         }
         self.plan = None;
         self.clear_queues();
-        self.replanner.clear_anchor();
         self.plan_dirty = !self.pool.is_empty();
         drained
     }
@@ -1112,44 +1109,27 @@ impl OnlineService {
             .sum()
     }
 
-    /// One gated admission evaluation, counted as exactly one solver
-    /// invocation whichever replanner path answers it, followed by plan
-    /// adoption on admission.
+    /// One gated admission evaluation: the adoption solve of the pool plus
+    /// the candidate, then the policy's test against a baseline, and the
+    /// solved plan adopted on admission.
     ///
-    /// Under [`ReplanStrategy::Incremental`],
-    /// [`AdmissionPolicy::DegradeToFit`] first asks the checkpoint
-    /// *insertion bound*: the tentative value at the incumbent's anchored
-    /// caps, a lower bound on the re-optimized one. The policy's test is
-    /// monotone in the tentative value, so clearing the bar at the bound
-    /// proves the re-optimized value clears it too (early admit only; a
-    /// low bound proves nothing). Everything else — every other strategy
-    /// or policy, and every evaluation the bound cannot settle — takes
-    /// the full solve, which doubles as the adoption solve.
-    fn decide_and_adopt(
-        &mut self,
-        task: &OnlineTask,
-        policy: AdmissionPolicy,
-        baseline: f64,
-    ) -> Decision {
-        let cand_floor = task.accuracy.a_min();
-        if policy == AdmissionPolicy::DegradeToFit {
-            let residual_cand = Task::new(task.deadline - self.now, task.accuracy.clone());
-            // `tentative_cand` is unknown on this path and unused by
-            // DegradeToFit's test; NaN poisons any future misuse.
-            let clears =
-                |bound| policy.decide(baseline, bound, f64::NAN, cand_floor) == Decision::Admitted;
-            if self
-                .replanner
-                .insert_value_bound(&residual_cand, clears)
-                .is_some()
-            {
-                self.solves += 1;
-                return self.admit_and_solve(task);
-            }
+    /// Under [`ReplanStrategy::Cold`] and [`ReplanStrategy::Incremental`]
+    /// the test first runs against the replanner's certificate, an upper
+    /// bound on the pool's optimum and so on the baseline. Both gated
+    /// tests only get easier as the baseline falls, so passing at the
+    /// bound proves the exact test passes, and the pool is not re-planned.
+    /// Otherwise — always under [`ReplanStrategy::WarmStart`], whose
+    /// adoption solve starts from the re-planned incumbent — the pool is
+    /// re-planned for the exact baseline, as [`Self::ensure_plan`] does.
+    fn decide_and_adopt(&mut self, task: &OnlineTask, policy: AdmissionPolicy) -> Decision {
+        if self.cfg.replan == ReplanStrategy::WarmStart {
+            self.ensure_plan();
         }
         let Some((res, machine_ids)) = self.residual_for(Some(task)) else {
             // Every machine is dead: nothing can serve the candidate,
-            // so the gated policies turn it away.
+            // so the gated policies turn it away. The pool's re-plan
+            // still drops the incumbent, as on the exact path.
+            self.ensure_plan();
             self.record_unserved(task, self.now);
             return Decision::Rejected;
         };
@@ -1167,11 +1147,28 @@ impl OnlineService {
             .task(jc)
             .accuracy
             .eval(approx.fractional.flops[jc]);
-        let decision = policy.decide(baseline, tentative, tentative_cand, cand_floor);
+        let cand_floor = task.accuracy.a_min();
+        let test = |baseline| policy.decide(baseline, tentative, tentative_cand, cand_floor);
+        let certified = self.replanner.certify_without(
+            evaluator,
+            &res.instance,
+            &approx.fractional.profile,
+            jc,
+            |bound| test(bound) == Decision::Admitted,
+        );
+        let decision = match certified {
+            Some(_bound) => {
+                #[cfg(debug_assertions)]
+                self.assert_certified(_bound, test);
+                Decision::Admitted
+            }
+            None => {
+                self.ensure_plan();
+                test(self.baseline_value())
+            }
+        };
         if decision == Decision::Admitted {
             self.pool.push(task.clone());
-            self.replanner
-                .anchor_solved(evaluator, &approx.fractional.profile);
             self.adopt(Plan {
                 time: self.now,
                 task_ids: res.task_ids,
@@ -1179,29 +1176,32 @@ impl OnlineService {
                 approx,
             });
         } else {
-            self.replanner.release(evaluator);
             self.record_unserved(task, self.now);
         }
         decision
     }
 
-    /// Admission reached without a full tentative solve (the insertion
-    /// bound settled it): the adopted plan must still be bitwise what
-    /// the cold pipeline produces, so the full solve runs now.
-    /// Deliberately *not* counted as a solver invocation:
-    /// the full-solve arms adopt their tentative solve directly, and
-    /// counter parity across strategies is part of the digest contract.
-    fn admit_and_solve(&mut self, task: &OnlineTask) -> Decision {
-        self.pool.push(task.clone());
-        // Unreachable in practice — the bound only settles with a live
-        // candidate on a live sub-park — but stay safe.
-        if !self.solve_and_adopt_pool() {
-            self.plan = None;
-            self.plan_dirty = false;
-            self.clear_queues();
-            self.replanner.clear_anchor();
-        }
-        Decision::Admitted
+    /// Debug cross-check of a certified admission: the baseline the
+    /// exact path would compare against — the incumbent's value if it is
+    /// fresh, else a re-plan of the pool solved on the side, with the
+    /// replanner's counters restored — lies under the certified `bound`
+    /// and passes the policy's `test`.
+    #[cfg(debug_assertions)]
+    fn assert_certified(&mut self, bound: f64, test: impl Fn(f64) -> Decision) {
+        let fresh = !self.plan_dirty && self.plan.as_ref().map(|p| p.time) == Some(self.now);
+        let baseline = match self.residual_for(None) {
+            Some((res, _)) if !fresh => {
+                let approx = self.replanner.solve_uncounted(&res.instance);
+                Self::fractional_total(&res.instance, &approx.fractional.flops)
+            }
+            _ => self.baseline_value(),
+        };
+        assert!(
+            baseline <= bound && test(baseline) == Decision::Admitted,
+            "certified bound {bound} at {}: the exact baseline {baseline} decides {:?}",
+            self.now,
+            test(baseline)
+        );
     }
 
     /// Ensures the incumbent plan was solved for the current pool at the
@@ -1212,7 +1212,6 @@ impl OnlineService {
             self.plan = None;
             self.plan_dirty = false;
             self.clear_queues();
-            self.replanner.clear_anchor();
             return;
         }
         let fresh = !self.plan_dirty && self.plan.as_ref().map(|p| p.time) == Some(self.now);
@@ -1229,7 +1228,6 @@ impl OnlineService {
         if self.pool.is_empty() {
             self.plan = None;
             self.clear_queues();
-            self.replanner.clear_anchor();
             return;
         }
         // Nothing adopted here means every machine is dead: pooled tasks
@@ -1239,7 +1237,6 @@ impl OnlineService {
         } else {
             self.plan = None;
             self.clear_queues();
-            self.replanner.clear_anchor();
         }
     }
 
@@ -1313,8 +1310,8 @@ impl OnlineService {
 
     /// Runs a residual instance through the replanner's full-solve path,
     /// enforcing the invariant oracle on the result when configured. The
-    /// solve's evaluator comes back for the caller to anchor the adopted
-    /// plan on, or to release.
+    /// solve's evaluator comes back for the caller to certify with, or to
+    /// release.
     fn solve_residual(
         &mut self,
         res: &dsct_core::residual::ResidualInstance,
@@ -1330,8 +1327,7 @@ impl OnlineService {
 
     /// Solves the residual instance of the pool at the current time,
     /// warm-started when [`Self::warm_hint`] gives a hint, and adopts
-    /// the result as the incumbent, anchored on the solve's evaluator.
-    /// Returns `false`, adopting nothing, when there is nothing to
+    /// the result as the incumbent. Returns `false`, adopting nothing, when there is nothing to
     /// schedule — no live item, or no live machine.
     fn solve_and_adopt_pool(&mut self) -> bool {
         let Some((res, machine_ids)) = self.residual_for(None) else {
@@ -1339,8 +1335,7 @@ impl OnlineService {
         };
         let warm = self.warm_hint(&machine_ids);
         let (approx, evaluator) = self.solve_residual(&res, warm.as_ref());
-        self.replanner
-            .anchor_solved(evaluator, &approx.fractional.profile);
+        self.replanner.release(evaluator);
         self.adopt(Plan {
             time: self.now,
             task_ids: res.task_ids,
@@ -1357,8 +1352,8 @@ impl OnlineService {
     /// machine that failed since the incumbent was solved simply loses
     /// its share of the hint. `None` unless the strategy is
     /// [`ReplanStrategy::WarmStart`], the only one that reads a hint
-    /// (`Incremental` re-solves cold by contract), so no other strategy
-    /// pays this pass over the pool.
+    /// (`Cold` and `Incremental` re-solve cold by contract), so no other
+    /// strategy pays this pass over the pool.
     fn warm_hint(&self, machine_ids: &[usize]) -> Option<EnergyProfile> {
         if self.cfg.replan != ReplanStrategy::WarmStart {
             return None;
@@ -1921,11 +1916,11 @@ mod tests {
         assert_eq!(bulk.summary.solves, 1, "preload must re-plan lazily, once");
     }
 
-    /// The byte-identity contract of the replanner redesign, end to end
-    /// at the service level: under every gated policy, the `Incremental`
-    /// arm's decisions, summary, ledger, and outcomes equal the `Cold`
-    /// arm's — even though its `DegradeToFit` evaluations are settled by
-    /// checkpoint insertion bounds where they can be.
+    /// The byte-identity contract of the replanner, end to end at the
+    /// service level: under every gated policy, the `Incremental` arm's
+    /// decisions, summary, ledger, and outcomes equal the `Cold` arm's,
+    /// and every gated evaluation is settled by the certificate or by
+    /// the exact baseline, once.
     #[test]
     fn incremental_runs_are_byte_identical_to_cold() {
         for policy in [
@@ -1952,11 +1947,10 @@ mod tests {
             assert_eq!(cold.decisions, inc.decisions, "policy {policy:?}");
             assert_eq!(cold.summary, inc.summary, "policy {policy:?}");
             assert_eq!(cold.ledger, inc.ledger, "policy {policy:?}");
+            let r = inc.replan;
+            assert_eq!(r.delta_bounds + r.fallbacks, 8, "{policy:?}: {r:?}");
             if policy == AdmissionPolicy::DegradeToFit {
-                // Each gated arrival is settled by the bound or falls back.
-                let r = inc.replan;
-                assert_eq!(r.delta_bounds + r.fallbacks, 8, "{r:?}");
-                assert!(r.delta_bounds > 0, "no evaluation was settled by its bound");
+                assert!(r.delta_bounds > 0, "no evaluation was certified");
             }
         }
     }

@@ -1,7 +1,7 @@
 //! The SoA/arena contract of the probe path (DESIGN.md §15.1): once a
 //! workspace is warm, neither a `V(p)` Δ-probe, nor a re-anchor with its
 //! price-block build, nor a line search's priced probes, nor a
-//! replanner's insertion bound against its anchor, nor a task-level
+//! replanner's admission certificate, nor a task-level
 //! refinement pass, nor an evaluator build and its recycle touch the
 //! allocator.
 //!
@@ -10,7 +10,6 @@
 
 use dsct_core::algo_naive::{NaiveSolver, PriceBlocks, ValueCheckpoint};
 use dsct_core::algo_refine::refine_profile_in;
-use dsct_core::problem::Task;
 use dsct_core::profile::naive_profile;
 use dsct_core::replan::{ReplanStrategy, Replanner};
 use dsct_core::solver::ApproxSolver;
@@ -55,9 +54,10 @@ fn allocated_bytes() -> u64 {
 /// caps and price it — ten times over, after one warm-up: zero bytes too.
 /// Then ten line searches' worth of what one does beside the incumbent:
 /// step the caps, anchor a probe checkpoint there, price it and read the
-/// ray's slope. Last, an `Incremental` replanner solves the instance and
-/// anchors on the solve's evaluator: after one warm-up, ten insertion
-/// bounds against that anchor allocate zero bytes. And after one warm-up
+/// ray's slope. Last, an `Incremental` replanner solves the instance ten
+/// times: after two warm-up rounds, the ten admission certificates on
+/// those solves' evaluators (all three prices tried, as a rejecting test
+/// makes them) allocate zero bytes. And after one warm-up
 /// on the workspace's arena, three refinement passes from the naive
 /// solution allocate zero bytes. Last, after a few warm-up cycles, ten
 /// evaluator builds (the segment sort's keys included) and their
@@ -152,29 +152,30 @@ fn steady_state_delta_probes_allocate_nothing() {
         "a line search's priced probes touched the allocator"
     );
 
+    // The admission certificate of ten pools, each the instance without
+    // one task: the solves run first (a solve allocates its solution), and
+    // only the certificates, which return every buffer, are metered.
     let mut rp = Replanner::new(ApproxSolver::new(), ReplanStrategy::Incremental);
-    let (approx, evaluator) = rp.solve_keeping(&inst, None);
-    rp.anchor_solved(evaluator, &approx.fractional.profile);
-    let arrivals: Vec<Task> = (0..10)
-        .map(|k| {
-            let task = inst.task(k * 9);
-            Task::new(task.deadline * 0.97, task.accuracy.clone())
-        })
-        .collect();
-    let mut bound = |extra: &Task| {
-        std::hint::black_box(
-            rp.insert_value_bound(extra, |_| true)
-                .expect("anchored delta"),
-        );
+    let mut certify_round = |metered: bool| {
+        let solved: Vec<_> = (0..10).map(|_| rp.solve_keeping(&inst, None)).collect();
+        let before = allocated_bytes();
+        for (k, (approx, evaluator)) in solved.into_iter().enumerate() {
+            let bound =
+                rp.certify_without(evaluator, &inst, &approx.fractional.profile, k * 9, |_| {
+                    false
+                });
+            assert!(std::hint::black_box(bound).is_none());
+        }
+        if metered {
+            assert_eq!(
+                allocated_bytes() - before,
+                0,
+                "an admission certificate touched the allocator"
+            );
+        }
     };
-    bound(&arrivals[0]);
-    let before = allocated_bytes();
-    arrivals.iter().for_each(&mut bound);
-    assert_eq!(
-        allocated_bytes() - before,
-        0,
-        "an insertion bound against the anchor touched the allocator"
-    );
+    (0..2).for_each(|_| certify_round(false));
+    certify_round(true);
 
     // Each pass moves its own copy of the naive solution, made up front.
     let naive = solver.solution_under(&mut ws, &naive_profile(&inst));

@@ -85,8 +85,8 @@ fn server_reports_are_byte_identical_across_worker_counts() {
 /// The incremental replanner is invisible in every report digest: for
 /// each seed and worker count, a sharded replay under
 /// `ReplanStrategy::Incremental` must digest byte-identically to the
-/// cold pipeline — the per-cell checkpoint insertion bounds may change
-/// how decisions are reached, never what is decided.
+/// cold pipeline — `Cold` and `Incremental` run the one certified
+/// admission path, so nothing a digest covers may differ.
 #[test]
 fn incremental_shards_digest_identically_to_cold() {
     let strategy_config = |workers: usize, replan: ReplanStrategy| {
