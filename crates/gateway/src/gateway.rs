@@ -3,7 +3,7 @@
 
 use crate::error::GatewayError;
 use crate::queue::{drain_key, IngressQueue};
-use crate::quota::{FlushAudit, QuotaBook, QuotaConfig, QuotaRejection};
+use crate::quota::{FlushAudit, QuotaBook, QuotaConfig, QuotaRejection, RetryBook};
 use crate::rebalance::{RebalanceConfig, SkewState};
 use dsct_chaos::{ShardChaosPlan, ShardEvent, ShardEventKind, BURST_ID_BASE};
 use dsct_core::EPS_TIME;
@@ -149,9 +149,9 @@ pub struct Gateway {
     /// Every id ever offered (producer ids and synthesized retry ids) —
     /// the single-accounting guard.
     seen: BTreeSet<u64>,
-    /// Quota-rejected tasks awaiting the next flush boundary, in
-    /// rejection order, already carrying their retry ids.
-    pending_retries: Vec<OnlineTask>,
+    /// Quota-rejected tasks awaiting the next flush boundary, grouped
+    /// by tenant, already carrying their retry ids.
+    retries: RetryBook,
     retry_seq: u64,
     rejections: Vec<QuotaRejection>,
     audits: Vec<FlushAudit>,
@@ -205,7 +205,7 @@ impl Gateway {
             quotas: QuotaBook::new(cfg.quota),
             skew: SkewState::new(shards),
             seen: BTreeSet::new(),
-            pending_retries: Vec::new(),
+            retries: RetryBook::default(),
             retry_seq: 0,
             rejections: Vec::new(),
             audits: Vec::new(),
@@ -260,24 +260,14 @@ impl Gateway {
     fn flush_to(&mut self, t: f64) -> Result<(), GatewayError> {
         self.close_audit(t);
         self.server.advance(t)?;
-        if !self.pending_retries.is_empty() {
-            let retries = std::mem::take(&mut self.pending_retries);
-            for mut task in retries {
-                task.arrival = t;
-                let cost = task.accuracy.f_max();
-                match self.quotas.try_admit(task.tenant, t, cost) {
-                    Ok(()) => {
-                        self.server.submit(&task)?;
-                        *self.window_admitted.entry(task.tenant).or_insert(0) += 1;
-                        self.summary.admitted += 1;
-                        self.summary.retries_admitted += 1;
-                    }
-                    // Still over quota: stay queued for the next
-                    // boundary. The original rejection is already on
-                    // record; re-checks are not new events.
-                    Err(_) => self.pending_retries.push(task),
-                }
-            }
+        // Still-over-quota retries stay queued for the next boundary.
+        // The original rejection is already on record; re-checks are
+        // not new events.
+        for task in self.retries.release(&mut self.quotas, t) {
+            self.server.submit(&task)?;
+            *self.window_admitted.entry(task.tenant).or_insert(0) += 1;
+            self.summary.admitted += 1;
+            self.summary.retries_admitted += 1;
         }
         self.maybe_rebalance(t)?;
         Ok(())
@@ -370,7 +360,7 @@ impl Gateway {
                     self.seen.insert(id);
                     let mut retry = task.clone();
                     retry.id = id;
-                    self.pending_retries.push(retry);
+                    self.retries.push(cost, retry);
                     self.summary.retries_enqueued += 1;
                     Some(id)
                 } else {
@@ -415,7 +405,7 @@ impl Gateway {
     pub fn finish(mut self) -> GatewayReport {
         let now = self.server.now();
         self.close_audit(now);
-        self.summary.retries_dropped = self.pending_retries.len();
+        self.summary.retries_dropped = self.retries.len();
         let server = self.server.finish();
         self.summary.moved = server.summary.moved;
         self.summary.recoveries = server.summary.recoveries;

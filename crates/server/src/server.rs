@@ -397,7 +397,7 @@ impl ScheduleServer {
     /// Pending pool depth of every shard (admitted-but-undispatched
     /// tasks, failure remnants included), indexed by shard. The skew
     /// signal the rebalancer thresholds on.
-    pub fn pending_per_shard(&mut self) -> Vec<usize> {
+    pub fn pending_per_shard(&self) -> Vec<usize> {
         self.cells.iter().map(|cell| cell.pending()).collect()
     }
 
@@ -405,7 +405,7 @@ impl ScheduleServer {
     /// ascending by tenant id. Counts only tasks a
     /// [`ScheduleServer::rebalance_tenants`] drain would actually move
     /// (failure remnants with partial work stay put).
-    pub fn tenant_loads(&mut self, shard: usize) -> Vec<(u64, usize)> {
+    pub fn tenant_loads(&self, shard: usize) -> Vec<(u64, usize)> {
         self.cells[shard].pending_by_tenant()
     }
 

@@ -237,3 +237,86 @@ fn reserved_and_duplicate_ids_are_typed_errors() {
         })
     );
 }
+
+/// Recorded at commit df1ea71 (`cargo test --test gateway_determinism`),
+/// the last whose flush boundary re-checked every waiting retry in one
+/// linear pass. Grouping the retries by tenant must re-offer the same
+/// retries, in the same order, against the same bucket bits, so the fold
+/// stays put. A change meant to move quota decisions updates it and says
+/// why.
+const RETRY_HEAVY_PINNED: u64 = 0x947a_1446_acea_049d;
+
+fn fold(h: u64, word: u64) -> u64 {
+    let mut z = (h ^ word).wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A 96-task trace over 12 skewed tenants (a few heavy ones, a light
+/// tail) with arrivals snapped down onto 12 instants, so every flush
+/// boundary opens on a batch and re-offers a queue of retries.
+fn retry_heavy_trace(seed: u64) -> ArrivalTrace {
+    let cfg = ArrivalConfig {
+        tasks: TaskConfig::paper(96, ThetaDistribution::Uniform { min: 0.1, max: 2.0 }),
+        machines: MachineConfig::paper_random(8),
+        load: 1.0,
+        deadline_slack: 4.0,
+        beta: 0.5,
+    };
+    let mut trace = generate_arrivals(&cfg, seed).expect("validated config");
+    let last = trace.tasks.last().map_or(0.0, |t| t.arrival);
+    let step = (last * (1.0 + 1e-9)).max(f64::MIN_POSITIVE) / 12.0;
+    for task in &mut trace.tasks {
+        task.arrival = (task.arrival / step).floor().min(11.0) * step;
+        let u = fold(seed, task.id) as f64 / u64::MAX as f64;
+        task.tenant = (12.0 * u * u) as u64;
+    }
+    trace
+}
+
+/// The fold of the digests of 16 retry-heavy replays (2 seeds × four
+/// quota regimes × {no chaos, kill→recover}), with the summed retry
+/// counts.
+fn retry_heavy_fold() -> (u64, usize, usize) {
+    let (mut h, mut admitted, mut dropped) = (0u64, 0usize, 0usize);
+    for seed in [5u64, 6] {
+        let trace = retry_heavy_trace(seed);
+        let work: f64 = trace.tasks.iter().map(|t| t.accuracy.f_max()).sum();
+        let fair = work / trace.horizon() / 12.0;
+        let mean_fmax = work / trace.tasks.len() as f64;
+        for (rate_x_fair, burst_x_fmax) in [(0.5, 1.5), (1.0, 2.0), (2.0, 4.0), (4.0, 1.0)] {
+            let mut cfg = gateway_config(2);
+            cfg.quota.rate = rate_x_fair * fair;
+            cfg.quota.burst = burst_x_fmax * mean_fmax;
+            for plan in [ShardChaosPlan::none(seed), kill_recover_plan(seed, &trace)] {
+                let report = replay_gateway(&trace, &cfg, &plan, 2).expect("replay");
+                let summary = report.core.summary;
+                admitted += summary.retries_admitted;
+                dropped += summary.retries_dropped;
+                let digest = report.digest();
+                h = fold(h, digest.len() as u64);
+                for chunk in digest.as_bytes().chunks(8) {
+                    let mut word = [0u8; 8];
+                    word[..chunk.len()].copy_from_slice(chunk);
+                    h = fold(h, u64::from_le_bytes(word));
+                }
+            }
+        }
+    }
+    (h, admitted, dropped)
+}
+
+/// Absolute pin across commits: the other tests here compare
+/// configurations with each other, so a shift that moved every
+/// configuration together would pass them all.
+#[test]
+fn retry_heavy_digest_is_pinned() {
+    let (h, admitted, dropped) = retry_heavy_fold();
+    assert!(admitted > 0, "the replays must admit retries");
+    assert!(dropped > 0, "the replays must drop retries");
+    assert_eq!(
+        h, RETRY_HEAVY_PINNED,
+        "retry-heavy gateway digests moved: fold is {h:#018x}, pinned {RETRY_HEAVY_PINNED:#018x}"
+    );
+}
