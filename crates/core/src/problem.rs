@@ -110,6 +110,33 @@ impl Instance {
         Self::new(tasks, machines, budget)
     }
 
+    /// An instance without tasks, for [`crate::residual::ResidualPool`],
+    /// which fills it, keeps its rows in deadline order and never hands
+    /// it out empty.
+    pub(crate) fn empty(machines: MachinePark) -> Self {
+        Self {
+            tasks: Vec::new(),
+            machines,
+            budget: 0.0,
+        }
+    }
+
+    /// The task rows, for a pool that keeps them in deadline order.
+    pub(crate) fn tasks_mut(&mut self) -> &mut Vec<Task> {
+        &mut self.tasks
+    }
+
+    /// Replaces the budget in place (finite and non-negative).
+    pub(crate) fn set_budget(&mut self, budget: f64) {
+        debug_assert!(budget.is_finite() && budget >= 0.0);
+        self.budget = budget;
+    }
+
+    /// Replaces the machine park in place.
+    pub(crate) fn set_machines(&mut self, machines: MachinePark) {
+        self.machines = machines;
+    }
+
     /// Number of tasks `n`.
     #[inline]
     pub fn num_tasks(&self) -> usize {

@@ -7,7 +7,6 @@
 //! instead of a panic, so the sharded server can keep serving the
 //! other cells.
 
-use dsct_core::problem::ProblemError;
 use dsct_exec::ExecError;
 use std::fmt;
 
@@ -36,10 +35,13 @@ pub enum OnlineError {
         /// The offending value.
         value: f64,
     },
+    /// A submission reuses the id of a task still pending in the cell.
+    DuplicateId {
+        /// The pending id.
+        id: u64,
+    },
     /// An invalid execution or disruption configuration.
     Exec(ExecError),
-    /// The residual instance rejected the pooled state.
-    Residual(ProblemError),
 }
 
 impl fmt::Display for OnlineError {
@@ -56,8 +58,8 @@ impl fmt::Display for OnlineError {
             OnlineError::InvalidTask { id, field, value } => {
                 write!(f, "task {id}: {field} must be finite, got {value}")
             }
+            OnlineError::DuplicateId { id } => write!(f, "task {id} is already pending"),
             OnlineError::Exec(e) => write!(f, "{e}"),
-            OnlineError::Residual(e) => write!(f, "residual instance rejected: {e}"),
         }
     }
 }
@@ -67,11 +69,5 @@ impl std::error::Error for OnlineError {}
 impl From<ExecError> for OnlineError {
     fn from(e: ExecError) -> Self {
         OnlineError::Exec(e)
-    }
-}
-
-impl From<ProblemError> for OnlineError {
-    fn from(e: ProblemError) -> Self {
-        OnlineError::Residual(e)
     }
 }

@@ -14,9 +14,11 @@
 //! - [`OnlineService`] — the arrival loop. Each arrival advances the
 //!   simulated clock (committing dispatches whose start time has
 //!   passed; started tasks never migrate), runs the admission policy,
-//!   and re-plans the pending pool as a residual instance
-//!   ([`dsct_core::residual`]) through a [`dsct_core::replan::Replanner`]
-//!   — warm-started from the incumbent plan's fractional profile under
+//!   and re-plans the pending pool, which it keeps as the residual
+//!   instance the solver reads and only re-reads at the new time
+//!   ([`dsct_core::residual::ResidualPool`]), through a
+//!   [`dsct_core::replan::Replanner`] — warm-started from the incumbent
+//!   plan's fractional profile under
 //!   [`ReplanStrategy::WarmStart`], or, under `Cold` and
 //!   [`ReplanStrategy::Incremental`] (one path), solved cold with the
 //!   candidate first and admitted without a re-plan of the pool where a

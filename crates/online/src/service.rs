@@ -10,9 +10,10 @@
 //! whose start time falls strictly before the next arrival is
 //! *committed* — the task leaves the pending pool, its planned energy is
 //! committed to the ledger, and it never migrates. At the arrival the
-//! pending pool (committed tasks excluded) is re-planned as a residual
-//! instance ([`dsct_core::residual`]): deadlines shift to `d_j − now`,
-//! the budget shrinks to the ledger's remaining joules, and the re-solve
+//! pending pool (committed tasks excluded) is re-planned. The pool is
+//! kept as the residual instance itself ([`ResidualPool`]) and a re-plan
+//! only reads it at `now`: deadlines shift to `d_j − now` in place, the
+//! budget shrinks to the ledger's remaining joules, and the re-solve
 //! goes through a [`Replanner`](dsct_core::replan::Replanner) —
 //! warm-started, under [`ReplanStrategy::WarmStart`], from the
 //! incumbent's fractional profile restricted to still-pending tasks;
@@ -56,7 +57,7 @@ use dsct_core::oracle::{self, Claims};
 use dsct_core::problem::Instance;
 use dsct_core::profile::EnergyProfile;
 use dsct_core::replan::{Replanner, SolvedEvaluator};
-use dsct_core::residual::{residual_instance, ResidualItem};
+use dsct_core::residual::{PoolRow, ResidualPool};
 use dsct_core::solver::{ApproxSolver, Solution};
 use dsct_core::EPS_TIME;
 use dsct_exec::{
@@ -69,6 +70,7 @@ use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::sync::Arc;
 
 /// A disruption injected into the service clock (see
 /// [`OnlineService::inject`]). Disruptions are the online counterpart of
@@ -222,22 +224,25 @@ pub struct OnlineReport {
     pub replan: ReplanStats,
 }
 
-/// The incumbent plan: an `ApproxSolver` solution of the residual
-/// instance built at `time`, plus the residual-index → task-id mapping.
+/// The incumbent plan: an `ApproxSolver` solution of the pool as read
+/// at `time`.
 struct Plan {
     time: f64,
-    task_ids: Vec<u64>,
+    /// The pool's rows as solved: task `j` of the solution is `rows[j]`.
+    rows: Vec<PoolRow>,
     /// `machine_ids[r_sub]` is the original park index of the solved
     /// sub-park's machine `r_sub` (identity while no machine has
     /// failed).
-    machine_ids: Vec<usize>,
+    machine_ids: Arc<[usize]>,
     approx: dsct_core::approx::ApproxSolution,
 }
 
-/// One materialized (but not yet committed) dispatch.
+/// One materialized (but not yet committed) dispatch, naming its pool
+/// row by absolute deadline and sequence number.
 #[derive(Debug, Clone, Copy)]
 struct Queued {
-    id: u64,
+    deadline: f64,
+    seq: u64,
     duration: f64,
 }
 
@@ -336,7 +341,8 @@ pub struct OnlineService {
     park: MachinePark,
     ledger: EnergyLedger,
     now: f64,
-    pool: Vec<OnlineTask>,
+    /// The pending pool, stored as the residual instance re-plans solve.
+    pool: ResidualPool,
     plan: Option<Plan>,
     plan_dirty: bool,
     queues: Vec<VecDeque<Queued>>,
@@ -379,7 +385,7 @@ impl OnlineService {
             cfg,
             ledger: EnergyLedger::new(budget),
             now: 0.0,
-            pool: Vec::new(),
+            pool: ResidualPool::new(park.clone()),
             plan: None,
             plan_dirty: false,
             queues: vec![VecDeque::new(); m],
@@ -449,36 +455,23 @@ impl OnlineService {
     /// building a standing pool in one call: the pool re-plans lazily on
     /// the next clock advance or gated arrival, exactly like a
     /// same-timestamp `AdmitAll` burst. Dead-on-arrival tasks are
-    /// rejected as in [`Self::try_submit`]; validation errors abort the
-    /// batch at the offending task.
+    /// rejected as in [`Self::try_submit`]; validation errors (a
+    /// duplicate pending id among them) abort the batch at the offending
+    /// task.
     pub fn preload(&mut self, tasks: &[OnlineTask]) -> Result<(), OnlineError> {
         for task in tasks {
-            for (field, value) in [("arrival", task.arrival), ("deadline", task.deadline)] {
-                if !value.is_finite() {
-                    return Err(OnlineError::InvalidTask {
-                        id: task.id,
-                        field,
-                        value,
-                    });
-                }
-            }
-            if task.arrival < self.now - EPS_TIME {
-                return Err(OnlineError::NonMonotoneClock {
-                    at: task.arrival,
-                    now: self.now,
-                });
-            }
+            self.validate(task)?;
             if task.arrival > self.now {
                 self.advance_to(task.arrival);
                 self.now = task.arrival;
             }
             self.purge_expired();
             if task.deadline - self.now <= EPS_TIME {
-                self.record_unserved(task, self.now);
+                self.record_unserved(task.id, task.accuracy.a_min(), self.now);
                 self.decisions.push((task.id, Decision::Rejected));
                 continue;
             }
-            self.pool.push(task.clone());
+            self.admit(task);
             self.plan_dirty = true;
             self.decisions.push((task.id, Decision::Admitted));
         }
@@ -497,31 +490,13 @@ impl OnlineService {
     ///
     /// A NaN or infinite arrival/deadline is
     /// [`OnlineError::InvalidTask`], a backwards arrival is
-    /// [`OnlineError::NonMonotoneClock`]; neither records a decision nor
-    /// touches the pool, so the service stays usable. (The panicking
-    /// `submit` wrapper deprecated in 0.7.0 is gone; this is the only
-    /// submission entry point.)
+    /// [`OnlineError::NonMonotoneClock`], and the id of a task still
+    /// pending here is [`OnlineError::DuplicateId`]; none records a
+    /// decision or touches the pool, so the service stays usable. (The
+    /// panicking `submit` wrapper deprecated in 0.7.0 is gone; this is
+    /// the only submission entry point.)
     pub fn try_submit(&mut self, task: &OnlineTask) -> Result<Decision, OnlineError> {
-        if !task.arrival.is_finite() {
-            return Err(OnlineError::InvalidTask {
-                id: task.id,
-                field: "arrival",
-                value: task.arrival,
-            });
-        }
-        if !task.deadline.is_finite() {
-            return Err(OnlineError::InvalidTask {
-                id: task.id,
-                field: "deadline",
-                value: task.deadline,
-            });
-        }
-        if task.arrival < self.now - EPS_TIME {
-            return Err(OnlineError::NonMonotoneClock {
-                at: task.arrival,
-                now: self.now,
-            });
-        }
+        self.validate(task)?;
         if task.arrival > self.now {
             self.advance_to(task.arrival);
             self.now = task.arrival;
@@ -530,14 +505,14 @@ impl OnlineService {
 
         // Dead on arrival: the deadline already passed.
         if task.deadline - self.now <= EPS_TIME {
-            self.record_unserved(task, self.now);
+            self.record_unserved(task.id, task.accuracy.a_min(), self.now);
             self.decisions.push((task.id, Decision::Rejected));
             return Ok(Decision::Rejected);
         }
 
         let decision = match self.cfg.policy {
             AdmissionPolicy::AdmitAll => {
-                self.pool.push(task.clone());
+                self.admit(task);
                 self.plan_dirty = true;
                 Decision::Admitted
             }
@@ -545,6 +520,54 @@ impl OnlineService {
         };
         self.decisions.push((task.id, decision));
         Ok(decision)
+    }
+
+    /// The submission checks every entry point shares: finite arrival
+    /// and deadline, a clock that does not run backwards, and an id not
+    /// already pending.
+    fn validate(&self, task: &OnlineTask) -> Result<(), OnlineError> {
+        for (field, value) in [("arrival", task.arrival), ("deadline", task.deadline)] {
+            if !value.is_finite() {
+                return Err(OnlineError::InvalidTask {
+                    id: task.id,
+                    field,
+                    value,
+                });
+            }
+        }
+        if task.arrival < self.now - EPS_TIME {
+            return Err(OnlineError::NonMonotoneClock {
+                at: task.arrival,
+                now: self.now,
+            });
+        }
+        if self.pool.contains_id(task.id) {
+            return Err(OnlineError::DuplicateId { id: task.id });
+        }
+        Ok(())
+    }
+
+    /// Appends `task` to the pool (its one curve clone) and returns its
+    /// sequence number.
+    fn admit(&mut self, task: &OnlineTask) -> u64 {
+        self.pool.push(
+            task.id,
+            task.tenant,
+            task.arrival,
+            task.deadline,
+            task.accuracy.clone(),
+        )
+    }
+
+    /// The pooled task a row and its curve describe.
+    fn task_of(row: PoolRow, accuracy: PwlAccuracy) -> OnlineTask {
+        OnlineTask {
+            id: row.id,
+            tenant: row.tenant,
+            arrival: row.arrival,
+            deadline: row.deadline,
+            accuracy,
+        }
     }
 
     /// Advances the service clock to `t` without an arrival: commits
@@ -581,11 +604,7 @@ impl OnlineService {
     /// and queues are dropped; the remaining pool re-plans on the next
     /// clock advance.
     pub fn drain_pending(&mut self) -> Vec<OnlineTask> {
-        let carry = &self.carry;
-        let (drained, kept): (Vec<OnlineTask>, Vec<OnlineTask>) = std::mem::take(&mut self.pool)
-            .into_iter()
-            .partition(|t| !carry.contains_key(&t.id));
-        self.pool = kept;
+        let drained = self.drain_movable(|_| true);
         self.plan = None;
         self.clear_queues();
         self.plan_dirty = !self.pool.is_empty();
@@ -601,11 +620,7 @@ impl OnlineService {
     /// cell's trace. When anything moves, the incumbent plan and queues
     /// are dropped and the remaining pool re-plans on the next advance.
     pub fn drain_tenant(&mut self, tenant: u64) -> Vec<OnlineTask> {
-        let carry = &self.carry;
-        let (drained, kept): (Vec<OnlineTask>, Vec<OnlineTask>) = std::mem::take(&mut self.pool)
-            .into_iter()
-            .partition(|t| t.tenant == tenant && !carry.contains_key(&t.id));
-        self.pool = kept;
+        let drained = self.drain_movable(|r| r.tenant == tenant);
         if drained.is_empty() {
             return drained;
         }
@@ -615,15 +630,26 @@ impl OnlineService {
         drained
     }
 
+    /// Moves out every pooled task `take` selects that carries no partial
+    /// work, in admission order.
+    fn drain_movable(&mut self, mut take: impl FnMut(&PoolRow) -> bool) -> Vec<OnlineTask> {
+        let carry = &self.carry;
+        self.pool
+            .drain_where(|r| take(r) && !carry.contains_key(&r.id))
+            .into_iter()
+            .map(|(row, task)| Self::task_of(row, task.accuracy))
+            .collect()
+    }
+
     /// Pending *movable* tasks per tenant — pool tasks that a
     /// [`Self::drain_tenant`] call would actually hand over (failure
     /// remnants carrying partial work are excluded). Ascending tenant
     /// order, so callers iterate deterministically.
     pub fn pending_by_tenant(&self) -> Vec<(u64, usize)> {
         let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
-        for t in &self.pool {
-            if !self.carry.contains_key(&t.id) {
-                *counts.entry(t.tenant).or_insert(0) += 1;
+        for r in self.pool.rows() {
+            if !self.carry.contains_key(&r.id) {
+                *counts.entry(r.tenant).or_insert(0) += 1;
             }
         }
         counts.into_iter().collect()
@@ -681,6 +707,7 @@ impl OnlineService {
             Disruption::MachineFailure { machine } => {
                 if self.alive[machine] {
                     self.alive[machine] = false;
+                    self.pool.set_park(self.alive_park());
                     self.fail_machine(machine, self.now);
                     self.plan_dirty = true;
                 }
@@ -688,6 +715,7 @@ impl OnlineService {
             Disruption::SpeedDegradation { machine, factor } => {
                 if self.alive[machine] && factor < 1.0 {
                     self.degrade[machine] *= factor;
+                    self.pool.set_park(self.alive_park());
                     self.plan_dirty = true;
                 }
             }
@@ -707,11 +735,10 @@ impl OnlineService {
         // Whatever is still pooled never got machine time. A task whose
         // earlier run was cut by a machine failure already carries a
         // recorded partial outcome — leave it in place.
-        let leftovers: Vec<OnlineTask> = std::mem::take(&mut self.pool);
-        for task in &leftovers {
+        for (row, task) in self.pool.drain_where(|_| true) {
             self.starved += 1;
-            if !self.carry.contains_key(&task.id) {
-                self.record_unserved(task, self.now);
+            if !self.carry.contains_key(&row.id) {
+                self.record_unserved(row.id, task.accuracy.a_min(), self.now);
             }
         }
 
@@ -879,13 +906,8 @@ impl OnlineService {
         self.failures += 1;
         if self.cfg.overrun == OverrunPolicy::Compress && fl.task.deadline - at > EPS_TIME {
             if let Some(residual) = shift_accuracy(&fl.task.accuracy, kept) {
-                self.pool.push(OnlineTask {
-                    id,
-                    tenant: fl.task.tenant,
-                    arrival: at,
-                    deadline: fl.task.deadline,
-                    accuracy: residual,
-                });
+                self.pool
+                    .push(id, fl.task.tenant, at, fl.task.deadline, residual);
                 self.carry.insert(id, (total_work, total_energy));
                 self.plan_dirty = true;
             }
@@ -896,15 +918,15 @@ impl OnlineService {
     /// overrun policy against the *absolute* deadline, fixes the task's
     /// outcome, and commits the planned energy.
     fn commit(&mut self, q: Queued, r: usize, start: f64) {
-        let idx = self
+        let pos = self
             .pool
-            .iter()
-            .position(|p| p.id == q.id)
+            .position_of(q.deadline, q.seq)
             .expect("queued tasks are pooled");
-        let task = self.pool.remove(idx);
+        let (row, planned) = self.pool.remove(pos);
+        let task = Self::task_of(row, planned.accuracy);
         let mach = self.park.get(r);
         let degrade = self.degrade[r];
-        let factor = self.jitter_factor(q.id);
+        let factor = self.jitter_factor(task.id);
         // The plan was solved on the degraded speed, so `duration` is
         // already time on the slow machine: planned work scales by the
         // degradation, the nominal runtime does not.
@@ -926,7 +948,7 @@ impl OnlineService {
         let completion = start + runtime;
         let planned_energy = q.duration * mach.power();
         let actual_energy = mach.power() * runtime;
-        let (prior_work, prior_energy) = self.carry.remove(&q.id).unwrap_or((0.0, 0.0));
+        let (prior_work, prior_energy) = self.carry.remove(&task.id).unwrap_or((0.0, 0.0));
         let seq = self.dispatch_seq;
         self.dispatch_seq += 1;
         self.free_at[r] = completion;
@@ -934,7 +956,7 @@ impl OnlineService {
         self.committed_energy += planned_energy;
         self.settle.push(Settle {
             time: completion,
-            id: q.id,
+            id: task.id,
             seq,
             planned_energy,
             actual_energy,
@@ -942,18 +964,35 @@ impl OnlineService {
         self.events.push(TraceEvent {
             time: start,
             machine: r,
-            task: q.id as usize,
+            task: task.id as usize,
             kind: EventKind::Dispatch,
         });
         let event_idx = self.events.len();
         self.events.push(TraceEvent {
             time: completion,
             machine: r,
-            task: q.id as usize,
+            task: task.id as usize,
             kind,
         });
+        self.outcomes.insert(
+            task.id,
+            TaskOutcome {
+                machine: Some(r),
+                start,
+                completion,
+                // `task.accuracy` is the residual curve when an earlier
+                // run of this task was cut by a failure, so evaluating
+                // the *new* work yields the cumulative accuracy while
+                // work and energy report cumulative totals.
+                work: prior_work + work,
+                accuracy: task.accuracy.eval(work.max(0.0)),
+                energy: prior_energy + actual_energy,
+                met_deadline: completion <= task.deadline + 1e-9,
+                speed_factor: factor,
+            },
+        );
         self.inflight.insert(
-            q.id,
+            task.id,
             InFlight {
                 seq,
                 machine: r,
@@ -970,24 +1009,7 @@ impl OnlineService {
                 prior_work,
                 prior_energy,
                 event_idx,
-                task: task.clone(),
-            },
-        );
-        self.outcomes.insert(
-            q.id,
-            TaskOutcome {
-                machine: Some(r),
-                start,
-                completion,
-                // `task.accuracy` is the residual curve when an earlier
-                // run of this task was cut by a failure, so evaluating
-                // the *new* work yields the cumulative accuracy while
-                // work and energy report cumulative totals.
-                work: prior_work + work,
-                accuracy: task.accuracy.eval(work.max(0.0)),
-                energy: prior_energy + actual_energy,
-                met_deadline: completion <= task.deadline + 1e-9,
-                speed_factor: factor,
+                task,
             },
         );
         self.dispatched += 1;
@@ -1008,22 +1030,16 @@ impl OnlineService {
     /// zero-work outcome.
     fn purge_expired(&mut self) {
         let now = self.now;
-        let expired: Vec<OnlineTask> = self
-            .pool
-            .iter()
-            .filter(|p| p.deadline - now <= EPS_TIME)
-            .cloned()
-            .collect();
+        let expired = self.pool.purge_expired(now);
         if expired.is_empty() {
             return;
         }
-        self.pool.retain(|p| p.deadline - now > EPS_TIME);
-        for task in &expired {
+        for (row, task) in &expired {
             self.expired += 1;
             // A re-pooled failure remnant already has its partial
             // outcome recorded at the cut — leave it in place.
-            if !self.carry.contains_key(&task.id) {
-                self.record_unserved(task, now);
+            if !self.carry.contains_key(&row.id) {
+                self.record_unserved(row.id, task.accuracy.a_min(), now);
             }
         }
         self.plan_dirty = true;
@@ -1033,21 +1049,21 @@ impl OnlineService {
     /// starved): zero work, zero energy, its floor accuracy, and a
     /// `Dropped` marker event (machine `usize::MAX`, like the offline
     /// executor's never-dispatched convention).
-    fn record_unserved(&mut self, task: &OnlineTask, time: f64) {
+    fn record_unserved(&mut self, id: u64, floor: f64, time: f64) {
         self.events.push(TraceEvent {
             time,
             machine: usize::MAX,
-            task: task.id as usize,
+            task: id as usize,
             kind: EventKind::Dropped,
         });
         self.outcomes.insert(
-            task.id,
+            id,
             TaskOutcome {
                 machine: None,
                 start: time,
                 completion: time,
                 work: 0.0,
-                accuracy: task.accuracy.a_min(),
+                accuracy: floor,
                 energy: 0.0,
                 met_deadline: true,
                 speed_factor: 1.0,
@@ -1056,47 +1072,32 @@ impl OnlineService {
     }
 
     /// The admission baseline: the incumbent plan's *fractional* value
-    /// restricted to still-pending tasks — `Σ_j a_j(f_j)` over the
-    /// incumbent's pooled flop vector, summed in plan order. The same
-    /// plain arithmetic on every strategy, so a decision threshold cannot
-    /// drift between replanner arms. `0.0` without an incumbent.
+    /// `Σ_j a_j(f_j)` over its flop vector, summed in plan order. Read
+    /// only while the incumbent is fresh — solved on the pool as it
+    /// stands, so plan row `j` is pool row `j` — and `0.0` without one.
+    /// The same plain arithmetic on every strategy, so a decision
+    /// threshold cannot drift between replanner arms.
     fn baseline_value(&self) -> f64 {
         let Some(plan) = self.plan.as_ref() else {
             return 0.0;
         };
-        let by_id = self.pool_by_id();
-        let flops = &plan.approx.fractional.flops;
-        plan.task_ids
+        debug_assert!(self.lines_up(plan), "the baseline reads a fresh plan");
+        self.pool
+            .instance()
+            .tasks()
             .iter()
-            .enumerate()
-            .filter_map(|(j, &id)| {
-                // The last pooled entry of `id`, as an id-keyed map
-                // collected from the pool would keep.
-                let &(_, i) = Self::entries_of(&by_id, id).last()?;
-                Some(self.pool[i].accuracy.eval(flops[j]))
-            })
+            .zip(&plan.approx.fractional.flops)
+            .map(|(t, &f)| t.accuracy.eval(f))
             .sum()
     }
 
-    /// `(id, pool index)` of every pooled task, sorted — equal ids in
-    /// pool order — so a plan walk finds each of its tasks by binary
-    /// search instead of a scan of the pool.
-    fn pool_by_id(&self) -> Vec<(u64, usize)> {
-        let mut by_id: Vec<(u64, usize)> = self
-            .pool
+    /// Whether `plan` was solved on the pool's rows as they stand, so
+    /// its task `j` is pool row `j`.
+    fn lines_up(&self, plan: &Plan) -> bool {
+        plan.rows
             .iter()
-            .enumerate()
-            .map(|(i, p)| (p.id, i))
-            .collect();
-        by_id.sort_unstable();
-        by_id
-    }
-
-    /// The entries of `id` in a [`Self::pool_by_id`] index, in pool order.
-    fn entries_of(by_id: &[(u64, usize)], id: u64) -> &[(u64, usize)] {
-        let lo = by_id.partition_point(|&(k, _)| k < id);
-        let hi = by_id.partition_point(|&(k, _)| k <= id);
-        &by_id[lo..hi]
+            .map(|r| r.seq)
+            .eq(self.pool.rows().iter().map(|r| r.seq))
     }
 
     /// The fractional tentative value of a full solve: `Σ_j a_j(f_j)` in
@@ -1109,9 +1110,10 @@ impl OnlineService {
             .sum()
     }
 
-    /// One gated admission evaluation: the adoption solve of the pool plus
-    /// the candidate, then the policy's test against a baseline, and the
-    /// solved plan adopted on admission.
+    /// One gated admission evaluation: the candidate joins the pool, the
+    /// pool is read and solved for adoption, then the policy's test runs
+    /// against a baseline, and the solved plan is adopted on admission.
+    /// A rejected candidate leaves the pool again.
     ///
     /// Under [`ReplanStrategy::Cold`] and [`ReplanStrategy::Incremental`]
     /// the test first runs against the replanner's certificate, an upper
@@ -1119,39 +1121,40 @@ impl OnlineService {
     /// tests only get easier as the baseline falls, so passing at the
     /// bound proves the exact test passes, and the pool is not re-planned.
     /// Otherwise — always under [`ReplanStrategy::WarmStart`], whose
-    /// adoption solve starts from the re-planned incumbent — the pool is
-    /// re-planned for the exact baseline, as [`Self::ensure_plan`] does.
+    /// adoption solve starts from the re-planned incumbent — the
+    /// candidate steps out and the pool is re-planned for the exact
+    /// baseline, as [`Self::ensure_plan`] does.
     fn decide_and_adopt(&mut self, task: &OnlineTask, policy: AdmissionPolicy) -> Decision {
         if self.cfg.replan == ReplanStrategy::WarmStart {
             self.ensure_plan();
         }
-        let Some((res, machine_ids)) = self.residual_for(Some(task)) else {
+        if self.pool.machine_ids().is_empty() {
             // Every machine is dead: nothing can serve the candidate,
             // so the gated policies turn it away. The pool's re-plan
             // still drops the incumbent, as on the exact path.
             self.ensure_plan();
-            self.record_unserved(task, self.now);
+            self.record_unserved(task.id, task.accuracy.a_min(), self.now);
             return Decision::Rejected;
-        };
-        let warm = self.warm_hint(&machine_ids);
-        let (approx, evaluator) = self.solve_residual(&res, warm.as_ref());
+        }
+        let seq = self.admit(task);
+        let read = self.read_pool();
+        assert!(read, "the candidate is live and a machine is alive");
+        let warm = self.warm_hint();
+        let (approx, evaluator) = self.solve_pool(warm.as_ref());
         self.solves += 1;
-        let jc = res
-            .task_ids
+        let rows = self.pool.rows().to_vec();
+        let jc = rows
             .iter()
-            .position(|&id| id == task.id)
-            .expect("candidate is live, so it is in the residual");
-        let tentative = Self::fractional_total(&res.instance, &approx.fractional.flops);
-        let tentative_cand = res
-            .instance
-            .task(jc)
-            .accuracy
-            .eval(approx.fractional.flops[jc]);
+            .position(|r| r.seq == seq)
+            .expect("the candidate is pooled");
+        let inst = self.pool.instance();
+        let tentative = Self::fractional_total(inst, &approx.fractional.flops);
+        let tentative_cand = inst.task(jc).accuracy.eval(approx.fractional.flops[jc]);
         let cand_floor = task.accuracy.a_min();
         let test = |baseline| policy.decide(baseline, tentative, tentative_cand, cand_floor);
         let certified = self.replanner.certify_without(
             evaluator,
-            &res.instance,
+            inst,
             &approx.fractional.profile,
             jc,
             |bound| test(bound) == Decision::Admitted,
@@ -1159,42 +1162,53 @@ impl OnlineService {
         let decision = match certified {
             Some(_bound) => {
                 #[cfg(debug_assertions)]
-                self.assert_certified(_bound, test);
+                {
+                    let (row, cand) = self.pool.remove(jc);
+                    self.assert_certified(_bound, test);
+                    self.pool.insert(jc, row, cand);
+                }
                 Decision::Admitted
             }
             None => {
+                let (row, cand) = self.pool.remove(jc);
                 self.ensure_plan();
-                test(self.baseline_value())
+                let decision = test(self.baseline_value());
+                if decision == Decision::Admitted {
+                    self.pool.insert(jc, row, cand);
+                }
+                decision
             }
         };
         if decision == Decision::Admitted {
-            self.pool.push(task.clone());
             self.adopt(Plan {
                 time: self.now,
-                task_ids: res.task_ids,
-                machine_ids,
+                rows,
+                machine_ids: self.pool.machine_ids().clone(),
                 approx,
             });
         } else {
-            self.record_unserved(task, self.now);
+            self.record_unserved(task.id, cand_floor, self.now);
         }
         decision
     }
 
-    /// Debug cross-check of a certified admission: the baseline the
-    /// exact path would compare against — the incumbent's value if it is
-    /// fresh, else a re-plan of the pool solved on the side, with the
-    /// replanner's counters restored — lies under the certified `bound`
-    /// and passes the policy's `test`.
+    /// Debug cross-check of a certified admission, with the candidate
+    /// stepped out of the pool: the baseline the exact path would compare
+    /// against — the incumbent's value if it is fresh, else a re-plan of
+    /// the pool solved on the side, with the replanner's counters
+    /// restored — lies under the certified `bound` and passes the
+    /// policy's `test`.
     #[cfg(debug_assertions)]
     fn assert_certified(&mut self, bound: f64, test: impl Fn(f64) -> Decision) {
         let fresh = !self.plan_dirty && self.plan.as_ref().map(|p| p.time) == Some(self.now);
-        let baseline = match self.residual_for(None) {
-            Some((res, _)) if !fresh => {
-                let approx = self.replanner.solve_uncounted(&res.instance);
-                Self::fractional_total(&res.instance, &approx.fractional.flops)
-            }
-            _ => self.baseline_value(),
+        let baseline = if fresh {
+            self.baseline_value()
+        } else if self.read_pool() {
+            let inst = self.pool.instance();
+            let approx = self.replanner.solve_uncounted(inst);
+            Self::fractional_total(inst, &approx.fractional.flops)
+        } else {
+            0.0
         };
         assert!(
             baseline <= bound && test(baseline) == Decision::Admitted,
@@ -1245,6 +1259,7 @@ impl OnlineService {
     /// park index mapping. `None` when every machine is dead. While no
     /// disruption has touched the park this is a verbatim clone, so
     /// disruption-free runs replay the pre-fault code path bit for bit.
+    /// The pool keeps it until the next disruption.
     fn alive_park(&self) -> Option<(MachinePark, Vec<usize>)> {
         let pristine = self.alive.iter().all(|&a| a) && self.degrade.iter().all(|&g| g == 1.0);
         if pristine {
@@ -1272,129 +1287,122 @@ impl OnlineService {
         Some((MachinePark::new(machines), machine_ids))
     }
 
-    /// Builds the residual instance of the pool (plus an optional
-    /// candidate, appended last so equal deadlines keep it after the
-    /// incumbents under the residual's stable sort) at the current time
-    /// over the alive sub-park. Returns `None` when there is nothing to
-    /// schedule — no live item, or no live machine.
-    fn residual_for(
-        &self,
-        extra: Option<&OnlineTask>,
-    ) -> Option<(dsct_core::residual::ResidualInstance, Vec<usize>)> {
-        let (park, machine_ids) = self.alive_park()?;
-        // One clone per curve, moved into the residual's tasks.
-        let mut items: Vec<ResidualItem> = self
+    /// Reads the pool at the current time under the ledger's remaining
+    /// budget; `false` when there is nothing to schedule — no pooled
+    /// task, or no live machine. Debug builds hold every read to the
+    /// reference builder.
+    fn read_pool(&mut self) -> bool {
+        let read = self
             .pool
-            .iter()
-            .map(|p| ResidualItem {
-                id: p.id,
-                deadline: p.deadline,
-                accuracy: p.accuracy.clone(),
-            })
-            .collect();
-        if let Some(task) = extra {
-            items.push(ResidualItem {
-                id: task.id,
-                deadline: task.deadline,
-                accuracy: task.accuracy.clone(),
-            });
+            .read_at(self.now, self.ledger.remaining())
+            .is_some();
+        #[cfg(debug_assertions)]
+        if read {
+            self.pool.assert_matches_reference(self.now);
         }
-        // Infallible by construction: `try_submit` rejects NaN/infinite
-        // deadlines at the boundary, `purge_expired` removed non-positive
-        // residuals, and the ledger clamps the remaining budget at zero.
-        let res = residual_instance(items, self.now, &park, self.ledger.remaining())
-            .expect("pool tasks are validated at submission and the budget is clamped")?;
-        debug_assert!(res.expired.is_empty(), "pool purged before solving");
-        Some((res, machine_ids))
+        read
     }
 
-    /// Runs a residual instance through the replanner's full-solve path,
-    /// enforcing the invariant oracle on the result when configured. The
-    /// solve's evaluator comes back for the caller to certify with, or to
-    /// release.
-    fn solve_residual(
+    /// Runs the pool as last read through the replanner's full-solve
+    /// path, enforcing the invariant oracle on the result when
+    /// configured. The solve's evaluator comes back for the caller to
+    /// certify with, or to release.
+    fn solve_pool(
         &mut self,
-        res: &dsct_core::residual::ResidualInstance,
         warm: Option<&EnergyProfile>,
     ) -> (dsct_core::approx::ApproxSolution, SolvedEvaluator) {
-        let (approx, evaluator) = self.replanner.solve_keeping(&res.instance, warm);
+        let inst = self.pool.instance();
+        let (approx, evaluator) = self.replanner.solve_keeping(inst, warm);
         if self.cfg.check_invariants {
-            let sol = Solution::from_approx(&res.instance, approx.clone());
-            oracle::enforce(&res.instance, &sol, &Claims::approx(), "online-residual");
+            let sol = Solution::from_approx(inst, approx.clone());
+            oracle::enforce(inst, &sol, &Claims::approx(), "online-residual");
         }
         (approx, evaluator)
     }
 
-    /// Solves the residual instance of the pool at the current time,
-    /// warm-started when [`Self::warm_hint`] gives a hint, and adopts
-    /// the result as the incumbent. Returns `false`, adopting nothing, when there is nothing to
-    /// schedule — no live item, or no live machine.
+    /// Reads the pool at the current time, solves it — warm-started when
+    /// [`Self::warm_hint`] gives a hint — and adopts the result as the
+    /// incumbent. Returns `false`, adopting nothing, when there is
+    /// nothing to schedule — no pooled task, or no live machine.
     fn solve_and_adopt_pool(&mut self) -> bool {
-        let Some((res, machine_ids)) = self.residual_for(None) else {
+        if !self.read_pool() {
             return false;
-        };
-        let warm = self.warm_hint(&machine_ids);
-        let (approx, evaluator) = self.solve_residual(&res, warm.as_ref());
+        }
+        let warm = self.warm_hint();
+        let (approx, evaluator) = self.solve_pool(warm.as_ref());
         self.replanner.release(evaluator);
         self.adopt(Plan {
             time: self.now,
-            task_ids: res.task_ids,
-            machine_ids,
+            rows: self.pool.rows().to_vec(),
+            machine_ids: self.pool.machine_ids().clone(),
             approx,
         });
         true
     }
 
-    /// The warm-start hint: the incumbent's fractional profile summed
-    /// over still-pending tasks (dispatched work excluded, so the hint
-    /// shrinks as the plan is consumed), re-indexed from the incumbent's
-    /// machine set onto `machine_ids` (the new solve's sub-park). A
-    /// machine that failed since the incumbent was solved simply loses
-    /// its share of the hint. `None` unless the strategy is
-    /// [`ReplanStrategy::WarmStart`], the only one that reads a hint
-    /// (`Cold` and `Incremental` re-solve cold by contract), so no other
-    /// strategy pays this pass over the pool.
-    fn warm_hint(&self, machine_ids: &[usize]) -> Option<EnergyProfile> {
+    /// The warm-start hint for a solve of the pool as just read: the
+    /// incumbent's fractional profile summed over still-pending tasks
+    /// (dispatched work excluded, so the hint shrinks as the plan is
+    /// consumed), re-indexed from the incumbent's machine set onto the
+    /// pool's sub-park. A machine that failed since the incumbent was
+    /// solved simply loses its share of the hint. Both row lists are in
+    /// deadline order, so one walk pairs them: a planned row is pending
+    /// when a pool row of the same deadline carries its id — a failure
+    /// remnant re-enters under a new sequence number and still counts.
+    /// `None` unless the strategy is [`ReplanStrategy::WarmStart`], the
+    /// only one that reads a hint (`Cold` and `Incremental` re-solve
+    /// cold by contract), so no other strategy pays this walk.
+    fn warm_hint(&self) -> Option<EnergyProfile> {
         if self.cfg.replan != ReplanStrategy::WarmStart {
             return None;
         }
         let plan = self.plan.as_ref()?;
         let fr = &plan.approx.fractional.schedule;
-        let pooled: HashSet<u64> = self.pool.iter().map(|p| p.id).collect();
+        let rows = self.pool.rows();
         let mut by_original = vec![0.0f64; self.park.len()];
-        for (j, id) in plan.task_ids.iter().enumerate() {
-            if pooled.contains(id) {
+        let mut i = 0;
+        for (j, planned) in plan.rows.iter().enumerate() {
+            while i < rows.len() && rows[i].deadline < planned.deadline {
+                i += 1;
+            }
+            let pending = rows[i..]
+                .iter()
+                .take_while(|r| r.deadline == planned.deadline)
+                .any(|r| r.id == planned.id);
+            if pending {
                 for (r_sub, &r) in plan.machine_ids.iter().enumerate() {
                     by_original[r] += fr.t(j, r_sub);
                 }
             }
         }
-        let caps: Vec<f64> = machine_ids.iter().map(|&r| by_original[r]).collect();
+        let caps: Vec<f64> = self
+            .pool
+            .machine_ids()
+            .iter()
+            .map(|&r| by_original[r])
+            .collect();
         Some(EnergyProfile::new(caps))
     }
 
-    /// Adopts a plan as the incumbent and materializes its dispatch
-    /// queues: per machine, assigned tasks in residual (deadline) order,
-    /// starting no earlier than the machine's committed work allows, cut
-    /// at their absolute deadlines (the `DSCT-EA-APPROX` phase-2 cut
-    /// with an availability offset). Cutting only shortens times, so the
-    /// materialized plan consumes at most the solved plan's energy.
+    /// Adopts a plan solved on the pool as it stands as the incumbent and
+    /// materializes its dispatch queues: per machine, assigned tasks in
+    /// residual (deadline) order, starting no earlier than the machine's
+    /// committed work allows, cut at their absolute deadlines (the
+    /// `DSCT-EA-APPROX` phase-2 cut with an availability offset). Cutting
+    /// only shortens times, so the materialized plan consumes at most the
+    /// solved plan's energy.
     fn adopt(&mut self, plan: Plan) {
+        debug_assert!(self.lines_up(&plan), "a plan is adopted on its rows");
         self.clear_queues();
-        let by_id = self.pool_by_id();
         let schedule = &plan.approx.schedule;
         for (r_sub, &r) in plan.machine_ids.iter().enumerate() {
             let mut completion = self.free_at[r].max(plan.time);
-            for (j, &id) in plan.task_ids.iter().enumerate() {
+            for (j, row) in plan.rows.iter().enumerate() {
                 let t = schedule.t(j, r_sub);
                 if t <= 0.0 {
                     continue;
                 }
-                // The first pooled entry of `id`.
-                let &(_, i) = Self::entries_of(&by_id, id)
-                    .first()
-                    .expect("planned tasks are pooled");
-                let d = self.pool[i].deadline;
+                let d = row.deadline;
                 let new_t = if completion + t > d {
                     (d - completion).max(0.0)
                 } else {
@@ -1403,7 +1411,8 @@ impl OnlineService {
                 completion += new_t;
                 if new_t > 0.0 {
                     self.queues[r].push_back(Queued {
-                        id,
+                        deadline: d,
+                        seq: row.seq,
                         duration: new_t,
                     });
                 }
@@ -1634,6 +1643,31 @@ mod tests {
         ));
         let report = svc.finish();
         assert_eq!(report.summary.arrivals, 2);
+    }
+
+    #[test]
+    fn a_pending_id_is_a_typed_duplicate() {
+        for policy in [AdmissionPolicy::AdmitAll, AdmissionPolicy::DegradeToFit] {
+            let cfg = OnlineConfig {
+                policy,
+                ..OnlineConfig::default()
+            };
+            let mut svc = OnlineService::new(park(), 500.0, cfg).unwrap();
+            svc.try_submit(&task(0, 0.0, 1.0)).unwrap();
+            assert_eq!(
+                svc.try_submit(&task(0, 0.0, 2.0)),
+                Err(OnlineError::DuplicateId { id: 0 })
+            );
+            // A batch stops at the duplicate, after admitting what came
+            // before it.
+            assert_eq!(
+                svc.preload(&[task(1, 0.0, 1.5), task(1, 0.0, 1.5)]),
+                Err(OnlineError::DuplicateId { id: 1 })
+            );
+            assert_eq!(svc.pending(), 2, "{policy:?}");
+            let report = svc.finish();
+            assert_eq!(report.summary.arrivals, 2, "no decision for a duplicate");
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! price-block build, nor a line search's priced probes, nor a
 //! replanner's admission certificate, nor a task-level
 //! refinement pass, nor an evaluator build and its recycle touch the
-//! allocator.
+//! allocator. Neither does an online cell's pending pool when it is read
+//! at a new time or dispatches a task; an admission allocates exactly
+//! its curve's clone.
 //!
 //! This file holds exactly one test: the allocator below counts for the
 //! whole process, so a second test running beside it would be counted too.
@@ -12,6 +14,7 @@ use dsct_core::algo_naive::{NaiveSolver, PriceBlocks, ValueCheckpoint};
 use dsct_core::algo_refine::refine_profile_in;
 use dsct_core::profile::naive_profile;
 use dsct_core::replan::{ReplanStrategy, Replanner};
+use dsct_core::residual::ResidualPool;
 use dsct_core::solver::ApproxSolver;
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -61,7 +64,11 @@ fn allocated_bytes() -> u64 {
 /// on the workspace's arena, three refinement passes from the naive
 /// solution allocate zero bytes. Last, after a few warm-up cycles, ten
 /// evaluator builds (the segment sort's keys included) and their
-/// recycles allocate zero bytes.
+/// recycles allocate zero bytes. Then the instance's tasks, pooled in
+/// reverse deadline order and merged by one warm-up read: ten reads at
+/// later times and ten dispatches allocate zero bytes, and, after one
+/// warm-up admission ahead of every row, each of three admissions
+/// allocates exactly its curve's clone and its next read nothing.
 #[test]
 fn steady_state_delta_probes_allocate_nothing() {
     let cfg = InstanceConfig {
@@ -206,4 +213,62 @@ fn steady_state_delta_probes_allocate_nothing() {
         0,
         "an evaluator build and its recycle touched the allocator"
     );
+
+    let mut pool = ResidualPool::new(inst.machines().clone());
+    for (j, task) in inst.tasks().iter().enumerate().rev() {
+        pool.push(j as u64, 0, 0.0, 1.0 + task.deadline, task.accuracy.clone());
+    }
+    let budget = inst.budget();
+    assert!(pool.read_at(0.0, budget).is_some());
+    let before = allocated_bytes();
+    for k in 1..=10 {
+        assert!(std::hint::black_box(pool.read_at(1e-3 * k as f64, budget)).is_some());
+    }
+    assert_eq!(
+        allocated_bytes() - before,
+        0,
+        "a pool read at a new time touched the allocator"
+    );
+    let before = allocated_bytes();
+    for k in 0..10 {
+        let row = pool.rows()[(7 * k) % pool.len()];
+        let pos = pool.position_of(row.deadline, row.seq).expect("pooled");
+        std::hint::black_box(pool.remove(pos));
+    }
+    assert_eq!(
+        allocated_bytes() - before,
+        0,
+        "a dispatch out of the pool touched the allocator"
+    );
+    // Warm-up: the earliest deadline yet, so the merge moves every row
+    // through its buffers once.
+    pool.push(99, 0, 0.02, 0.5, inst.task(0).accuracy.clone());
+    assert!(pool.read_at(0.02, budget).is_some());
+    for k in 0..3 {
+        let curve = &inst.task(k).accuracy;
+        let before = allocated_bytes();
+        let clone = curve.clone();
+        let clone_bytes = allocated_bytes() - before;
+        drop(clone);
+        let before = allocated_bytes();
+        pool.push(
+            100 + k as u64,
+            0,
+            0.02,
+            1.0 + inst.task(k).deadline,
+            curve.clone(),
+        );
+        assert_eq!(
+            allocated_bytes() - before,
+            clone_bytes,
+            "an admission allocated more than its curve's clone"
+        );
+        let before = allocated_bytes();
+        assert!(pool.read_at(0.02, budget).is_some());
+        assert_eq!(
+            allocated_bytes() - before,
+            0,
+            "the read merging an admission touched the allocator"
+        );
+    }
 }
