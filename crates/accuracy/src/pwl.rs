@@ -23,12 +23,6 @@ impl Segment {
         self.f_hi - self.f_lo
     }
 
-    /// Accuracy at the end of the segment.
-    #[inline]
-    pub fn a_hi(&self) -> f64 {
-        self.a_lo + self.slope * self.width()
-    }
-
     /// Accuracy gained by fully processing the segment.
     #[inline]
     pub fn gain(&self) -> f64 {
@@ -436,7 +430,7 @@ mod tests {
         let total_gain: f64 = segs.iter().map(|s| s.gain()).sum();
         assert!((total_gain - (a.a_max() - a.a_min())).abs() < 1e-12);
         for s in &segs {
-            assert!((s.a_hi() - a.eval(s.f_hi)).abs() < 1e-12);
+            assert!((s.a_lo + s.gain() - a.eval(s.f_hi)).abs() < 1e-12);
         }
     }
 

@@ -2,10 +2,9 @@
 
 //! Deterministic fault injection for DSCT-EA: chaos plans and replay.
 //!
-//! The offline executor ([`dsct_exec::fault`]) and the online service
-//! ([`dsct_online::OnlineService::inject`]) both accept injected faults;
-//! this crate generates the faults *deterministically* and drives full
-//! disrupted replays:
+//! The online service ([`dsct_online::OnlineService::inject`]) accepts
+//! injected faults; this crate generates the faults *deterministically*
+//! and drives full disrupted replays:
 //!
 //! - [`ChaosPlan`] — a timed list of [`ChaosEvent`]s (machine failures,
 //!   persistent speed degradations, budget shocks, arrival bursts).

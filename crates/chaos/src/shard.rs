@@ -160,24 +160,6 @@ impl ShardChaosPlan {
         ShardChaosPlan { chaos_seed, events }
     }
 
-    /// A kills-only plan: `plan`'s events verbatim, no recoveries.
-    /// Lets one replay driver accept either plan shape.
-    pub fn kills_only(plan: &ShardKillPlan) -> ShardChaosPlan {
-        ShardChaosPlan {
-            chaos_seed: plan.chaos_seed,
-            events: plan
-                .events
-                .iter()
-                .map(|e| ShardEvent {
-                    at: e.at,
-                    index: e.index,
-                    shard: e.shard,
-                    kind: ShardEventKind::Kill,
-                })
-                .collect(),
-        }
-    }
-
     /// The empty plan (a plain replay, no shard events).
     pub fn none(chaos_seed: u64) -> ShardChaosPlan {
         ShardChaosPlan {
@@ -244,19 +226,6 @@ mod tests {
         let indices: std::collections::BTreeSet<usize> =
             plan.events.iter().map(|e| e.index).collect();
         assert_eq!(indices.len(), plan.events.len(), "indices unique");
-    }
-
-    #[test]
-    fn kills_only_conversion_is_verbatim() {
-        let kills = ShardKillPlan::generate(11, 8.0, 4, 2);
-        let plan = ShardChaosPlan::kills_only(&kills);
-        assert_eq!(plan.events.len(), kills.events.len());
-        for (p, e) in plan.events.iter().zip(&kills.events) {
-            assert_eq!(
-                (p.at, p.index, p.shard, p.kind),
-                (e.at, e.index, e.shard, ShardEventKind::Kill)
-            );
-        }
         assert!(ShardChaosPlan::none(3).events.is_empty());
     }
 }

@@ -240,11 +240,6 @@ impl ValueCheckpoint {
         arena.put_f64(self.work);
     }
 
-    /// Whether the checkpoint holds a usable incumbent.
-    pub fn is_valid(&self) -> bool {
-        self.valid
-    }
-
     /// The checkpointed `V(caps)` (meaningless while invalid).
     pub fn value(&self) -> f64 {
         self.value

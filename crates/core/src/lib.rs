@@ -41,7 +41,9 @@
 //!   lowering to the flat model and realizing timed placements back
 //!   (DESIGN.md §17);
 //! - [`solver`] — the uniform [`solver::Solver`] trait every algorithm
-//!   above implements (the API the experiment engine schedules against).
+//!   above implements (the API the experiment engine schedules against);
+//! - [`run_indexed`] — the workspace's one scoped fan-out: the experiment
+//!   sweeps and the sharded server's `finish` run on it.
 
 pub mod algo_naive;
 pub mod algo_refine;
@@ -66,6 +68,12 @@ pub mod soa;
 pub mod solver;
 pub mod staged;
 
+use serde::{Deserialize, Serialize};
+use solver::SolverContext;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
+use std::time::Instant;
+
 /// Time-feasibility tolerance in seconds.
 pub const EPS_TIME: f64 = 1e-9;
 /// Energy-feasibility tolerance (absolute joules on top of a relative term).
@@ -83,4 +91,101 @@ pub const EPS_FLOPS: f64 = 1e-7;
 pub fn available_cores() -> usize {
     static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Utilization counters of one [`run_indexed`] worker thread.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct WorkerStats {
+    /// Worker index.
+    pub worker: usize,
+    /// Items the worker executed.
+    pub items: usize,
+    /// Seconds the worker spent executing items (vs. idle/stealing).
+    pub busy_time: f64,
+    /// Value-function probes issued through the worker's context.
+    pub probes: u64,
+}
+
+/// Runs `work(ctx, i)` for every `i < n` on `threads` workers (`0` = all
+/// cores, clamped to `n`) and returns the results in index order, plus
+/// one [`WorkerStats`] per worker.
+///
+/// Workers claim indices from one atomic cursor and each owns one
+/// [`SolverContext`]; the calling thread stores each result in its slot
+/// and then calls `on_result(i, slots)` — completion order, with `slots`
+/// holding everything that has landed so far. With at most one worker
+/// (`threads = 1`, or `n ≤ 1`) everything runs inline on the caller and
+/// nothing is spawned. The workers are scoped to the call: nothing stays
+/// parked between calls. A panic in `work` propagates to the caller.
+pub fn run_indexed<T: Send>(
+    threads: usize,
+    n: usize,
+    work: impl Fn(&mut SolverContext, usize) -> T + Sync,
+    mut on_result: impl FnMut(usize, &[Option<T>]),
+) -> (Vec<T>, Vec<WorkerStats>) {
+    let threads = match threads {
+        0 => available_cores(),
+        t => t,
+    }
+    .min(n);
+    let cursor = AtomicUsize::new(0);
+    let worker = |w: usize, emit: &mut dyn FnMut(usize, T)| {
+        let mut ctx = SolverContext::new();
+        let mut stats = WorkerStats {
+            worker: w,
+            items: 0,
+            busy_time: 0.0,
+            probes: 0,
+        };
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                break;
+            }
+            let t0 = Instant::now();
+            let out = work(&mut ctx, i);
+            stats.busy_time += t0.elapsed().as_secs_f64();
+            stats.items += 1;
+            emit(i, out);
+        }
+        stats.probes = ctx.probe_stats().probes;
+        stats
+    };
+
+    let mut slots: Vec<Option<T>> = Vec::new();
+    slots.resize_with(n, || None);
+    let mut land = |i: usize, out: T| {
+        slots[i] = Some(out);
+        on_result(i, &slots);
+    };
+    let workers = if threads <= 1 {
+        vec![worker(0, &mut land)]
+    } else {
+        let (tx, rx) = mpsc::channel::<(usize, T)>();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|w| {
+                    let (tx, worker) = (tx.clone(), &worker);
+                    scope.spawn(move || {
+                        // A failed send means the collector is gone (it
+                        // panicked); the scope re-raises that panic.
+                        worker(w, &mut |i, out| drop(tx.send((i, out))))
+                    })
+                })
+                .collect();
+            drop(tx);
+            for (i, out) in rx {
+                land(i, out);
+            }
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker panicked"))
+                .collect()
+        })
+    };
+    let results = slots
+        .into_iter()
+        .map(|slot| slot.expect("every index executed"))
+        .collect();
+    (results, workers)
 }

@@ -206,12 +206,6 @@ impl Instance {
         self.budget / (self.d_max() * self.machines.total_power())
     }
 
-    /// Energy (J) that running all machines until `d^max` would consume —
-    /// the denominator of β. `B = β · reference_energy()`.
-    pub fn reference_energy(&self) -> f64 {
-        self.d_max() * self.machines.total_power()
-    }
-
     /// The deadline-tolerance ratio
     /// `ρ = d^max / (Σ_j f_j^max / Σ_r s_r)`: the horizon as a fraction of
     /// the time the whole park needs to process every task uncompressed.

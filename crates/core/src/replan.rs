@@ -41,9 +41,10 @@
 use crate::algo_naive::{NaiveSolver, PriceBlocks, ProbeStats, ValueCheckpoint};
 use crate::approx::ApproxSolution;
 use crate::fr_dual::dual_bound;
+use crate::oracle::{self, Claims};
 use crate::problem::Instance;
 use crate::profile::EnergyProfile;
-use crate::solver::{ApproxSolver, SolverContext};
+use crate::solver::{ApproxSolver, Solution, SolverContext};
 use serde::{Deserialize, Serialize};
 
 /// Relative slack added to every certified bound, covering the rounding
@@ -171,31 +172,44 @@ impl Replanner {
 
     /// [`Replanner::solve`], also handing back the evaluator the solve
     /// ran on. Give it to [`Replanner::certify_without`] or to
-    /// [`Replanner::release`].
+    /// [`Replanner::release`]. When the solver's
+    /// [`SolverOptions::check_invariants`](crate::solver::SolverOptions::check_invariants)
+    /// is on, the result first goes through the invariant oracle
+    /// ([`Claims::approx`]), which panics with a pinpointed report and
+    /// dumps the instance as `online-residual` on a violation.
     pub fn solve_keeping(
         &mut self,
         inst: &Instance,
         warm: Option<&EnergyProfile>,
     ) -> (ApproxSolution, SolvedEvaluator) {
         self.stats.requests += 1;
-        if let (ReplanStrategy::WarmStart, Some(profile)) = (self.strategy, warm) {
-            self.stats.warm_solves += 1;
-            let approx = self
-                .solver
-                .solve_typed_warm_with(inst, &mut self.ctx, profile);
-            return (approx, SolvedEvaluator(None));
-        }
-        self.stats.cold_solves += 1;
-        let ws = self.ctx.workspace();
-        let solver = NaiveSolver::new_in(inst, ws.arena_mut());
-        let approx = crate::approx::solve_approx_in(&solver, inst, &self.solver.opts, ws);
-        let kept = match self.strategy {
-            ReplanStrategy::WarmStart => {
-                solver.recycle(ws.arena_mut());
-                None
+        let (approx, kept) = match (self.strategy, warm) {
+            (ReplanStrategy::WarmStart, Some(profile)) => {
+                self.stats.warm_solves += 1;
+                let approx = self
+                    .solver
+                    .solve_typed_warm_with(inst, &mut self.ctx, profile);
+                (approx, None)
             }
-            _ => Some(solver),
+            _ => {
+                self.stats.cold_solves += 1;
+                let ws = self.ctx.workspace();
+                let solver = NaiveSolver::new_in(inst, ws.arena_mut());
+                let approx = crate::approx::solve_approx_in(&solver, inst, &self.solver.opts, ws);
+                let kept = match self.strategy {
+                    ReplanStrategy::WarmStart => {
+                        solver.recycle(ws.arena_mut());
+                        None
+                    }
+                    _ => Some(solver),
+                };
+                (approx, kept)
+            }
         };
+        if self.solver.common.check_invariants {
+            let sol = Solution::from_approx(inst, approx.clone());
+            oracle::enforce(inst, &sol, &Claims::approx(), "online-residual");
+        }
         (approx, SolvedEvaluator(kept))
     }
 

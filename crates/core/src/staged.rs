@@ -43,7 +43,7 @@
 //! `tests/oracle_mutation.rs` proves the checks are not vacuous.
 
 use crate::problem::{Instance, ProblemError, Task};
-use crate::solver::{ApproxSolver, Solution, SolveError, Solver, SolverContext};
+use crate::solver::{ApproxSolver, Solution, SolveError, Solver, SolverContext, SolverOptions};
 use crate::{EPS_ENERGY, EPS_FLOPS, EPS_TIME};
 use dsct_accuracy::{min_combine, AccuracyError, PwlAccuracy};
 use dsct_machines::{DvfsMachine, DvfsPark, MachineError};
@@ -907,39 +907,40 @@ pub struct StagedSolution {
 /// verbatim from the flat schedule, so embedding a flat instance
 /// ([`StagedInstance::from_flat`]) reproduces the flat solution bit for
 /// bit.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StagedApproxSolver {
-    /// Verify every produced solution against the staged oracle
-    /// (panics on violation). Defaults to debug builds only, matching
-    /// [`crate::solver::SolverOptions`].
-    pub check_invariants: bool,
-}
-
-impl Default for StagedApproxSolver {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Invariant checking, for the staged solution (the staged oracle)
+    /// and for the inner flat solve (the flat oracle) alike; a violation
+    /// panics. Defaults to debug builds only.
+    pub common: SolverOptions,
 }
 
 impl StagedApproxSolver {
     /// Solver with the default invariant policy (checked in debug).
     pub fn new() -> Self {
-        Self {
-            check_invariants: cfg!(debug_assertions),
-        }
+        Self::default()
     }
 
-    /// Always verify against the staged oracle.
+    /// Always verify, the flat solve and the staged solution.
     pub fn checked() -> Self {
         Self {
-            check_invariants: true,
+            common: SolverOptions::checked(),
         }
     }
 
     /// Never verify (benchmarks).
     pub fn unchecked() -> Self {
         Self {
-            check_invariants: false,
+            common: SolverOptions::unchecked(),
+        }
+    }
+
+    /// The flat solver the lowered instance runs through, under this
+    /// solver's invariant policy.
+    fn flat_solver(&self) -> ApproxSolver {
+        ApproxSolver {
+            common: self.common,
+            ..ApproxSolver::new()
         }
     }
 
@@ -955,11 +956,12 @@ impl StagedApproxSolver {
         ctx: &mut SolverContext,
     ) -> Result<StagedSolution, StagedError> {
         let lowered = inst.lowered()?;
-        let flat = ApproxSolver::new()
+        let flat = self
+            .flat_solver()
             .solve_with(&lowered, ctx)
             .map_err(StagedError::Solve)?;
         let sol = realize(inst, &lowered, flat);
-        if self.check_invariants {
+        if self.common.check_invariants {
             crate::oracle::enforce_staged(inst, &sol, "StagedApproxSolver");
         }
         Ok(sol)
@@ -1174,6 +1176,28 @@ mod tests {
             flat_sol.total_accuracy.to_bits()
         );
         assert_eq!(staged_sol.energy.to_bits(), flat_sol.energy.to_bits());
+    }
+
+    /// The staged solver's invariant policy is the inner flat solve's
+    /// too, and it only checks: `checked()` and `unchecked()` solve
+    /// every instance bit-identically.
+    #[test]
+    fn invariant_policy_reaches_the_flat_solve_and_moves_nothing() {
+        for common in [
+            SolverOptions::default(),
+            SolverOptions::checked(),
+            SolverOptions::unchecked(),
+        ] {
+            assert_eq!(StagedApproxSolver { common }.flat_solver().common, common);
+        }
+        let lowered = staged_instance().lowered().unwrap();
+        let zero =
+            StagedInstance::new_sorting(staged_instance().tasks().to_vec(), park(), 0.0).unwrap();
+        for inst in [staged_instance(), zero, StagedInstance::from_flat(&lowered)] {
+            let checked = StagedApproxSolver::checked().solve(&inst).unwrap();
+            let unchecked = StagedApproxSolver::unchecked().solve(&inst).unwrap();
+            assert_eq!(format!("{checked:?}"), format!("{unchecked:?}"));
+        }
     }
 
     #[test]

@@ -20,15 +20,12 @@
 //! robustness edge that task compressibility buys (see
 //! `examples/runtime_jitter.rs` and the `robustness` experiment).
 //!
-//! Deterministic fault injection (machine failures, speed degradations)
-//! lives in [`fault`]: the same `(schedule, config, faults)` triple
-//! always replays to a byte-identical trace, and an empty fault list
-//! delegates to the unmodified base engine.
+//! Machine faults are injected one layer up, on the online service's
+//! clock (`dsct_online::OnlineService::inject`), which records a cut
+//! task as an [`EventKind::Failed`] event in this crate's trace types.
 
 mod engine;
-pub mod fault;
 mod trace;
 
 pub use engine::{execute, try_execute, ExecError, ExecutionConfig, OverrunPolicy};
-pub use fault::{execute_with_faults, try_execute_with_faults, FaultEvent, FaultKind};
 pub use trace::{EventKind, ExecutionTrace, TaskOutcome, TraceEvent};

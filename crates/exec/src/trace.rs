@@ -14,7 +14,7 @@ pub enum EventKind {
     /// A task was dropped (overrun policy, or no allocation).
     Dropped,
     /// A task was cut short because its machine failed mid-run
-    /// (fault injection; see [`crate::fault`]).
+    /// (an injected machine failure).
     Failed,
 }
 

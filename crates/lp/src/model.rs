@@ -193,12 +193,6 @@ impl Model {
         self.sense
     }
 
-    /// Number of constraint rows.
-    #[inline]
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Replaces the bounds of `var`.
     pub fn set_bounds(&mut self, var: Var, lb: f64, ub: f64) {
         let c = &mut self.cols[var.0];

@@ -107,15 +107,6 @@ impl DvfsMachine {
             speed.is_gt() || eff.is_gt() || q < p
         })
     }
-
-    /// Maximum speed over all operating points (the bound used for
-    /// stage-release-adjusted deadlines: no stage can finish faster).
-    pub fn fastest_speed(&self) -> f64 {
-        self.points
-            .iter()
-            .map(Machine::speed)
-            .fold(f64::NEG_INFINITY, f64::max)
-    }
 }
 
 /// A park of speed-scaling machines.
@@ -176,14 +167,6 @@ impl DvfsPark {
     /// the flat algorithms on.
     pub fn selected_park(&self) -> MachinePark {
         MachinePark::new(self.machines.iter().map(DvfsMachine::selected).collect())
-    }
-
-    /// Maximum speed over every machine's catalog.
-    pub fn fastest_speed(&self) -> f64 {
-        self.machines
-            .iter()
-            .map(DvfsMachine::fastest_speed)
-            .fold(f64::NEG_INFINITY, f64::max)
     }
 }
 
@@ -265,7 +248,6 @@ mod tests {
         assert_eq!(flat.len(), 2);
         assert_eq!(flat.get(0), pt(2000.0, 25.0));
         assert_eq!(flat.get(1), pt(5000.0, 70.0));
-        assert_eq!(park.fastest_speed(), 5000.0);
     }
 
     #[test]

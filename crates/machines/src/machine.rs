@@ -100,12 +100,6 @@ impl Machine {
     pub fn time_for_work(&self, f: f64) -> f64 {
         f / self.speed
     }
-
-    /// Energy (J) needed to perform `f` GFLOP of work (`f / E_r`).
-    #[inline]
-    pub fn energy_for_work(&self, f: f64) -> f64 {
-        f / self.efficiency()
-    }
 }
 
 #[cfg(test)]
@@ -136,7 +130,7 @@ mod tests {
         let t = 0.37;
         let f = m.work_for_time(t);
         assert!((m.time_for_work(f) - t).abs() < 1e-12);
-        assert!((m.energy_for_time(t) - m.energy_for_work(f)).abs() < 1e-9);
+        assert!((m.energy_for_time(t) - f / m.efficiency()).abs() < 1e-9);
     }
 
     #[test]

@@ -4,8 +4,8 @@ use serde::{Deserialize, Serialize};
 /// An ordered collection of machines (the paper's set `M`).
 ///
 /// The paper indexes machines by non-decreasing energy efficiency
-/// (`r < r'` iff `E_r < E_{r'}`); [`MachinePark::sorted_by_efficiency`]
-/// produces that canonical order. The park also exposes the aggregate
+/// (`r < r'` iff `E_r < E_{r'}`); [`MachinePark::by_efficiency_desc`]
+/// gives the reverse of that order. The park also exposes the aggregate
 /// quantities the experiments use (total speed, total power).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MachinePark {
@@ -74,14 +74,6 @@ impl MachinePark {
         idx
     }
 
-    /// A copy of the park with machines sorted by non-decreasing efficiency
-    /// (the paper's canonical indexing).
-    pub fn sorted_by_efficiency(&self) -> Self {
-        let mut ms = self.machines.clone();
-        ms.sort_by(|a, b| a.efficiency().total_cmp(&b.efficiency()));
-        Self { machines: ms }
-    }
-
     /// Index of the least efficient machine among `subset`, or `None` when
     /// the subset is empty. Ties break by lower index.
     pub fn least_efficient_in(&self, subset: &[usize]) -> Option<usize> {
@@ -138,9 +130,6 @@ mod tests {
     fn efficiency_orderings() {
         let p = park();
         assert_eq!(p.by_efficiency_desc(), vec![1, 0, 2]);
-        let sorted = p.sorted_by_efficiency();
-        assert!((sorted[0].efficiency() - 20.0).abs() < 1e-9);
-        assert!((sorted[2].efficiency() - 80.0).abs() < 1e-9);
     }
 
     #[test]

@@ -53,12 +53,11 @@ use crate::admission::{AdmissionPolicy, Decision};
 use crate::error::OnlineError;
 use crate::ledger::EnergyLedger;
 use dsct_accuracy::PwlAccuracy;
-use dsct_core::oracle::{self, Claims};
 use dsct_core::problem::Instance;
 use dsct_core::profile::EnergyProfile;
 use dsct_core::replan::{Replanner, SolvedEvaluator};
 use dsct_core::residual::{PoolRow, ResidualPool};
-use dsct_core::solver::{ApproxSolver, Solution};
+use dsct_core::solver::ApproxSolver;
 use dsct_core::EPS_TIME;
 use dsct_exec::{
     EventKind, ExecError, ExecutionConfig, ExecutionTrace, OverrunPolicy, TaskOutcome, TraceEvent,
@@ -73,8 +72,7 @@ use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
 use std::sync::Arc;
 
 /// A disruption injected into the service clock (see
-/// [`OnlineService::inject`]). Disruptions are the online counterpart of
-/// [`dsct_exec::fault`]'s offline fault events.
+/// [`OnlineService::inject`]).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Disruption {
     /// Machine `machine` fails permanently: any task in flight on it is
@@ -117,17 +115,6 @@ pub struct OnlineConfig {
     pub jitter_seed: u64,
     /// Deadline-overrun handling at dispatch time.
     pub overrun: OverrunPolicy,
-    /// Run every residual solution through the invariant oracle
-    /// ([`dsct_core::oracle`], with [`Claims::approx`]) before adopting
-    /// it. Defaults to on under `debug_assertions`, mirroring
-    /// [`dsct_core::solver::SolverOptions`]; a violation panics with a
-    /// pinpointed report and dumps the residual instance.
-    #[serde(default = "default_check_invariants")]
-    pub check_invariants: bool,
-}
-
-fn default_check_invariants() -> bool {
-    cfg!(debug_assertions)
 }
 
 impl Default for OnlineConfig {
@@ -138,7 +125,6 @@ impl Default for OnlineConfig {
             speed_jitter: 0.0,
             jitter_seed: 0,
             overrun: OverrunPolicy::Compress,
-            check_invariants: default_check_invariants(),
         }
     }
 }
@@ -1304,20 +1290,14 @@ impl OnlineService {
     }
 
     /// Runs the pool as last read through the replanner's full-solve
-    /// path, enforcing the invariant oracle on the result when
-    /// configured. The solve's evaluator comes back for the caller to
-    /// certify with, or to release.
+    /// path (which holds the result to the invariant oracle when its
+    /// solver's `check_invariants` is on). The solve's evaluator comes
+    /// back for the caller to certify with, or to release.
     fn solve_pool(
         &mut self,
         warm: Option<&EnergyProfile>,
     ) -> (dsct_core::approx::ApproxSolution, SolvedEvaluator) {
-        let inst = self.pool.instance();
-        let (approx, evaluator) = self.replanner.solve_keeping(inst, warm);
-        if self.cfg.check_invariants {
-            let sol = Solution::from_approx(inst, approx.clone());
-            oracle::enforce(inst, &sol, &Claims::approx(), "online-residual");
-        }
-        (approx, evaluator)
+        self.replanner.solve_keeping(self.pool.instance(), warm)
     }
 
     /// Reads the pool at the current time, solves it — warm-started when

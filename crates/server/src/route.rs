@@ -62,11 +62,6 @@ impl Router {
         self.alive[shard]
     }
 
-    /// Number of live shards.
-    pub fn live_count(&self) -> usize {
-        self.alive.iter().filter(|&&a| a).count()
-    }
-
     /// Marks `shard` dead; its tenants re-route to their next-highest
     /// scoring live shard on the next [`Router::route`] call.
     pub fn kill(&mut self, shard: usize) {
@@ -88,16 +83,6 @@ impl Router {
     pub fn pin(&mut self, tenant: u64, shard: usize) {
         assert!(shard < self.alive.len(), "pin target out of range");
         self.pins.insert(tenant, shard);
-    }
-
-    /// Removes `tenant`'s pin (if any), returning it to plain HRW.
-    pub fn unpin(&mut self, tenant: u64) {
-        self.pins.remove(&tenant);
-    }
-
-    /// The shard `tenant` is pinned to, if any (dead or alive).
-    pub fn pinned(&self, tenant: u64) -> Option<usize> {
-        self.pins.get(&tenant).copied()
     }
 
     /// Routes `tenant` to its pinned shard when one exists and is
@@ -165,6 +150,6 @@ mod tests {
         assert!(router.route(7).is_some());
         router.kill(1);
         assert_eq!(router.route(7), None);
-        assert_eq!(router.live_count(), 0);
+        assert_eq!(router.alive(), &[false, false]);
     }
 }

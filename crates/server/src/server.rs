@@ -8,8 +8,8 @@
 //! advance is a few µs — less than waking a parked thread, let alone
 //! spawning one — so a tick asks the OS for nothing: no thread, no core
 //! count. The worker count (`0` = all cores, capped at the shard count)
-//! is resolved once, at construction, and sizes only the once-per-run
-//! fan-out of [`ScheduleServer::finish`].
+//! sizes only the once-per-run fan-out of [`ScheduleServer::finish`],
+//! which runs on [`dsct_core::run_indexed`].
 //!
 //! # Determinism argument
 //!
@@ -25,27 +25,27 @@
 //!    federation transfers (ascending borrower index, ring lender order
 //!    — see [`crate::federation`]), kill drains (pool admission order)
 //!    and recoveries all run on the caller's thread.
-//! 3. **`finish` works on frozen items.** Its workers claim shard
-//!    indices from an atomic injector over a fixed range, and each is
-//!    the only thread that touches the cell it claimed.
-//! 4. **Aggregation is in shard order.** [`ScheduleServer::finish`]
-//!    collects per-cell reports into an index-addressed slot array and
+//! 3. **`finish` works on frozen items.** [`dsct_core::run_indexed`]'s
+//!    workers claim shard indices from an atomic cursor over a fixed
+//!    range, and each takes the cell it claimed out of its slot, so it
+//!    is the only thread that touches that cell.
+//! 4. **Aggregation is in shard order.** `run_indexed` returns the
+//!    per-cell reports in index order, and [`ScheduleServer::finish`]
 //!    folds them `0..shards`, never in completion order.
 //!
-//! This is the same frozen-items/atomic-injector/slot-array recipe as
-//! `dsct_sim::engine`, applied to owned cells instead of pure jobs.
+//! This is the fan-out every `dsct_sim` sweep runs on, applied to owned
+//! cells instead of pure jobs.
 
 use crate::federation::{plan_transfers, FederationConfig, Settlement, ShardFunds};
 use crate::route::Router;
 use dsct_chaos::ShardKillPlan;
-use dsct_core::EPS_TIME;
+use dsct_core::{run_indexed, EPS_TIME};
 use dsct_exec::{ExecError, TaskOutcome};
 use dsct_machines::{Machine, MachinePark};
 use dsct_online::{Decision, Disruption, OnlineError, OnlineService, OnlineSummary, ReplayConfig};
 use dsct_workload::{ArrivalTrace, OnlineTask};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 
 /// Configuration of a [`ScheduleServer`]: the [`ReplayConfig`] shared
 /// with `dsct_online::replay` (shard count, worker count, per-cell online
@@ -65,12 +65,6 @@ impl ServerConfig {
     /// Shard cell count (from the embedded [`ReplayConfig`]).
     pub fn shards(&self) -> usize {
         self.replay.shards
-    }
-
-    /// Worker threads of the final fan-out (from the embedded
-    /// [`ReplayConfig`]).
-    pub fn workers(&self) -> usize {
-        self.replay.workers
     }
 }
 
@@ -214,9 +208,6 @@ const NO_SHARD: usize = usize::MAX;
 /// the determinism argument and [`crate`] docs for the model.
 pub struct ScheduleServer {
     cfg: ServerConfig,
-    /// Workers of the `finish` fan-out, resolved once: the configured
-    /// count (`0` = all cores), capped at the shard count.
-    workers: usize,
     cells: Vec<OnlineService>,
     /// Machine group per shard — kept whole (not just sizes) so a
     /// recovery can respawn the cell over the original hardware.
@@ -276,14 +267,8 @@ impl ScheduleServer {
             shard_machines.push(group);
             slices.push(slice);
         }
-        let workers = match cfg.replay.workers {
-            0 => dsct_core::available_cores(),
-            w => w,
-        }
-        .min(shards);
         Ok(Self {
             cfg,
-            workers,
             cells,
             shard_machines,
             slices,
@@ -621,55 +606,26 @@ impl ScheduleServer {
         Ok(())
     }
 
-    /// Finishes every cell — fanned out once over scoped threads — and
-    /// folds the per-shard reports, in shard order, never completion
-    /// order, into the server report.
+    /// Finishes every cell — fanned out once on
+    /// [`dsct_core::run_indexed`], each worker taking the cells it claims
+    /// out of their slots — and folds the per-shard reports, in shard
+    /// order, never completion order, into the server report.
     pub fn finish(self) -> ServerReport {
-        let workers = self.workers;
         let shards = self.cells.len();
         let slots: Vec<Mutex<Option<OnlineService>>> = self
             .cells
             .into_iter()
             .map(|cell| Mutex::new(Some(cell)))
             .collect();
-        let mut reports: Vec<Option<dsct_online::OnlineReport>> = Vec::new();
-        reports.resize_with(shards, || None);
-        if workers <= 1 || shards <= 1 {
-            for (i, slot) in slots.iter().enumerate() {
-                let svc = slot.lock().expect("slot lock").take().expect("unfinished");
-                reports[i] = Some(svc.finish());
-            }
-        } else {
-            let injector = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel();
-            let slots_ref = &slots;
-            let injector_ref = &injector;
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    scope.spawn(move || loop {
-                        let i = injector_ref.fetch_add(1, Ordering::Relaxed);
-                        if i >= slots_ref.len() {
-                            break;
-                        }
-                        let svc = slots_ref[i]
-                            .lock()
-                            .expect("slot lock")
-                            .take()
-                            .expect("each slot is claimed once");
-                        let _ = tx.send((i, svc.finish()));
-                    });
-                }
-                drop(tx);
-                for (i, report) in rx {
-                    reports[i] = Some(report);
-                }
-            });
-        }
-        let reports: Vec<dsct_online::OnlineReport> = reports
-            .into_iter()
-            .map(|r| r.expect("every shard finished"))
-            .collect();
+        let (reports, _) = run_indexed(
+            self.cfg.replay.workers,
+            shards,
+            |_, i| {
+                let cell = slots[i].lock().expect("slot lock").take();
+                cell.expect("each slot is claimed once").finish()
+            },
+            |_, _| {},
+        );
 
         let shard_summaries: Vec<OnlineSummary> =
             reports.iter().map(|r| r.summary.clone()).collect();

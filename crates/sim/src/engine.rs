@@ -1,4 +1,4 @@
-//! The deterministic experiment engine, and the crate's one fan-out.
+//! The deterministic experiment engine.
 //!
 //! An experiment is a grid of cells (instance configurations), a set of
 //! [`Solver`]s, and a replication count. The engine flattens the grid
@@ -28,20 +28,22 @@
 //! back per-item results until a cell's last item arrives, then folds and
 //! emits that cell's [`CellSummary`] (see [`ExperimentPlan::run_streaming`]).
 //!
-//! The worker loop itself is `run_indexed`, and every sweep of this
-//! crate runs on it: the grid plans here, and the single-loop experiments
-//! ([`crate::experiments::fig3`], `fig6`, `robustness`, `staged`,
-//! `online`, `chaos`), which hand it a replication index and fold the
-//! returned `Vec` in index order.
+//! The worker loop itself is [`dsct_core::run_indexed`], and every sweep
+//! of this crate runs on it: the grid plans here, and the single-loop
+//! experiments ([`crate::experiments::fig3`], `fig6`, `robustness`,
+//! `staged`, `online`, `chaos`), which hand it a replication index and
+//! fold the returned `Vec` in index order. The sharded server's final
+//! fan-out (`dsct_server::ScheduleServer::finish`) is the same loop.
 
 use crate::stats::SummaryStats;
+use dsct_core::run_indexed;
 use dsct_core::solver::{SolveError, Solver, SolverContext};
+pub use dsct_core::WorkerStats;
 use dsct_lp::Status;
 use dsct_mip::MipStatus;
 use dsct_workload::{generate, InstanceConfig};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// splitmix64 finalizer: a bijective avalanche mix on `u64`.
@@ -279,19 +281,6 @@ pub struct SolverTiming {
     pub total_time: f64,
 }
 
-/// Utilization counters of one worker thread.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WorkerStats {
-    /// Worker index.
-    pub worker: usize,
-    /// Items the worker executed.
-    pub items: usize,
-    /// Seconds the worker spent executing items (vs. idle/stealing).
-    pub busy_time: f64,
-    /// Value-function probes issued through the worker's context.
-    pub probes: u64,
-}
-
 /// The result of running an [`ExperimentPlan`].
 ///
 /// [`ExperimentRun::cells`] (and [`ExperimentRun::items`], when kept) are
@@ -380,89 +369,6 @@ fn execute_item(
         solve_time,
         timed_out,
     }
-}
-
-/// Runs `work(ctx, i)` for every `i < n` on `threads` workers (`0` = all
-/// cores, clamped to `n`) and returns the results in index order, plus
-/// one [`WorkerStats`] per worker.
-///
-/// Workers claim indices from one atomic cursor and each owns one
-/// [`SolverContext`]; the calling thread stores each result in its slot
-/// and then calls `on_result(i, slots)` — completion order, with `slots`
-/// holding everything that has landed so far. With at most one worker
-/// (`threads = 1`, or `n ≤ 1`) everything runs inline on the caller and
-/// nothing is spawned. A panic in `work` propagates to the caller.
-pub(crate) fn run_indexed<T: Send>(
-    threads: usize,
-    n: usize,
-    work: impl Fn(&mut SolverContext, usize) -> T + Sync,
-    mut on_result: impl FnMut(usize, &[Option<T>]),
-) -> (Vec<T>, Vec<WorkerStats>) {
-    let threads = match threads {
-        0 => dsct_core::available_cores(),
-        t => t,
-    }
-    .min(n);
-    let cursor = AtomicUsize::new(0);
-    let worker = |w: usize, emit: &mut dyn FnMut(usize, T)| {
-        let mut ctx = SolverContext::new();
-        let mut stats = WorkerStats {
-            worker: w,
-            items: 0,
-            busy_time: 0.0,
-            probes: 0,
-        };
-        loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            if i >= n {
-                break;
-            }
-            let t0 = Instant::now();
-            let out = work(&mut ctx, i);
-            stats.busy_time += t0.elapsed().as_secs_f64();
-            stats.items += 1;
-            emit(i, out);
-        }
-        stats.probes = ctx.probe_stats().probes;
-        stats
-    };
-
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(n, || None);
-    let mut land = |i: usize, out: T| {
-        slots[i] = Some(out);
-        on_result(i, &slots);
-    };
-    let workers = if threads <= 1 {
-        vec![worker(0, &mut land)]
-    } else {
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let (tx, worker) = (tx.clone(), &worker);
-                    scope.spawn(move || {
-                        // A failed send means the collector is gone (it
-                        // panicked); the scope re-raises that panic.
-                        worker(w, &mut |i, out| drop(tx.send((i, out))))
-                    })
-                })
-                .collect();
-            drop(tx);
-            for (i, out) in rx {
-                land(i, out);
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        })
-    };
-    let results = slots
-        .into_iter()
-        .map(|slot| slot.expect("every index executed"))
-        .collect();
-    (results, workers)
 }
 
 impl ExperimentPlan {
@@ -685,16 +591,6 @@ impl ExperimentRun {
             .solvers
             .iter()
             .find(|p| p.solver == s)
-    }
-
-    /// Worker utilization: mean busy fraction across workers (busy time
-    /// over the run's wall-clock time).
-    pub fn mean_utilization(&self) -> f64 {
-        if self.workers.is_empty() || self.wall_time <= 0.0 {
-            return 0.0;
-        }
-        let busy: f64 = self.workers.iter().map(|w| w.busy_time).sum();
-        (busy / (self.workers.len() as f64 * self.wall_time)).min(1.0)
     }
 }
 

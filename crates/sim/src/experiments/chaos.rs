@@ -16,10 +16,11 @@
 //! `(master, cell, rep)` alone and cells fold in item order, so the
 //! result is bit-identical for any worker count.
 
-use crate::engine::{derive_seed, run_indexed};
+use crate::engine::derive_seed;
 use crate::report::TextTable;
 use crate::stats::SummaryStats;
 use dsct_chaos::{chaos_replay, ChaosConfig, ChaosPlan};
+use dsct_core::run_indexed;
 use dsct_online::OnlineConfig;
 use dsct_workload::{
     generate_arrivals, ArrivalConfig, ArrivalTrace, MachineConfig, TaskConfig, ThetaDistribution,

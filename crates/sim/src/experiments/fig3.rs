@@ -6,10 +6,10 @@
 //! Paper parameters: `n = 100`, `m = 5`, `ρ = 0.35`, `β = 0.5`,
 //! `μ ∈ [5, 20]`, 100 experiments per point.
 
-use crate::engine::run_indexed;
 use crate::report::TextTable;
 use crate::stats::SummaryStats;
 use dsct_core::guarantee::absolute_guarantee;
+use dsct_core::run_indexed;
 use dsct_core::solver::ApproxSolver;
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
 use serde::{Deserialize, Serialize};

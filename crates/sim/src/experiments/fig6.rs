@@ -11,9 +11,9 @@
 //!   high-value tasks force the refinement to shift work onto machine 2,
 //!   deviating visibly from the naive profile at small β.
 
-use crate::engine::run_indexed;
 use crate::report::TextTable;
 use crate::stats::SummaryStats;
+use dsct_core::run_indexed;
 use dsct_core::solver::FrOptSolver;
 use dsct_machines::catalog::fig6_two_machine_park;
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};

@@ -16,9 +16,10 @@
 //! `(master, cell, rep)` alone and cells fold in item order, so the
 //! result is bit-identical for 1 or 64 workers.
 
-use crate::engine::{derive_seed, run_indexed};
+use crate::engine::derive_seed;
 use crate::report::TextTable;
 use crate::stats::SummaryStats;
+use dsct_core::run_indexed;
 use dsct_core::solver::{FrOptSolver, SolverContext};
 use dsct_online::{replay, AdmissionPolicy, OnlineConfig};
 use dsct_workload::{

@@ -10,9 +10,9 @@
 //! robustness value of task compressibility — the same property the paper
 //! exploits at planning time, paying off again at run time.
 
-use crate::engine::run_indexed;
 use crate::report::TextTable;
 use crate::stats::SummaryStats;
+use dsct_core::run_indexed;
 use dsct_core::solver::ApproxSolver;
 use dsct_exec::{execute, ExecutionConfig, OverrunPolicy};
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};

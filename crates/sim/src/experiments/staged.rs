@@ -9,9 +9,9 @@
 //! the added catalog points are all dominated, so the gap must be flat
 //! across the operating-point axis.
 
-use crate::engine::run_indexed;
 use crate::report::TextTable;
 use crate::stats::SummaryStats;
+use dsct_core::run_indexed;
 use dsct_core::staged::StagedApproxSolver;
 use dsct_workload::{
     generate_staged, DagShape, InstanceConfig, MachineConfig, StagedConfig, TaskConfig,

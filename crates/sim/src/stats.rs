@@ -92,16 +92,6 @@ impl SummaryStats {
         }
     }
 
-    /// Half-width of the normal-approximation 95% confidence interval on
-    /// the mean, `1.96 · s / √n` (0 below two samples).
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            1.96 * self.std_dev() / (self.count as f64).sqrt()
-        }
-    }
-
     /// Minimum observation (NaN-free inputs assumed).
     pub fn min(&self) -> f64 {
         self.min

@@ -125,6 +125,16 @@ fn every_staged_corpus_instance_round_trips_and_passes_every_solver_family() {
             .solve(&inst)
             .unwrap_or_else(|e| panic!("{name} ({label}): staged solve failed: {e}"));
         oracle::enforce_staged(&inst, &staged_sol, &format!("corpus/staged/{name}/approx"));
+        // The invariant policy only checks: an unchecked solve is the
+        // same solve, bit for bit.
+        let unchecked = StagedApproxSolver::unchecked()
+            .solve(&inst)
+            .unwrap_or_else(|e| panic!("{name} ({label}): unchecked staged solve failed: {e}"));
+        assert_eq!(
+            format!("{staged_sol:?}"),
+            format!("{unchecked:?}"),
+            "{name} ({label}): checked and unchecked staged solves differ"
+        );
 
         // Every flat solver family must survive the lowered instance too
         // (the staged corpus doubles as a flat edge-case corpus).

@@ -7,9 +7,9 @@
 //! (`--test-threads=1` and the harness default), so harness threading
 //! is covered by the job matrix.
 //!
-//! Tests build in debug, so `OnlineConfig::check_invariants` defaults
-//! to on and every per-shard residual solution passes the solution
-//! oracle on the way through.
+//! Tests build in debug, so each cell's solver has
+//! `SolverOptions::check_invariants` on by default and every per-shard
+//! residual solution passes the solution oracle on the way through.
 
 use dsct_ea::chaos::ShardChaosPlan;
 use dsct_ea::gateway::{

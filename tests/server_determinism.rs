@@ -1,15 +1,15 @@
 //! The sharded-server determinism contract, as CI runs it: server
 //! replays must produce byte-identical report digests across worker
-//! counts {1, 2, 8}, for every seed under test — including under
+//! counts {1, 2, 8, 0 = all cores}, for every seed under test — including under
 //! shard-kill chaos, where a whole cell dies and its pending pool
 //! drains into the survivors. The `determinism` CI job runs this binary
 //! twice — `--test-threads=1` and the harness default — so harness
 //! threading is covered by the job matrix, not by code here.
 //!
-//! The runs double as oracle coverage: tests build in debug, so
-//! `OnlineConfig::check_invariants` defaults to on and every per-shard
-//! residual solution is verified by the solution oracle before it is
-//! adopted.
+//! The runs double as oracle coverage: tests build in debug, so each
+//! cell's solver has `SolverOptions::check_invariants` on by default and
+//! every per-shard residual solution is verified by the solution oracle
+//! before it is adopted.
 //!
 //! The property test at the bottom feeds NaN and infinite deadlines,
 //! arrivals, and tenants through the submission path — the floats flow
@@ -25,7 +25,9 @@ use dsct_ea::workload::{
 };
 use proptest::prelude::*;
 
-const WORKER_COUNTS: [usize; 3] = [1, 2, 8];
+/// Worker counts of the final fan-out; `0` resolves to all cores. The
+/// first entry is the serial reference every other one is compared to.
+const WORKER_COUNTS: [usize; 4] = [1, 2, 8, 0];
 const SEEDS: [u64; 3] = [11, 22, 33];
 
 fn trace(seed: u64) -> ArrivalTrace {
@@ -71,14 +73,12 @@ fn server_reports_are_byte_identical_across_worker_counts() {
                     .digest()
             })
             .collect();
-        assert_eq!(
-            digests[0], digests[1],
-            "seed {seed}: workers 1 vs 2 diverged"
-        );
-        assert_eq!(
-            digests[0], digests[2],
-            "seed {seed}: workers 1 vs 8 diverged"
-        );
+        for (w, digest) in WORKER_COUNTS.iter().zip(&digests).skip(1) {
+            assert_eq!(
+                &digests[0], digest,
+                "seed {seed}: workers 1 vs {w} diverged"
+            );
+        }
     }
 }
 
@@ -125,16 +125,13 @@ fn shard_kill_drains_are_deterministic_across_worker_counts() {
             .map(|&w| replay_sharded(&t, &server_config(w), &plan).expect("valid replay"))
             .collect();
         let digest = reports[0].digest();
-        assert_eq!(
-            digest,
-            reports[1].digest(),
-            "seed {seed}: kill replay diverged between 1 and 2 workers"
-        );
-        assert_eq!(
-            digest,
-            reports[2].digest(),
-            "seed {seed}: kill replay diverged between 1 and 8 workers"
-        );
+        for (w, report) in WORKER_COUNTS.iter().zip(&reports).skip(1) {
+            assert_eq!(
+                digest,
+                report.digest(),
+                "seed {seed}: kill replay diverged between 1 and {w} workers"
+            );
+        }
 
         let report = &reports[0];
         assert_eq!(report.summary.kills, 2, "seed {seed}");
