@@ -287,13 +287,6 @@ impl PwlAccuracy {
             .collect();
         Self::new(&points)
     }
-
-    /// Total accuracy gain available beyond work level `f`
-    /// (`a_max − a(f)`).
-    #[inline]
-    pub fn remaining_gain(&self, f: f64) -> f64 {
-        (self.a_max() - self.eval(f)).max(0.0)
-    }
 }
 
 #[cfg(test)]
@@ -452,12 +445,5 @@ mod tests {
         assert_eq!(a.eval(1.5), 0.5);
         assert_eq!(a.marginal_gain(1.5), 0.0);
         assert_eq!(a.inverse(0.5).unwrap(), 1.0);
-    }
-
-    #[test]
-    fn remaining_gain() {
-        let a = sample();
-        assert!((a.remaining_gain(0.0) - 0.7).abs() < 1e-12);
-        assert!((a.remaining_gain(4.0)).abs() < 1e-12);
     }
 }

@@ -21,6 +21,7 @@
 use crate::algo_naive::{NaiveSolver, ValueFnWorkspace};
 use crate::fr_opt::{solve_fr_opt_in, FrOptOptions, FrSolution};
 use crate::problem::Instance;
+use crate::profile::EnergyProfile;
 use crate::schedule::FractionalSchedule;
 use crate::EPS_TIME;
 
@@ -55,35 +56,23 @@ pub(crate) fn solve_approx_with(
     ws: &mut ValueFnWorkspace,
 ) -> ApproxSolution {
     let solver = NaiveSolver::new_in(inst, &mut ws.arena);
-    let solution = solve_approx_in(&solver, inst, opts, ws);
+    let solution = solve_approx_in(&solver, inst, opts, None, ws);
     solver.recycle(&mut ws.arena);
     solution
 }
 
-/// [`solve_approx_with`] on the caller's evaluator, built for `inst`
-/// (see [`crate::fr_opt`]'s `solve_fr_opt_in`).
+/// [`solve_approx_with`] on the caller's evaluator, built for `inst`,
+/// with the embedded fractional solve warm-started from `start` when
+/// given (see [`crate::fr_opt`]'s `solve_fr_opt_in`) — what makes
+/// per-arrival online re-plans cheap.
 pub(crate) fn solve_approx_in(
     solver: &NaiveSolver,
     inst: &Instance,
     opts: &ApproxOptions,
+    start: Option<&EnergyProfile>,
     ws: &mut ValueFnWorkspace,
 ) -> ApproxSolution {
-    let fractional = solve_fr_opt_in(solver, inst, &opts.fr, ws);
-    let schedule = assign_from_fractional(inst, &fractional);
-    finish(inst, fractional, schedule)
-}
-
-/// [`solve_approx_with`] with a warm-started fractional solve (see
-/// [`crate::fr_opt`]'s warm path): the profile search starts from the
-/// caller's hint profile instead of the naive profile, which is what
-/// makes per-arrival online re-plans cheap.
-pub(crate) fn solve_approx_warm_with(
-    inst: &Instance,
-    opts: &ApproxOptions,
-    ws: &mut ValueFnWorkspace,
-    warm: &crate::profile::EnergyProfile,
-) -> ApproxSolution {
-    let fractional = crate::fr_opt::solve_fr_opt_warm_with(inst, &opts.fr, ws, warm);
+    let fractional = solve_fr_opt_in(solver, inst, &opts.fr, start, ws);
     let schedule = assign_from_fractional(inst, &fractional);
     finish(inst, fractional, schedule)
 }

@@ -13,9 +13,7 @@ use crate::algo_naive::{NaiveSolver, ValueFnWorkspace};
 use crate::algo_refine::refine_profile_in;
 use crate::problem::Instance;
 use crate::profile::{naive_profile, EnergyProfile};
-use crate::profile_search::{
-    profile_search_in, profile_search_with, ProfileSearchOptions, ProfileSearchOutcome,
-};
+use crate::profile_search::{profile_search_in, ProfileSearchOptions, ProfileSearchOutcome};
 use crate::schedule::FractionalSchedule;
 
 /// Options for the fractional solver.
@@ -70,45 +68,66 @@ pub(crate) fn solve_fr_opt_with(
     ws: &mut ValueFnWorkspace,
 ) -> FrSolution {
     let solver = NaiveSolver::new_in(inst, &mut ws.arena);
-    let solution = solve_fr_opt_in(&solver, inst, opts, ws);
+    let solution = solve_fr_opt_in(&solver, inst, opts, None, ws);
     solver.recycle(&mut ws.arena);
     solution
 }
 
 /// [`solve_fr_opt_with`] on the caller's evaluator, built for `inst` —
-/// the replanner keeps it past the solve as its membership anchor.
+/// the replanner keeps it past the solve for its admission certificate.
+///
+/// With a `start` hint (typically an online service's incumbent plan
+/// minus already-dispatched work) the naive profile and the task-level
+/// transfer pass are skipped and the profile search starts from the
+/// hint, so the common case per arrival is a handful of incremental
+/// Δ-probes rather than the full pipeline. The hint is sanitized first
+/// (non-finite caps dropped, caps clamped to `[0, d_max]`, the whole
+/// vector scaled down when its energy exceeds the budget), so *any*
+/// profile of the right length is valid: the search's exact re-solve and
+/// slack absorption make the result a profile-search optimum regardless
+/// of the start — the hint only shortens the path to it. Wrong-length
+/// hints, and disabled refinement, run the pipeline as without one.
 pub(crate) fn solve_fr_opt_in(
     solver: &NaiveSolver,
     inst: &Instance,
     opts: &FrOptOptions,
+    start: Option<&EnergyProfile>,
     ws: &mut ValueFnWorkspace,
 ) -> FrSolution {
     let naive = naive_profile(inst);
-    let base = solver.solution_under(ws, &naive);
-    let mut schedule = base.schedule;
-    let mut flops = base.flops;
+    let (mut schedule, mut flops);
     let mut refine_iterations = 0;
     let mut search = None;
 
-    if !opts.skip_refine {
-        refine_iterations =
-            refine_profile_in(inst, &mut schedule, &mut flops, &mut ws.arena).iterations;
-        // Start the profile search from the realized loads of the best
-        // schedule so far; its exact re-solve is monotone.
-        let start = EnergyProfile::new(
-            schedule
-                .profile()
-                .iter()
-                .map(|&p| p.min(inst.d_max()))
-                .collect(),
-        );
-        let before = schedule.total_accuracy(inst);
+    if let Some(hint) = start.filter(|h| h.len() == inst.num_machines() && !opts.skip_refine) {
+        let start = sanitize_hint(inst, hint);
         let (_, refined, outcome) = profile_search_in(solver, inst, &start, &opts.search, ws);
-        refine_iterations += outcome.transfers;
+        refine_iterations = outcome.transfers;
         search = Some(outcome);
-        if refined.schedule.total_accuracy(inst) >= before {
-            schedule = refined.schedule;
-            flops = refined.flops;
+        (schedule, flops) = (refined.schedule, refined.flops);
+    } else {
+        let base = solver.solution_under(ws, &naive);
+        (schedule, flops) = (base.schedule, base.flops);
+        if !opts.skip_refine {
+            refine_iterations =
+                refine_profile_in(inst, &mut schedule, &mut flops, &mut ws.arena).iterations;
+            // Start the profile search from the realized loads of the best
+            // schedule so far; its exact re-solve is monotone.
+            let start = EnergyProfile::new(
+                schedule
+                    .profile()
+                    .iter()
+                    .map(|&p| p.min(inst.d_max()))
+                    .collect(),
+            );
+            let before = schedule.total_accuracy(inst);
+            let (_, refined, outcome) = profile_search_in(solver, inst, &start, &opts.search, ws);
+            refine_iterations += outcome.transfers;
+            search = Some(outcome);
+            if refined.schedule.total_accuracy(inst) >= before {
+                schedule = refined.schedule;
+                flops = refined.flops;
+            }
         }
     }
 
@@ -127,31 +146,12 @@ pub(crate) fn solve_fr_opt_in(
     }
 }
 
-/// Warm-started variant of [`solve_fr_opt_with`]: instead of the naive
-/// profile and the task-level transfer pass, the profile search starts
-/// from a caller-supplied profile — typically an online service's
-/// incumbent plan minus already-dispatched work, so the common case per
-/// arrival is a handful of incremental Δ-probes rather than a cold
-/// solve.
-///
-/// The hint is sanitized before use (non-finite caps dropped, caps
-/// clamped to `[0, d_max]`, the whole vector scaled down when its energy
-/// exceeds the budget), so *any* profile of the right length is valid:
-/// the search's exact re-solve and slack absorption make the result a
-/// profile-search optimum regardless of the start — the hint only
-/// shortens the path to it. Wrong-length hints, and disabled refinement,
-/// fall back to the cold pipeline.
-pub(crate) fn solve_fr_opt_warm_with(
-    inst: &Instance,
-    opts: &FrOptOptions,
-    ws: &mut ValueFnWorkspace,
-    warm: &EnergyProfile,
-) -> FrSolution {
-    if warm.len() != inst.num_machines() || opts.skip_refine {
-        return solve_fr_opt_with(inst, opts, ws);
-    }
+/// A warm-start hint made valid for `inst`: non-finite caps become 0,
+/// every cap is clamped to `[0, d_max]`, and the whole vector is scaled
+/// into the budget when its energy exceeds it.
+fn sanitize_hint(inst: &Instance, hint: &EnergyProfile) -> EnergyProfile {
     let machines = inst.machines().machines();
-    let mut caps: Vec<f64> = warm
+    let mut caps: Vec<f64> = hint
         .caps()
         .iter()
         .map(|&c| {
@@ -173,21 +173,7 @@ pub(crate) fn solve_fr_opt_warm_with(
             *c *= scale;
         }
     }
-    let start = EnergyProfile::new(caps);
-    let (_, refined, outcome) = profile_search_with(inst, &start, &opts.search, ws);
-    let total_accuracy = refined.schedule.total_accuracy(inst);
-    let energy = refined.schedule.energy(inst);
-    let profile = refined.schedule.profile();
-    FrSolution {
-        flops: refined.flops,
-        total_accuracy,
-        naive_profile: naive_profile(inst),
-        profile,
-        energy,
-        refine_iterations: outcome.transfers,
-        search: Some(outcome),
-        schedule: refined.schedule,
-    }
+    EnergyProfile::new(caps)
 }
 
 #[cfg(test)]

@@ -58,17 +58,6 @@ impl EnergyProfile {
             .map(|(r, &p)| inst.machines()[r].power() * p)
             .sum()
     }
-
-    /// Aggregate work capacity available to a task with deadline `d`:
-    /// `Σ_r min(p_r, d) · s_r` in GFLOP. This is the "temporary deadline"
-    /// transformation of Algorithm 2 (expressed in work units).
-    pub fn capacity_by(&self, inst: &Instance, d: f64) -> f64 {
-        self.caps
-            .iter()
-            .enumerate()
-            .map(|(r, &p)| p.min(d) * inst.machines()[r].speed())
-            .sum()
-    }
 }
 
 /// Fills `out` with the temporary deadlines of Algorithm 2 for raw caps:
@@ -175,16 +164,6 @@ mod tests {
         let inst = fig6_instance(0.0);
         let p = naive_profile(&inst);
         assert_eq!(p.caps(), &[0.0, 0.0]);
-    }
-
-    #[test]
-    fn capacity_by_deadline() {
-        let inst = fig6_instance(100.0);
-        let p = EnergyProfile::new(vec![2.0, 0.7]);
-        // d = 1: min(2,1)*2000 + min(0.7,1)*5000 = 2000 + 3500.
-        assert!((p.capacity_by(&inst, 1.0) - 5500.0).abs() < 1e-9);
-        // d = 3: 2*2000 + 0.7*5000.
-        assert!((p.capacity_by(&inst, 3.0) - 7500.0).abs() < 1e-9);
     }
 
     #[test]

@@ -3,20 +3,15 @@
 //! the pool's optimum from the prices of the adoption solve instead of
 //! re-planning the pool.
 //!
-//! # Strategy semantics
+//! # One re-plan path
 //!
-//! [`ReplanStrategy`] selects how a full re-solve request is served:
-//!
-//! - [`ReplanStrategy::Cold`] — every solve runs the cold pipeline and
-//!   hands its evaluator back ([`Replanner::solve_keeping`]) for the
-//!   admission certificate;
-//! - [`ReplanStrategy::Incremental`] — the same path as `Cold`, bit for
-//!   bit; the name stays so configurations that select it keep working;
-//! - [`ReplanStrategy::WarmStart`] — solves run warm-started from the
-//!   caller's hint (the incumbent plan's surviving fractional profile)
-//!   when one is supplied, cold otherwise. They keep no evaluator, so
-//!   nothing is certified: the hint needs the re-planned incumbent
-//!   before the adoption solve anyway.
+//! Every full re-solve runs one pipeline: when the caller supplies a hint
+//! (the incumbent plan's surviving fractional profile) the profile search
+//! starts from it, otherwise the cold pipeline runs. Either way the solve
+//! runs on one evaluator the replanner builds for the instance and hands
+//! back ([`Replanner::solve_keeping`]), so a gated admission is certified
+//! against the very solve it would adopt. [`ReplanStrategy`] keeps its one
+//! variant so configurations that name it keep working.
 //!
 //! No result is cached: between two solves of a live cell the remaining
 //! budget or the clock moves, so a key on the residual's exact bits
@@ -52,20 +47,14 @@ use serde::{Deserialize, Serialize};
 const CERT_SLOP: f64 = 1e-9;
 
 /// How an online service (or a server shard cell) re-solves its residual
-/// instance. Strategy never changes *which* plans are feasible — only
-/// how fast the replan path reaches them (and, for
-/// [`ReplanStrategy::WarmStart`], which of several same-value optima the
-/// descent lands on).
+/// instance. One path is left (see the module docs); the type stays so
+/// configurations that select it keep working.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ReplanStrategy {
-    /// Cold pipeline on every solve.
-    Cold,
     /// Warm-start the profile search from the incumbent plan's surviving
-    /// fractional profile.
+    /// fractional profile, on an evaluator that prices the admission
+    /// certificate.
     #[default]
-    WarmStart,
-    /// Same as [`ReplanStrategy::Cold`]: cold solves whose evaluator
-    /// prices the admission certificate.
     Incremental,
 }
 
@@ -74,9 +63,9 @@ pub enum ReplanStrategy {
 pub struct ReplanStats {
     /// Full-solve requests ([`Replanner::solve`] calls).
     pub requests: u64,
-    /// Requests served by the cold pipeline.
+    /// Requests solved without a hint (the cold pipeline).
     pub cold_solves: u64,
-    /// Requests served by the warm-started pipeline.
+    /// Requests solved from a hint (the warm-started pipeline).
     pub warm_solves: u64,
     /// Always 0: no path serves a value-only estimate any more (a traced
     /// overload run read 0 of them in 3,000 arrivals). Kept, like
@@ -93,8 +82,7 @@ pub struct ReplanStats {
     pub cache_misses: u64,
     /// Gated evaluations the certificate could not settle, which needed
     /// the exact baseline; so `delta_bounds + fallbacks` counts every
-    /// certificate asked for. Always 0 under
-    /// [`ReplanStrategy::WarmStart`], which never asks.
+    /// certificate asked for.
     pub fallbacks: u64,
     /// Always 0, like [`Self::cache_hits`].
     pub evictions: u64,
@@ -116,37 +104,29 @@ impl ReplanStats {
 
 /// The evaluator a full solve built for its instance, handed back by
 /// [`Replanner::solve_keeping`] so [`Replanner::certify_without`] can
-/// price the adopted plan without building another. Empty under
-/// [`ReplanStrategy::WarmStart`], which never certifies.
+/// price the adopted plan without building another.
 #[derive(Debug)]
-pub struct SolvedEvaluator(Option<NaiveSolver>);
+pub struct SolvedEvaluator(NaiveSolver);
 
-/// The unified re-solve engine: owns the [`ApproxSolver`], the reusable
-/// [`SolverContext`] and the strategy. [`crate::residual`] callers
+/// The unified re-solve engine: owns the [`ApproxSolver`] and the
+/// reusable [`SolverContext`]. [`crate::residual`] callers
 /// (`dsct-online`'s service, every `dsct-server` shard cell) go through
 /// this instead of calling the solver directly.
 #[derive(Debug)]
 pub struct Replanner {
     solver: ApproxSolver,
     ctx: SolverContext,
-    strategy: ReplanStrategy,
     stats: ReplanStats,
 }
 
 impl Replanner {
     /// Builds a replanner around a configured solver.
-    pub fn new(solver: ApproxSolver, strategy: ReplanStrategy) -> Self {
+    pub fn new(solver: ApproxSolver) -> Self {
         Self {
             solver,
             ctx: SolverContext::new(),
-            strategy,
             stats: ReplanStats::default(),
         }
-    }
-
-    /// The configured strategy.
-    pub fn strategy(&self) -> ReplanStrategy {
-        self.strategy
     }
 
     /// Everything this replanner did so far.
@@ -159,11 +139,7 @@ impl Replanner {
         self.ctx.probe_stats()
     }
 
-    /// Full re-solve of `inst` under the configured strategy. The warm
-    /// hint is honored only by [`ReplanStrategy::WarmStart`]; `Cold` and
-    /// [`ReplanStrategy::Incremental`] run the one cold pipeline, so
-    /// their plans are bit-identical — the byte-identity contract of the
-    /// online digests.
+    /// Full re-solve of `inst`, warm-started from `warm` when given.
     pub fn solve(&mut self, inst: &Instance, warm: Option<&EnergyProfile>) -> ApproxSolution {
         let (approx, evaluator) = self.solve_keeping(inst, warm);
         self.release(evaluator);
@@ -183,46 +159,29 @@ impl Replanner {
         warm: Option<&EnergyProfile>,
     ) -> (ApproxSolution, SolvedEvaluator) {
         self.stats.requests += 1;
-        let (approx, kept) = match (self.strategy, warm) {
-            (ReplanStrategy::WarmStart, Some(profile)) => {
-                self.stats.warm_solves += 1;
-                let approx = self
-                    .solver
-                    .solve_typed_warm_with(inst, &mut self.ctx, profile);
-                (approx, None)
-            }
-            _ => {
-                self.stats.cold_solves += 1;
-                let ws = self.ctx.workspace();
-                let solver = NaiveSolver::new_in(inst, ws.arena_mut());
-                let approx = crate::approx::solve_approx_in(&solver, inst, &self.solver.opts, ws);
-                let kept = match self.strategy {
-                    ReplanStrategy::WarmStart => {
-                        solver.recycle(ws.arena_mut());
-                        None
-                    }
-                    _ => Some(solver),
-                };
-                (approx, kept)
-            }
-        };
+        if warm.is_some() {
+            self.stats.warm_solves += 1;
+        } else {
+            self.stats.cold_solves += 1;
+        }
+        let ws = self.ctx.workspace();
+        let solver = NaiveSolver::new_in(inst, ws.arena_mut());
+        let approx = crate::approx::solve_approx_in(&solver, inst, &self.solver.opts, warm, ws);
         if self.solver.common.check_invariants {
             let sol = Solution::from_approx(inst, approx.clone());
             oracle::enforce(inst, &sol, &Claims::approx(), "online-residual");
         }
-        (approx, SolvedEvaluator(kept))
+        (approx, SolvedEvaluator(solver))
     }
 
     /// Returns a solve's evaluator to the context's arena.
     pub fn release(&mut self, evaluator: SolvedEvaluator) {
-        if let Some(solver) = evaluator.0 {
-            solver.recycle(self.ctx.workspace().arena_mut());
-        }
+        evaluator.0.recycle(self.ctx.workspace().arena_mut());
     }
 
     /// A cold solve of `inst` that moves no counter: the replan and
-    /// probe counters read afterwards what they read before. For
-    /// cross-checks that must not show in the stats.
+    /// probe counters read afterwards what they read before. The
+    /// reference for cross-checks that must not show in the stats.
     pub fn solve_uncounted(&mut self, inst: &Instance) -> ApproxSolution {
         let probes = self.ctx.probe_stats();
         let approx = self.solver.solve_typed_with(inst, &mut self.ctx);
@@ -235,9 +194,8 @@ impl Replanner {
     /// for rounding, from the prices of the plan `evaluator`'s solve of
     /// `inst` realized at `caps` (one cap per machine). Tries each block's lower, upper and
     /// middle price and returns the first bound `settles` accepts;
-    /// `None` when none does, or when the solve kept no evaluator
-    /// ([`ReplanStrategy::WarmStart`], which is not counted). Consumes
-    /// the evaluator; allocates nothing on a warm context.
+    /// `None` when none does. Consumes the evaluator; allocates nothing
+    /// on a warm context.
     pub fn certify_without(
         &mut self,
         evaluator: SolvedEvaluator,
@@ -246,7 +204,7 @@ impl Replanner {
         skip: usize,
         settles: impl Fn(f64) -> bool,
     ) -> Option<f64> {
-        let solver = evaluator.0?;
+        let solver = evaluator.0;
         let ws = self.ctx.workspace();
         let mut chk = ValueCheckpoint::new_in(ws.arena_mut());
         let mut prices = PriceBlocks::new_in(ws.arena_mut());
@@ -300,48 +258,72 @@ mod tests {
     }
 
     /// The certificate of a pool without one task upper-bounds that
-    /// pool's optimum, counts once per call, and is never asked of a
-    /// warm-started solve.
+    /// pool's optimum, counts once per call, and holds on the evaluator
+    /// of a hinted solve as on an unhinted one.
     #[test]
     fn certificate_upper_bounds_the_pool_without_the_candidate() {
         for budget in [5.0, 40.0, 400.0] {
             let inst = instance(budget);
-            let mut rp = Replanner::new(ApproxSolver::new(), ReplanStrategy::Incremental);
+            let hint = EnergyProfile::new(vec![inst.d_max(); inst.num_machines()]);
+            let mut rp = Replanner::new(ApproxSolver::new());
             for skip in 0..inst.num_tasks() {
                 let mut pool = inst.tasks().to_vec();
                 pool.remove(skip);
                 let pool = Instance::new(pool, park(), budget).unwrap();
-                let optimum = Replanner::new(ApproxSolver::new(), ReplanStrategy::Cold)
+                let optimum = Replanner::new(ApproxSolver::new())
                     .solve(&pool, None)
                     .fractional
                     .total_accuracy;
-                let (approx, evaluator) = rp.solve_keeping(&inst, None);
-                let caps = approx.fractional.profile.clone();
-                let bound = rp
-                    .certify_without(evaluator, &inst, &caps, skip, |_| true)
-                    .expect("an accepting test settles on the first price");
-                assert!(
-                    bound >= optimum,
-                    "budget {budget} skip {skip}: bound {bound} below the pool's {optimum}"
-                );
-                // A test no bound passes settles nothing.
-                let (_, evaluator) = rp.solve_keeping(&inst, None);
-                assert!(rp
-                    .certify_without(evaluator, &inst, &caps, skip, |_| false)
-                    .is_none());
+                for warm in [None, Some(&hint)] {
+                    let (approx, evaluator) = rp.solve_keeping(&inst, warm);
+                    let caps = approx.fractional.profile.clone();
+                    let bound = rp
+                        .certify_without(evaluator, &inst, &caps, skip, |_| true)
+                        .expect("an accepting test settles on the first price");
+                    assert!(
+                        bound >= optimum,
+                        "budget {budget} skip {skip} hinted {}: bound {bound} below the pool's {optimum}",
+                        warm.is_some()
+                    );
+                    // A test no bound passes settles nothing.
+                    let (_, evaluator) = rp.solve_keeping(&inst, warm);
+                    assert!(rp
+                        .certify_without(evaluator, &inst, &caps, skip, |_| false)
+                        .is_none());
+                }
             }
             let stats = rp.stats();
-            assert_eq!((stats.delta_bounds, stats.fallbacks), (3, 3));
+            assert_eq!((stats.delta_bounds, stats.fallbacks), (6, 6));
+            assert_eq!((stats.cold_solves, stats.warm_solves), (6, 6));
         }
+    }
 
-        // `WarmStart` keeps no evaluator, so it certifies and counts nothing.
-        let inst = instance(40.0);
-        let mut warm = Replanner::new(ApproxSolver::new(), ReplanStrategy::WarmStart);
-        let (approx, evaluator) = warm.solve_keeping(&inst, None);
-        let caps = approx.fractional.profile.clone();
-        assert!(warm
-            .certify_without(evaluator, &inst, &caps, 0, |_| true)
-            .is_none());
-        assert_eq!((warm.stats().delta_bounds, warm.stats().fallbacks), (0, 0));
+    /// A hinted solve reaches the unhinted solve's value on the same
+    /// instance, within the profile search's tolerance, whatever the
+    /// hint: empty, saturated, lopsided, over budget or the wrong length.
+    #[test]
+    fn hinted_solve_reaches_the_unhinted_value() {
+        for budget in [5.0, 40.0, 400.0] {
+            let inst = instance(budget);
+            let mut rp = Replanner::new(ApproxSolver::new());
+            let cold = rp.solve(&inst, None).fractional.total_accuracy;
+            let d = inst.d_max();
+            let hints = [
+                vec![0.0, 0.0],
+                vec![d, d],
+                vec![d, 0.0],
+                vec![0.0, 0.4 * d],
+                vec![1e3 * d, 1e3 * d],
+                vec![d],
+            ];
+            for caps in hints {
+                let hint = EnergyProfile::new(caps.clone());
+                let warm = rp.solve(&inst, Some(&hint)).fractional.total_accuracy;
+                assert!(
+                    (warm - cold).abs() <= 1e-9 * cold.abs().max(1.0),
+                    "budget {budget} hint {caps:?}: hinted {warm} vs unhinted {cold}"
+                );
+            }
+        }
     }
 }

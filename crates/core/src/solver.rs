@@ -390,21 +390,6 @@ impl FrOptSolver {
     pub fn solve_typed_with(&self, inst: &Instance, ctx: &mut SolverContext) -> FrSolution {
         solve_fr_opt_with(inst, &self.opts, ctx.workspace())
     }
-
-    /// Typed solve warm-started from a caller-supplied profile (e.g. an
-    /// online service's incumbent plan minus dispatched work): skips the
-    /// naive-profile and transfer passes and runs the profile search
-    /// from the hint. Any profile of the right length is a valid hint —
-    /// it is clamped to the horizon and scaled into the budget first —
-    /// and only convergence speed depends on it.
-    pub fn solve_typed_warm_with(
-        &self,
-        inst: &Instance,
-        ctx: &mut SolverContext,
-        warm: &crate::profile::EnergyProfile,
-    ) -> FrSolution {
-        crate::fr_opt::solve_fr_opt_warm_with(inst, &self.opts, ctx.workspace(), warm)
-    }
 }
 
 impl Solver for FrOptSolver {
@@ -471,18 +456,6 @@ impl ApproxSolver {
     /// Typed solve on a reusable context.
     pub fn solve_typed_with(&self, inst: &Instance, ctx: &mut SolverContext) -> ApproxSolution {
         solve_approx_with(inst, &self.opts, ctx.workspace())
-    }
-
-    /// Typed solve with the embedded fractional solve warm-started from
-    /// a caller-supplied profile (see
-    /// [`FrOptSolver::solve_typed_warm_with`]).
-    pub fn solve_typed_warm_with(
-        &self,
-        inst: &Instance,
-        ctx: &mut SolverContext,
-        warm: &crate::profile::EnergyProfile,
-    ) -> ApproxSolution {
-        crate::approx::solve_approx_warm_with(inst, &self.opts, ctx.workspace(), warm)
     }
 }
 

@@ -73,17 +73,6 @@ impl MachinePark {
         });
         idx
     }
-
-    /// Index of the least efficient machine among `subset`, or `None` when
-    /// the subset is empty. Ties break by lower index.
-    pub fn least_efficient_in(&self, subset: &[usize]) -> Option<usize> {
-        subset.iter().copied().min_by(|&a, &b| {
-            self.machines[a]
-                .efficiency()
-                .total_cmp(&self.machines[b].efficiency())
-                .then(a.cmp(&b))
-        })
-    }
 }
 
 impl From<Vec<Machine>> for MachinePark {
@@ -133,18 +122,9 @@ mod tests {
     }
 
     #[test]
-    fn least_efficient_in_subset() {
-        let p = park();
-        assert_eq!(p.least_efficient_in(&[0, 1, 2]), Some(2));
-        assert_eq!(p.least_efficient_in(&[0, 1]), Some(0));
-        assert_eq!(p.least_efficient_in(&[]), None);
-    }
-
-    #[test]
     fn ties_break_by_index() {
         let m = Machine::from_efficiency(1000.0, 30.0).unwrap();
         let p = MachinePark::new(vec![m, m]);
         assert_eq!(p.by_efficiency_desc(), vec![0, 1]);
-        assert_eq!(p.least_efficient_in(&[1, 0]), Some(0));
     }
 }

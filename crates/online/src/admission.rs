@@ -3,16 +3,16 @@
 //!
 //! The gated policies are *value-based*: decisions depend only on the
 //! total planned accuracy of tentative re-solves (with and without the
-//! candidate), never on schedule structure. That keeps warm-started and
-//! cold re-solves agreeing on admissions — the two may land on
-//! different-but-equal-value optima, and a structural criterion would
-//! diverge where a value criterion does not.
+//! candidate), never on schedule structure. That keeps a decision
+//! independent of where a re-solve starts — a warm-started solve and a
+//! cold one may land on different-but-equal-value optima, and a
+//! structural criterion would diverge where a value criterion does not.
 
 use serde::{Deserialize, Serialize};
 
 /// Slack absorbing the (tiny) value drift between warm-started and cold
-/// re-solves, so borderline-free comparisons decide identically on both
-/// paths.
+/// re-solves, so borderline-free comparisons decide identically from
+/// either start.
 pub(crate) const EPS_ADMIT: f64 = 1e-6;
 
 /// Admission policy of an [`crate::OnlineService`].

@@ -17,12 +17,10 @@
 //!   and re-plans the pending pool, which it keeps as the residual
 //!   instance the solver reads and only re-reads at the new time
 //!   ([`dsct_core::residual::ResidualPool`]), through a
-//!   [`dsct_core::replan::Replanner`] — warm-started from the incumbent
-//!   plan's fractional profile under
-//!   [`ReplanStrategy::WarmStart`], or, under `Cold` and
-//!   [`ReplanStrategy::Incremental`] (one path), solved cold with the
+//!   [`dsct_core::replan::Replanner`], warm-started from the incumbent
+//!   plan's fractional profile. A gated arrival is solved with the
 //!   candidate first and admitted without a re-plan of the pool where a
-//!   weak-duality bound certifies the decision;
+//!   weak-duality bound on that solve certifies the decision;
 //! - [`AdmissionPolicy`] — pluggable admission: [`AdmissionPolicy::AdmitAll`],
 //!   [`AdmissionPolicy::RejectIfInfeasible`] (protects the planned
 //!   accuracy of already-admitted tasks), and

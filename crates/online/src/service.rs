@@ -14,13 +14,12 @@
 //! kept as the residual instance itself ([`ResidualPool`]) and a re-plan
 //! only reads it at `now`: deadlines shift to `d_j − now` in place, the
 //! budget shrinks to the ledger's remaining joules, and the re-solve
-//! goes through a [`Replanner`](dsct_core::replan::Replanner) —
-//! warm-started, under [`ReplanStrategy::WarmStart`], from the
-//! incumbent's fractional profile restricted to still-pending tasks;
-//! under [`ReplanStrategy::Cold`] and [`ReplanStrategy::Incremental`]
-//! (one path) a gated arrival is solved with the candidate first, and
-//! the pool is re-planned for the admission baseline only when the
-//! replanner's certificate cannot settle the decision.
+//! goes through a [`Replanner`](dsct_core::replan::Replanner),
+//! warm-started from the incumbent's fractional profile restricted to
+//! still-pending tasks. A gated arrival is solved with the candidate
+//! first, and the pool is re-planned for the admission baseline only
+//! when the replanner's certificate on that solve cannot settle the
+//! decision.
 //!
 //! Machine availability is restored at plan-materialization time: tasks
 //! landing on a still-busy machine are cut at their *absolute* deadline
@@ -106,7 +105,7 @@ pub use dsct_core::replan::{ReplanStats, ReplanStrategy};
 pub struct OnlineConfig {
     /// Admission policy.
     pub policy: AdmissionPolicy,
-    /// Re-solve strategy.
+    /// Re-solve strategy (one path is left, see [`ReplanStrategy`]).
     pub replan: ReplanStrategy,
     /// Multiplicative speed-jitter half-width in `[0, 1)` (the
     /// [`dsct_exec`] model; `0.0` = deterministic nominal speeds).
@@ -121,7 +120,7 @@ impl Default for OnlineConfig {
     fn default() -> Self {
         Self {
             policy: AdmissionPolicy::AdmitAll,
-            replan: ReplanStrategy::WarmStart,
+            replan: ReplanStrategy::Incremental,
             speed_jitter: 0.0,
             jitter_seed: 0,
             overrun: OverrunPolicy::Compress,
@@ -161,11 +160,9 @@ pub struct OnlineSummary {
     /// one per admission a gated policy adopts.
     pub replans: usize,
     /// Solver runs: one per re-plan of the pool plus one per gated
-    /// admission evaluation. Under [`ReplanStrategy::Cold`] and
-    /// [`ReplanStrategy::Incremental`] a gated evaluation the admission
-    /// certificate settles skips the re-plan of the pool, so those
-    /// strategies count fewer solves and replans than
-    /// [`ReplanStrategy::WarmStart`] on the same decisions.
+    /// admission evaluation. A gated evaluation the admission
+    /// certificate settles skips the re-plan of the pool, so it counts
+    /// one solve and one replan.
     pub solves: usize,
     /// Realized total accuracy `Σ_j a_j(work_j)` over **all** arrivals
     /// (rejected/expired/starved tasks contribute their zero-work
@@ -204,9 +201,8 @@ pub struct OnlineReport {
     /// Final ledger state.
     pub ledger: EnergyLedger,
     /// The replanner's path counters (solves, delta bounds, fallbacks).
-    /// Diagnostics only — deliberately outside
-    /// [`OnlineSummary`], so the byte-comparable digest stays identical
-    /// across [`ReplanStrategy`] arms.
+    /// Diagnostics only — deliberately outside [`OnlineSummary`], so
+    /// the byte-comparable digest covers decisions, not solver paths.
     pub replan: ReplanStats,
 }
 
@@ -366,7 +362,7 @@ impl OnlineService {
             return Err(OnlineError::InvalidBudget(budget));
         }
         let m = park.len();
-        let replanner = Replanner::new(ApproxSolver::new(), cfg.replan);
+        let replanner = Replanner::new(ApproxSolver::new());
         Ok(Self {
             cfg,
             ledger: EnergyLedger::new(budget),
@@ -1061,8 +1057,6 @@ impl OnlineService {
     /// `Σ_j a_j(f_j)` over its flop vector, summed in plan order. Read
     /// only while the incumbent is fresh — solved on the pool as it
     /// stands, so plan row `j` is pool row `j` — and `0.0` without one.
-    /// The same plain arithmetic on every strategy, so a decision
-    /// threshold cannot drift between replanner arms.
     fn baseline_value(&self) -> f64 {
         let Some(plan) = self.plan.as_ref() else {
             return 0.0;
@@ -1101,19 +1095,15 @@ impl OnlineService {
     /// against a baseline, and the solved plan is adopted on admission.
     /// A rejected candidate leaves the pool again.
     ///
-    /// Under [`ReplanStrategy::Cold`] and [`ReplanStrategy::Incremental`]
-    /// the test first runs against the replanner's certificate, an upper
-    /// bound on the pool's optimum and so on the baseline. Both gated
-    /// tests only get easier as the baseline falls, so passing at the
-    /// bound proves the exact test passes, and the pool is not re-planned.
-    /// Otherwise — always under [`ReplanStrategy::WarmStart`], whose
-    /// adoption solve starts from the re-planned incumbent — the
+    /// The adoption solve starts from the standing incumbent's hint
+    /// ([`Self::warm_hint`]). The test first runs against the
+    /// replanner's certificate on that solve, an upper bound on the
+    /// pool's optimum and so on the baseline. Both gated tests only get
+    /// easier as the baseline falls, so passing at the bound proves the
+    /// exact test passes, and the pool is not re-planned. Otherwise the
     /// candidate steps out and the pool is re-planned for the exact
     /// baseline, as [`Self::ensure_plan`] does.
     fn decide_and_adopt(&mut self, task: &OnlineTask, policy: AdmissionPolicy) -> Decision {
-        if self.cfg.replan == ReplanStrategy::WarmStart {
-            self.ensure_plan();
-        }
         if self.pool.machine_ids().is_empty() {
             // Every machine is dead: nothing can serve the candidate,
             // so the gated policies turn it away. The pool's re-plan
@@ -1180,8 +1170,8 @@ impl OnlineService {
 
     /// Debug cross-check of a certified admission, with the candidate
     /// stepped out of the pool: the baseline the exact path would compare
-    /// against — the incumbent's value if it is fresh, else a re-plan of
-    /// the pool solved on the side, with the replanner's counters
+    /// against — the incumbent's value if it is fresh, else a cold
+    /// re-solve of the pool on the side, with the replanner's counters
     /// restored — lies under the certified `bound` and passes the
     /// policy's `test`.
     #[cfg(debug_assertions)]
@@ -1300,9 +1290,9 @@ impl OnlineService {
         self.replanner.solve_keeping(self.pool.instance(), warm)
     }
 
-    /// Reads the pool at the current time, solves it — warm-started when
-    /// [`Self::warm_hint`] gives a hint — and adopts the result as the
-    /// incumbent. Returns `false`, adopting nothing, when there is
+    /// Reads the pool at the current time, solves it — warm-started from
+    /// [`Self::warm_hint`] when there is an incumbent — and adopts the
+    /// result as the incumbent. Returns `false`, adopting nothing, when there is
     /// nothing to schedule — no pooled task, or no live machine.
     fn solve_and_adopt_pool(&mut self) -> bool {
         if !self.read_pool() {
@@ -1329,13 +1319,8 @@ impl OnlineService {
     /// deadline order, so one walk pairs them: a planned row is pending
     /// when a pool row of the same deadline carries its id — a failure
     /// remnant re-enters under a new sequence number and still counts.
-    /// `None` unless the strategy is [`ReplanStrategy::WarmStart`], the
-    /// only one that reads a hint (`Cold` and `Incremental` re-solve
-    /// cold by contract), so no other strategy pays this walk.
+    /// `None` without an incumbent.
     fn warm_hint(&self) -> Option<EnergyProfile> {
-        if self.cfg.replan != ReplanStrategy::WarmStart {
-            return None;
-        }
         let plan = self.plan.as_ref()?;
         let fr = &plan.approx.fractional.schedule;
         let rows = self.pool.rows();
@@ -1930,38 +1915,29 @@ mod tests {
         assert_eq!(bulk.summary.solves, 1, "preload must re-plan lazily, once");
     }
 
-    /// The byte-identity contract of the replanner, end to end at the
-    /// service level: under every gated policy, the `Incremental` arm's
-    /// decisions, summary, ledger, and outcomes equal the `Cold` arm's,
-    /// and every gated evaluation is settled by the certificate or by
-    /// the exact baseline, once.
+    /// The replanner's admission contract at the service level: under
+    /// every gated policy each evaluation is settled once, by the
+    /// certificate or by the exact baseline, and the certificate settles
+    /// some of `DegradeToFit`'s. (Debug builds hold every certified
+    /// admission to the exact baseline test inside the service.)
     #[test]
-    fn incremental_runs_are_byte_identical_to_cold() {
+    fn gated_runs_settle_every_evaluation_once() {
         for policy in [
             AdmissionPolicy::RejectIfInfeasible,
             AdmissionPolicy::DegradeToFit,
         ] {
-            let run = |replan: ReplanStrategy| {
-                let cfg = OnlineConfig {
-                    policy,
-                    replan,
-                    ..OnlineConfig::default()
-                };
-                // A lean budget so the policies actually reject some
-                // arrivals, across several timestamps.
-                let mut svc = OnlineService::new(park(), 60.0, cfg).unwrap();
-                for id in 0..8 {
-                    svc.try_submit(&task(id, (id / 2) as f64 * 0.07, 0.6 + id as f64 * 0.05))
-                        .unwrap();
-                }
-                svc.finish()
+            let cfg = OnlineConfig {
+                policy,
+                ..OnlineConfig::default()
             };
-            let cold = run(ReplanStrategy::Cold);
-            let inc = run(ReplanStrategy::Incremental);
-            assert_eq!(cold.decisions, inc.decisions, "policy {policy:?}");
-            assert_eq!(cold.summary, inc.summary, "policy {policy:?}");
-            assert_eq!(cold.ledger, inc.ledger, "policy {policy:?}");
-            let r = inc.replan;
+            // A lean budget so the policies actually reject some
+            // arrivals, across several timestamps.
+            let mut svc = OnlineService::new(park(), 60.0, cfg).unwrap();
+            for id in 0..8 {
+                svc.try_submit(&task(id, (id / 2) as f64 * 0.07, 0.6 + id as f64 * 0.05))
+                    .unwrap();
+            }
+            let r = svc.finish().replan;
             assert_eq!(r.delta_bounds + r.fallbacks, 8, "{policy:?}: {r:?}");
             if policy == AdmissionPolicy::DegradeToFit {
                 assert!(r.delta_bounds > 0, "no evaluation was certified");

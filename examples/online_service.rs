@@ -41,7 +41,6 @@ fn main() {
     // than the zero-work floor the request realizes anyway on rejection.
     let ocfg = OnlineConfig {
         policy: AdmissionPolicy::DegradeToFit,
-        replan: ReplanStrategy::WarmStart,
         ..OnlineConfig::default()
     };
     let mut svc = OnlineService::new(trace.park.clone(), trace.budget, ocfg)

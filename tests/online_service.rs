@@ -20,8 +20,7 @@ use dsct_core::solver::{ApproxSolver, FrOptSolver, SolverContext};
 use dsct_exec::EventKind;
 use dsct_gateway::{replay_gateway, GatewayConfig, QuotaConfig, RebalanceConfig};
 use dsct_online::{
-    replay, AdmissionPolicy, Decision, Disruption, OnlineConfig, OnlineService, ReplanStrategy,
-    ReplayConfig,
+    replay, AdmissionPolicy, Decision, Disruption, OnlineConfig, OnlineService, ReplayConfig,
 };
 use dsct_server::ServerConfig;
 use dsct_workload::{
@@ -54,15 +53,10 @@ fn online_accuracy_never_beats_the_clairvoyant_fr_opt_bound() {
             let bound = FrOptSolver::new()
                 .solve_typed_with(&trace.clairvoyant_instance(), &mut ctx)
                 .total_accuracy;
-            // Cycle policies and replan strategies across seeds so every
-            // combination sees several traces per load factor.
+            // Cycle policies across seeds so every policy sees several
+            // traces per load factor.
             let cfg = OnlineConfig {
                 policy: policies[(seed % 3) as usize],
-                replan: if seed % 2 == 0 {
-                    ReplanStrategy::WarmStart
-                } else {
-                    ReplanStrategy::Cold
-                },
                 ..OnlineConfig::default()
             };
             let rcfg = ReplayConfig {
@@ -72,9 +66,8 @@ fn online_accuracy_never_beats_the_clairvoyant_fr_opt_bound() {
             let report = replay(&trace, &rcfg).expect("zero jitter is valid");
             assert!(
                 report.summary.total_accuracy <= bound + 1e-6,
-                "load {load} seed {seed} {:?}/{:?}: online {} > clairvoyant bound {}",
+                "load {load} seed {seed} {:?}: online {} > clairvoyant bound {}",
                 cfg.policy,
-                cfg.replan,
                 report.summary.total_accuracy,
                 bound
             );
@@ -165,40 +158,6 @@ fn degenerate_all_at_zero_trace_reproduces_offline_approx_bit_exactly() {
 }
 
 #[test]
-fn warm_and_cold_replans_agree_on_decisions_and_accuracy() {
-    for load in [0.4, 1.2] {
-        let trace = generate_arrivals(&arrival_config(36, load), 5150).expect("valid config");
-        let run = |replan: ReplanStrategy| {
-            let cfg = ReplayConfig {
-                online: OnlineConfig {
-                    policy: AdmissionPolicy::DegradeToFit,
-                    replan,
-                    ..OnlineConfig::default()
-                },
-                ..ReplayConfig::default()
-            };
-            replay(&trace, &cfg).expect("zero jitter is valid")
-        };
-        let warm = run(ReplanStrategy::WarmStart);
-        let cold = run(ReplanStrategy::Cold);
-        assert_eq!(
-            warm.decisions, cold.decisions,
-            "load {load}: warm-started and cold replans must admit identically"
-        );
-        // The profile search is a local descent, so warm and cold paths
-        // may settle on different near-equal optima; the values must
-        // stay within a small relative band of each other.
-        let tol = 1e-2 * cold.summary.total_accuracy.abs().max(1.0);
-        assert!(
-            (warm.summary.total_accuracy - cold.summary.total_accuracy).abs() <= tol,
-            "load {load}: warm {} vs cold {} accuracy",
-            warm.summary.total_accuracy,
-            cold.summary.total_accuracy
-        );
-    }
-}
-
-#[test]
 fn jitter_feeds_back_into_the_ledger() {
     let trace = generate_arrivals(&arrival_config(30, 1.0), 31337).expect("valid config");
     let run = |jitter: f64| {
@@ -233,12 +192,14 @@ fn jitter_feeds_back_into_the_ledger() {
     );
 }
 
-/// Recorded before the pending pool became the solver's instance in
-/// place (`cargo test --test online_service pool_replay_digest_is_pinned`,
-/// debug and release agree). A change to how a cell stores, orders or
-/// reads its pool that is meant to keep every decision must leave it
-/// untouched.
-const POOL_REPLAY_PIN: u64 = 0x70e8_7541_c9bf_e438;
+/// Recorded when the re-plan path became one: every re-solve
+/// warm-started from the incumbent, every gated arrival certified against
+/// its own adoption solve (`cargo test --test online_service
+/// pool_replay_digest_is_pinned`, debug and release agree). The
+/// `AdmitAll` arms fold as they did before; the `DegradeToFit` arms
+/// moved on purpose. A change to how a cell stores, orders or reads its
+/// pool that is meant to keep every decision must leave it untouched.
+const POOL_REPLAY_PIN: u64 = 0x748e_92a2_ad42_57a7;
 
 fn fold_bytes(mut h: u64, bytes: &[u8]) -> u64 {
     for chunk in bytes.chunks(8) {
@@ -339,66 +300,61 @@ fn single_cell_digest(
 }
 
 /// The decisions of single-cell and sharded replays, folded into one
-/// `u64` and compared with the value recorded before the pool became the
-/// solver's instance: `{AdmitAll, DegradeToFit} × {WarmStart,
-/// Incremental}`, each replayed undisturbed on one cell, on one cell
-/// with machine failures and a degradation, and through the gateway with
-/// a shard kill, its recovery and tenant rebalancing, on tick-snapped
-/// arrivals whose deadlines tie.
+/// `u64` and compared with the recorded value: `{AdmitAll, DegradeToFit}`
+/// on the one re-plan path, each replayed undisturbed on one cell, on one
+/// cell with machine failures and a degradation, and through the gateway
+/// with a shard kill, its recovery and tenant rebalancing, on
+/// tick-snapped arrivals whose deadlines tie.
 #[test]
 fn pool_replay_digest_is_pinned() {
     let trace = tick_snapped_trace(4321);
     let mut h = 0u64;
     let (mut remnants, mut rejections, mut drains, mut moves) = (0, 0, 0, 0);
     for policy in [AdmissionPolicy::AdmitAll, AdmissionPolicy::DegradeToFit] {
-        for replan in [ReplanStrategy::WarmStart, ReplanStrategy::Incremental] {
-            let online = OnlineConfig {
-                policy,
-                replan,
-                ..OnlineConfig::default()
-            };
-            for disrupt in [false, true] {
-                let (digest, r, rej) = single_cell_digest(&trace, online, disrupt);
-                h = fold_bytes(h, digest.as_bytes());
-                remnants += r;
-                rejections += rej;
-            }
-            let cfg = GatewayConfig {
-                server: ServerConfig {
-                    replay: ReplayConfig {
-                        online,
-                        shards: 3,
-                        workers: 1,
-                    },
-                    ..ServerConfig::default()
-                },
-                queue_capacity: 8,
-                quota: QuotaConfig {
-                    enabled: false,
-                    ..QuotaConfig::default()
-                },
-                rebalance: RebalanceConfig {
-                    enabled: true,
-                    enter_ratio: 1.5,
-                    exit_ratio: 1.0,
-                    min_pending: 2,
-                    max_moves_per_flush: 2,
-                },
-            };
-            let plan =
-                ShardChaosPlan::kill_recover(4321, trace.horizon(), 3, 1, 0.2 * trace.horizon());
-            let report = replay_gateway(&trace, &cfg, &plan, 1).expect("gateway replay");
-            h = fold_bytes(h, report.digest().as_bytes());
-            drains += report.core.server.drains.len();
-            moves += report.core.server.moves.len();
-            rejections += report
-                .core
-                .server
-                .decisions
-                .iter()
-                .filter(|d| d.2 == Decision::Rejected)
-                .count();
+        let online = OnlineConfig {
+            policy,
+            ..OnlineConfig::default()
+        };
+        for disrupt in [false, true] {
+            let (digest, r, rej) = single_cell_digest(&trace, online, disrupt);
+            h = fold_bytes(h, digest.as_bytes());
+            remnants += r;
+            rejections += rej;
         }
+        let cfg = GatewayConfig {
+            server: ServerConfig {
+                replay: ReplayConfig {
+                    online,
+                    shards: 3,
+                    workers: 1,
+                },
+                ..ServerConfig::default()
+            },
+            queue_capacity: 8,
+            quota: QuotaConfig {
+                enabled: false,
+                ..QuotaConfig::default()
+            },
+            rebalance: RebalanceConfig {
+                enabled: true,
+                enter_ratio: 1.5,
+                exit_ratio: 1.0,
+                min_pending: 2,
+                max_moves_per_flush: 2,
+            },
+        };
+        let plan = ShardChaosPlan::kill_recover(4321, trace.horizon(), 3, 1, 0.2 * trace.horizon());
+        let report = replay_gateway(&trace, &cfg, &plan, 1).expect("gateway replay");
+        h = fold_bytes(h, report.digest().as_bytes());
+        drains += report.core.server.drains.len();
+        moves += report.core.server.moves.len();
+        rejections += report
+            .core
+            .server
+            .decisions
+            .iter()
+            .filter(|d| d.2 == Decision::Rejected)
+            .count();
     }
 
     assert!(remnants > 0, "no failure remnant was re-dispatched");

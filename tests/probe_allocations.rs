@@ -13,7 +13,7 @@
 use dsct_core::algo_naive::{NaiveSolver, PriceBlocks, ValueCheckpoint};
 use dsct_core::algo_refine::refine_profile_in;
 use dsct_core::profile::naive_profile;
-use dsct_core::replan::{ReplanStrategy, Replanner};
+use dsct_core::replan::Replanner;
 use dsct_core::residual::ResidualPool;
 use dsct_core::solver::ApproxSolver;
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
@@ -57,7 +57,7 @@ fn allocated_bytes() -> u64 {
 /// caps and price it — ten times over, after one warm-up: zero bytes too.
 /// Then ten line searches' worth of what one does beside the incumbent:
 /// step the caps, anchor a probe checkpoint there, price it and read the
-/// ray's slope. Last, an `Incremental` replanner solves the instance ten
+/// ray's slope. Last, a replanner solves the instance ten
 /// times: after two warm-up rounds, the ten admission certificates on
 /// those solves' evaluators (all three prices tried, as a rejecting test
 /// makes them) allocate zero bytes. And after one warm-up
@@ -162,7 +162,7 @@ fn steady_state_delta_probes_allocate_nothing() {
     // The admission certificate of ten pools, each the instance without
     // one task: the solves run first (a solve allocates its solution), and
     // only the certificates, which return every buffer, are metered.
-    let mut rp = Replanner::new(ApproxSolver::new(), ReplanStrategy::Incremental);
+    let mut rp = Replanner::new(ApproxSolver::new());
     let mut certify_round = |metered: bool| {
         let solved: Vec<_> = (0..10).map(|_| rp.solve_keeping(&inst, None)).collect();
         let before = allocated_bytes();

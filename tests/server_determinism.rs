@@ -17,7 +17,7 @@
 //! the door (typed errors) rather than panic or go non-deterministic.
 
 use dsct_ea::chaos::ShardKillPlan;
-use dsct_ea::online::{OnlineError, ReplanStrategy, ReplayConfig};
+use dsct_ea::online::{AdmissionPolicy, Decision, OnlineError, ReplayConfig};
 use dsct_ea::server::{replay_sharded, ScheduleServer, ServerConfig};
 use dsct_ea::workload::{
     generate_arrivals, ArrivalConfig, ArrivalTrace, MachineConfig, OnlineTask, TaskConfig,
@@ -82,33 +82,38 @@ fn server_reports_are_byte_identical_across_worker_counts() {
     }
 }
 
-/// The incremental replanner is invisible in every report digest: for
-/// each seed and worker count, a sharded replay under
-/// `ReplanStrategy::Incremental` must digest byte-identically to the
-/// cold pipeline — `Cold` and `Incremental` run the one certified
-/// admission path, so nothing a digest covers may differ.
+/// Gated cells digest identically across worker counts too: under
+/// `DegradeToFit` every arrival is a warm adoption solve, certified on
+/// its own evaluator or settled by a re-plan of the pool, and nothing a
+/// digest covers may depend on which worker finished the cell.
 #[test]
-fn incremental_shards_digest_identically_to_cold() {
-    let strategy_config = |workers: usize, replan: ReplanStrategy| {
+fn gated_shards_digest_identically_across_worker_counts() {
+    let gated_config = |workers: usize| {
         let mut cfg = server_config(workers);
-        cfg.replay.online.replan = replan;
+        cfg.replay.online.policy = AdmissionPolicy::DegradeToFit;
         cfg
     };
     for seed in SEEDS {
-        let t = trace(seed);
-        for &w in &WORKER_COUNTS {
-            let cold = replay_sharded(&t, &strategy_config(w, ReplanStrategy::Cold), &empty_plan())
-                .expect("valid replay");
-            let inc = replay_sharded(
-                &t,
-                &strategy_config(w, ReplanStrategy::Incremental),
-                &empty_plan(),
-            )
-            .expect("valid replay");
+        // A fifth of the budget, so the gate has arrivals to turn away.
+        let mut t = trace(seed);
+        t.budget *= 0.2;
+        let reports: Vec<_> = WORKER_COUNTS
+            .iter()
+            .map(|&w| replay_sharded(&t, &gated_config(w), &empty_plan()).expect("valid replay"))
+            .collect();
+        assert!(
+            reports[0]
+                .decisions
+                .iter()
+                .any(|d| d.2 == Decision::Rejected),
+            "seed {seed}: the gate rejected nothing"
+        );
+        let digest = reports[0].digest();
+        for (w, report) in WORKER_COUNTS.iter().zip(&reports).skip(1) {
             assert_eq!(
-                cold.digest(),
-                inc.digest(),
-                "seed {seed} workers {w}: incremental digest drifted from cold"
+                digest,
+                report.digest(),
+                "seed {seed}: gated workers 1 vs {w} diverged"
             );
         }
     }
