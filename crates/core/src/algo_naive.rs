@@ -51,6 +51,7 @@ use crate::profile::EnergyProfile;
 use crate::schedule::FractionalSchedule;
 use crate::soa::{ScratchArena, SegmentLanes};
 use crate::EPS_TIME;
+use dsct_machines::MachinePark;
 
 /// Output of `ComputeNaiveSolution`.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,21 +100,24 @@ fn collect_segments_into(inst: &Instance, segs: &mut Vec<SegmentSpec>) {
 ///
 /// It owns copies of everything it reads, so it borrows nothing: one
 /// build serves a whole cold solve — the naive stage, the descent, the
-/// finisher — and, in the replanner, outlives the solve to price the
-/// adopted plan for the admission certificate ([`crate::fr_dual`]). It answers
-/// for the instance it was built from and no other.
+/// finisher — and the admission certificate that prices the adopted plan
+/// ([`crate::fr_dual`]). It answers for one instance and no other: the
+/// one [`NaiveSolver::new_in`] built it from, or, for the evaluator a
+/// [`crate::residual::ResidualPool`] keeps in step with its rows, the
+/// pool's instance as of its last read.
 #[derive(Debug, Clone)]
 pub struct NaiveSolver {
     /// The positive-gain segments in slope-descending processing order,
     /// as contiguous SoA lanes — what every probe walks (see
     /// [`crate::soa`]).
-    lanes: SegmentLanes,
+    pub(crate) lanes: SegmentLanes,
     /// Machine speeds by index, hoisted out of the per-probe loops.
-    speeds: Vec<f64>,
-    base_accuracy: f64,
+    pub(crate) speeds: Vec<f64>,
+    /// `Σ_j a_j(0)` over the tasks in task order.
+    pub(crate) base_accuracy: f64,
     /// Task deadlines in task (EDF) order, cached for the Δ-probe's
     /// affected-suffix search.
-    deadlines: Vec<f64>,
+    pub(crate) deadlines: Vec<f64>,
 }
 
 /// Counters of value-function evaluations, kept by a
@@ -503,18 +507,72 @@ impl NaiveSolver {
         let lanes = SegmentLanes::build_in(&segments, &order, arena);
         arena.put_specs(segments);
         arena.put_usize(order);
-        let machines = inst.machines();
-        let mut speeds = arena.take_f64();
-        speeds.extend((0..machines.len()).map(|r| machines[r].speed()));
-        let base_accuracy = inst.total_min_accuracy();
         let mut deadlines = arena.take_f64();
         deadlines.extend((0..inst.num_tasks()).map(|j| inst.task(j).deadline));
-        Self {
+        let mut solver = Self {
             lanes,
-            speeds,
-            base_accuracy,
+            speeds: arena.take_f64(),
+            base_accuracy: inst.total_min_accuracy(),
             deadlines,
+        };
+        solver.set_speeds(inst.machines());
+        solver
+    }
+
+    /// The evaluator of no task over `machines`, allocated outside any
+    /// arena: where a [`crate::residual::ResidualPool`]'s starts.
+    pub(crate) fn for_park(machines: &MachinePark) -> Self {
+        let mut solver = Self {
+            lanes: SegmentLanes::default(),
+            speeds: Vec::new(),
+            base_accuracy: 0.0,
+            deadlines: Vec::new(),
+        };
+        solver.set_speeds(machines);
+        solver
+    }
+
+    /// Writes the speeds of `machines` in place.
+    pub(crate) fn set_speeds(&mut self, machines: &MachinePark) {
+        self.speeds.clear();
+        self.speeds
+            .extend((0..machines.len()).map(|r| machines[r].speed()));
+    }
+
+    /// Panics unless `self` and `reference` hold the same evaluator bit
+    /// for bit: the lanes' task, width and slope, the speeds, the
+    /// deadlines and the base accuracy.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn assert_same_bits(&self, reference: &Self, at: f64) {
+        fn bits(v: &[f64]) -> Vec<u64> {
+            v.iter().map(|x| x.to_bits()).collect()
         }
+        assert_eq!(self.lanes.task, reference.lanes.task, "lane tasks at {at}");
+        assert_eq!(
+            bits(&self.lanes.width),
+            bits(&reference.lanes.width),
+            "lane widths at {at}"
+        );
+        assert_eq!(
+            bits(&self.lanes.slope),
+            bits(&reference.lanes.slope),
+            "lane slopes at {at}"
+        );
+        assert_eq!(
+            bits(&self.speeds),
+            bits(&reference.speeds),
+            "speeds at {at}"
+        );
+        assert_eq!(
+            bits(&self.deadlines),
+            bits(&reference.deadlines),
+            "deadlines at {at}"
+        );
+        assert_eq!(
+            self.base_accuracy.to_bits(),
+            reference.base_accuracy.to_bits(),
+            "base accuracy at {at}"
+        );
     }
 
     /// Returns every buffer of a [`NaiveSolver::new_in`]-built solver to

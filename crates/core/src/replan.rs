@@ -8,10 +8,14 @@
 //! Every full re-solve runs one pipeline: when the caller supplies a hint
 //! (the incumbent plan's surviving fractional profile) the profile search
 //! starts from it, otherwise the cold pipeline runs. Either way the solve
-//! runs on one evaluator the replanner builds for the instance and hands
-//! back ([`Replanner::solve_keeping`]), so a gated admission is certified
-//! against the very solve it would adopt. [`ReplanStrategy`] keeps its one
-//! variant so configurations that name it keep working.
+//! runs on the caller's evaluator ([`Replanner::solve_on`]): an online
+//! cell's [`crate::residual::ResidualPool`] keeps the evaluator of its
+//! rows in step with them, so the replanner builds none, and a gated
+//! admission is certified on the very evaluator of the solve it would
+//! adopt. Only [`Replanner::solve`] and [`Replanner::solve_uncounted`],
+//! the offline and reference solves, build one per call
+//! ([`NaiveSolver::new_in`]). [`ReplanStrategy`] keeps its one variant so
+//! configurations that name it keep working.
 //!
 //! No result is cached: between two solves of a live cell the remaining
 //! budget or the clock moves, so a key on the residual's exact bits
@@ -26,7 +30,7 @@
 //! bound on the pool's optimum `V*(P)` therefore stands in for the
 //! baseline when the test passes at the bound. [`Replanner::certify_without`]
 //! gets one from the adoption solve of `P ∪ {c}`: it checkpoints the
-//! adopted profile on the solve's own evaluator, prices it
+//! adopted profile on the evaluator that solve ran on, prices it
 //! ([`PriceBlocks`]), and evaluates the weak-duality bound of
 //! [`crate::fr_dual`] with the candidate left out, at each block's lower,
 //! upper and middle price in turn. A bound the caller's test rejects
@@ -102,12 +106,6 @@ impl ReplanStats {
     }
 }
 
-/// The evaluator a full solve built for its instance, handed back by
-/// [`Replanner::solve_keeping`] so [`Replanner::certify_without`] can
-/// price the adopted plan without building another.
-#[derive(Debug)]
-pub struct SolvedEvaluator(NaiveSolver);
-
 /// The unified re-solve engine: owns the [`ApproxSolver`] and the
 /// reusable [`SolverContext`]. [`crate::residual`] callers
 /// (`dsct-online`'s service, every `dsct-server` shard cell) go through
@@ -139,25 +137,28 @@ impl Replanner {
         self.ctx.probe_stats()
     }
 
-    /// Full re-solve of `inst`, warm-started from `warm` when given.
+    /// Full re-solve of `inst`, warm-started from `warm` when given, on an
+    /// evaluator built for it and returned to the context's arena after.
     pub fn solve(&mut self, inst: &Instance, warm: Option<&EnergyProfile>) -> ApproxSolution {
-        let (approx, evaluator) = self.solve_keeping(inst, warm);
-        self.release(evaluator);
+        let evaluator = NaiveSolver::new_in(inst, self.ctx.workspace().arena_mut());
+        let approx = self.solve_on(&evaluator, inst, warm);
+        evaluator.recycle(self.ctx.workspace().arena_mut());
         approx
     }
 
-    /// [`Replanner::solve`], also handing back the evaluator the solve
-    /// ran on. Give it to [`Replanner::certify_without`] or to
-    /// [`Replanner::release`]. When the solver's
+    /// [`Replanner::solve`] on the caller's `evaluator`, which must be
+    /// `inst`'s; certify the result on the same one
+    /// ([`Replanner::certify_without`]). When the solver's
     /// [`SolverOptions::check_invariants`](crate::solver::SolverOptions::check_invariants)
     /// is on, the result first goes through the invariant oracle
     /// ([`Claims::approx`]), which panics with a pinpointed report and
     /// dumps the instance as `online-residual` on a violation.
-    pub fn solve_keeping(
+    pub fn solve_on(
         &mut self,
+        evaluator: &NaiveSolver,
         inst: &Instance,
         warm: Option<&EnergyProfile>,
-    ) -> (ApproxSolution, SolvedEvaluator) {
+    ) -> ApproxSolution {
         self.stats.requests += 1;
         if warm.is_some() {
             self.stats.warm_solves += 1;
@@ -165,18 +166,12 @@ impl Replanner {
             self.stats.cold_solves += 1;
         }
         let ws = self.ctx.workspace();
-        let solver = NaiveSolver::new_in(inst, ws.arena_mut());
-        let approx = crate::approx::solve_approx_in(&solver, inst, &self.solver.opts, warm, ws);
+        let approx = crate::approx::solve_approx_in(evaluator, inst, &self.solver.opts, warm, ws);
         if self.solver.common.check_invariants {
             let sol = Solution::from_approx(inst, approx.clone());
             oracle::enforce(inst, &sol, &Claims::approx(), "online-residual");
         }
-        (approx, SolvedEvaluator(solver))
-    }
-
-    /// Returns a solve's evaluator to the context's arena.
-    pub fn release(&mut self, evaluator: SolvedEvaluator) {
-        evaluator.0.recycle(self.ctx.workspace().arena_mut());
+        approx
     }
 
     /// A cold solve of `inst` that moves no counter: the replan and
@@ -191,20 +186,19 @@ impl Replanner {
 
     /// The admission certificate (see the module docs): an upper bound
     /// on the optimum of `inst` without task `skip`, plus a relative slop
-    /// for rounding, from the prices of the plan `evaluator`'s solve of
-    /// `inst` realized at `caps` (one cap per machine). Tries each block's lower, upper and
-    /// middle price and returns the first bound `settles` accepts;
-    /// `None` when none does. Consumes the evaluator; allocates nothing
-    /// on a warm context.
+    /// for rounding, from the prices of the plan solved on `solver`,
+    /// `inst`'s evaluator, realized at `caps` (one cap per machine).
+    /// Tries each block's lower, upper and middle price and returns the
+    /// first bound `settles` accepts; `None` when none does. Allocates
+    /// nothing on a warm context.
     pub fn certify_without(
         &mut self,
-        evaluator: SolvedEvaluator,
+        solver: &NaiveSolver,
         inst: &Instance,
         caps: &[f64],
         skip: usize,
         settles: impl Fn(f64) -> bool,
     ) -> Option<f64> {
-        let solver = evaluator.0;
         let ws = self.ctx.workspace();
         let mut chk = ValueCheckpoint::new_in(ws.arena_mut());
         let mut prices = PriceBlocks::new_in(ws.arena_mut());
@@ -213,7 +207,7 @@ impl Replanner {
         solver.price_blocks_into(ws, &chk, &mut prices);
         let bound = [0.0, 1.0, 0.5].into_iter().find_map(|t| {
             prices.task_prices_into(solver.deadlines(), t, &mut lambda);
-            let ub = dual_bound(&solver, inst, &lambda, Some(skip), None, ws.arena_mut());
+            let ub = dual_bound(solver, inst, &lambda, Some(skip), None, ws.arena_mut());
             let ub = ub + CERT_SLOP * (1.0 + ub.abs());
             settles(ub).then_some(ub)
         });
@@ -221,7 +215,6 @@ impl Replanner {
         chk.recycle(arena);
         prices.recycle(arena);
         arena.put_f64(lambda);
-        solver.recycle(arena);
         match bound {
             Some(_) => self.stats.delta_bounds += 1,
             None => self.stats.fallbacks += 1,
@@ -274,11 +267,12 @@ mod tests {
                     .solve(&pool, None)
                     .fractional
                     .total_accuracy;
+                let evaluator = NaiveSolver::new(&inst);
                 for warm in [None, Some(&hint)] {
-                    let (approx, evaluator) = rp.solve_keeping(&inst, warm);
+                    let approx = rp.solve_on(&evaluator, &inst, warm);
                     let caps = approx.fractional.profile.clone();
                     let bound = rp
-                        .certify_without(evaluator, &inst, &caps, skip, |_| true)
+                        .certify_without(&evaluator, &inst, &caps, skip, |_| true)
                         .expect("an accepting test settles on the first price");
                     assert!(
                         bound >= optimum,
@@ -286,15 +280,14 @@ mod tests {
                         warm.is_some()
                     );
                     // A test no bound passes settles nothing.
-                    let (_, evaluator) = rp.solve_keeping(&inst, warm);
                     assert!(rp
-                        .certify_without(evaluator, &inst, &caps, skip, |_| false)
+                        .certify_without(&evaluator, &inst, &caps, skip, |_| false)
                         .is_none());
                 }
             }
             let stats = rp.stats();
             assert_eq!((stats.delta_bounds, stats.fallbacks), (6, 6));
-            assert_eq!((stats.cold_solves, stats.warm_solves), (6, 6));
+            assert_eq!((stats.cold_solves, stats.warm_solves), (3, 3));
         }
     }
 

@@ -54,7 +54,7 @@ use crate::ledger::EnergyLedger;
 use dsct_accuracy::PwlAccuracy;
 use dsct_core::problem::Instance;
 use dsct_core::profile::EnergyProfile;
-use dsct_core::replan::{Replanner, SolvedEvaluator};
+use dsct_core::replan::Replanner;
 use dsct_core::residual::{PoolRow, ResidualPool};
 use dsct_core::solver::ApproxSolver;
 use dsct_core::EPS_TIME;
@@ -1116,7 +1116,7 @@ impl OnlineService {
         let read = self.read_pool();
         assert!(read, "the candidate is live and a machine is alive");
         let warm = self.warm_hint();
-        let (approx, evaluator) = self.solve_pool(warm.as_ref());
+        let approx = self.solve_pool(warm.as_ref());
         self.solves += 1;
         let rows = self.pool.rows().to_vec();
         let jc = rows
@@ -1129,7 +1129,7 @@ impl OnlineService {
         let cand_floor = task.accuracy.a_min();
         let test = |baseline| policy.decide(baseline, tentative, tentative_cand, cand_floor);
         let certified = self.replanner.certify_without(
-            evaluator,
+            self.pool.evaluator(),
             inst,
             &approx.fractional.profile,
             jc,
@@ -1265,8 +1265,9 @@ impl OnlineService {
 
     /// Reads the pool at the current time under the ledger's remaining
     /// budget; `false` when there is nothing to schedule — no pooled
-    /// task, or no live machine. Debug builds hold every read to the
-    /// reference builder.
+    /// task, or no live machine. Debug builds hold every read, and the
+    /// evaluator the pool keeps in step with it, to the reference
+    /// builders.
     fn read_pool(&mut self) -> bool {
         let read = self
             .pool
@@ -1275,19 +1276,18 @@ impl OnlineService {
         #[cfg(debug_assertions)]
         if read {
             self.pool.assert_matches_reference(self.now);
+            self.pool.assert_evaluator_matches_reference(self.now);
         }
         read
     }
 
     /// Runs the pool as last read through the replanner's full-solve
-    /// path (which holds the result to the invariant oracle when its
-    /// solver's `check_invariants` is on). The solve's evaluator comes
-    /// back for the caller to certify with, or to release.
-    fn solve_pool(
-        &mut self,
-        warm: Option<&EnergyProfile>,
-    ) -> (dsct_core::approx::ApproxSolution, SolvedEvaluator) {
-        self.replanner.solve_keeping(self.pool.instance(), warm)
+    /// path, on the evaluator the pool keeps (the replanner holds the
+    /// result to the invariant oracle when its solver's
+    /// `check_invariants` is on).
+    fn solve_pool(&mut self, warm: Option<&EnergyProfile>) -> dsct_core::approx::ApproxSolution {
+        self.replanner
+            .solve_on(self.pool.evaluator(), self.pool.instance(), warm)
     }
 
     /// Reads the pool at the current time, solves it — warm-started from
@@ -1299,8 +1299,7 @@ impl OnlineService {
             return false;
         }
         let warm = self.warm_hint();
-        let (approx, evaluator) = self.solve_pool(warm.as_ref());
-        self.replanner.release(evaluator);
+        let approx = self.solve_pool(warm.as_ref());
         self.adopt(Plan {
             time: self.now,
             rows: self.pool.rows().to_vec(),

@@ -3,9 +3,10 @@
 //! price-block build, nor a line search's priced probes, nor a
 //! replanner's admission certificate, nor a task-level
 //! refinement pass, nor an evaluator build and its recycle touch the
-//! allocator. Neither does an online cell's pending pool when it is read
-//! at a new time or dispatches a task; an admission allocates exactly
-//! its curve's clone.
+//! allocator. Neither does an online cell's pending pool, which keeps its
+//! rows' evaluator in step with them, when it is read at a new time or
+//! dispatches a task; an admission allocates exactly its curve's clone,
+//! and a certificate on the pool's evaluator nothing.
 //!
 //! This file holds exactly one test: the allocator below counts for the
 //! whole process, so a second test running beside it would be counted too.
@@ -58,8 +59,8 @@ fn allocated_bytes() -> u64 {
 /// Then ten line searches' worth of what one does beside the incumbent:
 /// step the caps, anchor a probe checkpoint there, price it and read the
 /// ray's slope. Last, a replanner solves the instance ten
-/// times: after two warm-up rounds, the ten admission certificates on
-/// those solves' evaluators (all three prices tried, as a rejecting test
+/// times on the evaluator: after two warm-up rounds, the ten admission
+/// certificates on it (all three prices tried, as a rejecting test
 /// makes them) allocate zero bytes. And after one warm-up
 /// on the workspace's arena, three refinement passes from the naive
 /// solution allocate zero bytes. Last, after a few warm-up cycles, ten
@@ -68,7 +69,9 @@ fn allocated_bytes() -> u64 {
 /// reverse deadline order and merged by one warm-up read: ten reads at
 /// later times and ten dispatches allocate zero bytes, and, after one
 /// warm-up admission ahead of every row, each of three admissions
-/// allocates exactly its curve's clone and its next read nothing.
+/// allocates exactly its curve's clone and its next read, which merges
+/// the admission's keyed segments into the pool's evaluator, nothing.
+/// Last, a certificate on the pool's evaluator allocates zero bytes.
 #[test]
 fn steady_state_delta_probes_allocate_nothing() {
     let cfg = InstanceConfig {
@@ -164,13 +167,11 @@ fn steady_state_delta_probes_allocate_nothing() {
     // only the certificates, which return every buffer, are metered.
     let mut rp = Replanner::new(ApproxSolver::new());
     let mut certify_round = |metered: bool| {
-        let solved: Vec<_> = (0..10).map(|_| rp.solve_keeping(&inst, None)).collect();
+        let solved: Vec<_> = (0..10).map(|_| rp.solve_on(&solver, &inst, None)).collect();
         let before = allocated_bytes();
-        for (k, (approx, evaluator)) in solved.into_iter().enumerate() {
+        for (k, approx) in solved.iter().enumerate() {
             let bound =
-                rp.certify_without(evaluator, &inst, &approx.fractional.profile, k * 9, |_| {
-                    false
-                });
+                rp.certify_without(&solver, &inst, &approx.fractional.profile, k * 9, |_| false);
             assert!(std::hint::black_box(bound).is_none());
         }
         if metered {
@@ -271,4 +272,23 @@ fn steady_state_delta_probes_allocate_nothing() {
             "the read merging an admission touched the allocator"
         );
     }
+
+    // A re-plan on the pool's own evaluator, as a gated admission runs
+    // it: the solve allocates its solution (and APPROX's own scratch),
+    // the certificate on it nothing.
+    let approx = rp.solve_on(pool.evaluator(), pool.instance(), None);
+    let before = allocated_bytes();
+    let bound = rp.certify_without(
+        pool.evaluator(),
+        pool.instance(),
+        &approx.fractional.profile,
+        0,
+        |_| false,
+    );
+    assert!(std::hint::black_box(bound).is_none());
+    assert_eq!(
+        allocated_bytes() - before,
+        0,
+        "a certificate on the pool's evaluator touched the allocator"
+    );
 }
