@@ -127,10 +127,10 @@ pub fn run(cfg: &StagedExpConfig, threads: usize) -> StagedExpResult {
                         .solve_with(&inst, ctx)
                         .expect("staged solve succeeds on generated instances");
                     let n = inst.num_tasks() as f64;
-                    let acc = sol.total_accuracy / n;
-                    let ub = sol.upper_bound.expect("approx certifies a bound") / n;
+                    let acc = sol.total_accuracy(&inst) / n;
+                    let ub = sol.upper_bound().expect("approx certifies a bound") / n;
                     let frac = if inst.budget() > 0.0 {
-                        sol.energy / inst.budget()
+                        sol.energy(&inst) / inst.budget()
                     } else {
                         0.0
                     };

@@ -171,9 +171,9 @@ fn every_staged_corpus_instance_round_trips_and_passes_every_solver_family() {
         // The staged solution can never beat the lowered fractional
         // optimum (selected-point upper bound).
         assert!(
-            staged_sol.total_accuracy <= fr.total_accuracy + 1e-9,
+            staged_sol.total_accuracy(&inst) <= fr.total_accuracy + 1e-9,
             "{name} ({label}): staged {} beats FR-OPT {}",
-            staged_sol.total_accuracy,
+            staged_sol.total_accuracy(&inst),
             fr.total_accuracy
         );
     }
@@ -201,9 +201,9 @@ fn zero_slack_precedence_corpus_instance_fills_its_deadline_exactly() {
         task.deadline
     );
     assert!(
-        (sol.total_accuracy - 0.8).abs() < 1e-9,
+        (sol.total_accuracy(&inst) - 0.8).abs() < 1e-9,
         "full work reaches a_max, got {}",
-        sol.total_accuracy
+        sol.total_accuracy(&inst)
     );
 }
 

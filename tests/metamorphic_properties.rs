@@ -243,13 +243,13 @@ proptest! {
         let staged_sol = StagedApproxSolver::checked().solve(&staged).unwrap();
         let flat_sol = Solver::solve(&ApproxSolver::new(), &flat).unwrap();
         prop_assert!(
-            (staged_sol.total_accuracy - flat_sol.total_accuracy).abs() <= 1e-9,
+            (staged_sol.total_accuracy(&staged) - flat_sol.total_accuracy).abs() <= 1e-9,
             "collapse drift: staged {} vs flat {}",
-            staged_sol.total_accuracy, flat_sol.total_accuracy
+            staged_sol.total_accuracy(&staged), flat_sol.total_accuracy
         );
         prop_assert!(
-            (staged_sol.energy - flat_sol.energy).abs() <= 1e-9 * (1.0 + flat.budget()),
-            "energy drift: staged {} vs flat {}", staged_sol.energy, flat_sol.energy
+            (staged_sol.energy(&staged) - flat_sol.energy).abs() <= 1e-9 * (1.0 + flat.budget()),
+            "energy drift: staged {} vs flat {}", staged_sol.energy(&staged), flat_sol.energy
         );
         for j in 0..flat.num_tasks() {
             let staged_work: f64 = staged_sol.stage_work[j].iter().sum();
@@ -280,12 +280,12 @@ fn single_stage_collapse_reproduces_the_flat_solution_bit_for_bit() {
         let staged_sol = StagedApproxSolver::checked().solve(&staged).unwrap();
         let flat_sol = Solver::solve(&ApproxSolver::new(), &flat).unwrap();
         assert_eq!(
-            staged_sol.total_accuracy.to_bits(),
+            staged_sol.total_accuracy(&staged).to_bits(),
             flat_sol.total_accuracy.to_bits(),
             "seed {seed}: accuracy drifted"
         );
         assert_eq!(
-            staged_sol.energy.to_bits(),
+            staged_sol.energy(&staged).to_bits(),
             flat_sol.energy.to_bits(),
             "seed {seed}: energy drifted"
         );
@@ -314,9 +314,9 @@ fn stage_splitting_never_improves_the_optimum() {
             let fr = solve_fr_checked(&lowered, "metamorphic/stage-split/fr");
             let tol = 1e-6 * value_scale(&lowered);
             assert!(
-                staged_sol.total_accuracy <= fr.total_accuracy + tol,
+                staged_sol.total_accuracy(&staged) <= fr.total_accuracy + tol,
                 "seed {seed} depth {depth}: staged {} beats the fractional bound {}",
-                staged_sol.total_accuracy,
+                staged_sol.total_accuracy(&staged),
                 fr.total_accuracy,
             );
         }
@@ -347,13 +347,13 @@ fn adding_a_dominated_operating_point_changes_nothing() {
         let a = StagedApproxSolver::checked().solve(&lean).unwrap();
         let b = StagedApproxSolver::checked().solve(&fat).unwrap();
         assert_eq!(
-            a.total_accuracy.to_bits(),
-            b.total_accuracy.to_bits(),
+            a.total_accuracy(&lean).to_bits(),
+            b.total_accuracy(&fat).to_bits(),
             "seed {seed}: accuracy changed"
         );
         assert_eq!(
-            a.energy.to_bits(),
-            b.energy.to_bits(),
+            a.energy(&lean).to_bits(),
+            b.energy(&fat).to_bits(),
             "seed {seed}: energy changed"
         );
         assert_eq!(

@@ -210,9 +210,8 @@ fn violated_precedence_edge_is_flagged() {
         .next()
         .expect("a β=0.5 chain instance runs some predecessor stage");
     sol.schedule.placement_mut(j, v).start = 0.0;
-    // Keep the reported aggregates truthful so the precedence breach is
-    // the seeded defect (moving a start changes no duration, hence no
-    // work, accuracy, or energy).
+    // The work vector stays truthful, so the precedence breach is the
+    // seeded defect (moving a start changes no duration, hence no work).
     let vs = staged_violations(&inst, &sol);
     assert!(
         vs.iter().any(|w| matches!(
@@ -223,19 +222,15 @@ fn violated_precedence_edge_is_flagged() {
         "expected PrecedenceViolated on task {j} stage {v} pred {u}, got {vs:?}"
     );
     assert!(
-        !vs.iter().any(|w| matches!(
-            w,
-            StagedViolation::AccuracyMismatch { .. }
-                | StagedViolation::EnergyMismatch { .. }
-                | StagedViolation::WorkMismatch { .. }
-        )),
-        "aggregates stayed truthful; only timing may be flagged: {vs:?}"
+        !vs.iter()
+            .any(|w| matches!(w, StagedViolation::WorkMismatch { .. })),
+        "the work vector stayed truthful; only timing may be flagged: {vs:?}"
     );
 }
 
 /// Staged mutant B: a solver that runs a stage at an operating point the
 /// machine's catalog does not contain (an out-of-range index). The
-/// staged oracle must flag `UnknownOperatingPoint` with the offending
+/// staged oracle must flag `OffSelectedPoint` with the offending
 /// indices.
 #[test]
 fn non_catalog_operating_point_is_flagged() {
@@ -253,11 +248,141 @@ fn non_catalog_operating_point_is_flagged() {
     assert!(
         vs.iter().any(|w| matches!(
             w,
-            StagedViolation::UnknownOperatingPoint { task, stage, point, .. }
+            StagedViolation::OffSelectedPoint { task, stage, point, .. }
                 if *task == j && *stage == v && *point == bogus
         )),
-        "expected UnknownOperatingPoint on task {j} stage {v} point {bogus}, got {vs:?}"
+        "expected OffSelectedPoint on task {j} stage {v} point {bogus}, got {vs:?}"
     );
+}
+
+/// Staged mutant C: a solver that stretches one running stage far past
+/// its task's deadline and the whole budget. The projection onto the
+/// lowered instance carries the task-level deadline and the budget, so
+/// the flat oracle's verdicts come back wrapped in `Projected`.
+#[test]
+fn stretched_stage_overspends_the_projection() {
+    let inst = staged_instance();
+    let mut sol = StagedApproxSolver::unchecked().solve(&inst).unwrap();
+    let (j, v) = running_stage(&inst, &sol);
+    let p = sol.schedule.placement(j, v);
+    let power = inst.park().get(p.machine).unwrap().selected().power();
+    let d_max = inst.tasks().last().unwrap().deadline;
+    sol.schedule.placement_mut(j, v).duration += d_max + inst.budget() / power;
+    let vs = staged_violations(&inst, &sol);
+    assert!(
+        vs.iter().any(|w| matches!(
+            w,
+            StagedViolation::Projected(Violation::Infeasible(Feas::DeadlineExceeded {
+                task,
+                machine,
+                ..
+            })) if *task == j && *machine == p.machine
+        )),
+        "expected a projected deadline overflow on task {j} machine {}, got {vs:?}",
+        p.machine
+    );
+    assert!(
+        vs.iter().any(|w| matches!(
+            w,
+            StagedViolation::Projected(Violation::Infeasible(Feas::BudgetExceeded { .. }))
+        )),
+        "expected a projected budget overrun, got {vs:?}"
+    );
+}
+
+/// Staged mutant D: a solver that runs a stage at a valid catalog point
+/// the lowering did not select (a dominated one), keeping its work vector
+/// truthful. The projection prices every placement at the selected point,
+/// so the staged layer must flag the membership breach.
+#[test]
+fn dominated_catalog_point_is_flagged() {
+    let inst = staged_instance();
+    let mut sol = StagedApproxSolver::unchecked().solve(&inst).unwrap();
+    let (j, v) = running_stage(&inst, &sol);
+    let machine = sol.schedule.placement(j, v).machine;
+    let dvfs = inst.park().get(machine).unwrap();
+    let dominated = (0..dvfs.num_points())
+        .find(|&p| p != dvfs.selected_index())
+        .expect("the staged config adds dominated points");
+    sol.schedule.placement_mut(j, v).point = dominated;
+    sol.stage_work[j][v] = sol.schedule.work(&inst, j, v);
+    let vs = staged_violations(&inst, &sol);
+    assert!(
+        vs.iter().any(|w| matches!(
+            w,
+            StagedViolation::OffSelectedPoint { task, stage, point, .. }
+                if *task == j && *stage == v && *point == dominated
+        )),
+        "expected OffSelectedPoint on task {j} stage {v} point {dominated}, got {vs:?}"
+    );
+}
+
+/// Staged mutant E: a solver that moves a task's second stage onto the
+/// other machine, into the idle time after that machine's last placement
+/// and inside the stage's own window, shortened so that neither its work
+/// nor its energy grows. Every staged check still holds — the schedule
+/// is feasible as timed stages — but the task now runs on two machines,
+/// which the flat model's single assignment forbids.
+#[test]
+fn stage_moved_to_another_machine_is_a_split_task() {
+    let inst = staged_instance();
+    let mut sol = StagedApproxSolver::unchecked().solve(&inst).unwrap();
+    let sched = &sol.schedule;
+    // Where each machine's last placement ends.
+    let busy_until: Vec<f64> = (0..inst.num_machines())
+        .map(|r| {
+            sched
+                .placements()
+                .iter()
+                .flatten()
+                .filter(|p| p.machine == r && p.duration > 1e-9)
+                .map(|p| p.finish())
+                .fold(0.0, f64::max)
+        })
+        .collect();
+    let (j, to, start, duration) = (0..inst.num_tasks())
+        .filter(|&j| inst.task(j).num_stages() > 1)
+        .find_map(|j| {
+            let p = sched.placement(j, 1);
+            let (from, to) = (inst.park().get(p.machine)?.selected(), 1 - p.machine);
+            let target = inst.park().get(to)?.selected();
+            let start = p.start.max(busy_until[to]);
+            let duration = (p.finish() - start)
+                .min(p.duration * from.power() / target.power())
+                .min(p.duration * from.speed() / target.speed());
+            (duration > 0.5 * p.duration).then_some((j, to, start, duration))
+        })
+        .expect("some second stage ends after the other machine's last placement");
+    let from = sol.schedule.placement(j, 1).machine;
+    *sol.schedule.placement_mut(j, 1) = dsct_core::staged::StagePlacement {
+        machine: to,
+        point: inst.park().get(to).unwrap().selected_index(),
+        start,
+        duration,
+    };
+    sol.stage_work[j][1] = sol.schedule.work(&inst, j, 1);
+    sol.schedule
+        .validate(&inst)
+        .unwrap_or_else(|vs| panic!("the moved stage must stay feasible as a timed stage: {vs:?}"));
+    let vs = staged_violations(&inst, &sol);
+    let mut machines = vec![from, to];
+    machines.sort_unstable();
+    assert_eq!(
+        vs,
+        vec![StagedViolation::Projected(Violation::Infeasible(
+            Feas::SplitTask { task: j, machines }
+        ))],
+        "expected only the projected single-assignment breach on task {j}"
+    );
+}
+
+/// The first stage of the staged instance's solution that runs for a
+/// while.
+fn running_stage(inst: &dsct_core::staged::StagedInstance, sol: &StagedSolution) -> (usize, usize) {
+    (0..inst.num_tasks())
+        .flat_map(|j| (0..inst.task(j).num_stages()).map(move |v| (j, v)))
+        .find(|&(j, v)| sol.schedule.placement(j, v).duration > 1e-6)
+        .expect("some stage runs")
 }
 
 /// Mutant 5: an "approximation" whose certified fractional upper bound
