@@ -86,14 +86,6 @@ pub const ALL_FAMILIES: [ModelFamily; 4] = [
     AUTOSLIM_RESNET50,
 ];
 
-/// Looks up a built-in family by its catalog name (e.g. `"ofa-resnet50"`).
-pub fn find_family(name: &str) -> Result<&'static ModelFamily, AccuracyError> {
-    ALL_FAMILIES
-        .iter()
-        .find(|fam| fam.name == name)
-        .ok_or_else(|| AccuracyError::UnknownFamily(name.to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,15 +100,6 @@ mod tests {
             assert!((p.f_max() - fam.f_max_gflops).abs() < 1e-9);
         }
         Ok(())
-    }
-
-    #[test]
-    fn find_family_resolves_known_and_rejects_unknown() {
-        assert_eq!(find_family("ofa-resnet50"), Ok(&OFA_RESNET50));
-        assert_eq!(
-            find_family("ofa-resnet999"),
-            Err(AccuracyError::UnknownFamily("ofa-resnet999".to_string()))
-        );
     }
 
     #[test]

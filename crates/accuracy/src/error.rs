@@ -26,8 +26,6 @@ pub enum AccuracyError {
     AccuracyOutOfRange { target: f64, a_min: f64, a_max: f64 },
     /// Invalid scalar parameter (θ, cutoff, scale factor, …).
     InvalidParameter { name: &'static str, value: f64 },
-    /// No built-in [`crate::catalog::ModelFamily`] carries the given name.
-    UnknownFamily(String),
 }
 
 impl fmt::Display for AccuracyError {
@@ -80,9 +78,6 @@ impl fmt::Display for AccuracyError {
             ),
             AccuracyError::InvalidParameter { name, value } => {
                 write!(f, "invalid parameter {name} = {value}")
-            }
-            AccuracyError::UnknownFamily(name) => {
-                write!(f, "no model family named {name:?} in the built-in catalog")
             }
         }
     }

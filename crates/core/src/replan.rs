@@ -12,9 +12,8 @@
 //! cell's [`crate::residual::ResidualPool`] keeps the evaluator of its
 //! rows in step with them, so the replanner builds none, and a gated
 //! admission is certified on the very evaluator of the solve it would
-//! adopt. Only [`Replanner::solve`] and [`Replanner::solve_uncounted`],
-//! the offline and reference solves, build one per call
-//! ([`NaiveSolver::new_in`]). [`ReplanStrategy`] keeps its one variant so
+//! adopt. Only [`Replanner::solve_uncounted`], the reference solve,
+//! builds one per call. [`ReplanStrategy`] keeps its one variant so
 //! configurations that name it keep working.
 //!
 //! No result is cached: between two solves of a live cell the remaining
@@ -65,7 +64,7 @@ pub enum ReplanStrategy {
 /// Counters of everything a [`Replanner`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ReplanStats {
-    /// Full-solve requests ([`Replanner::solve`] calls).
+    /// Full-solve requests ([`Replanner::solve_on`] calls).
     pub requests: u64,
     /// Requests solved without a hint (the cold pipeline).
     pub cold_solves: u64,
@@ -137,17 +136,9 @@ impl Replanner {
         self.ctx.probe_stats()
     }
 
-    /// Full re-solve of `inst`, warm-started from `warm` when given, on an
-    /// evaluator built for it and returned to the context's arena after.
-    pub fn solve(&mut self, inst: &Instance, warm: Option<&EnergyProfile>) -> ApproxSolution {
-        let evaluator = NaiveSolver::new_in(inst, self.ctx.workspace().arena_mut());
-        let approx = self.solve_on(&evaluator, inst, warm);
-        evaluator.recycle(self.ctx.workspace().arena_mut());
-        approx
-    }
-
-    /// [`Replanner::solve`] on the caller's `evaluator`, which must be
-    /// `inst`'s; certify the result on the same one
+    /// Full re-solve of `inst`, warm-started from `warm` when given, on
+    /// the caller's `evaluator`, which must be `inst`'s; certify the
+    /// result on the same one
     /// ([`Replanner::certify_without`]). When the solver's
     /// [`SolverOptions::check_invariants`](crate::solver::SolverOptions::check_invariants)
     /// is on, the result first goes through the invariant oracle
@@ -264,7 +255,7 @@ mod tests {
                 pool.remove(skip);
                 let pool = Instance::new(pool, park(), budget).unwrap();
                 let optimum = Replanner::new(ApproxSolver::new())
-                    .solve(&pool, None)
+                    .solve_uncounted(&pool)
                     .fractional
                     .total_accuracy;
                 let evaluator = NaiveSolver::new(&inst);
@@ -299,7 +290,11 @@ mod tests {
         for budget in [5.0, 40.0, 400.0] {
             let inst = instance(budget);
             let mut rp = Replanner::new(ApproxSolver::new());
-            let cold = rp.solve(&inst, None).fractional.total_accuracy;
+            let evaluator = NaiveSolver::new(&inst);
+            let cold = rp
+                .solve_on(&evaluator, &inst, None)
+                .fractional
+                .total_accuracy;
             let d = inst.d_max();
             let hints = [
                 vec![0.0, 0.0],
@@ -311,7 +306,10 @@ mod tests {
             ];
             for caps in hints {
                 let hint = EnergyProfile::new(caps.clone());
-                let warm = rp.solve(&inst, Some(&hint)).fractional.total_accuracy;
+                let warm = rp
+                    .solve_on(&evaluator, &inst, Some(&hint))
+                    .fractional
+                    .total_accuracy;
                 assert!(
                     (warm - cold).abs() <= 1e-9 * cold.abs().max(1.0),
                     "budget {budget} hint {caps:?}: hinted {warm} vs unhinted {cold}"

@@ -8,26 +8,6 @@
 
 use crate::Machine;
 use serde::Serialize;
-use std::fmt;
-
-/// Failure to resolve a name against the static GPU catalog.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CatalogError {
-    /// No catalog entry carries this marketing name.
-    UnknownGpu(String),
-}
-
-impl fmt::Display for CatalogError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CatalogError::UnknownGpu(name) => {
-                write!(f, "no GPU named {name:?} in the NVIDIA server catalog")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CatalogError {}
 
 /// One GPU spec point.
 ///
@@ -178,14 +158,6 @@ pub const NVIDIA_SERVER_GPUS: [GpuSpec; 18] = [
     },
 ];
 
-/// Looks up a catalog entry by marketing name.
-pub fn find_gpu(name: &str) -> Result<&'static GpuSpec, CatalogError> {
-    NVIDIA_SERVER_GPUS
-        .iter()
-        .find(|s| s.name == name)
-        .ok_or_else(|| CatalogError::UnknownGpu(name.to_string()))
-}
-
 /// Ordinary least-squares fit of efficiency (GFLOPS/W) against speed
 /// (TFLOPS) over a set of spec points: `efficiency ≈ slope · tflops +
 /// intercept`. Returns `(slope, intercept, r2)`.
@@ -243,23 +215,21 @@ mod tests {
     }
 
     #[test]
-    fn generational_efficiency_ordering() -> Result<(), CatalogError> {
+    fn generational_efficiency_ordering() {
+        let efficiency = |name: &str| {
+            NVIDIA_SERVER_GPUS
+                .iter()
+                .find(|s| s.name == name)
+                .unwrap_or_else(|| panic!("{name} is in the catalog"))
+                .efficiency()
+        };
         // Each generation is more efficient than Kepler.
-        let k80 = find_gpu("Tesla K80")?.efficiency();
+        let k80 = efficiency("Tesla K80");
         for name in ["Tesla V100", "A100 40GB", "H100 PCIe", "L4"] {
-            assert!(find_gpu(name)?.efficiency() > k80, "{name}");
+            assert!(efficiency(name) > k80, "{name}");
         }
         // Hopper beats Ampere flagship.
-        assert!(find_gpu("H100 PCIe")?.efficiency() > find_gpu("A100 80GB")?.efficiency());
-        Ok(())
-    }
-
-    #[test]
-    fn find_gpu_rejects_unknown_names() {
-        assert_eq!(
-            find_gpu("GTX 9999"),
-            Err(CatalogError::UnknownGpu("GTX 9999".to_string()))
-        );
+        assert!(efficiency("H100 PCIe") > efficiency("A100 80GB"));
     }
 
     #[test]

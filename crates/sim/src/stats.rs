@@ -2,7 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Mean / standard deviation / extrema of a sample, built incrementally.
+/// Mean / extrema of a sample, built incrementally (the second moment
+/// `m2` is kept and serialized with it).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SummaryStats {
     count: u64,
@@ -49,26 +50,6 @@ impl SummaryStats {
         self.max = self.max.max(v);
     }
 
-    /// Merges another accumulator (parallel reduction).
-    pub fn merge(&mut self, other: &SummaryStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -80,15 +61,6 @@ impl SummaryStats {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Sample standard deviation (n − 1 denominator; 0 below two samples).
-    pub fn std_dev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count as f64 - 1.0)).sqrt()
         }
     }
 
@@ -113,8 +85,6 @@ mod tests {
         let s = SummaryStats::of(&xs);
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        // Sample std of this classic dataset: sqrt(32/7).
-        assert!((s.std_dev() - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }
@@ -124,34 +94,7 @@ mod tests {
         let s = SummaryStats::new();
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
         let s = SummaryStats::of(&[3.5]);
         assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.std_dev(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..50).map(|i| (i as f64).sin() * 10.0).collect();
-        let whole = SummaryStats::of(&xs);
-        let mut a = SummaryStats::of(&xs[..17]);
-        let b = SummaryStats::of(&xs[17..]);
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-12);
-        assert!((a.std_dev() - whole.std_dev()).abs() < 1e-12);
-        assert_eq!(a.min(), whole.min());
-        assert_eq!(a.max(), whole.max());
-    }
-
-    #[test]
-    fn merge_with_empty() {
-        let mut a = SummaryStats::of(&[1.0, 2.0]);
-        a.merge(&SummaryStats::new());
-        assert_eq!(a.count(), 2);
-        let mut e = SummaryStats::new();
-        e.merge(&a);
-        assert_eq!(e.count(), 2);
-        assert!((e.mean() - 1.5).abs() < 1e-12);
     }
 }
