@@ -29,7 +29,7 @@
 //! there — the greedy's per-task takes included — and
 //! [`NaiveSolver::value_delta`] evaluates `V` at that incumbent with ≤ 3
 //! caps changed, recomputing only what the change can reach. Step 3
-//! ([`NaiveSolver::solution_at`], the waterfill) materializes every
+//! (`NaiveSolver::solution_at`, the waterfill) materializes every
 //! adopted schedule from a checkpoint's recorded takes, so a schedule
 //! carries exactly the work its checkpoint's prices certify;
 //! [`NaiveSolver::solution_under`] anchors that checkpoint first, and
@@ -206,7 +206,7 @@ pub struct ValueCheckpoint {
     /// Work the bucket greedy gave each task on the way to `value`,
     /// kept so neither pricing the incumbent
     /// ([`NaiveSolver::price_blocks_into`]) nor materializing its schedule
-    /// ([`NaiveSolver::solution_at`]) walks the lanes again.
+    /// (`NaiveSolver::solution_at`) walks the lanes again.
     work: Vec<f64>,
     /// `V(caps)` as evaluated by the bucket greedy.
     value: f64,
@@ -452,6 +452,48 @@ impl PriceBlocks {
         }
         best
     }
+
+    /// Upper bound on `V(p′) − V(p)` (before [`PriceBlocks::slop`]) for a
+    /// *finite* move of ≤ 3 caps away from the priced incumbent `p`, one
+    /// `(s_r, p_r, p′_r)` entry per moved machine: weak duality at the
+    /// extreme optimal duals [`PriceBlocks::low`] and
+    /// [`PriceBlocks::high`], the smaller of the two. `+∞` when the set
+    /// is uncertifiable or the move touches more than three caps.
+    ///
+    /// With `Y` an optimal dual (0 past the last block) and `D_k` block
+    /// `k`'s closing deadline, `V(p′) − V(p) ≤ Σ_k (Y_k − Y_{k+1})·ΔC(D_k)`,
+    /// `ΔC(D) = Σ_r s_r·(min(p′_r, D) − min(p_r, D))`. Per machine, the
+    /// blocks at or beyond `max(p_r, p′_r)` telescope to `s_r·(p′_r −
+    /// p_r)·Y_{k1}`, those at or below `min(p_r, p′_r)` see nothing, and
+    /// only the window strictly between the two caps — the deadlines the
+    /// step crosses — adds terms of its own. Dropping the window and
+    /// minimizing over every optimal dual gives
+    /// [`PriceBlocks::gain_bound`]; the window is what sees a source cap
+    /// passing a tight prefix, or a sink saturating at a deadline, inside
+    /// the step.
+    pub fn step_bound(&self, moves: &[(f64, f64, f64)]) -> f64 {
+        if !self.certifiable || moves.len() > 3 {
+            return f64::INFINITY;
+        }
+        self.step_bound_at(&self.lo, moves)
+            .min(self.step_bound_at(&self.hi, moves))
+    }
+
+    /// [`PriceBlocks::step_bound`] at the one chain-feasible dual `y`.
+    fn step_bound_at(&self, y: &[f64], moves: &[(f64, f64, f64)]) -> f64 {
+        let price = |k: usize| y.get(k).copied().unwrap_or(0.0);
+        let mut bound = 0.0;
+        for &(speed, cap, new_cap) in moves {
+            let (lo, hi) = (cap.min(new_cap), cap.max(new_cap));
+            let k0 = self.deadline.partition_point(|&d| d <= lo);
+            let k1 = k0 + self.deadline[k0..].partition_point(|&d| d < hi);
+            bound += speed * (new_cap - cap) * price(k1);
+            for (k, &d) in (k0..k1).zip(&self.deadline[k0..k1]) {
+                bound += (price(k) - price(k + 1)) * speed * (new_cap.min(d) - cap.min(d));
+            }
+        }
+        bound
+    }
 }
 
 impl Default for ValueFnWorkspace {
@@ -617,7 +659,7 @@ impl NaiveSolver {
     /// two-pointer pass covers all tasks. The value comes from the bucket
     /// greedy, so it is fp-consistent with every subsequent
     /// [`NaiveSolver::value_delta`] against this checkpoint, and its
-    /// recorded takes are the work [`NaiveSolver::solution_at`]
+    /// recorded takes are the work `NaiveSolver::solution_at`
     /// waterfills.
     pub fn checkpoint_into(
         &self,
@@ -913,7 +955,7 @@ impl NaiveSolver {
 
     /// Algorithm 2's steps 2–3 under `profile`: a checkpoint anchored at
     /// its caps (drawn from the workspace's arena; it counts no probe),
-    /// then [`NaiveSolver::solution_at`] on it.
+    /// then `NaiveSolver::solution_at` on it.
     pub fn solution_under(
         &self,
         ws: &mut ValueFnWorkspace,

@@ -37,9 +37,9 @@
 //! # The gated sweep
 //!
 //! A sweep scans the ordered pairs `(from, to)` once, in that order. Each
-//! pair passes one gate, and the gate is one rule applied twice: *a
-//! direction matters only if some step of its ray `[0, δ_max]` can clear
-//! the gain tolerance*.
+//! pair passes one gate, and the gate is one rule applied in three
+//! stages: *a direction matters only if some step of its ray `[0, δ_max]`
+//! can clear the gain tolerance*.
 //!
 //! First as a sign test that evaluates nothing. At every anchored
 //! incumbent the search prices Algorithm 2's inner LP once
@@ -53,8 +53,23 @@
 //! the gate is closed without a probe. An incumbent whose prices come out
 //! inconsistent is uncertifiable, and all of its gates are probed.
 //!
-//! Then, for a gate the prices leave open, as one ε-probe at `10⁻³` of the
-//! step limit: by concavity `g(δ) − g(0) ≤ (δ/ε)·(g(ε) − g(0))` for
+//! Then, for a gate the sign test leaves open, the same prices bound what
+//! the last stage measures, `g(ε) − g(0)` at the gate step `ε`, without
+//! evaluating `V`: weak duality over the finite step, counting the block
+//! deadlines the step's caps cross ([`PriceBlocks::step_bound`]). The
+//! sign test's linear bound is this one's slope at `0+` with the
+//! crossings dropped, and the crossings are the kinks inside `(0, ε)` —
+//! a source cap passing a tight prefix, a sink saturating at a deadline
+//! — that turn a ray the sign test sees rising into one the ε-probe
+//! finds falling. When the bound, plus the slop and scaled by
+//! `δ_max/ε`, stays under half the gain tolerance, the ε-probe could not
+//! have opened the gate, and it is closed unprobed. It closes most of the
+//! gates the sign test leaves open, and since it bounds the probe's gain
+//! from above it closes none the probe would have opened: what is
+//! decided does not move.
+//!
+//! Last, for a gate neither bound closes, as one ε-probe at `10⁻³` of
+//! the step limit: by concavity `g(δ) − g(0) ≤ (δ/ε)·(g(ε) − g(0))` for
 //! `δ ≥ ε`, so a gate gain that `δ_max/ε` cannot scale past the gain
 //! tolerance rules out `[ε, δ_max]` (the `(0, ε)` sliver is a heuristic
 //! gap, validated against the LP optimum in the test suite). A pair whose
@@ -62,11 +77,12 @@
 //! tolerance, moves the incumbent before the next pair is looked at.
 //!
 //! A closed gate is one whose line search would have been rejected, so
-//! the certificate changes which evaluations run, never what is decided;
-//! builds with `debug_assertions` probe every closed gate anyway and,
-//! where its ε-step rises, assert that no step of a grid over the range it
-//! ruled out clears the gain tolerance — by `V` alone, without the prices
-//! that closed it. The scan runs on the calling thread: callers that want
+//! the certificates change which evaluations run, never what is decided;
+//! builds with `debug_assertions` probe every closed gate anyway, assert
+//! that a gate the step bound closed fails the ε-probe's test and, where
+//! its ε-step rises, that no step of a grid over the range it ruled out
+//! clears the gain tolerance — by `V` alone, without the prices that
+//! closed it. The scan runs on the calling thread: callers that want
 //! parallelism run many solves at once.
 //!
 //! # The line search
@@ -511,26 +527,70 @@ impl<'s, 'w> Ascent<'s, 'w> {
         }
     }
 
+    /// Whether the incumbent's prices bound the ε-probe's gain under the
+    /// ε-probe's own test: weak duality over the finite step `eps`
+    /// ([`PriceBlocks::step_bound`], the deadlines the step crosses
+    /// counted), plus the slop, scaled by `delta_max/eps`, stays under
+    /// half the gain tolerance; never at an uncertifiable incumbent, whose
+    /// bound is `+∞`. The prices are fresh ([`Ascent::certified`] ran
+    /// first).
+    fn step_certified(&self, dir: &Direction, eps: f64, delta_max: f64) -> bool {
+        let (changed, len) = direction_changed(dir, &self.caps, &self.power, self.d_max, eps);
+        let speeds = self.solver.speeds();
+        let mut moves = [(0.0f64, 0.0f64, 0.0f64); 3];
+        for (slot, &(r, cap)) in moves.iter_mut().zip(&changed[..len]) {
+            *slot = (speeds[r], self.caps[r], cap);
+        }
+        let bound = self.prices.step_bound(&moves[..len]) + self.prices.slop();
+        bound * (delta_max / eps) <= 0.5 * self.gain_tol
+    }
+
+    /// The ε-probe's test: whether `V` at the gate step, scaled by
+    /// concavity to `delta_max`, clears the gain tolerance.
+    fn opens(&self, value: f64, eps: f64, delta_max: f64) -> bool {
+        value > self.current && (value - self.current) * (delta_max / eps) > self.gain_tol
+    }
+
     /// The one gate both sweeps call — *a direction matters only if its
-    /// ray can clear `gain_tol`* — applied twice: first as a sign test on
-    /// the incumbent's dual prices, which costs no evaluation of `V`, and,
-    /// when the prices cannot decide, on one probe at step `eps`: by
-    /// concavity `g(δ) − g(0) ≤ (δ/ε)·(g(ε) − g(0))` for `δ ≥ ε`, so a gate
-    /// gain that `delta_max/eps` cannot scale past `gain_tol` closes
-    /// `[ε, delta_max]` just as a failing gate does.
+    /// ray can clear `gain_tol`* — in three stages, the first two of which
+    /// evaluate nothing: a sign test on the incumbent's dual prices over
+    /// the whole ray; the same prices' finite-step bound on the gate step
+    /// `eps`, held to the ε-probe's test; and, when neither decides, one
+    /// probe at `eps`: by concavity `g(δ) − g(0) ≤ (δ/ε)·(g(ε) − g(0))`
+    /// for `δ ≥ ε`, so a gate gain that `delta_max/eps` cannot scale past
+    /// `gain_tol` closes `[ε, delta_max]` just as a failing gate does. The
+    /// second stage bounds that very gain from above, so it closes a gate
+    /// only where the probe would have.
     fn gate(&mut self, dir: &Direction, eps: f64, delta_max: f64) -> Gate {
+        let closed = Gate {
+            eps,
+            value: f64::NAN,
+            open: false,
+        };
         if self.certified(dir, delta_max) {
             #[cfg(debug_assertions)]
             self.assert_closed(dir, eps, delta_max, None);
-            return Gate {
-                eps,
-                value: f64::NAN,
-                open: false,
-            };
+            return closed;
+        }
+        if self.step_certified(dir, eps, delta_max) {
+            #[cfg(debug_assertions)]
+            {
+                let stats = self.ws.stats;
+                let value = self.probe(dir, eps);
+                assert!(
+                    !self.opens(value, eps, delta_max),
+                    "the step bound closed {dir:?}, whose ε-probe gains {:e} at {eps:e} of \
+                     {delta_max:e}, gain_tol {:e}",
+                    value - self.current,
+                    self.gain_tol
+                );
+                self.assert_closed(dir, eps, delta_max, Some(value));
+                self.ws.stats = stats;
+            }
+            return closed;
         }
         let value = self.probe(dir, eps);
-        let open =
-            value > self.current && (value - self.current) * (delta_max / eps) > self.gain_tol;
+        let open = self.opens(value, eps, delta_max);
         #[cfg(debug_assertions)]
         if !open {
             self.assert_closed(dir, eps, delta_max, Some(value));
@@ -1127,8 +1187,8 @@ mod tests {
     /// Energy moves from `m0` to `m1`.
     const TO_M1: [(usize, f64); 2] = [(0, -1.0), (1, 1.0)];
 
-    /// A ray that rises by `9·10⁻²` per joule until `m1`'s cap crosses the
-    /// steep task's deadline `1` at `10·t` J, then falls at `4.5·10⁻³` per
+    /// A ray that rises by `9·10⁻³` per joule until `m1`'s cap crosses the
+    /// steep task's deadline `1` at `10·t` J, then falls at `8.95·10⁻³` per
     /// joule until `m0`'s cap runs out at 10 J; every deadline stays at or
     /// above `m0`'s cap, so the last piece is priced at 10 J as it falls.
     fn kinked(t: f64) -> (Instance, [f64; 2]) {
@@ -1206,6 +1266,36 @@ mod tests {
             "stopped at {}",
             found.delta
         );
+    }
+
+    /// A ray that rises at `0+` and turns down before the gate step: the
+    /// price sign test leaves its gate open, and the finite-step bound,
+    /// which sees `m1`'s cap cross the steep task's deadline inside the
+    /// step, closes it without a probe, as the ε-probe would have (builds
+    /// with `debug_assertions` probe it inside the gate and check that).
+    #[test]
+    fn a_ray_turning_down_inside_the_gate_step_closes_unprobed() {
+        let (inst, caps) = kinked(1e-5);
+        let solver = NaiveSolver::new(&inst);
+        let mut ws = ValueFnWorkspace::new();
+        let mut ascent = ascent_at(&solver, &inst, &caps, &mut ws);
+        let dm = ascent.step_limit(&TO_M1).expect("the ray has room");
+        let eps = 1e-3 * dm;
+        assert!(
+            !ascent.certified(&TO_M1, dm),
+            "the sign test leaves it open"
+        );
+        let before = ascent.ws.stats;
+        let gate = ascent.gate(&TO_M1, eps, dm);
+        assert_eq!(ascent.ws.stats, before, "closed without a probe");
+        assert!(!gate.open && gate.value.is_nan());
+
+        let kink = 1e-4;
+        assert!(kink < eps, "the kink lies inside (0, ε)");
+        assert!(ascent.probe(&TO_M1, kink) > ascent.current, "the ray rises");
+        let at_eps = ascent.probe(&TO_M1, eps);
+        assert!(at_eps < ascent.current, "and turns down before ε");
+        assert!(!ascent.opens(at_eps, eps, dm), "the ε-probe closes it too");
     }
 
     #[test]

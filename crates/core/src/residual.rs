@@ -32,7 +32,7 @@
 //! pass over the lanes, drops the segments of rows that left (dispatch,
 //! expiry, drain, a popped candidate) and renumbers the surviving ones
 //! to their rows' new places; it sorts the joining rows' segments with
-//! the build's own sort ([`crate::soa::slope_order_into`]) and merges
+//! the build's own sort (`soa::slope_order_into`) and merges
 //! them in from the back, so it moves only the surviving segments that
 //! sort after the first joining one. A read where no row joined or left
 //! touches no lane. It writes the deadlines and the base accuracy as it

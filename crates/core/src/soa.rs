@@ -26,9 +26,9 @@
 //! An online cell's evaluator is not built from the arena at all: its
 //! [`crate::residual::ResidualPool`] owns the lanes and keeps them in step
 //! with its rows. A row's segments are collected once, when it joins
-//! ([`JoiningSegment`]), and each read renumbers the surviving lanes and
-//! merges the new rows' segments in ([`SegmentLanes::renumber_merge`]),
-//! sorted by the build's own sort ([`slope_order_into`]).
+//! (`JoiningSegment`), and each read renumbers the surviving lanes and
+//! merges the new rows' segments in (`SegmentLanes::renumber_merge`),
+//! sorted by the build's own sort (`slope_order_into`).
 
 use crate::algo_single::SegmentSpec;
 
@@ -57,9 +57,14 @@ macro_rules! pool {
             }
         }
 
-        /// Returns a buffer to the pool for reuse.
+        /// Returns a buffer to the pool for reuse. A buffer that never
+        /// held anything is dropped instead: it carries no warm capacity,
+        /// and pooled it would come back out cold to whichever taker
+        /// next finds it on top, ahead of the warm ones beneath it.
         pub fn $put(&mut self, v: Vec<$t>) {
-            self.$field.push(v);
+            if v.capacity() > 0 {
+                self.$field.push(v);
+            }
         }
     };
 }

@@ -1,11 +1,12 @@
 //! The dual certificate behind the profile search's gate (DESIGN.md §9):
 //! [`PriceBlocks`] must hold optimal dual prices of Algorithm 2's inner LP
-//! at whatever caps it is built for, and [`PriceBlocks::gain_bound`] plus
-//! [`PriceBlocks::slop`] must bound `V(p + x) − V(p)` for every move `x`
-//! of at most three caps. Debug builds cross-check every certificate the
-//! search issues; this file holds the same property in whichever profile
-//! it is run (CI runs it in `--release` too), away from optima, and on the
-//! degenerate shapes the search rarely visits.
+//! at whatever caps it is built for, and [`PriceBlocks::gain_bound`] and
+//! [`PriceBlocks::step_bound`], each plus [`PriceBlocks::slop`], must
+//! bound `V(p + x) − V(p)` for every move `x` of at most three caps.
+//! Debug builds cross-check every certificate the search issues; this
+//! file holds the same property in whichever profile it is run (CI runs
+//! it in `--release` too), away from optima, and on the degenerate shapes
+//! the search rarely visits.
 
 use dsct_accuracy::PwlAccuracy;
 use dsct_core::algo_naive::{NaiveSolver, PriceBlocks, ValueCheckpoint};
@@ -156,11 +157,16 @@ fn assert_strong_duality(inst: &Instance, caps: &[f64], label: &str) {
     }
 }
 
-/// (b) at `caps`: `trials` random moves of ≤ 3 caps, none of which may
-/// gain more than the certificate allows.
+/// (b) at `caps`: `trials` random moves of ≤ 3 caps, and half as many
+/// again that carry each moved cap onto, or just past, a block deadline
+/// (across every deadline in between), none of which may gain more than
+/// either certificate allows: the sign test's linear bound
+/// ([`PriceBlocks::gain_bound`]) or the finite-step one
+/// ([`PriceBlocks::step_bound`]).
 fn assert_sound(inst: &Instance, caps: &[f64], rng: &mut ChaCha8Rng, trials: usize, label: &str) {
     let m = inst.num_machines();
     let d_max = inst.d_max();
+    let speed = |r: usize| inst.machines()[r].speed();
     let solver = NaiveSolver::new(inst);
     let mut ws = solver.workspace();
     let (mut chk, mut moved) = (ValueCheckpoint::new(), ValueCheckpoint::new());
@@ -168,35 +174,55 @@ fn assert_sound(inst: &Instance, caps: &[f64], rng: &mut ChaCha8Rng, trials: usi
     let v = solver.checkpoint_into(&mut ws, caps, &mut chk);
     solver.price_blocks_into(&mut ws, &chk, &mut blocks);
     assert!(blocks.is_certifiable(), "{label}: greedy optimum unpriced");
-    for trial in 0..trials {
+    let deadlines = blocks.deadlines().to_vec();
+    for trial in 0..trials + trials / 2 {
+        let crossing = trial >= trials;
         let mut stepped = caps.to_vec();
         let mut moves: Vec<(f64, f64)> = Vec::new();
+        let mut steps: Vec<(f64, f64, f64)> = Vec::new();
         for _ in 0..rng.gen_range(1..=3usize.min(m)) {
             let r = rng.gen_range(0..m);
             if stepped[r] != caps[r] {
                 continue;
             }
-            // Tiny, moderate and to-the-wall steps, either way.
-            let room = if rng.gen_bool(0.5) {
-                d_max - caps[r]
+            let target = if crossing {
+                if deadlines.is_empty() {
+                    continue;
+                }
+                // Onto a block deadline, or a hair or a step to either side.
+                let d = deadlines[rng.gen_range(0..deadlines.len())];
+                d + d_max * [0.0, 1e-9, -1e-9, 1e-3, -1e-3][rng.gen_range(0..5usize)]
             } else {
-                -caps[r]
-            };
-            let x = room
-                * match rng.gen_range(0..4) {
-                    0 => 1e-6,
-                    1 => 1e-3,
-                    2 => rng.gen_range(0.0..1.0),
-                    _ => 1.0,
+                // Tiny, moderate and to-the-wall steps, either way.
+                let room = if rng.gen_bool(0.5) {
+                    d_max - caps[r]
+                } else {
+                    -caps[r]
                 };
-            stepped[r] = (caps[r] + x).clamp(0.0, d_max);
-            moves.push((caps[r], inst.machines()[r].speed() * (stepped[r] - caps[r])));
+                caps[r]
+                    + room
+                        * match rng.gen_range(0..4) {
+                            0 => 1e-6,
+                            1 => 1e-3,
+                            2 => rng.gen_range(0.0..1.0),
+                            _ => 1.0,
+                        }
+            };
+            stepped[r] = target.clamp(0.0, d_max);
+            moves.push((caps[r], speed(r) * (stepped[r] - caps[r])));
+            steps.push((speed(r), caps[r], stepped[r]));
         }
         let gain = solver.checkpoint_into(&mut ws, &stepped, &mut moved) - v;
+        let tol = 1e-12 * scale(inst);
         let bound = blocks.gain_bound(&moves) + blocks.slop();
         assert!(
-            bound >= gain - 1e-12 * scale(inst),
+            bound >= gain - tol,
             "{label} trial {trial}: caps {caps:?} → {stepped:?} gains {gain:e}, certificate {bound:e}"
+        );
+        let step = blocks.step_bound(&steps) + blocks.slop();
+        assert!(
+            step >= gain - tol,
+            "{label} trial {trial}: caps {caps:?} → {stepped:?} gains {gain:e}, step bound {step:e}"
         );
     }
 }
@@ -365,7 +391,9 @@ fn inconsistent_work_is_uncertifiable() {
         solver.price_work_into(&mut ws, &chk, &work, &mut blocks);
         assert!(blocks.is_certifiable(), "seed {seed}: the optimum itself");
         let sink = [(caps[0], 1.0)];
+        let step = [(inst.machines()[0].speed(), caps[0], caps[0] + 1e-3)];
         assert!(blocks.gain_bound(&sink).is_finite());
+        assert!(blocks.step_bound(&step).is_finite());
 
         // Starve the task holding the most work and hand it to nobody: a
         // tight prefix goes slack behind tasks that wanted more.
@@ -382,6 +410,7 @@ fn inconsistent_work_is_uncertifiable() {
             "seed {seed}: starved task {starved}"
         );
         assert_eq!(blocks.gain_bound(&sink), f64::INFINITY);
+        assert_eq!(blocks.step_bound(&step), f64::INFINITY);
 
         // More work than the capacity (or the curve) admits.
         let mut doctored = work.clone();
@@ -397,6 +426,7 @@ fn inconsistent_work_is_uncertifiable() {
         // More than three caps are not a transfer direction.
         solver.price_blocks_into(&mut ws, &chk, &mut blocks);
         assert_eq!(blocks.gain_bound(&[(0.1, 1.0); 4]), f64::INFINITY);
+        assert_eq!(blocks.step_bound(&[(1.0, 0.1, 0.2); 4]), f64::INFINITY);
     }
 }
 

@@ -1,6 +1,6 @@
 //! The SoA/arena contract of the probe path (DESIGN.md §15.1): once a
 //! workspace is warm, neither a `V(p)` Δ-probe, nor a re-anchor with its
-//! price-block build, nor a line search's priced probes, nor a
+//! price-block build and the gate's finite-step bounds on it, nor a line search's priced probes, nor a
 //! replanner's admission certificate, nor a task-level
 //! refinement pass, nor an evaluator build and its recycle touch the
 //! allocator. Neither does an online cell's pending pool, which keeps its
@@ -55,7 +55,8 @@ fn allocated_bytes() -> u64 {
 /// deltas on the `n = 100, m = 10` seed-777 paper instance: after one
 /// warm-up pass over the deltas, 10,000 probes allocate zero bytes. Then
 /// what an accepted transfer costs — re-anchor the checkpoint at moved
-/// caps and price it — ten times over, after one warm-up: zero bytes too.
+/// caps, price it and bound a few finite steps by the prices — ten times
+/// over, after one warm-up: zero bytes too.
 /// Then ten line searches' worth of what one does beside the incumbent:
 /// step the caps, anchor a probe checkpoint there, price it and read the
 /// ray's slope. Last, a replanner solves the instance ten
@@ -116,11 +117,22 @@ fn steady_state_delta_probes_allocate_nothing() {
 
     let mut prices = PriceBlocks::new();
     let mut moved = caps.clone();
+    let speed = |r: usize| inst.machines()[r].speed();
     let mut reanchor = |k: usize| {
         moved[k % m] = caps[k % m] * (0.8 + 0.04 * k as f64);
         solver.checkpoint_into(&mut ws, &moved, &mut chk);
         solver.price_blocks_into(&mut ws, &chk, &mut prices);
         assert!(std::hint::black_box(&prices).is_certifiable());
+        // The gate's finite-step bound at the new anchor, across a few
+        // block deadlines and back.
+        let (from, to) = (k % m, (k + 1) % m);
+        for step in [1e-3, 0.1, 0.5] {
+            let bound = prices.step_bound(&[
+                (speed(from), moved[from], moved[from] * (1.0 - step)),
+                (speed(to), moved[to], moved[to] * (1.0 + step)),
+            ]);
+            assert!(std::hint::black_box(bound).is_finite());
+        }
     };
     reanchor(0);
     let before = allocated_bytes();
@@ -135,7 +147,6 @@ fn steady_state_delta_probes_allocate_nothing() {
     let mut probe_chk = ValueCheckpoint::new();
     let mut probe_prices = PriceBlocks::new();
     let mut probe_caps = Vec::new();
-    let speed = |r: usize| inst.machines()[r].speed();
     let power = |r: usize| inst.machines()[r].power();
     let mut line_search = |k: usize| {
         let (from, to) = (k % m, (k + 1) % m);

@@ -15,7 +15,9 @@
 //! second test holds it from above: the dual-certified gate must decide
 //! at least half of what the parent probed without evaluating `V`. The
 //! third holds the line search: stopping on an envelope certificate must
-//! save at least half of the probes golden section spent.
+//! save at least half of the probes golden section spent. The fourth
+//! holds the gate's finite-step bound: closing ε-gates on the prices must
+//! save at least half of what probing them took.
 
 use dsct_core::solver::FrOptSolver;
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
@@ -47,6 +49,10 @@ const GOLDEN_PROBES: u64 = 13_666;
 
 /// Golden section's line-search probes in [`GOLDEN_PROBES`].
 const GOLDEN_LINE_SEARCH_PROBES: u64 = 81 * 43;
+
+/// The same sum at commit 8d63cc0, the last whose gates probed every
+/// ε-step the price sign test left open.
+const EPS_PROBE_PROBES: u64 = 3_996;
 
 /// `(fold, probes)` of the default `FrOptSolver` over the twelve instances.
 fn trajectory() -> (u64, u64) {
@@ -101,5 +107,14 @@ fn exact_line_search_cuts_the_parents_probes() {
     assert!(
         probes <= bound,
         "{probes} probes on the twelve instances; golden section took {GOLDEN_PROBES}"
+    );
+}
+
+#[test]
+fn step_bound_halves_the_eps_probes() {
+    let (_, probes) = trajectory();
+    assert!(
+        probes <= EPS_PROBE_PROBES / 2,
+        "{probes} probes on the twelve instances; the ε-probing gate took {EPS_PROBE_PROBES}"
     );
 }
