@@ -1,5 +1,6 @@
 //! Chaos plans: deterministic fault-event generation.
 
+use dsct_workload::splitmix64;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -109,13 +110,6 @@ pub struct ChaosPlan {
 /// (and sort after them, letting consumers split base from burst
 /// outcomes by position).
 pub const BURST_ID_BASE: u64 = 1 << 40;
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The per-event RNG: seeded by `(chaos_seed, index)` alone.
 fn event_rng(chaos_seed: u64, index: usize) -> ChaCha8Rng {

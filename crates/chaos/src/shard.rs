@@ -8,6 +8,7 @@
 //! injections plus a drain of the cell's pending pool into the
 //! surviving shards.
 
+use dsct_workload::splitmix64;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -31,13 +32,6 @@ pub struct ShardKillPlan {
     /// Events sorted by `(at, index)`; shards are distinct (a shard
     /// dies at most once per plan).
     pub events: Vec<ShardKillEvent>,
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl ShardKillPlan {

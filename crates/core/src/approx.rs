@@ -19,18 +19,11 @@
 //! load accumulator update the listing omits is restored.
 
 use crate::algo_naive::{NaiveSolver, ValueFnWorkspace};
-use crate::fr_opt::{solve_fr_opt_in, FrOptOptions, FrSolution};
+use crate::fr_opt::{solve_fr_opt_in, FrSolution};
 use crate::problem::Instance;
 use crate::profile::EnergyProfile;
 use crate::schedule::FractionalSchedule;
 use crate::EPS_TIME;
-
-/// Options for the approximation algorithm.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ApproxOptions {
-    /// Options forwarded to the fractional solver.
-    pub fr: FrOptOptions,
-}
 
 /// Result of the approximation algorithm.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,13 +43,9 @@ pub struct ApproxSolution {
 /// embedded fractional solve. This is the implementation
 /// [`crate::solver::ApproxSolver`] — the sole public entry point —
 /// delegates to.
-pub(crate) fn solve_approx_with(
-    inst: &Instance,
-    opts: &ApproxOptions,
-    ws: &mut ValueFnWorkspace,
-) -> ApproxSolution {
+pub(crate) fn solve_approx_with(inst: &Instance, ws: &mut ValueFnWorkspace) -> ApproxSolution {
     let solver = NaiveSolver::new_in(inst, &mut ws.arena);
-    let solution = solve_approx_in(&solver, inst, opts, None, ws);
+    let solution = solve_approx_in(&solver, inst, None, ws);
     solver.recycle(&mut ws.arena);
     solution
 }
@@ -68,11 +57,10 @@ pub(crate) fn solve_approx_with(
 pub(crate) fn solve_approx_in(
     solver: &NaiveSolver,
     inst: &Instance,
-    opts: &ApproxOptions,
     start: Option<&EnergyProfile>,
     ws: &mut ValueFnWorkspace,
 ) -> ApproxSolution {
-    let fractional = solve_fr_opt_in(solver, inst, &opts.fr, start, ws);
+    let fractional = solve_fr_opt_in(solver, inst, start, ws);
     let schedule = assign_from_fractional(inst, &fractional);
     finish(inst, fractional, schedule)
 }
@@ -161,8 +149,8 @@ mod tests {
         PwlAccuracy::new(points).unwrap()
     }
 
-    fn solve(inst: &Instance, opts: &ApproxOptions) -> ApproxSolution {
-        solve_approx_with(inst, opts, &mut ValueFnWorkspace::new())
+    fn solve(inst: &Instance) -> ApproxSolution {
+        solve_approx_with(inst, &mut ValueFnWorkspace::new())
     }
 
     fn instance(budget: f64) -> Instance {
@@ -183,7 +171,7 @@ mod tests {
     fn integral_schedule_is_feasible() {
         for budget in [5.0, 25.0, 80.0, 400.0] {
             let inst = instance(budget);
-            let sol = solve(&inst, &ApproxOptions::default());
+            let sol = solve(&inst);
             sol.schedule
                 .validate(&inst, ScheduleKind::Integral)
                 .unwrap_or_else(|e| panic!("budget {budget}: {e:?}"));
@@ -194,7 +182,7 @@ mod tests {
     fn never_exceeds_fractional_upper_bound() {
         for budget in [5.0, 25.0, 80.0, 400.0] {
             let inst = instance(budget);
-            let sol = solve(&inst, &ApproxOptions::default());
+            let sol = solve(&inst);
             assert!(
                 sol.total_accuracy <= sol.fractional.total_accuracy + 1e-9,
                 "budget {budget}: SOL {} > UB {}",
@@ -207,7 +195,7 @@ mod tests {
     #[test]
     fn assignment_matches_schedule() {
         let inst = instance(50.0);
-        let sol = solve(&inst, &ApproxOptions::default());
+        let sol = solve(&inst);
         for (j, &a) in sol.assignment.iter().enumerate() {
             match a {
                 Some(r) => assert!(sol.schedule.t(j, r) > 0.0),
@@ -226,7 +214,7 @@ mod tests {
             Task::new(1.0, acc(&[(0.0, 0.0), (400.0, 0.5)])),
         ];
         let inst = Instance::new(tasks, park, 20.0).unwrap();
-        let sol = solve(&inst, &ApproxOptions::default());
+        let sol = solve(&inst);
         assert!(
             (sol.total_accuracy - sol.fractional.total_accuracy).abs() < 1e-6,
             "SOL {} vs UB {}",

@@ -13,17 +13,8 @@ use crate::algo_naive::{NaiveSolver, ValueFnWorkspace};
 use crate::algo_refine::refine_profile_in;
 use crate::problem::Instance;
 use crate::profile::{naive_profile, EnergyProfile};
-use crate::profile_search::{profile_search_in, ProfileSearchOptions, ProfileSearchOutcome};
+use crate::profile_search::{profile_search_in, ProfileSearchOutcome};
 use crate::schedule::FractionalSchedule;
-
-/// Options for the fractional solver.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct FrOptOptions {
-    /// Skip all refinement (ablation: naive profile only).
-    pub skip_refine: bool,
-    /// Options for the profile search.
-    pub search: ProfileSearchOptions,
-}
 
 /// Solution of the fractional relaxation.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,10 +32,12 @@ pub struct FrSolution {
     pub profile: Vec<f64>,
     /// Energy consumed by the final solution (J).
     pub energy: f64,
-    /// Refinement iterations performed (0 when skipped).
+    /// Refinement iterations performed (task-level transfers plus the
+    /// profile search's).
     pub refine_iterations: usize,
     /// Profile-search statistics (sweeps, transfers, `V(p)` probe
-    /// counters), `None` when refinement was skipped.
+    /// counters), `None` for a solution no search produced (the
+    /// renewable-supply solver's LP).
     pub search: Option<ProfileSearchOutcome>,
 }
 
@@ -62,13 +55,9 @@ pub struct FrSolution {
 ///
 /// This is the implementation [`crate::solver::FrOptSolver`] — the sole
 /// public entry point — delegates to.
-pub(crate) fn solve_fr_opt_with(
-    inst: &Instance,
-    opts: &FrOptOptions,
-    ws: &mut ValueFnWorkspace,
-) -> FrSolution {
+pub(crate) fn solve_fr_opt_with(inst: &Instance, ws: &mut ValueFnWorkspace) -> FrSolution {
     let solver = NaiveSolver::new_in(inst, &mut ws.arena);
-    let solution = solve_fr_opt_in(&solver, inst, opts, None, ws);
+    let solution = solve_fr_opt_in(&solver, inst, None, ws);
     solver.recycle(&mut ws.arena);
     solution
 }
@@ -86,48 +75,44 @@ pub(crate) fn solve_fr_opt_with(
 /// profile of the right length is valid: the search's exact re-solve and
 /// slack absorption make the result a profile-search optimum regardless
 /// of the start — the hint only shortens the path to it. Wrong-length
-/// hints, and disabled refinement, run the pipeline as without one.
+/// hints run the pipeline as without one.
 pub(crate) fn solve_fr_opt_in(
     solver: &NaiveSolver,
     inst: &Instance,
-    opts: &FrOptOptions,
     start: Option<&EnergyProfile>,
     ws: &mut ValueFnWorkspace,
 ) -> FrSolution {
     let naive = naive_profile(inst);
     let (mut schedule, mut flops);
-    let mut refine_iterations = 0;
-    let mut search = None;
+    let (refine_iterations, search);
 
-    if let Some(hint) = start.filter(|h| h.len() == inst.num_machines() && !opts.skip_refine) {
+    if let Some(hint) = start.filter(|h| h.len() == inst.num_machines()) {
         let start = sanitize_hint(inst, hint);
-        let (_, refined, outcome) = profile_search_in(solver, inst, &start, &opts.search, ws);
+        let (_, refined, outcome) = profile_search_in(solver, inst, &start, ws);
         refine_iterations = outcome.transfers;
-        search = Some(outcome);
+        search = outcome;
         (schedule, flops) = (refined.schedule, refined.flops);
     } else {
         let base = solver.solution_under(ws, &naive);
         (schedule, flops) = (base.schedule, base.flops);
-        if !opts.skip_refine {
-            refine_iterations =
-                refine_profile_in(inst, &mut schedule, &mut flops, &mut ws.arena).iterations;
-            // Start the profile search from the realized loads of the best
-            // schedule so far; its exact re-solve is monotone.
-            let start = EnergyProfile::new(
-                schedule
-                    .profile()
-                    .iter()
-                    .map(|&p| p.min(inst.d_max()))
-                    .collect(),
-            );
-            let before = schedule.total_accuracy(inst);
-            let (_, refined, outcome) = profile_search_in(solver, inst, &start, &opts.search, ws);
-            refine_iterations += outcome.transfers;
-            search = Some(outcome);
-            if refined.schedule.total_accuracy(inst) >= before {
-                schedule = refined.schedule;
-                flops = refined.flops;
-            }
+        let transfers =
+            refine_profile_in(inst, &mut schedule, &mut flops, &mut ws.arena).iterations;
+        // Start the profile search from the realized loads of the best
+        // schedule so far; its exact re-solve is monotone.
+        let start = EnergyProfile::new(
+            schedule
+                .profile()
+                .iter()
+                .map(|&p| p.min(inst.d_max()))
+                .collect(),
+        );
+        let before = schedule.total_accuracy(inst);
+        let (_, refined, outcome) = profile_search_in(solver, inst, &start, ws);
+        refine_iterations = transfers + outcome.transfers;
+        search = outcome;
+        if refined.schedule.total_accuracy(inst) >= before {
+            schedule = refined.schedule;
+            flops = refined.flops;
         }
     }
 
@@ -142,7 +127,7 @@ pub(crate) fn solve_fr_opt_in(
         profile,
         energy,
         refine_iterations,
-        search,
+        search: Some(search),
     }
 }
 
@@ -179,6 +164,7 @@ fn sanitize_hint(inst: &Instance, hint: &EnergyProfile) -> EnergyProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::algo_naive::compute_naive_solution;
     use crate::problem::Task;
     use crate::schedule::ScheduleKind;
     use dsct_accuracy::PwlAccuracy;
@@ -188,8 +174,8 @@ mod tests {
         PwlAccuracy::new(points).unwrap()
     }
 
-    fn solve(inst: &Instance, opts: &FrOptOptions) -> FrSolution {
-        solve_fr_opt_with(inst, opts, &mut ValueFnWorkspace::new())
+    fn solve(inst: &Instance) -> FrSolution {
+        solve_fr_opt_with(inst, &mut ValueFnWorkspace::new())
     }
 
     #[test]
@@ -204,7 +190,7 @@ mod tests {
             Task::new(1.4, acc(&[(0.0, 0.0), (200.0, 0.6), (900.0, 0.82)])),
         ];
         let inst = Instance::new(tasks, park, 40.0).unwrap();
-        let sol = solve(&inst, &FrOptOptions::default());
+        let sol = solve(&inst);
         sol.schedule
             .validate(&inst, ScheduleKind::Fractional)
             .unwrap();
@@ -227,16 +213,13 @@ mod tests {
             Task::new(1.0, acc(&[(0.0, 0.0), (2000.0, 0.5)])),
         ];
         let inst = Instance::new(tasks, park, 25.0).unwrap();
-        let with = solve(&inst, &FrOptOptions::default());
-        let without = solve(
-            &inst,
-            &FrOptOptions {
-                skip_refine: true,
-                ..Default::default()
-            },
-        );
-        assert!(with.total_accuracy >= without.total_accuracy - 1e-9);
-        assert_eq!(without.refine_iterations, 0);
+        let with = solve(&inst);
+        // The naive-only ablation (Fig. 6's baseline) starts from the
+        // profile the cold solve records.
+        let naive = naive_profile(&inst);
+        let without = compute_naive_solution(&inst, &naive);
+        assert!(with.total_accuracy >= without.schedule.total_accuracy(&inst) - 1e-9);
+        assert_eq!(with.naive_profile, naive);
     }
 
     #[test]
@@ -247,7 +230,7 @@ mod tests {
             Task::new(20.0, acc(&[(0.0, 0.1), (200.0, 0.9)])),
         ];
         let inst = Instance::new(tasks, park, 1e9).unwrap();
-        let sol = solve(&inst, &FrOptOptions::default());
+        let sol = solve(&inst);
         assert!(
             (sol.total_accuracy - inst.total_max_accuracy()).abs() < 1e-9,
             "got {}, want {}",

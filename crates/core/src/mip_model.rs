@@ -83,7 +83,7 @@ pub(crate) fn solve_mip_exact_impl(
 mod tests {
     use super::*;
     use crate::algo_naive::ValueFnWorkspace;
-    use crate::fr_opt::{solve_fr_opt_with, FrOptOptions};
+    use crate::fr_opt::solve_fr_opt_with;
     use crate::problem::Task;
     use crate::schedule::ScheduleKind;
     use dsct_accuracy::PwlAccuracy;
@@ -121,11 +121,7 @@ mod tests {
     fn mip_bracketed_by_fractional_bound_and_approx() {
         let inst = small_instance();
         let mip = solve_mip_exact_impl(&inst, &MipOptions::default()).unwrap();
-        let fr = solve_fr_opt_with(
-            &inst,
-            &FrOptOptions::default(),
-            &mut ValueFnWorkspace::new(),
-        );
+        let fr = solve_fr_opt_with(&inst, &mut ValueFnWorkspace::new());
         // The fractional optimum upper-bounds the integral optimum.
         assert!(
             mip.total_accuracy <= fr.total_accuracy + 1e-6,
@@ -144,11 +140,7 @@ mod tests {
         ];
         let inst = Instance::new(tasks, park, 20.0).unwrap();
         let mip = solve_mip_exact_impl(&inst, &MipOptions::default()).unwrap();
-        let fr = solve_fr_opt_with(
-            &inst,
-            &FrOptOptions::default(),
-            &mut ValueFnWorkspace::new(),
-        );
+        let fr = solve_fr_opt_with(&inst, &mut ValueFnWorkspace::new());
         assert_eq!(mip.status, MipStatus::Optimal);
         assert!(
             (mip.total_accuracy - fr.total_accuracy).abs() < 1e-5,

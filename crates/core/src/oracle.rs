@@ -244,46 +244,31 @@ impl Claims {
     }
 }
 
-/// Numeric tolerances of the oracle. Defaults match the tolerances the
-/// existing test suite already holds solvers to.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OracleOptions {
-    /// Agreement tolerance for accuracy/energy (absolute, plus the same
-    /// factor relative): default `1e-9` per the spec.
-    pub agreement_tol: f64,
-    /// KKT gain threshold relative to `Σ_j a_j^max`: a stationarity
-    /// violation is flagged only when the estimated achievable gain
-    /// exceeds `kkt_rel_tol · max(1, Σ_j a_j^max)` — three orders of
-    /// magnitude above the profile search's own convergence tolerance
-    /// (`rel_gain_tol = 1e-10`), so converged solves never trip it.
-    pub kkt_rel_tol: f64,
-    /// Upper-bound / guarantee slack (absolute, plus the same factor
-    /// relative to the bound).
-    pub bound_tol: f64,
-}
+/// Agreement tolerance for accuracy/energy (absolute, plus the same
+/// factor relative).
+const AGREEMENT_TOL: f64 = 1e-9;
 
-impl Default for OracleOptions {
-    fn default() -> Self {
-        Self {
-            agreement_tol: 1e-9,
-            kkt_rel_tol: 1e-6,
-            bound_tol: 1e-6,
-        }
-    }
-}
+/// KKT gain threshold relative to `Σ_j a_j^max`: a stationarity
+/// violation is flagged only when the estimated achievable gain exceeds
+/// `KKT_REL_TOL · max(1, Σ_j a_j^max)` — four orders of magnitude above
+/// the profile search's own convergence tolerance (`REL_GAIN_TOL =
+/// 1e-10`), so converged solves never trip it.
+const KKT_REL_TOL: f64 = 1e-6;
+
+/// Upper-bound / guarantee slack (absolute, plus the same factor
+/// relative to the bound).
+const BOUND_TOL: f64 = 1e-6;
 
 /// The oracle: validates a [`Solution`] against its [`Instance`] under a
-/// set of [`Claims`].
+/// set of [`Claims`], at fixed tolerances (the ones the test suite holds
+/// solvers to).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SolutionOracle {
-    /// Numeric tolerances.
-    pub opts: OracleOptions,
-}
+pub struct SolutionOracle;
 
 impl SolutionOracle {
-    /// Oracle with default tolerances.
+    /// The oracle (it holds no state).
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Runs every applicable check; returns all violations found (empty
@@ -303,7 +288,7 @@ impl SolutionOracle {
 
         // 2. Agreement of the reported scalars with the schedule.
         let recomputed_acc = sol.schedule.total_accuracy(inst);
-        let tol = self.opts.agreement_tol * (1.0 + recomputed_acc.abs());
+        let tol = AGREEMENT_TOL * (1.0 + recomputed_acc.abs());
         if (sol.total_accuracy - recomputed_acc).abs() > tol {
             out.push(Violation::AccuracyMismatch {
                 reported: sol.total_accuracy,
@@ -311,7 +296,7 @@ impl SolutionOracle {
             });
         }
         let recomputed_energy = sol.schedule.energy(inst);
-        let tol = self.opts.agreement_tol * (1.0 + recomputed_energy.abs());
+        let tol = AGREEMENT_TOL * (1.0 + recomputed_energy.abs());
         if (sol.energy - recomputed_energy).abs() > tol {
             out.push(Violation::EnergyMismatch {
                 reported: sol.energy,
@@ -335,7 +320,7 @@ impl SolutionOracle {
 
         // 3. Upper-bound consistency.
         if let Some(ub) = sol.upper_bound {
-            if sol.total_accuracy > ub + self.opts.bound_tol * (1.0 + ub.abs()) {
+            if sol.total_accuracy > ub + BOUND_TOL * (1.0 + ub.abs()) {
                 out.push(Violation::UpperBoundExceeded {
                     accuracy: sol.total_accuracy,
                     upper_bound: ub,
@@ -350,7 +335,7 @@ impl SolutionOracle {
         if claims.approx_guarantee {
             if let Some(ub) = sol.upper_bound {
                 let g = absolute_guarantee(inst);
-                if ub - sol.total_accuracy > g + self.opts.bound_tol * (1.0 + g.abs()) {
+                if ub - sol.total_accuracy > g + BOUND_TOL * (1.0 + g.abs()) {
                     out.push(Violation::GuaranteeViolated {
                         accuracy: sol.total_accuracy,
                         upper_bound: ub,
@@ -402,7 +387,7 @@ impl SolutionOracle {
     /// accuracy it would actually buy — its rate times the transferable
     /// energy, capped by budget slack, EDF deadline slack, and the
     /// distance to the next PWL breakpoint (where the rate changes) —
-    /// exceeds `kkt_rel_tol · max(1, Σ_j a_j^max)`. Because the caps are
+    /// exceeds `KKT_REL_TOL · max(1, Σ_j a_j^max)`. Because the caps are
     /// exact within a PWL segment, a flagged gain is genuinely
     /// achievable: the check admits no false positives. `O(n·m)`.
     fn check_kkt(&self, inst: &Instance, sol: &Solution, out: &mut Vec<Violation>) {
@@ -413,7 +398,7 @@ impl SolutionOracle {
         }
         let sched = &sol.schedule;
         let machines = inst.machines().machines();
-        let gain_tol = self.opts.kkt_rel_tol * inst.total_max_accuracy().max(1.0);
+        let gain_tol = KKT_REL_TOL * inst.total_max_accuracy().max(1.0);
         let slack_tol = EPS_TIME + 1e-9 * inst.d_max().abs();
 
         // Recomputed per-task work (don't trust `sol.flops` here; a

@@ -147,24 +147,13 @@ const REFERENCE_NOISE: f64 = 1e-2;
 #[cfg(debug_assertions)]
 const REFERENCE_GRID: usize = 16;
 
-/// Options for the profile search.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProfileSearchOptions {
-    /// Maximum full sweeps over all machine pairs.
-    pub max_sweeps: usize,
-    /// Minimum accuracy improvement (relative to the instance's maximum
-    /// total accuracy) for a transfer to be applied.
-    pub rel_gain_tol: f64,
-}
+/// Full sweeps over all machine pairs a search may run before it stops
+/// unconverged.
+const MAX_SWEEPS: usize = 64;
 
-impl Default for ProfileSearchOptions {
-    fn default() -> Self {
-        Self {
-            max_sweeps: 64,
-            rel_gain_tol: 1e-10,
-        }
-    }
-}
+/// Minimum accuracy improvement, relative to the instance's maximum total
+/// accuracy, for a transfer to be applied (the search's `gain_tol`).
+const REL_GAIN_TOL: f64 = 1e-10;
 
 /// Statistics of a profile search.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -322,7 +311,6 @@ impl<'s, 'w> Ascent<'s, 'w> {
         inst: &Instance,
         caps: Vec<f64>,
         power: Vec<f64>,
-        opts: &ProfileSearchOptions,
         ws: &'w mut ValueFnWorkspace,
     ) -> Self {
         let mut chk = ValueCheckpoint::new_in(&mut ws.arena);
@@ -340,7 +328,7 @@ impl<'s, 'w> Ascent<'s, 'w> {
             transfers: 0,
             power,
             d_max: inst.d_max(),
-            gain_tol: opts.rel_gain_tol * inst.total_max_accuracy().max(1.0),
+            gain_tol: REL_GAIN_TOL * inst.total_max_accuracy().max(1.0),
             prices,
             prices_stale: true,
             probe_caps,
@@ -776,30 +764,15 @@ impl<'s, 'w> Ascent<'s, 'w> {
 pub fn profile_search(
     inst: &Instance,
     start: &EnergyProfile,
-    opts: &ProfileSearchOptions,
 ) -> (EnergyProfile, NaiveSolution, ProfileSearchOutcome) {
     let mut ws = ValueFnWorkspace::new();
-    profile_search_with(inst, start, opts, &mut ws)
-}
-
-/// [`profile_search`] probing through a caller-owned workspace, so its
-/// buffers (and allocation cost) amortize across many solves — one
-/// workspace per worker thread in the experiment engine. The reported
-/// [`ProfileSearchOutcome::probe_stats`] cover this solve only; the
-/// workspace's own counters keep accumulating across solves.
-pub fn profile_search_with(
-    inst: &Instance,
-    start: &EnergyProfile,
-    opts: &ProfileSearchOptions,
-    ws: &mut ValueFnWorkspace,
-) -> (EnergyProfile, NaiveSolution, ProfileSearchOutcome) {
     let solver = NaiveSolver::new_in(inst, &mut ws.arena);
-    let found = profile_search_in(&solver, inst, start, opts, ws);
+    let found = profile_search_in(&solver, inst, start, &mut ws);
     solver.recycle(&mut ws.arena);
     found
 }
 
-/// [`profile_search_with`] on the caller's evaluator, built for `inst`:
+/// [`profile_search`] on the caller's evaluator, built for `inst`:
 /// slack absorption, gated pairwise sweeps and triple polish at stalls
 /// probe through it, and [`NaiveSolver::solution_at`] materializes the
 /// refined profile's schedule from the final incumbent's checkpoint,
@@ -808,7 +781,6 @@ pub(crate) fn profile_search_in(
     solver: &NaiveSolver,
     inst: &Instance,
     start: &EnergyProfile,
-    opts: &ProfileSearchOptions,
     ws: &mut ValueFnWorkspace,
 ) -> (EnergyProfile, NaiveSolution, ProfileSearchOutcome) {
     let stats_before = ws.stats;
@@ -839,7 +811,7 @@ pub(crate) fn profile_search_in(
         }
     }
 
-    let mut ascent = Ascent::anchored(solver, inst, caps, power, opts, ws);
+    let mut ascent = Ascent::anchored(solver, inst, caps, power, ws);
     let mut sweeps = 0usize;
     let mut converged = false;
 
@@ -847,7 +819,7 @@ pub(crate) fn profile_search_in(
     // value must ascend sweep over sweep.
     #[cfg(debug_assertions)]
     let monotone_tol = 1e-9 * inst.total_max_accuracy().max(1.0);
-    while sweeps < opts.max_sweeps {
+    while sweeps < MAX_SWEEPS {
         sweeps += 1;
         #[cfg(debug_assertions)]
         let sweep_start_value = ascent.current;
@@ -927,7 +899,7 @@ mod tests {
         let base = compute_naive_solution(&inst, &start)
             .schedule
             .total_accuracy(&inst);
-        let (profile, sol, out) = profile_search(&inst, &start, &ProfileSearchOptions::default());
+        let (profile, sol, out) = profile_search(&inst, &start);
         assert!(out.converged);
         let refined = sol.schedule.total_accuracy(&inst);
         assert!(refined >= base - 1e-12);
@@ -952,7 +924,7 @@ mod tests {
         // Budget 40 J: naive gives m0 its full 1 s (10 J) and m1 0.3 s.
         let inst = Instance::new(tasks, park, 40.0).unwrap();
         let start = naive_profile(&inst);
-        let (_, sol, _) = profile_search(&inst, &start, &ProfileSearchOptions::default());
+        let (_, sol, _) = profile_search(&inst, &start);
         let acc_refined = sol.schedule.total_accuracy(&inst);
         // m0: 1 s → 1000 GFLOP (10 J). Remaining 30 J on m1 → 0.3 s → 300
         // GFLOP. Total 1300 GFLOP → 0.52 accuracy.
@@ -978,20 +950,12 @@ mod tests {
             Task::new(2.0, acc(&[(0.0, 0.0), (4000.0, 0.4)])),
         ];
         let inst = Instance::new(tasks, park, 55.0).unwrap();
-        let opts = ProfileSearchOptions::default();
-        let (refined, _, out) = profile_search(&inst, &naive_profile(&inst), &opts);
+        let (refined, _, out) = profile_search(&inst, &naive_profile(&inst));
         assert!(out.converged);
         let power: Vec<f64> = (0..3).map(|r| inst.machines()[r].power()).collect();
         let mut ws = ValueFnWorkspace::new();
         let solver = NaiveSolver::new(&inst);
-        let mut ascent = Ascent::anchored(
-            &solver,
-            &inst,
-            refined.caps().to_vec(),
-            power,
-            &opts,
-            &mut ws,
-        );
+        let mut ascent = Ascent::anchored(&solver, &inst, refined.caps().to_vec(), power, &mut ws);
         let pairs: Vec<[(usize, f64); 2]> = (0..3)
             .flat_map(|from| (0..3).map(move |to| [(from, -1.0), (to, 1.0)]))
             .filter(|dir| dir[0].0 != dir[1].0)
@@ -1078,14 +1042,7 @@ mod tests {
         let power = (0..inst.num_machines())
             .map(|r| inst.machines()[r].power())
             .collect();
-        Ascent::anchored(
-            solver,
-            inst,
-            caps.to_vec(),
-            power,
-            &ProfileSearchOptions::default(),
-            ws,
-        )
+        Ascent::anchored(solver, inst, caps.to_vec(), power, ws)
     }
 
     /// The line search of `dir` with the gate's chord at `10⁻³` of the step

@@ -141,11 +141,11 @@ pub struct RenewableSolution {
 /// rounds it with Algorithm 5.
 ///
 /// The instance's own `budget` is ignored; `supply.total()` takes its
-/// place (a constant supply therefore reproduces the base problem).
+/// place (a constant supply therefore reproduces the base problem). The
+/// simplex runs with its default options.
 pub fn solve_renewable(
     inst: &Instance,
     supply: &EnergySupply,
-    lp_opts: &SolveOptions,
 ) -> Result<RenewableSolution, RenewableError> {
     // Build the relaxation against the total supply, then tighten with the
     // per-deadline windows.
@@ -165,7 +165,7 @@ pub fn solve_renewable(
             .collect();
         built.model.add_row(Cmp::Le, avail, &terms);
     }
-    let sol = built.model.solve(lp_opts)?;
+    let sol = built.model.solve(&SolveOptions::default())?;
     if sol.status != Status::Optimal {
         return Err(RenewableError::NotSolved(sol.status));
     }
@@ -286,7 +286,7 @@ mod tests {
     fn constant_supply_matches_base_problem() {
         let inst = instance();
         let supply = EnergySupply::constant(inst.budget()).unwrap();
-        let windowed = solve_renewable(&inst, &supply, &SolveOptions::default()).unwrap();
+        let windowed = solve_renewable(&inst, &supply).unwrap();
         let base = FrOptSolver::new().solve_typed(&inst);
         assert!(
             (windowed.fractional.total_accuracy - base.total_accuracy).abs() < 1e-5,
@@ -303,7 +303,7 @@ mod tests {
         // horizon: early deadlines see much less.
         let supply = EnergySupply::harvest(0.0, inst.budget() / 1.2, 1.2).unwrap();
         assert!((supply.total() - inst.budget()).abs() < 1e-9);
-        let windowed = solve_renewable(&inst, &supply, &SolveOptions::default()).unwrap();
+        let windowed = solve_renewable(&inst, &supply).unwrap();
         let base = FrOptSolver::new().solve_typed(&inst);
         assert!(
             windowed.fractional.total_accuracy < base.total_accuracy - 1e-6,
@@ -320,8 +320,8 @@ mod tests {
         let inst = instance();
         let lo = EnergySupply::harvest(0.0, 10.0, 1.2).unwrap();
         let hi = EnergySupply::harvest(5.0, 20.0, 1.2).unwrap();
-        let a = solve_renewable(&inst, &lo, &SolveOptions::default()).unwrap();
-        let b = solve_renewable(&inst, &hi, &SolveOptions::default()).unwrap();
+        let a = solve_renewable(&inst, &lo).unwrap();
+        let b = solve_renewable(&inst, &hi).unwrap();
         assert!(b.fractional.total_accuracy >= a.fractional.total_accuracy - 1e-9);
     }
 
@@ -329,7 +329,7 @@ mod tests {
     fn rounded_schedule_is_integral_feasible_and_bounded() {
         let inst = instance();
         let supply = EnergySupply::harvest(2.0, 15.0, 1.2).unwrap();
-        let sol = solve_renewable(&inst, &supply, &SolveOptions::default()).unwrap();
+        let sol = solve_renewable(&inst, &supply).unwrap();
         let relaxed = inst.with_budget(supply.total()).unwrap();
         sol.approx
             .schedule
@@ -349,7 +349,7 @@ mod tests {
         let inst = instance();
         // Nearly nothing early, plenty late.
         let supply = EnergySupply::new(vec![(0.0, 0.5), (1.0, 0.6), (1.2, 30.0)]).unwrap();
-        let sol = solve_renewable(&inst, &supply, &SolveOptions::default()).unwrap();
+        let sol = solve_renewable(&inst, &supply).unwrap();
         assert!(supply_violation(&inst, &supply, &sol.approx.schedule) < 1e-6);
         assert!(supply_violation(&inst, &supply, &sol.fractional.schedule) < 1e-6);
     }
@@ -358,7 +358,7 @@ mod tests {
     fn zero_supply_floors_accuracy() {
         let inst = instance();
         let supply = EnergySupply::constant(0.0).unwrap();
-        let sol = solve_renewable(&inst, &supply, &SolveOptions::default()).unwrap();
+        let sol = solve_renewable(&inst, &supply).unwrap();
         assert!((sol.fractional.total_accuracy - inst.total_min_accuracy()).abs() < 1e-6);
     }
 }

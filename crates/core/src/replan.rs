@@ -157,7 +157,7 @@ impl Replanner {
             self.stats.cold_solves += 1;
         }
         let ws = self.ctx.workspace();
-        let approx = crate::approx::solve_approx_in(evaluator, inst, &self.solver.opts, warm, ws);
+        let approx = crate::approx::solve_approx_in(evaluator, inst, warm, ws);
         if self.solver.common.check_invariants {
             let sol = Solution::from_approx(inst, approx.clone());
             oracle::enforce(inst, &sol, &Claims::approx(), "online-residual");

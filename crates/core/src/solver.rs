@@ -8,8 +8,9 @@
 //! work items by the experiment engine (`dsct-sim`): a grid cell holds
 //! `&[Arc<dyn Solver>]` and compares [`Solution`]s without knowing which
 //! algorithm produced them. Options live as fields on each solver value
-//! (e.g. [`FrOptSolver::opts`]), so a configured solver is a plain value
-//! that can be cloned into worker threads.
+//! (e.g. [`LpSolver::opts`]), so a configured solver is a plain value
+//! that can be cloned into worker threads. FR-OPT and APPROX have none
+//! beyond the invariant switch every solver carries ([`SolverOptions`]).
 //!
 //! Solvers that probe the profile value function (FR-OPT and APPROX,
 //! which embeds it) accept a [`SolverContext`] through
@@ -25,9 +26,9 @@
 //! are the sole public API (see the README's migration table).
 
 use crate::algo_naive::{ProbeStats, ValueFnWorkspace};
-use crate::approx::{solve_approx_with, ApproxOptions, ApproxSolution};
+use crate::approx::{solve_approx_with, ApproxSolution};
 use crate::baselines::{greedy_levels, BaselineSolution, PAPER_THREE_LEVELS};
-use crate::fr_opt::{solve_fr_opt_with, FrOptOptions, FrSolution};
+use crate::fr_opt::{solve_fr_opt_with, FrSolution};
 use crate::lp_model::{solve_fr_lp_impl, FrLpSolution};
 use crate::mip_model::{solve_mip_exact_impl, MipScheduleSolution};
 use crate::problem::Instance;
@@ -359,8 +360,6 @@ pub trait Solver: Send + Sync {
 /// upper bound.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FrOptSolver {
-    /// Options forwarded to the fractional solver.
-    pub opts: FrOptOptions,
     /// Algorithm-independent options (invariant checking).
     pub common: SolverOptions,
 }
@@ -371,24 +370,16 @@ impl FrOptSolver {
         Self::default()
     }
 
-    /// Solver with explicit options.
-    pub fn with_options(opts: FrOptOptions) -> Self {
-        Self {
-            opts,
-            common: SolverOptions::default(),
-        }
-    }
-
     /// The typed solve, for callers that need FR-specific fields
     /// ([`FrSolution::naive_profile`], the search outcome, …).
     pub fn solve_typed(&self, inst: &Instance) -> FrSolution {
         let mut ws = ValueFnWorkspace::new();
-        solve_fr_opt_with(inst, &self.opts, &mut ws)
+        solve_fr_opt_with(inst, &mut ws)
     }
 
     /// Typed solve on a reusable context.
     pub fn solve_typed_with(&self, inst: &Instance, ctx: &mut SolverContext) -> FrSolution {
-        solve_fr_opt_with(inst, &self.opts, ctx.workspace())
+        solve_fr_opt_with(inst, ctx.workspace())
     }
 }
 
@@ -425,9 +416,6 @@ impl Solver for FrOptSolver {
 /// embedded fractional solve's `DSCT-EA-UB`.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ApproxSolver {
-    /// Options forwarded to the approximation (fractional-solver options
-    /// plus the placement rule).
-    pub opts: ApproxOptions,
     /// Algorithm-independent options (invariant checking).
     pub common: SolverOptions,
 }
@@ -438,24 +426,16 @@ impl ApproxSolver {
         Self::default()
     }
 
-    /// Solver with explicit options.
-    pub fn with_options(opts: ApproxOptions) -> Self {
-        Self {
-            opts,
-            common: SolverOptions::default(),
-        }
-    }
-
     /// The typed solve, for callers that need the embedded
     /// [`ApproxSolution::fractional`] solution.
     pub fn solve_typed(&self, inst: &Instance) -> ApproxSolution {
         let mut ws = ValueFnWorkspace::new();
-        solve_approx_with(inst, &self.opts, &mut ws)
+        solve_approx_with(inst, &mut ws)
     }
 
     /// Typed solve on a reusable context.
     pub fn solve_typed_with(&self, inst: &Instance, ctx: &mut SolverContext) -> ApproxSolution {
-        solve_approx_with(inst, &self.opts, ctx.workspace())
+        solve_approx_with(inst, ctx.workspace())
     }
 }
 

@@ -860,7 +860,6 @@ impl StagedApproxSolver {
     fn flat_solver(&self) -> ApproxSolver {
         ApproxSolver {
             common: self.common,
-            ..ApproxSolver::new()
         }
     }
 

@@ -54,6 +54,34 @@ pub enum OverrunPolicy {
     Drop,
 }
 
+/// What a dispatch does at its deadline. Completing `planned_work` takes
+/// `planned_time / factor` seconds at the jittered speed; a run that fits
+/// in `time_to_deadline` finishes with all of it. One that does not stops
+/// at the deadline, where `policy` keeps the work `rate` delivered by
+/// then ([`OverrunPolicy::Compress`]) or none ([`OverrunPolicy::Drop`]).
+/// Returns `(runtime, work, kind)`.
+pub fn overrun_outcome(
+    planned_time: f64,
+    planned_work: f64,
+    rate: f64,
+    factor: f64,
+    time_to_deadline: f64,
+    policy: OverrunPolicy,
+) -> (f64, f64, EventKind) {
+    let full_runtime = planned_time / factor;
+    if full_runtime <= time_to_deadline + 1e-12 {
+        return (full_runtime, planned_work, EventKind::Finish);
+    }
+    match policy {
+        OverrunPolicy::Compress => (
+            time_to_deadline,
+            rate * time_to_deadline,
+            EventKind::Compressed,
+        ),
+        OverrunPolicy::Drop => (time_to_deadline, 0.0, EventKind::Dropped),
+    }
+}
+
 /// Executor configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ExecutionConfig {
@@ -219,26 +247,16 @@ pub fn try_execute(
         } else {
             1.0
         };
-        let effective_speed = spec.speed() * factor;
-
-        // Work the plan intends: planned_time at *nominal* speed. At the
-        // jittered speed, completing it takes planned / factor seconds.
-        let planned_work = planned * spec.speed();
-        let full_runtime = planned / factor;
-        let time_to_deadline = (deadline - time).max(0.0);
-
-        let (runtime, work, kind) = if full_runtime <= time_to_deadline + 1e-12 {
-            (full_runtime, planned_work, EventKind::Finish)
-        } else {
-            match cfg.overrun {
-                OverrunPolicy::Compress => (
-                    time_to_deadline,
-                    effective_speed * time_to_deadline,
-                    EventKind::Compressed,
-                ),
-                OverrunPolicy::Drop => (time_to_deadline, 0.0, EventKind::Dropped),
-            }
-        };
+        // Work the plan intends: planned_time at *nominal* speed, delivered
+        // at the jittered speed.
+        let (runtime, work, kind) = overrun_outcome(
+            planned,
+            planned * spec.speed(),
+            spec.speed() * factor,
+            factor,
+            (deadline - time).max(0.0),
+            cfg.overrun,
+        );
 
         let completion = time + runtime;
         let energy = spec.power() * runtime;

@@ -27,5 +27,7 @@
 mod engine;
 mod trace;
 
-pub use engine::{execute, try_execute, ExecError, ExecutionConfig, OverrunPolicy};
+pub use engine::{
+    execute, overrun_outcome, try_execute, ExecError, ExecutionConfig, OverrunPolicy,
+};
 pub use trace::{EventKind, ExecutionTrace, TaskOutcome, TraceEvent};

@@ -59,10 +59,11 @@ use dsct_core::residual::{PoolRow, ResidualPool};
 use dsct_core::solver::ApproxSolver;
 use dsct_core::EPS_TIME;
 use dsct_exec::{
-    EventKind, ExecError, ExecutionConfig, ExecutionTrace, OverrunPolicy, TaskOutcome, TraceEvent,
+    overrun_outcome, EventKind, ExecError, ExecutionConfig, ExecutionTrace, OverrunPolicy,
+    TaskOutcome, TraceEvent,
 };
 use dsct_machines::{Machine, MachinePark};
-use dsct_workload::{ArrivalTrace, OnlineTask};
+use dsct_workload::{splitmix64, ArrivalTrace, OnlineTask};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -308,13 +309,6 @@ fn shift_accuracy(acc: &PwlAccuracy, done: f64) -> Option<PwlAccuracy> {
         return None;
     }
     PwlAccuracy::new(&points).ok()
-}
-
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// The online scheduling service. See the module docs for the model.
@@ -909,24 +903,18 @@ impl OnlineService {
         let mach = self.park.get(r);
         let degrade = self.degrade[r];
         let factor = self.jitter_factor(task.id);
+        let rate = mach.speed() * degrade * factor;
         // The plan was solved on the degraded speed, so `duration` is
         // already time on the slow machine: planned work scales by the
         // degradation, the nominal runtime does not.
-        let planned_work = q.duration * mach.speed() * degrade;
-        let full_runtime = q.duration / factor;
-        let time_to_deadline = (task.deadline - start).max(0.0);
-        let (runtime, work, kind) = if full_runtime <= time_to_deadline + 1e-12 {
-            (full_runtime, planned_work, EventKind::Finish)
-        } else {
-            match self.cfg.overrun {
-                OverrunPolicy::Compress => (
-                    time_to_deadline,
-                    mach.speed() * degrade * factor * time_to_deadline,
-                    EventKind::Compressed,
-                ),
-                OverrunPolicy::Drop => (time_to_deadline, 0.0, EventKind::Dropped),
-            }
-        };
+        let (runtime, work, kind) = overrun_outcome(
+            q.duration,
+            q.duration * mach.speed() * degrade,
+            rate,
+            factor,
+            (task.deadline - start).max(0.0),
+            self.cfg.overrun,
+        );
         let completion = start + runtime;
         let planned_energy = q.duration * mach.power();
         let actual_energy = mach.power() * runtime;
@@ -983,7 +971,7 @@ impl OnlineService {
                 rate: if kind == EventKind::Dropped {
                     0.0
                 } else {
-                    mach.speed() * degrade * factor
+                    rate
                 },
                 power: mach.power(),
                 planned_energy,

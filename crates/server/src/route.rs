@@ -7,14 +7,7 @@
 //! every other tenant's argmax is unchanged — so a kill-and-drain
 //! disturbs the minimum possible amount of routing state.
 
-/// SplitMix64 finalizer — the same mixer the chaos plans use, so one
-/// hash quality argument covers both.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use dsct_workload::splitmix64;
 
 /// The rendezvous score of `(tenant, shard)` — a pure function of the
 /// pair, independent of which other shards exist or are alive.

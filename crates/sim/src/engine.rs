@@ -41,18 +41,10 @@ use dsct_core::solver::{SolveError, Solver, SolverContext};
 pub use dsct_core::WorkerStats;
 use dsct_lp::Status;
 use dsct_mip::MipStatus;
-use dsct_workload::{generate, InstanceConfig};
+use dsct_workload::{generate, splitmix64, InstanceConfig};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// splitmix64 finalizer: a bijective avalanche mix on `u64`.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// Derives one work item's RNG seed from the run's master seed and the
 /// item's grid coordinates. Every solver of a `(cell, rep)` pair receives

@@ -23,3 +23,24 @@ pub use arrivals::{generate_arrivals, synthesize_burst, ArrivalConfig, ArrivalTr
 pub use config::{ConfigError, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
 pub use generate::generate;
 pub use staged::{dvfs_park_with_dominated, generate_staged, DagShape, StagedConfig};
+
+/// SplitMix64 finalizer: a bijective avalanche mix on `u64`. Every
+/// derived seed and hash in the workspace (experiment seeds, chaos
+/// plans, jitter draws, tenant routing) mixes through this one function.
+pub fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::splitmix64;
+
+    #[test]
+    fn splitmix64_known_answers() {
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(splitmix64(1), 0x910A_2DEC_8902_5CC1);
+    }
+}

@@ -12,6 +12,8 @@
 //! cargo run --release --example edge_energy_cap
 //! ```
 
+use dsct_ea::core::algo_naive::compute_naive_solution;
+use dsct_ea::core::profile::naive_profile;
 use dsct_ea::machines::catalog::fig6_two_machine_park;
 use dsct_ea::prelude::*;
 
@@ -45,13 +47,12 @@ fn main() {
         inst.beta()
     );
 
-    // Solve once with refinement disabled (naive profile only) and once in
-    // full.
-    let naive_only = FrOptSolver::with_options(FrOptOptions {
-        skip_refine: true,
-        ..Default::default()
-    })
-    .solve_typed(&inst);
+    // The optimum under the naive profile alone (Algorithm 2, no
+    // refinement), then the full solve.
+    let naive = naive_profile(&inst);
+    let naive_accuracy = compute_naive_solution(&inst, &naive)
+        .schedule
+        .total_accuracy(&inst);
     let refined = FrOptSolver::new().solve_typed(&inst);
 
     println!("\nenergy profile (fraction of the horizon each machine is busy):");
@@ -59,8 +60,8 @@ fn main() {
     println!(
         "{:<28} {:>12.3} {:>12.3}",
         "naive (efficiency-greedy)",
-        naive_only.naive_profile.cap(0) / d_max,
-        naive_only.naive_profile.cap(1) / d_max,
+        naive.cap(0) / d_max,
+        naive.cap(1) / d_max,
     );
     println!(
         "{:<28} {:>12.3} {:>12.3}",
@@ -71,16 +72,12 @@ fn main() {
 
     let n = inst.num_tasks() as f64;
     println!("\nmean accuracy:");
-    println!(
-        "  naive profile only : {:.4}",
-        naive_only.total_accuracy / n
-    );
+    println!("  naive profile only : {:.4}", naive_accuracy / n);
     println!("  refined profile    : {:.4}", refined.total_accuracy / n);
     println!(
         "  refinement gain    : +{:.4} ({:.1}% relative)",
-        (refined.total_accuracy - naive_only.total_accuracy) / n,
-        100.0 * (refined.total_accuracy - naive_only.total_accuracy)
-            / naive_only.total_accuracy.max(1e-12)
+        (refined.total_accuracy - naive_accuracy) / n,
+        100.0 * (refined.total_accuracy - naive_accuracy) / naive_accuracy.max(1e-12)
     );
 
     // The integral schedule a deployment would actually run.

@@ -12,7 +12,6 @@
 //! ```
 
 use dsct_ea::core::renewable::{solve_renewable, supply_violation, EnergySupply};
-use dsct_ea::lp::SolveOptions;
 use dsct_ea::prelude::*;
 
 fn main() {
@@ -56,8 +55,7 @@ fn main() {
     );
     for (name, supply) in scenarios {
         let supply = supply.expect("valid supply");
-        let sol =
-            solve_renewable(&inst, &supply, &SolveOptions::default()).expect("windowed LP solves");
+        let sol = solve_renewable(&inst, &supply).expect("windowed LP solves");
         let ok = supply_violation(&inst, &supply, &sol.approx.schedule) < 1e-6;
         println!(
             "{:<42} {:>10.4} {:>10.4} {:>9}",

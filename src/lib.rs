@@ -47,8 +47,6 @@ pub mod prelude {
     pub use dsct_accuracy::{min_combine, ExponentialAccuracy, PwlAccuracy};
     pub use dsct_chaos::{chaos_replay, ChaosConfig, ChaosPlan};
     pub use dsct_core::{
-        approx::ApproxOptions,
-        fr_opt::FrOptOptions,
         guarantee::absolute_guarantee,
         problem::{Instance, Task},
         schedule::{FractionalSchedule, ScheduleKind},

@@ -6,7 +6,6 @@ use dsct_core::renewable::{solve_renewable, supply_violation, EnergySupply};
 use dsct_core::schedule::ScheduleKind;
 use dsct_core::solver::ApproxSolver;
 use dsct_exec::{execute, ExecutionConfig, OverrunPolicy};
-use dsct_lp::SolveOptions;
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
 use proptest::prelude::*;
 
@@ -63,8 +62,8 @@ proptest! {
         let total = inst.budget();
         let upfront = EnergySupply::constant(total).expect("valid");
         let ramp = EnergySupply::harvest(0.0, total / inst.d_max(), inst.d_max()).expect("valid");
-        let a = solve_renewable(&inst, &upfront, &SolveOptions::default()).expect("solves");
-        let b = solve_renewable(&inst, &ramp, &SolveOptions::default()).expect("solves");
+        let a = solve_renewable(&inst, &upfront).expect("solves");
+        let b = solve_renewable(&inst, &ramp).expect("solves");
         prop_assert!(b.fractional.total_accuracy <= a.fractional.total_accuracy + 1e-6);
         for sol in [&a, &b] {
             prop_assert!(sol.approx.total_accuracy <= sol.fractional.total_accuracy + 1e-7);

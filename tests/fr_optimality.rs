@@ -3,8 +3,6 @@
 //! DSCT-EA-FR computed by the simplex solver (the paper's Theorem 2 claims
 //! exactness via KKT conditions).
 
-use dsct_core::profile::naive_profile;
-use dsct_core::profile_search::{profile_search, ProfileSearchOptions};
 use dsct_core::schedule::ScheduleKind;
 use dsct_core::solver::{FrOptSolver, LpSolver};
 use dsct_lp::Status;
@@ -127,39 +125,6 @@ fn matches_lp_on_larger_mixed_instances() {
         4,
         0..8,
     );
-}
-
-/// More sweeps never hurt: the accuracy reached by `profile_search` is
-/// non-decreasing in `max_sweeps` (coordinate ascent only applies
-/// improving transfers, so each extra sweep starts from the previous
-/// optimum).
-#[test]
-fn profile_search_accuracy_is_monotone_in_sweeps() {
-    let cfg = InstanceConfig {
-        tasks: TaskConfig::paper(18, ThetaDistribution::Uniform { min: 0.1, max: 4.9 }),
-        machines: MachineConfig::paper_random(3),
-        rho: 0.3,
-        beta: 0.4,
-    };
-    for seed in 0..8u64 {
-        let inst = dsct_workload::generate(&cfg, 777 + seed);
-        let start = naive_profile(&inst);
-        let tol = 1e-9 * inst.total_max_accuracy().max(1.0);
-        let mut prev = f64::NEG_INFINITY;
-        for max_sweeps in 1..=5 {
-            let opts = ProfileSearchOptions {
-                max_sweeps,
-                ..Default::default()
-            };
-            let (_, sol, _) = profile_search(&inst, &start, &opts);
-            let acc = sol.schedule.total_accuracy(&inst);
-            assert!(
-                acc >= prev - tol,
-                "seed {seed}: accuracy fell from {prev} to {acc} at max_sweeps {max_sweeps}"
-            );
-            prev = acc;
-        }
-    }
 }
 
 /// Broad stress sweep across regimes (slow; run with `--ignored`).

@@ -12,7 +12,7 @@ use dsct_accuracy::PwlAccuracy;
 use dsct_core::algo_naive::{NaiveSolver, PriceBlocks, ValueCheckpoint};
 use dsct_core::problem::{Instance, Task};
 use dsct_core::profile::{naive_profile, EnergyProfile};
-use dsct_core::profile_search::{profile_search, ProfileSearchOptions};
+use dsct_core::profile_search::profile_search;
 use dsct_core::solver::FrOptSolver;
 use dsct_machines::{Machine, MachinePark};
 use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
@@ -493,11 +493,7 @@ fn the_finisher_carries_the_final_incumbents_takes() {
     for (n, m) in [(100usize, 10usize), (200, 4)] {
         for seed in 0..10u64 {
             let inst = paper_instance(n, m, seed);
-            let (profile, solution, _) = profile_search(
-                &inst,
-                &naive_profile(&inst),
-                &ProfileSearchOptions::default(),
-            );
+            let (profile, solution, _) = profile_search(&inst, &naive_profile(&inst));
             let solver = NaiveSolver::new(&inst);
             let mut chk = ValueCheckpoint::new();
             solver.checkpoint_into(&mut solver.workspace(), profile.caps(), &mut chk);
