@@ -85,6 +85,25 @@
 //! closed it. The scan runs on the calling thread: callers that want
 //! parallelism run many solves at once.
 //!
+//! # The triple polish
+//!
+//! A sweep that moves nothing is followed by the triple polish: one
+//! source into two sinks, or two sources into one sink, at splits
+//! λ ∈ {0.25, 0.5, 0.75}, each through the same gate and line search. The
+//! first transfer it makes hands control back to the sweeps. At a stall
+//! most of its `O(m³)` orientations have no room: a source's cap sits at
+//! 0 or a sink's at `d_max`. So before any step limit the polish reads
+//! each machine's room once per call. A machine can give when
+//! `caps[r]·P_r ≠ 0` and take when `max(d_max − caps[r], 0)·P_r ≠ 0`. An
+//! orientation with a source that cannot give, or a sink that cannot
+//! take, is skipped before its three step limits. That machine's term of
+//! the step limit is a zero numerator over a weight in `(0, 1]`, exactly 0
+//! at every split, so the orientation had no room to move. A weight in
+//! `(0, 1]` cannot round a nonzero numerator to 0 either, so no
+//! orientation with room is skipped: the same gates run in the same
+//! order. Builds with `debug_assertions` compute the three step limits of
+//! every skipped orientation and assert that none has room.
+//!
 //! # The line search
 //!
 //! Along a direction the transfer objective `g(δ) = V(p + δ·dir)` is
@@ -684,11 +703,30 @@ impl<'s, 'w> Ascent<'s, 'w> {
         improved
     }
 
+    /// Room flags of machine `r` at the incumbent: [`GIVES`] when a
+    /// step can shrink its cap, [`TAKES`] when one can grow it — the
+    /// numerators of its [`direction_step_limit`] terms, nonzero.
+    fn room(&self, r: usize) -> u32 {
+        let mut flags = 0;
+        if self.caps[r] * self.power[r] != 0.0 {
+            flags |= GIVES;
+        }
+        if (self.d_max - self.caps[r]).max(0.0) * self.power[r] != 0.0 {
+            flags |= TAKES;
+        }
+        flags
+    }
+
     /// Triple polish, run only at pairwise stalls: one-source/two-sink and
     /// two-source/one-sink directions with a few split ratios. Pairwise
     /// coordinate ascent on a piecewise-linear concave function can stall
     /// at kinks whose escape direction moves three coordinates; the first
     /// improving trio hands control back to the cheap pairwise sweeps.
+    ///
+    /// The machines' room is read once per call ([`Ascent::room`]; the
+    /// caps only move on the transfer that ends it), and roomless trio
+    /// orientations are skipped before their step limits (module docs,
+    /// "The triple polish").
     ///
     /// Each `(a, b, c, orientation)` trio probes its three λ gates at a
     /// *common* step `ε` (10⁻³ of the trio's smallest step limit): the
@@ -700,63 +738,105 @@ impl<'s, 'w> Ascent<'s, 'w> {
     /// value).
     fn polish_triples(&mut self) -> bool {
         let m = self.caps.len();
-        for a in 0..m {
-            for b in 0..m {
-                if b == a {
-                    continue;
-                }
-                for c in (b + 1)..m {
-                    if c == a {
+        let mut room = self.ws.arena.take_u32();
+        room.extend((0..m).map(|r| self.room(r)));
+        let moved = 'search: {
+            for a in 0..m {
+                for b in 0..m {
+                    if b == a {
                         continue;
                     }
-                    for orient in 0..2u8 {
-                        let mut dirs = [[(0usize, 0.0f64); 3]; 3];
-                        let mut dms = [0.0f64; 3];
-                        let mut eps = f64::INFINITY;
-                        for (k, lambda) in [0.25, 0.5, 0.75].into_iter().enumerate() {
-                            dirs[k] = if orient == 0 {
-                                [(a, -1.0), (b, lambda), (c, 1.0 - lambda)]
-                            } else {
-                                [(b, -lambda), (c, -(1.0 - lambda)), (a, 1.0)]
-                            };
-                            if let Some(dm) = self.step_limit(&dirs[k]) {
-                                dms[k] = dm;
-                                eps = eps.min(dm * 1e-3);
-                            }
-                        }
-                        if !eps.is_finite() {
+                    for c in (b + 1)..m {
+                        if c == a {
                             continue;
                         }
-                        let (mut ga, mut gb) = (f64::NAN, f64::NAN);
-                        for k in 0..3 {
-                            if dms[k] == 0.0 {
-                                continue; // this split has no room to move
-                            }
-                            if k == 2
-                                && ga.is_finite()
-                                && gb.is_finite()
-                                && 2.0 * gb - ga <= self.current
-                            {
-                                // Certified ≤ incumbent: the gate would
-                                // fail; skip its evaluation.
+                        for orient in 0..2u8 {
+                            let dirs = trio_directions(a, b, c, orient);
+                            if !trio_has_room(&room, a, b, c, orient) {
+                                #[cfg(debug_assertions)]
+                                for dir in &dirs {
+                                    assert!(
+                                        self.step_limit(dir).is_none(),
+                                        "the room test skipped {dir:?}, which has room"
+                                    );
+                                }
                                 continue;
                             }
-                            let gate = self.gate(&dirs[k], eps, dms[k]);
-                            if k == 0 {
-                                ga = gate.value;
-                            } else if k == 1 {
-                                gb = gate.value;
+                            let mut dms = [0.0f64; 3];
+                            let mut eps = f64::INFINITY;
+                            for (k, dir) in dirs.iter().enumerate() {
+                                if let Some(dm) = self.step_limit(dir) {
+                                    dms[k] = dm;
+                                    eps = eps.min(dm * 1e-3);
+                                }
                             }
-                            if gate.open && self.try_transfer(&dirs[k], &gate, dms[k]) {
-                                return true;
+                            if !eps.is_finite() {
+                                continue;
+                            }
+                            let (mut ga, mut gb) = (f64::NAN, f64::NAN);
+                            for k in 0..3 {
+                                if dms[k] == 0.0 {
+                                    continue; // this split has no room to move
+                                }
+                                if k == 2
+                                    && ga.is_finite()
+                                    && gb.is_finite()
+                                    && 2.0 * gb - ga <= self.current
+                                {
+                                    // Certified ≤ incumbent: the gate would
+                                    // fail; skip its evaluation.
+                                    continue;
+                                }
+                                let gate = self.gate(&dirs[k], eps, dms[k]);
+                                if k == 0 {
+                                    ga = gate.value;
+                                } else if k == 1 {
+                                    gb = gate.value;
+                                }
+                                if gate.open && self.try_transfer(&dirs[k], &gate, dms[k]) {
+                                    break 'search true;
+                                }
                             }
                         }
                     }
                 }
             }
-        }
-        false
+            false
+        };
+        self.ws.arena.put_u32(room);
+        moved
     }
+}
+
+/// Room flag: a step can shrink the machine's cap (`caps[r]·P_r ≠ 0`).
+const GIVES: u32 = 1;
+/// Room flag: a step can grow the machine's cap
+/// (`max(d_max − caps[r], 0)·P_r ≠ 0`).
+const TAKES: u32 = 2;
+
+/// The three split directions of a trio: orientation 0 moves energy from
+/// `a` into `b` and `c`, orientation 1 from `b` and `c` into `a`, at
+/// splits λ ∈ {0.25, 0.5, 0.75}.
+fn trio_directions(a: usize, b: usize, c: usize, orient: u8) -> [[(usize, f64); 3]; 3] {
+    [0.25, 0.5, 0.75].map(|lambda| {
+        if orient == 0 {
+            [(a, -1.0), (b, lambda), (c, 1.0 - lambda)]
+        } else {
+            [(b, -lambda), (c, -(1.0 - lambda)), (a, 1.0)]
+        }
+    })
+}
+
+/// Whether every source of the trio orientation can give and every sink
+/// can take, by the machines' [`Ascent::room`] flags. When one cannot, no
+/// split of the orientation has room (module docs, "The triple polish").
+fn trio_has_room(room: &[u32], a: usize, b: usize, c: usize, orient: u8) -> bool {
+    let (single, pair) = if orient == 0 {
+        (GIVES, TAKES)
+    } else {
+        (TAKES, GIVES)
+    };
+    room[a] & single != 0 && room[b] & pair != 0 && room[c] & pair != 0
 }
 
 /// Runs the pairwise profile ascent from `start`. Returns the refined
@@ -1336,5 +1416,42 @@ mod tests {
         assert!(found.value <= ascent.current + ascent.gain_tol);
         let best = reference(&mut ascent, &TO_M1, 0.0, dm).max(ascent.probe(&TO_M1, 1e-9));
         assert!(best <= found.bound + REFERENCE_NOISE * ascent.gain_tol);
+    }
+
+    /// The triple polish's room test on four machines anchored with one
+    /// cap at 0 (it cannot give) and one at `d_max` (it cannot take): it
+    /// skips the orientations that need either, and exactly those have no
+    /// split with room; the polish then runs with the skips (and, in
+    /// builds with `debug_assertions`, their step-limit cross-check).
+    #[test]
+    fn the_trio_room_test_skips_exactly_the_roomless_orientations() {
+        let inst = paper_like(30, 4, 5);
+        let solver = NaiveSolver::new(&inst);
+        let mut ws = ValueFnWorkspace::new();
+        let d_max = inst.d_max();
+        let caps = [0.0, d_max, 0.3 * d_max, 0.6 * d_max];
+        let mut ascent = ascent_at(&solver, &inst, &caps, &mut ws);
+        let room: Vec<u32> = (0..4).map(|r| ascent.room(r)).collect();
+        assert_eq!(room, [TAKES, GIVES, GIVES | TAKES, GIVES | TAKES]);
+        let (mut skipped, mut kept) = (0, 0);
+        for a in 0..4 {
+            for b in (0..4).filter(|&b| b != a) {
+                for c in (b + 1..4).filter(|&c| c != a) {
+                    for orient in 0..2u8 {
+                        let has_room = trio_directions(a, b, c, orient)
+                            .iter()
+                            .any(|dir| ascent.step_limit(dir).is_some());
+                        assert_eq!(trio_has_room(&room, a, b, c, orient), has_room);
+                        if has_room {
+                            kept += 1;
+                        } else {
+                            skipped += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!((skipped, kept), (14, 10), "the skip fires");
+        ascent.polish_triples();
     }
 }

@@ -35,9 +35,13 @@ pub struct GatewayConfig {
     /// The sharded server underneath (shards, workers, per-cell online
     /// config, federation).
     pub server: ServerConfig,
-    /// Bounded capacity of each producer lane (clamped to ≥ 1). Full
-    /// lanes block their producer — that backpressure is the point of a
-    /// bounded queue; it never affects results, only wall-clock.
+    /// Bounded capacity of each producer lane (clamped to ≥ 1), split
+    /// between the lane's channel (`capacity.div_ceil(2)`) and the batch
+    /// the consumer takes off it in one go (`capacity / 2` beyond the
+    /// head; see [`crate::queue`]). Full lanes block their producer — that
+    /// backpressure is the point of a bounded queue, and a parked
+    /// producer is woken about once per batch; it never affects results,
+    /// only wall-clock.
     pub queue_capacity: usize,
     /// Per-tenant admission quotas.
     pub quota: QuotaConfig,
@@ -424,10 +428,12 @@ impl Gateway {
 /// Replays `trace` through a [`Gateway`] fed by `producers` concurrent
 /// bounded lanes, with `plan`'s shard kills/recoveries merged in by
 /// firing time (an event fires before any arrival at or after its
-/// timestamp). The trace is pre-sorted by the canonical
-/// `(arrival, tenant, id)` key and dealt to producers in contiguous
-/// chunks, so the merge drain — and therefore the report digest — is
-/// byte-identical for any `producers ≥ 1` (see [`crate::queue`]).
+/// timestamp). References to the trace's tasks are sorted by the
+/// canonical `(arrival, tenant, id)` key (a stable sort; the trace is
+/// not copied, each producer clones a task as it sends it) and dealt to
+/// producers in contiguous chunks, so the merge drain — and therefore
+/// the report digest — is byte-identical for any `producers ≥ 1` (see
+/// [`crate::queue`]).
 pub fn replay_gateway(
     trace: &ArrivalTrace,
     cfg: &GatewayConfig,
@@ -435,7 +441,7 @@ pub fn replay_gateway(
     producers: usize,
 ) -> Result<GatewayReport, GatewayError> {
     let mut gateway = Gateway::new(&trace.park, trace.budget, *cfg)?;
-    let mut tasks = trace.tasks.clone();
+    let mut tasks: Vec<&OnlineTask> = trace.tasks.iter().collect();
     tasks.sort_by(|a, b| {
         let (ka, kb) = (drain_key(a), drain_key(b));
         ka.0.total_cmp(&kb.0)
@@ -448,7 +454,7 @@ pub fn replay_gateway(
     let (result, max_depth) = std::thread::scope(|scope| {
         for (chunk_tasks, producer) in tasks.chunks(chunk).zip(handles) {
             scope.spawn(move || {
-                for task in chunk_tasks {
+                for &task in chunk_tasks {
                     if !producer.send(task.clone()) {
                         // Consumer bailed (an error unwound the drain);
                         // stop producing.

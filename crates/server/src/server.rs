@@ -481,12 +481,11 @@ impl ScheduleServer {
         let report = old.finish();
         self.archived.push(ArchivedShard {
             shard,
-            summary: report.summary.clone(),
+            summary: report.summary,
             tasks: report
                 .task_ids
-                .iter()
-                .copied()
-                .zip(report.trace.tasks.iter().cloned())
+                .into_iter()
+                .zip(report.trace.tasks)
                 .collect(),
         });
         self.router.revive(shard);
@@ -627,18 +626,16 @@ impl ScheduleServer {
             |_, _| {},
         );
 
-        let shard_summaries: Vec<OnlineSummary> =
-            reports.iter().map(|r| r.summary.clone()).collect();
-        let shard_tasks: Vec<Vec<(u64, TaskOutcome)>> = reports
-            .iter()
-            .map(|r| {
-                r.task_ids
-                    .iter()
-                    .copied()
-                    .zip(r.trace.tasks.iter().cloned())
-                    .collect()
-            })
-            .collect();
+        let (shard_summaries, shard_tasks): (Vec<OnlineSummary>, Vec<Vec<(u64, TaskOutcome)>>) =
+            reports
+                .into_iter()
+                .map(|r| {
+                    (
+                        r.summary,
+                        r.task_ids.into_iter().zip(r.trace.tasks).collect(),
+                    )
+                })
+                .unzip();
         let rejected = self
             .decisions
             .iter()
