@@ -1445,6 +1445,15 @@ mod tests {
         }
     }
 
+    /// The dispatches in flight, in ascending task id:
+    /// `(id, machine, start, completion)`.
+    fn in_flight(svc: &OnlineService) -> Vec<(u64, usize, f64, f64)> {
+        svc.inflight
+            .iter()
+            .map(|(&id, fl)| (id, fl.machine, fl.start, fl.completion))
+            .collect()
+    }
+
     #[test]
     fn single_arrival_is_served_and_the_ledger_balances() {
         let mut svc = OnlineService::new(park(), 500.0, OnlineConfig::default()).unwrap();
@@ -1651,10 +1660,7 @@ mod tests {
         let mut svc = OnlineService::new(park(), 500.0, OnlineConfig::default()).unwrap();
         svc.try_submit(&task(0, 0.0, 1.0)).unwrap();
         svc.advance_clock(1e-6).unwrap();
-        let machine = {
-            let fl = svc.inflight.values().next().expect("one task in flight");
-            fl.machine
-        };
+        let (_, machine, _, _) = in_flight(&svc)[0];
         svc.inject(0.01, &Disruption::MachineFailure { machine })
             .unwrap();
         assert_eq!(svc.pending(), 1, "the remnant re-pooled");
@@ -1672,10 +1678,7 @@ mod tests {
         // Commit the dispatch without settling it (its completion lies
         // past 1e-6), then fail the machine it landed on mid-run.
         svc.advance_to(1e-6);
-        let (machine, start, completion) = {
-            let fl = svc.inflight.values().next().expect("one task in flight");
-            (fl.machine, fl.start, fl.completion)
-        };
+        let (_, machine, start, completion) = in_flight(&svc)[0];
         let mid = start + 0.5 * (completion - start);
         svc.inject(mid, &Disruption::MachineFailure { machine })
             .unwrap();
@@ -1697,10 +1700,7 @@ mod tests {
         let mut svc = OnlineService::new(park(), 500.0, OnlineConfig::default()).unwrap();
         svc.try_submit(&task(0, 0.0, 1.0)).unwrap();
         svc.advance_to(1e-6);
-        let (machine, start, completion) = {
-            let fl = svc.inflight.values().next().expect("one task in flight");
-            (fl.machine, fl.start, fl.completion)
-        };
+        let (_, machine, start, completion) = in_flight(&svc)[0];
         let mid = start + 0.5 * (completion - start);
         svc.inject(mid, &Disruption::MachineFailure { machine })
             .unwrap();
@@ -1716,6 +1716,37 @@ mod tests {
         assert_eq!(report.ledger.committed(), 0.0);
     }
 
+    /// A task cut by a failure and re-dispatched reports one outcome,
+    /// its last: `task_ids` stays strictly ascending and holds the id
+    /// once, with the re-dispatch's machine and completion.
+    #[test]
+    fn a_cut_and_redispatched_task_reports_once_with_its_final_outcome() {
+        let mut svc = OnlineService::new(park(), 500.0, OnlineConfig::default()).unwrap();
+        for (id, deadline) in [(9, 6.0), (3, 7.0), (7, 5.0)] {
+            svc.try_submit(&task(id, 0.0, deadline)).unwrap();
+        }
+        svc.advance_to(1e-6);
+        let (id, machine, start, completion) = in_flight(&svc)[0];
+        let mid = start + 0.5 * (completion - start);
+        svc.inject(mid, &Disruption::MachineFailure { machine })
+            .unwrap();
+        let report = svc.finish();
+        assert_eq!(report.summary.failures, 1);
+        assert_eq!(report.task_ids, [3, 7, 9], "one outcome per id, ascending");
+        let dispatches = report
+            .trace
+            .events
+            .iter()
+            .filter(|e| e.task == id as usize && e.kind == EventKind::Dispatch)
+            .count();
+        assert_eq!(dispatches, 2, "the remnant was re-dispatched");
+        let k = report.task_ids.iter().position(|&t| t == id).unwrap();
+        let outcome = report.trace.tasks[k];
+        assert_ne!(outcome.machine, Some(machine), "the survivor's outcome");
+        assert!(outcome.start >= mid && outcome.completion > mid);
+        assert!(outcome.work > 0.0);
+    }
+
     #[test]
     fn failure_under_drop_policy_pays_joules_but_keeps_no_work() {
         let cfg = OnlineConfig {
@@ -1725,10 +1756,7 @@ mod tests {
         let mut svc = OnlineService::new(park(), 500.0, cfg).unwrap();
         svc.try_submit(&task(0, 0.0, 1.0)).unwrap();
         svc.advance_to(1e-6);
-        let (machine, start, completion) = {
-            let fl = svc.inflight.values().next().expect("one task in flight");
-            (fl.machine, fl.start, fl.completion)
-        };
+        let (_, machine, start, completion) = in_flight(&svc)[0];
         let mid = start + 0.5 * (completion - start);
         svc.inject(mid, &Disruption::MachineFailure { machine })
             .unwrap();

@@ -17,7 +17,7 @@
 
 use dsct_chaos::ShardChaosPlan;
 use dsct_core::solver::{ApproxSolver, FrOptSolver, SolverContext};
-use dsct_exec::EventKind;
+use dsct_exec::{EventKind, OverrunPolicy};
 use dsct_gateway::{replay_gateway, GatewayConfig, QuotaConfig, RebalanceConfig};
 use dsct_online::{
     replay, AdmissionPolicy, Decision, Disruption, OnlineConfig, OnlineService, ReplayConfig,
@@ -250,12 +250,13 @@ fn tick_snapped_trace(seed: u64) -> ArrivalTrace {
 /// quarter of the arrival window, machine 1 slows to half speed at two
 /// fifths and machine 2 fails at three fifths, so tasks in flight are cut
 /// and re-enter the pool as remnants. Returns the replay's digest and
-/// `(remnants re-dispatched, rejections)`.
+/// `(remnants re-dispatched, rejections, failure cuts, overruns)`; an
+/// overrun is a dispatch the jitter compressed or dropped.
 fn single_cell_digest(
     trace: &ArrivalTrace,
     cfg: OnlineConfig,
     disrupt: bool,
-) -> (String, usize, usize) {
+) -> (String, usize, usize, usize, usize) {
     let last = trace.tasks.last().map_or(0.0, |t| t.arrival);
     let mut events: Vec<(f64, Disruption)> = if disrupt {
         vec![
@@ -289,6 +290,14 @@ fn single_cell_digest(
         }
     }
     let remnants = dispatches.values().filter(|&&c| c > 1).count();
+    let overruns = report
+        .trace
+        .events
+        .iter()
+        .filter(|e| {
+            e.machine != usize::MAX && matches!(e.kind, EventKind::Compressed | EventKind::Dropped)
+        })
+        .count();
     let digest = serde_json::to_string(&(
         &report.summary,
         &report.decisions,
@@ -296,7 +305,13 @@ fn single_cell_digest(
         &report.task_ids,
     ))
     .expect("report serializes");
-    (digest, remnants, report.summary.rejected)
+    (
+        digest,
+        remnants,
+        report.summary.rejected,
+        report.summary.failures,
+        overruns,
+    )
 }
 
 /// The decisions of single-cell and sharded replays, folded into one
@@ -316,7 +331,7 @@ fn pool_replay_digest_is_pinned() {
             ..OnlineConfig::default()
         };
         for disrupt in [false, true] {
-            let (digest, r, rej) = single_cell_digest(&trace, online, disrupt);
+            let (digest, r, rej, _, _) = single_cell_digest(&trace, online, disrupt);
             h = fold_bytes(h, digest.as_bytes());
             remnants += r;
             rejections += rej;
@@ -362,4 +377,44 @@ fn pool_replay_digest_is_pinned() {
     assert!(drains > 0, "no kill drained a pool");
     assert!(moves > 0, "the rebalancer moved nothing");
     assert_eq!(h, POOL_REPLAY_PIN, "pool replay digest moved: {h:#018x}");
+}
+
+/// Recorded before in-flight dispatches moved into per-machine lanes and
+/// outcomes into an append-only list: every earlier pin runs at zero
+/// jitter, so none of them has a jittered overrun meet a failure cut.
+const JITTERED_REPLAY_PIN: u64 = 0x3120_c484_d8db_44a6;
+
+/// Single-cell replays at `speed_jitter = 0.3` under both overrun
+/// policies and both admission policies, each with two machine failures
+/// and a degradation mid-trace, folded into one `u64`: jittered runs are
+/// compressed or dropped, cut by the failures, and (under `Compress`)
+/// re-dispatched as remnants.
+#[test]
+fn jittered_failure_replay_digest_is_pinned() {
+    let trace = tick_snapped_trace(4321);
+    let mut h = 0u64;
+    let (mut remnants, mut failures, mut overruns) = (0, 0, 0);
+    for overrun in [OverrunPolicy::Compress, OverrunPolicy::Drop] {
+        for policy in [AdmissionPolicy::AdmitAll, AdmissionPolicy::DegradeToFit] {
+            let cfg = OnlineConfig {
+                policy,
+                speed_jitter: 0.3,
+                jitter_seed: 4321,
+                overrun,
+                ..OnlineConfig::default()
+            };
+            let (digest, r, _, f, o) = single_cell_digest(&trace, cfg, true);
+            h = fold_bytes(h, digest.as_bytes());
+            remnants += r;
+            failures += f;
+            overruns += o;
+        }
+    }
+    assert!(remnants > 0, "no failure remnant was re-dispatched");
+    assert!(failures > 0, "no failure cut a dispatch");
+    assert!(overruns > 0, "no jittered dispatch overran");
+    assert_eq!(
+        h, JITTERED_REPLAY_PIN,
+        "jittered replay digest moved: {h:#018x}"
+    );
 }
