@@ -8,11 +8,10 @@ use crate::rebalance::{RebalanceConfig, SkewState};
 use dsct_chaos::{ShardChaosPlan, ShardEvent, ShardEventKind, BURST_ID_BASE};
 use dsct_core::EPS_TIME;
 use dsct_machines::MachinePark;
-use dsct_online::Decision;
+use dsct_online::{Decision, OnlineError};
 use dsct_server::{ScheduleServer, ServerConfig, ServerReport};
-use dsct_workload::{ArrivalTrace, OnlineTask};
+use dsct_workload::{ArrivalTrace, IdMap, IdSet, OnlineTask};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Base of the synthesized id range for gateway quota retries
 /// (`1 << 44`). The full id-range map, disjoint by construction:
@@ -151,8 +150,8 @@ pub struct Gateway {
     quotas: QuotaBook,
     skew: SkewState,
     /// Every id ever offered (producer ids and synthesized retry ids) —
-    /// the single-accounting guard.
-    seen: BTreeSet<u64>,
+    /// the single-accounting guard. Only probed, never iterated.
+    seen: IdSet,
     /// Quota-rejected tasks awaiting the next flush boundary, grouped
     /// by tenant, already carrying their retry ids.
     retries: RetryBook,
@@ -161,7 +160,10 @@ pub struct Gateway {
     audits: Vec<FlushAudit>,
     summary: GatewaySummary,
     /// Per-tenant admissions in the open flush window (audit input).
-    window_admitted: BTreeMap<u64, usize>,
+    /// [`Self::close_audit`] reads it by sum, length and a maximum whose
+    /// ties go to the lower tenant id, so its iteration order reaches no
+    /// audit.
+    window_admitted: IdMap<usize>,
     window_rejected: usize,
 }
 
@@ -208,13 +210,13 @@ impl Gateway {
             server,
             quotas: QuotaBook::new(cfg.quota),
             skew: SkewState::new(shards),
-            seen: BTreeSet::new(),
+            seen: IdSet::default(),
             retries: RetryBook::default(),
             retry_seq: 0,
             rejections: Vec::new(),
             audits: Vec::new(),
             summary: GatewaySummary::default(),
-            window_admitted: BTreeMap::new(),
+            window_admitted: IdMap::default(),
             window_rejected: 0,
         })
     }
@@ -329,13 +331,26 @@ impl Gateway {
         Ok(())
     }
 
-    /// Offers one task. The id guards run first ([`GatewayError::ReservedId`],
-    /// [`GatewayError::DuplicateId`]); a task whose arrival opens a new
-    /// tick triggers the flush boundary (server flush, retries,
-    /// rebalance evaluation) before the task itself is considered; the
-    /// tenant's token bucket then admits it into the server or turns it
-    /// away as a typed [`QuotaRejection`].
+    /// Offers one task. A NaN or infinite arrival or deadline is
+    /// refused first, as the server's [`OnlineError::InvalidTask`],
+    /// before it can mark its id seen, open a flush boundary or charge
+    /// its tenant's bucket. The id guards run next
+    /// ([`GatewayError::ReservedId`], [`GatewayError::DuplicateId`]); a
+    /// task whose arrival opens a new tick triggers the flush boundary
+    /// (server flush, retries, rebalance evaluation) before the task
+    /// itself is considered; the tenant's token bucket then admits it
+    /// into the server or turns it away as a typed [`QuotaRejection`].
     pub fn admit(&mut self, task: &OnlineTask) -> Result<GatewayDecision, GatewayError> {
+        for (field, value) in [("arrival", task.arrival), ("deadline", task.deadline)] {
+            if !value.is_finite() {
+                return Err(OnlineError::InvalidTask {
+                    id: task.id,
+                    field,
+                    value,
+                }
+                .into());
+            }
+        }
         if task.id >= BURST_ID_BASE {
             return Err(GatewayError::ReservedId {
                 id: task.id,

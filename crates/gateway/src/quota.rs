@@ -10,9 +10,8 @@
 //! away with a typed [`QuotaRejection`] instead of letting one tenant
 //! starve a shard's pool.
 
-use dsct_workload::OnlineTask;
+use dsct_workload::{IdMap, OnlineTask};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Per-tenant admission-quota configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -100,7 +99,9 @@ impl Bucket {
 #[derive(Debug, Clone)]
 pub struct QuotaBook {
     cfg: QuotaConfig,
-    buckets: BTreeMap<u64, Bucket>,
+    /// Per tenant its bucket, reached by key only: nothing outside the
+    /// debug cross-check of [`RetryBook::release`] iterates it.
+    buckets: IdMap<Bucket>,
 }
 
 impl QuotaBook {
@@ -108,7 +109,7 @@ impl QuotaBook {
     pub fn new(cfg: QuotaConfig) -> Self {
         Self {
             cfg,
-            buckets: BTreeMap::new(),
+            buckets: IdMap::default(),
         }
     }
 
@@ -158,8 +159,10 @@ fn take(tokens: &mut f64, cost: f64) -> bool {
 pub(crate) struct RetryBook {
     /// Per waiting tenant: its cheapest cost (while that does not fit
     /// the bucket, none of its retries can pass) and its `(cost, task)`
-    /// queue in rejection order, which is retry-id order.
-    tenants: BTreeMap<u64, (f64, Vec<(f64, OnlineTask)>)>,
+    /// queue in rejection order, which is retry-id order. Buckets are
+    /// per tenant and [`Self::release`] sorts what it admits by id, so
+    /// the order tenants are visited in reaches no result.
+    tenants: IdMap<(f64, Vec<(f64, OnlineTask)>)>,
 }
 
 impl RetryBook {
@@ -256,10 +259,11 @@ mod tests {
     }
 
     fn bucket_bits(book: &QuotaBook) -> Vec<(u64, (u64, u64))> {
-        book.buckets
-            .iter()
+        let mut bits: Vec<_> = (book.buckets.iter())
             .map(|(&tenant, b)| (tenant, b.bits()))
-            .collect()
+            .collect();
+        bits.sort_unstable_by_key(|&(tenant, _)| tenant);
+        bits
     }
 
     /// Offer costs; the repeated 0.5 makes equal costs common.
@@ -377,6 +381,61 @@ mod tests {
         let left: Vec<(u64, f64)> = queue.iter().map(|(c, t)| (t.id, *c)).collect();
         assert_eq!(left, [(10, 2.0), (12, 1.5), (13, 0.75), (14, 3.0)]);
         assert_eq!(*cheapest, 0.75);
+    }
+
+    /// `release` admits the same ids, in the same order, and leaves the
+    /// same bucket bits whatever order the tenants were charged and
+    /// queued in: the book's iteration order reaches no result.
+    #[test]
+    fn release_does_not_depend_on_tenant_order() {
+        let cfg = QuotaConfig {
+            enabled: true,
+            rate: 1.0,
+            burst: 2.0,
+            retry: true,
+        };
+        let tenants: Vec<u64> = (0..48)
+            .map(|k| match k % 3 {
+                0 => k,
+                1 => u64::MAX - k,
+                _ => k << 40,
+            })
+            .collect();
+        let run = |order: &[u64]| {
+            let (mut quotas, mut retries) = (QuotaBook::new(cfg), RetryBook::default());
+            for &tenant in order {
+                let k = tenants.iter().position(|&t| t == tenant).unwrap() as u64;
+                assert!(quotas.try_admit(tenant, 0.0, 2.0).is_ok());
+                // Retry ids ascend within each tenant's queue, as
+                // rejection order makes them.
+                for (j, cost) in [0.25, 1.0, 0.5 + 0.01 * k as f64].into_iter().enumerate() {
+                    assert!(quotas.try_admit(tenant, 0.0, cost).is_err());
+                    retries.push(cost, retry(3 * k + j as u64, tenant));
+                }
+            }
+            let mut released = Vec::new();
+            for t in [0.3, 0.9, 1.6] {
+                released.push(
+                    retries
+                        .release(&mut quotas, t)
+                        .iter()
+                        .map(|task| task.id)
+                        .collect::<Vec<_>>(),
+                );
+            }
+            (released, bucket_bits(&quotas), retries.len())
+        };
+        let forward = run(&tenants);
+        assert!(forward.0.iter().any(|ids| !ids.is_empty()));
+        assert!(forward.2 > 0, "some retries still wait");
+        let mut reversed = tenants.clone();
+        reversed.reverse();
+        // 7 is prime to 48, so this visits every tenant once.
+        let strided: Vec<u64> = (0..tenants.len())
+            .map(|k| tenants[(7 * k) % tenants.len()])
+            .collect();
+        assert_eq!(run(&reversed), forward);
+        assert_eq!(run(&strided), forward);
     }
 
     #[test]

@@ -68,7 +68,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, BinaryHeap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// A disruption injected into the service clock (see
@@ -230,14 +230,16 @@ struct Queued {
 }
 
 /// A committed dispatch awaiting ledger settlement at its completion.
-/// `seq` is the dispatch sequence number — failure recovery cancels a
-/// pending settlement by `seq`, never by task id, because a task cut by
-/// a failure can be re-dispatched and own a second live settlement.
+/// `seq` is the dispatch sequence number: a settlement finds its
+/// dispatch by `seq` in `machine`'s in-flight lane, never by task id,
+/// because a task cut by a failure can be re-dispatched and own a
+/// second live settlement. A `seq` no longer in the lane was cut.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Settle {
     time: f64,
     id: u64,
     seq: u64,
+    machine: usize,
     planned_energy: f64,
     actual_energy: f64,
 }
@@ -259,13 +261,12 @@ impl Ord for Settle {
 }
 
 /// A committed dispatch currently occupying a machine — everything
-/// failure recovery needs to cut it at an arbitrary instant.
+/// failure recovery needs to cut it at an arbitrary instant. It lives
+/// in the lane of the machine running it (its original park index).
 #[derive(Debug, Clone)]
 struct InFlight {
-    /// Dispatch sequence number (keys the settlement cancellation).
+    /// Dispatch sequence number (what its settlement looks it up by).
     seq: u64,
-    /// Original park index of the machine running the task.
-    machine: usize,
     start: f64,
     completion: f64,
     /// Effective work rate delivered (GFLOP/s; zero for a dropped
@@ -324,7 +325,10 @@ pub struct OnlineService {
     queues: Vec<VecDeque<Queued>>,
     free_at: Vec<f64>,
     settle: BinaryHeap<Settle>,
-    outcomes: BTreeMap<u64, TaskOutcome>,
+    /// Every outcome write, `(task id, outcome)`, in the order made.
+    /// [`Self::finish`] resolves each id to its last write: a cut
+    /// overwrites its commit, a re-dispatched remnant overwrites its cut.
+    outcomes: Vec<(u64, TaskOutcome)>,
     decisions: Vec<(u64, Decision)>,
     events: Vec<TraceEvent>,
     replanner: Replanner,
@@ -336,8 +340,11 @@ pub struct OnlineService {
     committed_energy: f64,
     alive: Vec<bool>,
     degrade: Vec<f64>,
-    inflight: BTreeMap<u64, InFlight>,
-    cancelled: HashSet<u64>,
+    /// Per machine (original park index), the committed dispatches
+    /// not yet settled or cut, in commit order. A machine runs one
+    /// dispatch at a time, so after every clock advance a lane holds at
+    /// most one record.
+    inflight: Vec<Vec<InFlight>>,
     carry: BTreeMap<u64, (f64, f64)>,
     dispatch_seq: u64,
     failures: usize,
@@ -367,7 +374,7 @@ impl OnlineService {
             queues: vec![VecDeque::new(); m],
             free_at: vec![0.0; m],
             settle: BinaryHeap::new(),
-            outcomes: BTreeMap::new(),
+            outcomes: Vec::new(),
             decisions: Vec::new(),
             events: Vec::new(),
             replanner,
@@ -379,8 +386,7 @@ impl OnlineService {
             committed_energy: 0.0,
             alive: vec![true; m],
             degrade: vec![1.0; m],
-            inflight: BTreeMap::new(),
-            cancelled: HashSet::new(),
+            inflight: vec![Vec::new(); m],
             carry: BTreeMap::new(),
             dispatch_seq: 0,
             failures: 0,
@@ -720,8 +726,21 @@ impl OnlineService {
 
         let mut events = std::mem::take(&mut self.events);
         events.sort_by(|a, b| a.time.total_cmp(&b.time).then(a.task.cmp(&b.task)));
-        let task_ids: Vec<u64> = self.outcomes.keys().copied().collect();
-        let tasks: Vec<TaskOutcome> = self.outcomes.values().cloned().collect();
+        let mut outcomes = std::mem::take(&mut self.outcomes);
+        // A stable sort keeps each id's writes in the order made, so
+        // the last of a run of equal ids is the one that stands.
+        outcomes.sort_by_key(|&(id, _)| id);
+        let mut task_ids: Vec<u64> = Vec::with_capacity(outcomes.len());
+        let mut tasks: Vec<TaskOutcome> = Vec::with_capacity(outcomes.len());
+        for (id, outcome) in outcomes {
+            match tasks.last_mut() {
+                Some(last) if task_ids.last() == Some(&id) => *last = outcome,
+                _ => {
+                    task_ids.push(id);
+                    tasks.push(outcome);
+                }
+            }
+        }
         let realized_accuracy: f64 = tasks.iter().map(|t| t.accuracy).sum();
         let realized_energy: f64 = tasks.iter().map(|t| t.energy).sum();
         // Recomputed rather than tracked incrementally: a failure cut
@@ -810,49 +829,48 @@ impl OnlineService {
             if s.time <= t {
                 let s = *s;
                 self.settle.pop();
-                if self.cancelled.remove(&s.seq) {
+                let lane = &mut self.inflight[s.machine];
+                let Some(k) = lane.iter().position(|fl| fl.seq == s.seq) else {
                     // Cut by a machine failure: the ledger already
                     // settled the joules actually burned.
                     continue;
-                }
-                self.inflight.remove(&s.id);
+                };
+                lane.remove(k);
                 self.ledger.settle(s.planned_energy, s.actual_energy);
             } else {
                 break;
             }
         }
+        debug_assert!(
+            self.inflight.iter().all(|lane| lane.len() <= 1),
+            "a machine holds at most one unsettled dispatch after advancing to {t}"
+        );
     }
 
     /// Cuts every task in flight on machine `r` at the failure instant
     /// `at`. [`Self::advance_to`] has already settled completions `<=
     /// at`, so everything still tracked on `r` is genuinely mid-run.
     fn fail_machine(&mut self, r: usize, at: f64) {
-        let cut: Vec<u64> = self
-            .inflight
-            .iter()
-            .filter(|(_, fl)| fl.machine == r)
-            .map(|(&id, _)| id)
-            .collect();
-        for id in cut {
-            self.cut_inflight(id, at);
+        let mut cut = std::mem::take(&mut self.inflight[r]);
+        cut.sort_by_key(|fl| fl.task.id);
+        for fl in cut {
+            self.cut_inflight(fl, r, at);
         }
     }
 
-    /// Cuts one in-flight dispatch at `at`: settles the joules actually
-    /// burned, rewrites its terminal trace event to
-    /// [`EventKind::Failed`], fixes a partial outcome per the overrun
-    /// policy, and — under [`OverrunPolicy::Compress`] — returns the
-    /// remaining work to the pool as a shifted residual accuracy curve.
-    fn cut_inflight(&mut self, id: u64, at: f64) {
-        let fl = self
-            .inflight
-            .remove(&id)
-            .expect("cut targets are in flight");
+    /// Cuts one dispatch, taken out of machine `r`'s in-flight lane, at
+    /// `at`: settles the joules actually burned, rewrites its terminal
+    /// trace event to [`EventKind::Failed`], fixes a partial outcome per
+    /// the overrun policy, and — under [`OverrunPolicy::Compress`] —
+    /// returns the remaining work to the pool as a shifted residual
+    /// accuracy curve. Its pending settlement then finds no record in
+    /// the lane and is skipped.
+    fn cut_inflight(&mut self, fl: InFlight, r: usize, at: f64) {
         debug_assert!(
             fl.completion > at - 1e-9,
             "completed dispatches settle before a cut"
         );
-        self.cancelled.insert(fl.seq);
+        let id = fl.task.id;
         let elapsed = (at - fl.start).max(0.0);
         let burned = fl.power * elapsed;
         let done = fl.rate * elapsed;
@@ -866,10 +884,10 @@ impl OnlineService {
         };
         let total_work = fl.prior_work + kept;
         let total_energy = fl.prior_energy + burned;
-        self.outcomes.insert(
+        self.outcomes.push((
             id,
             TaskOutcome {
-                machine: Some(fl.machine),
+                machine: Some(r),
                 start: fl.start,
                 completion: at,
                 work: total_work,
@@ -878,7 +896,7 @@ impl OnlineService {
                 met_deadline: at <= fl.task.deadline + 1e-9,
                 speed_factor: fl.factor,
             },
-        );
+        ));
         self.failures += 1;
         if self.cfg.overrun == OverrunPolicy::Compress && fl.task.deadline - at > EPS_TIME {
             if let Some(residual) = shift_accuracy(&fl.task.accuracy, kept) {
@@ -928,6 +946,7 @@ impl OnlineService {
             time: completion,
             id: task.id,
             seq,
+            machine: r,
             planned_energy,
             actual_energy,
         });
@@ -944,7 +963,7 @@ impl OnlineService {
             task: task.id as usize,
             kind,
         });
-        self.outcomes.insert(
+        self.outcomes.push((
             task.id,
             TaskOutcome {
                 machine: Some(r),
@@ -960,28 +979,24 @@ impl OnlineService {
                 met_deadline: completion <= task.deadline + 1e-9,
                 speed_factor: factor,
             },
-        );
-        self.inflight.insert(
-            task.id,
-            InFlight {
-                seq,
-                machine: r,
-                start,
-                completion,
-                rate: if kind == EventKind::Dropped {
-                    0.0
-                } else {
-                    rate
-                },
-                power: mach.power(),
-                planned_energy,
-                factor,
-                prior_work,
-                prior_energy,
-                event_idx,
-                task,
+        ));
+        self.inflight[r].push(InFlight {
+            seq,
+            start,
+            completion,
+            rate: if kind == EventKind::Dropped {
+                0.0
+            } else {
+                rate
             },
-        );
+            power: mach.power(),
+            planned_energy,
+            factor,
+            prior_work,
+            prior_energy,
+            event_idx,
+            task,
+        });
         self.dispatched += 1;
     }
 
@@ -1026,7 +1041,7 @@ impl OnlineService {
             task: id as usize,
             kind: EventKind::Dropped,
         });
-        self.outcomes.insert(
+        self.outcomes.push((
             id,
             TaskOutcome {
                 machine: None,
@@ -1038,7 +1053,7 @@ impl OnlineService {
                 met_deadline: true,
                 speed_factor: 1.0,
             },
-        );
+        ));
     }
 
     /// The admission baseline: the incumbent plan's *fractional* value
@@ -1448,10 +1463,14 @@ mod tests {
     /// The dispatches in flight, in ascending task id:
     /// `(id, machine, start, completion)`.
     fn in_flight(svc: &OnlineService) -> Vec<(u64, usize, f64, f64)> {
-        svc.inflight
-            .iter()
-            .map(|(&id, fl)| (id, fl.machine, fl.start, fl.completion))
-            .collect()
+        let mut all: Vec<_> = (svc.inflight.iter().enumerate())
+            .flat_map(|(r, lane)| {
+                lane.iter()
+                    .map(move |fl| (fl.task.id, r, fl.start, fl.completion))
+            })
+            .collect();
+        all.sort_by_key(|&(id, ..)| id);
+        all
     }
 
     #[test]

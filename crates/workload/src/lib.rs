@@ -23,6 +23,8 @@ pub use arrivals::{generate_arrivals, synthesize_burst, ArrivalConfig, ArrivalTr
 pub use config::{ConfigError, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
 pub use generate::generate;
 pub use staged::{dvfs_park_with_dominated, generate_staged, DagShape, StagedConfig};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// SplitMix64 finalizer: a bijective avalanche mix on `u64`. Every
 /// derived seed and hash in the workspace (experiment seeds, chaos
@@ -34,9 +36,49 @@ pub fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// A [`Hasher`] for `u64` keys (task and tenant ids) that mixes each
+/// word through [`splitmix64`]. Its state starts at zero on every run,
+/// unlike `RandomState`'s per-process keys, so an [`IdMap`] or [`IdSet`]
+/// is laid out the same way on every run and machine. No result may
+/// depend on such a map's iteration order all the same: its readers
+/// sum, sort, or break ties by key.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = splitmix64(self.0 ^ x);
+    }
+}
+
+/// A hash map keyed by `u64` ids over the fixed [`IdHasher`].
+pub type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
+/// A hash set of `u64` ids over the fixed [`IdHasher`].
+pub type IdSet = HashSet<u64, BuildHasherDefault<IdHasher>>;
+
 #[cfg(test)]
 mod tests {
-    use super::splitmix64;
+    use super::{splitmix64, IdHasher};
+    use std::hash::{BuildHasher, BuildHasherDefault};
+
+    #[test]
+    fn id_hasher_is_splitmix64_of_the_key() {
+        let build = BuildHasherDefault::<IdHasher>::default();
+        for x in [0, 1, 7, u64::MAX] {
+            assert_eq!(build.hash_one(x), splitmix64(x));
+        }
+    }
 
     #[test]
     fn splitmix64_known_answers() {

@@ -16,7 +16,7 @@ use dsct_ea::gateway::{
     replay_gateway, Gateway, GatewayConfig, GatewayError, QuotaConfig, RebalanceConfig,
     RETRY_ID_BASE,
 };
-use dsct_ea::online::ReplayConfig;
+use dsct_ea::online::{OnlineError, ReplayConfig};
 use dsct_ea::server::ServerConfig;
 use dsct_ea::workload::{
     generate_arrivals, ArrivalConfig, ArrivalTrace, MachineConfig, TaskConfig, ThetaDistribution,
@@ -236,6 +236,96 @@ fn reserved_and_duplicate_ids_are_typed_errors() {
             base: dsct_ea::chaos::BURST_ID_BASE,
         })
     );
+}
+
+/// Non-finite arrivals and deadlines are refused before they touch the
+/// gateway: no id marked seen, no flush boundary opened, no bucket
+/// charged, no audit pushed. The run with the refused offers mixed in
+/// ends with the digest of the run without them.
+#[test]
+fn refused_hostile_arrivals_leave_no_trace() {
+    let trace = trace(SEEDS[0]);
+    let mut tasks: Vec<_> = trace.tasks.iter().take(16).cloned().collect();
+    tasks.sort_by(|a, b| {
+        (a.arrival.total_cmp(&b.arrival))
+            .then(a.tenant.cmp(&b.tenant))
+            .then(a.id.cmp(&b.id))
+    });
+    let run = |hostile: bool| {
+        let mut gateway =
+            Gateway::new(&trace.park, trace.budget, gateway_config(1)).expect("gateway");
+        for (k, task) in tasks.iter().enumerate() {
+            if hostile && k % 4 == 1 {
+                let mut bad = task.clone();
+                bad.id = 1_000_000 + k as u64;
+                let field = match k / 4 {
+                    0 => {
+                        bad.arrival = f64::NAN;
+                        "arrival"
+                    }
+                    1 => {
+                        bad.arrival = f64::INFINITY;
+                        "arrival"
+                    }
+                    2 => {
+                        bad.arrival = f64::NEG_INFINITY;
+                        "arrival"
+                    }
+                    _ => {
+                        bad.deadline = f64::NAN;
+                        "deadline"
+                    }
+                };
+                let err = gateway
+                    .admit(&bad)
+                    .expect_err("a non-finite offer is refused");
+                assert!(
+                    matches!(
+                        err,
+                        GatewayError::Online(OnlineError::InvalidTask { id, field: f, .. })
+                            if id == bad.id && f == field
+                    ),
+                    "{err:?}"
+                );
+            }
+            gateway.admit(task).expect("valid offer");
+        }
+        let report = gateway.finish();
+        assert_eq!(report.core.summary.submitted, tasks.len());
+        report.digest()
+    };
+    assert_eq!(run(true), run(false));
+}
+
+/// The audit's top tenant is the lower id on a tie, whichever tenant
+/// was admitted first, with ids at both ends of the `u64` range.
+#[test]
+fn audit_ties_go_to_the_lower_tenant_in_either_order() {
+    let trace = trace(SEEDS[1]);
+    let at = trace.tasks[0].arrival;
+    for (lo, hi) in [(0, u64::MAX), (3, u64::MAX - 2), (1, 1 << 63)] {
+        let mut audits = Vec::new();
+        for tenants in [[lo, hi, lo, hi], [hi, lo, hi, lo]] {
+            let mut cfg = gateway_config(1);
+            cfg.quota.burst = 1e12;
+            let mut gateway = Gateway::new(&trace.park, trace.budget, cfg).expect("gateway");
+            for (task, tenant) in trace.tasks.iter().zip(tenants) {
+                let mut task = task.clone();
+                task.arrival = at;
+                task.tenant = tenant;
+                gateway.admit(&task).expect("valid offer");
+            }
+            let report = gateway.finish();
+            let audit = *report.core.audits.last().expect("one audit window");
+            assert_eq!(
+                (audit.admitted, audit.tenants, audit.top_admitted),
+                (4, 2, 2)
+            );
+            assert_eq!(audit.top_tenant, lo, "ties go to the lower id");
+            audits.push(audit);
+        }
+        assert_eq!(audits[0], audits[1]);
+    }
 }
 
 /// Recorded at commit df1ea71 (`cargo test --test gateway_determinism`),
