@@ -727,20 +727,12 @@ impl OnlineService {
         let mut events = std::mem::take(&mut self.events);
         events.sort_by(|a, b| a.time.total_cmp(&b.time).then(a.task.cmp(&b.task)));
         let mut outcomes = std::mem::take(&mut self.outcomes);
-        // A stable sort keeps each id's writes in the order made, so
-        // the last of a run of equal ids is the one that stands.
+        // Reversed, a stable sort puts each id's last write first, and
+        // `dedup` keeps the first of each run: the last write stands.
+        outcomes.reverse();
         outcomes.sort_by_key(|&(id, _)| id);
-        let mut task_ids: Vec<u64> = Vec::with_capacity(outcomes.len());
-        let mut tasks: Vec<TaskOutcome> = Vec::with_capacity(outcomes.len());
-        for (id, outcome) in outcomes {
-            match tasks.last_mut() {
-                Some(last) if task_ids.last() == Some(&id) => *last = outcome,
-                _ => {
-                    task_ids.push(id);
-                    tasks.push(outcome);
-                }
-            }
-        }
+        outcomes.dedup_by_key(|&mut (id, _)| id);
+        let (task_ids, tasks): (Vec<u64>, Vec<TaskOutcome>) = outcomes.into_iter().unzip();
         let realized_accuracy: f64 = tasks.iter().map(|t| t.accuracy).sum();
         let realized_energy: f64 = tasks.iter().map(|t| t.energy).sum();
         // Recomputed rather than tracked incrementally: a failure cut
