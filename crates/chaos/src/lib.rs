@@ -19,14 +19,13 @@
 //!   [`ChaosSummary`]. Replays are byte-identical for any solver
 //!   parallelism and any harness thread count (the determinism tests in
 //!   the facade crate compare serialized summaries across both);
-//! - [`ShardKillPlan`] — cell-granular failures for the sharded server
-//!   (`dsct-server`): each event kills a whole shard, which the server
-//!   turns into per-machine failures plus a deterministic drain of the
-//!   cell's pending pool into surviving shards. Pure data, same
-//!   `(seed, index)` purity contract as [`ChaosPlan`];
-//! - [`ShardChaosPlan`] — the kill→recover generalization: each
-//!   [`ShardEvent`] kills *or* respawns a shard, so one plan drives
-//!   full lifecycle chaos through `dsct-server` / `dsct-gateway`.
+//! - [`ShardChaosPlan`] — cell-granular failures for the sharded server
+//!   (`dsct-server`, `dsct-gateway`): each [`ShardEvent`] kills a whole
+//!   shard, which the server turns into per-machine failures plus a
+//!   deterministic drain of the cell's pending pool into surviving
+//!   shards, or respawns one ([`ShardChaosPlan::kills`] for kills alone,
+//!   [`ShardChaosPlan::kill_recover`] to pair each with a recovery).
+//!   Pure data, same `(seed, index)` purity contract as [`ChaosPlan`].
 //!
 //! # Synthesized task-id ranges
 //!
@@ -43,4 +42,4 @@ mod shard;
 
 pub use plan::{ChaosConfig, ChaosEvent, ChaosEventKind, ChaosPlan, BURST_ID_BASE};
 pub use replay::{chaos_replay, ChaosReport, ChaosSummary};
-pub use shard::{ShardChaosPlan, ShardEvent, ShardEventKind, ShardKillEvent, ShardKillPlan};
+pub use shard::{ShardChaosPlan, ShardEvent, ShardEventKind};

@@ -1,81 +1,23 @@
-//! Shard-kill plans: whole-cell failures for the sharded server.
+//! Shard chaos plans: whole-cell failures and recoveries for the
+//! sharded server.
 //!
-//! A [`ShardKillPlan`] is the cell-granular sibling of [`crate::ChaosPlan`]:
-//! each event names a *shard* whose machines all fail at once. The plan
-//! is pure data — `dsct-chaos` knows nothing about the server — and the
-//! consumer (`dsct-server`) turns one event into a deterministic
-//! sequence of per-machine [`dsct_online::Disruption::MachineFailure`]
-//! injections plus a drain of the cell's pending pool into the
-//! surviving shards.
+//! A [`ShardChaosPlan`] is the cell-granular sibling of
+//! [`crate::ChaosPlan`]: each event names a *shard* whose machines all
+//! fail at once, or that respawns. The plan is pure data — `dsct-chaos`
+//! knows nothing about the server — and the consumer (`dsct-server`,
+//! `dsct-gateway`) turns a kill into a deterministic sequence of
+//! per-machine [`dsct_online::Disruption::MachineFailure`] injections
+//! plus a drain of the cell's pending pool into the surviving shards.
 
 use dsct_workload::splitmix64;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
-/// One shard kill: every machine of shard `shard` fails at `at`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShardKillEvent {
-    /// Firing time on the server clock (seconds).
-    pub at: f64,
-    /// The event's index in the plan (the RNG discriminator).
-    pub index: usize,
-    /// Index of the shard to kill.
-    pub shard: usize,
-}
-
-/// A deterministic shard-kill plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardKillPlan {
-    /// Seed the plan was generated from.
-    pub chaos_seed: u64,
-    /// Events sorted by `(at, index)`; shards are distinct (a shard
-    /// dies at most once per plan).
-    pub events: Vec<ShardKillEvent>,
-}
-
-impl ShardKillPlan {
-    /// Generates `kills` shard kills over `shards` cells within
-    /// `horizon`. Each event draws from its own `(chaos_seed, index)`
-    /// ChaCha stream (the [`crate::ChaosPlan`] recipe), so the plan is a
-    /// pure function of its arguments. Victims are sampled without
-    /// replacement in index order; at least one shard always survives
-    /// (`kills` is capped at `shards − 1`). Kill times land in the
-    /// middle of the horizon, where there is routed work both to cut
-    /// and to drain.
-    ///
-    /// # Panics
-    /// Panics when `shards == 0` while `kills > 0`, or when `horizon`
-    /// is not finite and non-negative.
-    pub fn generate(chaos_seed: u64, horizon: f64, shards: usize, kills: usize) -> ShardKillPlan {
-        assert!(
-            horizon.is_finite() && horizon >= 0.0,
-            "horizon must be finite and non-negative, got {horizon}"
-        );
-        assert!(shards > 0 || kills == 0, "shard kills need shards");
-        let kills = kills.min(shards.saturating_sub(1));
-        let mut alive: Vec<usize> = (0..shards).collect();
-        let mut events = Vec::with_capacity(kills);
-        for index in 0..kills {
-            let mut rng =
-                ChaCha8Rng::seed_from_u64(splitmix64(chaos_seed ^ splitmix64(index as u64)));
-            let at = horizon * rng.gen_range(0.15..0.75);
-            let victim = alive.remove(rng.gen_range(0..alive.len()));
-            events.push(ShardKillEvent {
-                at,
-                index,
-                shard: victim,
-            });
-        }
-        events.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.index.cmp(&b.index)));
-        ShardKillPlan { chaos_seed, events }
-    }
-}
-
 /// What a [`ShardEvent`] does to its shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ShardEventKind {
-    /// Every machine of the shard fails at once (see [`ShardKillEvent`]).
+    /// Every machine of the shard fails at once.
     Kill,
     /// The shard respawns: a fresh cell over the original machine
     /// group, rendezvous tenants handed back, budget re-federated.
@@ -97,12 +39,11 @@ pub struct ShardEvent {
 }
 
 /// A deterministic shard lifecycle plan: kills, optionally paired with
-/// later recoveries. The kill→recover generalization of
-/// [`ShardKillPlan`] — pure data with the same `(seed, index)` purity
-/// contract; the consumer (`dsct-server` / `dsct-gateway`) fires each
-/// event against the live server. Killing a dead shard or recovering a
-/// live one is a no-op at the consumer, so overlapping plans compose
-/// safely.
+/// later recoveries. Pure data with the [`crate::ChaosPlan`] purity
+/// contract (each event a function of `(seed, index)`); the consumer
+/// (`dsct-server` / `dsct-gateway`) fires each event against the live
+/// server. Killing a dead shard or recovering a live one is a no-op at
+/// the consumer, so overlapping plans compose safely.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ShardChaosPlan {
     /// Seed the plan was generated from.
@@ -112,15 +53,52 @@ pub struct ShardChaosPlan {
 }
 
 impl ShardChaosPlan {
-    /// Generates `kills` shard kills (exactly [`ShardKillPlan::generate`]
-    /// with the same arguments — byte-identical kill times and victims)
-    /// and pairs each with a recovery `recover_delay` seconds later.
-    /// Recovery events take plan indices after every kill index, so the
-    /// two halves never collide in the `(at, index)` order even when a
-    /// recovery lands on another kill's timestamp.
+    /// Generates `kills` shard kills over `shards` cells within
+    /// `horizon`, and no recovery. Each event draws from its own
+    /// `(chaos_seed, index)` ChaCha stream (the [`crate::ChaosPlan`]
+    /// recipe), so the plan is a pure function of its arguments. Victims
+    /// are sampled without replacement in index order, so a shard dies
+    /// at most once; at least one shard always survives (`kills` is
+    /// capped at `shards − 1`). Kill times land in the middle of the
+    /// horizon, where there is routed work both to cut and to drain.
     ///
     /// # Panics
-    /// Panics on the [`ShardKillPlan::generate`] preconditions, or when
+    /// Panics when `shards == 0` while `kills > 0`, or when `horizon`
+    /// is not finite and non-negative.
+    pub fn kills(chaos_seed: u64, horizon: f64, shards: usize, kills: usize) -> ShardChaosPlan {
+        assert!(
+            horizon.is_finite() && horizon >= 0.0,
+            "horizon must be finite and non-negative, got {horizon}"
+        );
+        assert!(shards > 0 || kills == 0, "shard kills need shards");
+        let kills = kills.min(shards.saturating_sub(1));
+        let mut alive: Vec<usize> = (0..shards).collect();
+        let mut events = Vec::with_capacity(kills);
+        for index in 0..kills {
+            let mut rng =
+                ChaCha8Rng::seed_from_u64(splitmix64(chaos_seed ^ splitmix64(index as u64)));
+            let at = horizon * rng.gen_range(0.15..0.75);
+            let victim = alive.remove(rng.gen_range(0..alive.len()));
+            events.push(ShardEvent {
+                at,
+                index,
+                shard: victim,
+                kind: ShardEventKind::Kill,
+            });
+        }
+        events.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.index.cmp(&b.index)));
+        ShardChaosPlan { chaos_seed, events }
+    }
+
+    /// [`ShardChaosPlan::kills`] with the same arguments — the same kill
+    /// times and victims, bit for bit — with each kill paired with a
+    /// recovery `recover_delay` seconds later. Recovery events take plan
+    /// indices after every kill index, so the two halves never collide
+    /// in the `(at, index)` order even when a recovery lands on another
+    /// kill's timestamp.
+    ///
+    /// # Panics
+    /// Panics on the [`ShardChaosPlan::kills`] preconditions, or when
     /// `recover_delay` is not finite and positive.
     pub fn kill_recover(
         chaos_seed: u64,
@@ -133,25 +111,22 @@ impl ShardChaosPlan {
             recover_delay.is_finite() && recover_delay > 0.0,
             "recover_delay must be finite and positive, got {recover_delay}"
         );
-        let kill_plan = ShardKillPlan::generate(chaos_seed, horizon, shards, kills);
-        let n = kill_plan.events.len();
-        let mut events: Vec<ShardEvent> = Vec::with_capacity(2 * n);
-        for e in &kill_plan.events {
-            events.push(ShardEvent {
-                at: e.at,
-                index: e.index,
-                shard: e.shard,
-                kind: ShardEventKind::Kill,
-            });
-            events.push(ShardEvent {
-                at: e.at + recover_delay,
-                index: n + e.index,
-                shard: e.shard,
+        let mut plan = ShardChaosPlan::kills(chaos_seed, horizon, shards, kills);
+        let n = plan.events.len();
+        let recoveries: Vec<ShardEvent> = plan
+            .events
+            .iter()
+            .map(|kill| ShardEvent {
+                at: kill.at + recover_delay,
+                index: n + kill.index,
                 kind: ShardEventKind::Recover,
-            });
-        }
-        events.sort_by(|a, b| a.at.total_cmp(&b.at).then(a.index.cmp(&b.index)));
-        ShardChaosPlan { chaos_seed, events }
+                ..*kill
+            })
+            .collect();
+        plan.events.extend(recoveries);
+        plan.events
+            .sort_by(|a, b| a.at.total_cmp(&b.at).then(a.index.cmp(&b.index)));
+        plan
     }
 
     /// The empty plan (a plain replay, no shard events).
@@ -169,11 +144,12 @@ mod tests {
 
     #[test]
     fn plans_are_pure_and_victims_distinct() {
-        let a = ShardKillPlan::generate(7, 10.0, 8, 3);
-        let b = ShardKillPlan::generate(7, 10.0, 8, 3);
+        let a = ShardChaosPlan::kills(7, 10.0, 8, 3);
+        let b = ShardChaosPlan::kills(7, 10.0, 8, 3);
         assert_eq!(a, b);
-        assert_ne!(a, ShardKillPlan::generate(8, 10.0, 8, 3));
+        assert_ne!(a, ShardChaosPlan::kills(8, 10.0, 8, 3));
         assert_eq!(a.events.len(), 3);
+        assert!(a.events.iter().all(|e| e.kind == ShardEventKind::Kill));
         let mut shards: Vec<usize> = a.events.iter().map(|e| e.shard).collect();
         shards.sort_unstable();
         shards.dedup();
@@ -186,10 +162,10 @@ mod tests {
 
     #[test]
     fn at_least_one_shard_survives() {
-        let p = ShardKillPlan::generate(3, 5.0, 4, 9);
+        let p = ShardChaosPlan::kills(3, 5.0, 4, 9);
         assert_eq!(p.events.len(), 3, "kills cap at shards − 1");
-        assert!(ShardKillPlan::generate(1, 5.0, 1, 5).events.is_empty());
-        assert!(ShardKillPlan::generate(1, 5.0, 0, 0).events.is_empty());
+        assert!(ShardChaosPlan::kills(1, 5.0, 1, 5).events.is_empty());
+        assert!(ShardChaosPlan::kills(1, 5.0, 0, 0).events.is_empty());
     }
 
     #[test]
@@ -197,14 +173,14 @@ mod tests {
         let plan = ShardChaosPlan::kill_recover(7, 10.0, 8, 3, 1.5);
         assert_eq!(plan, ShardChaosPlan::kill_recover(7, 10.0, 8, 3, 1.5));
         assert_eq!(plan.events.len(), 6);
-        let kills = ShardKillPlan::generate(7, 10.0, 8, 3);
+        let kills = ShardChaosPlan::kills(7, 10.0, 8, 3);
         for e in &kills.events {
             let k = plan
                 .events
                 .iter()
                 .find(|p| p.kind == ShardEventKind::Kill && p.shard == e.shard)
                 .expect("kill present");
-            assert_eq!((k.at, k.index), (e.at, e.index), "kill half is verbatim");
+            assert_eq!(k, e, "kill half is verbatim");
             let r = plan
                 .events
                 .iter()

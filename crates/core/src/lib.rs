@@ -41,7 +41,7 @@
 //!   lowering to the flat model and realizing timed placements back
 //!   (DESIGN.md §17);
 //! - [`solver`] — the uniform [`solver::Solver`] trait every algorithm
-//!   above implements (the API the experiment engine schedules against);
+//!   above implements (the API the experiment sweeps solve through);
 //! - [`run_indexed`] — the workspace's one scoped fan-out: the experiment
 //!   sweeps and the sharded server's `finish` run on it.
 
@@ -68,11 +68,8 @@ pub mod soa;
 pub mod solver;
 pub mod staged;
 
-use serde::{Deserialize, Serialize};
 use solver::SolverContext;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::time::Instant;
 
 /// Time-feasibility tolerance in seconds.
 pub const EPS_TIME: f64 = 1e-9;
@@ -93,99 +90,111 @@ pub fn available_cores() -> usize {
     *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Utilization counters of one [`run_indexed`] worker thread.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WorkerStats {
-    /// Worker index.
-    pub worker: usize,
-    /// Items the worker executed.
-    pub items: usize,
-    /// Seconds the worker spent executing items (vs. idle/stealing).
-    pub busy_time: f64,
-    /// Value-function probes issued through the worker's context.
-    pub probes: u64,
-}
-
 /// Runs `work(ctx, i)` for every `i < n` on `threads` workers (`0` = all
-/// cores, clamped to `n`) and returns the results in index order, plus
-/// one [`WorkerStats`] per worker.
+/// cores, clamped to `n`) and returns the results in index order.
 ///
 /// Workers claim indices from one atomic cursor and each owns one
-/// [`SolverContext`]; the calling thread stores each result in its slot
-/// and then calls `on_result(i, slots)` — completion order, with `slots`
-/// holding everything that has landed so far. With at most one worker
-/// (`threads = 1`, or `n ≤ 1`) everything runs inline on the caller and
-/// nothing is spawned. The workers are scoped to the call: nothing stays
-/// parked between calls. A panic in `work` propagates to the caller.
+/// [`SolverContext`]; each keeps the `(index, result)` pairs it produced,
+/// and the caller places them by index once every worker has joined, so
+/// the order never depends on which worker ran what. With at most one
+/// worker (`threads = 1`, or `n ≤ 1`) everything runs inline on the
+/// caller and nothing is spawned. The workers are scoped to the call:
+/// nothing stays parked between calls. A panic in `work` propagates to
+/// the caller.
 pub fn run_indexed<T: Send>(
     threads: usize,
     n: usize,
     work: impl Fn(&mut SolverContext, usize) -> T + Sync,
-    mut on_result: impl FnMut(usize, &[Option<T>]),
-) -> (Vec<T>, Vec<WorkerStats>) {
+) -> Vec<T> {
     let threads = match threads {
         0 => available_cores(),
         t => t,
     }
     .min(n);
     let cursor = AtomicUsize::new(0);
-    let worker = |w: usize, emit: &mut dyn FnMut(usize, T)| {
+    let worker = || {
         let mut ctx = SolverContext::new();
-        let mut stats = WorkerStats {
-            worker: w,
-            items: 0,
-            busy_time: 0.0,
-            probes: 0,
-        };
+        let mut done = Vec::new();
         loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 break;
             }
-            let t0 = Instant::now();
-            let out = work(&mut ctx, i);
-            stats.busy_time += t0.elapsed().as_secs_f64();
-            stats.items += 1;
-            emit(i, out);
+            done.push((i, work(&mut ctx, i)));
         }
-        stats.probes = ctx.probe_stats().probes;
-        stats
+        done
     };
-
-    let mut slots: Vec<Option<T>> = Vec::new();
-    slots.resize_with(n, || None);
-    let mut land = |i: usize, out: T| {
-        slots[i] = Some(out);
-        on_result(i, &slots);
-    };
-    let workers = if threads <= 1 {
-        vec![worker(0, &mut land)]
-    } else {
-        let (tx, rx) = mpsc::channel::<(usize, T)>();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let (tx, worker) = (tx.clone(), &worker);
-                    scope.spawn(move || {
-                        // A failed send means the collector is gone (it
-                        // panicked); the scope re-raises that panic.
-                        worker(w, &mut |i, out| drop(tx.send((i, out))))
-                    })
-                })
-                .collect();
-            drop(tx);
-            for (i, out) in rx {
-                land(i, out);
+    if threads <= 1 {
+        // One worker claims the indices in order.
+        return worker().into_iter().map(|(_, out)| out).collect();
+    }
+    let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(n).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+        for handle in handles {
+            let done = handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (i, out) in done {
+                slots[i] = Some(out);
             }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        })
-    };
-    let results = slots
+        }
+    });
+    slots
         .into_iter()
         .map(|slot| slot.expect("every index executed"))
-        .collect();
-    (results, workers)
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::{Duration, Instant};
+
+    #[test]
+    fn fan_out_returns_results_in_index_order() {
+        // 8 workers over 5 indices covers `threads > n`.
+        for (threads, n) in [(1, 40), (2, 40), (8, 40), (8, 5)] {
+            let out = run_indexed(threads, n, |_, i| 10 + 2 * i);
+            assert_eq!(out, (0..n).map(|i| 10 + 2 * i).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_empty_and_single_inputs_inline() {
+        let caller = std::thread::current().id();
+        for n in [0, 1] {
+            let out = run_indexed(8, n, |_, i| (i, std::thread::current().id()));
+            assert_eq!(out, vec![(0, caller); n], "n = {n} must not spawn");
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_items_on_more_than_one_thread() {
+        // Each item waits (up to a deadline) until both have started, which
+        // only happens when two workers hold one item each at once.
+        let started = AtomicUsize::new(0);
+        let met = run_indexed(2, 2, |_, _| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let t0 = Instant::now();
+            while started.load(Ordering::SeqCst) < 2 && t0.elapsed() < Duration::from_secs(10) {
+                std::thread::yield_now();
+            }
+            started.load(Ordering::SeqCst) == 2
+        });
+        assert_eq!(met, [true, true], "the two items never ran side by side");
+    }
+
+    #[test]
+    fn a_panicking_item_panics_the_caller() {
+        for threads in [1, 3] {
+            let run = std::panic::AssertUnwindSafe(|| {
+                run_indexed(threads, 6, |_, i| assert_ne!(i, 4, "item 4"))
+            });
+            assert!(
+                std::panic::catch_unwind(run).is_err(),
+                "{threads} threads: the panic of item 4 was swallowed"
+            );
+        }
+    }
 }

@@ -22,7 +22,7 @@
 //!   [`dsct_online::Disruption::BudgetShock`]s and recorded as
 //!   [`Settlement`]s;
 //! - [`ScheduleServer::apply_shard_kill`] — whole-cell failures
-//!   (composing with [`dsct_chaos::ShardKillPlan`]): the victim's
+//!   (composing with [`dsct_chaos::ShardChaosPlan`]): the victim's
 //!   never-dispatched pool drains into surviving shards
 //!   deterministically, in-flight work is cut with the usual failure
 //!   semantics, and the dead shard's unspent budget becomes lending
@@ -36,8 +36,8 @@
 //!   tenant's pending tasks off a hot shard, pin the tenant to a cold
 //!   one, every task recorded as a [`MoveRecord`];
 //! - [`replay_sharded`] — deterministic replay of an
-//!   [`dsct_workload::ArrivalTrace`] with a kill plan merged in by
-//!   firing time.
+//!   [`dsct_workload::ArrivalTrace`] with a shard chaos plan's kills and
+//!   recoveries merged in by firing time.
 
 mod federation;
 mod route;

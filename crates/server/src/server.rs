@@ -38,7 +38,7 @@
 
 use crate::federation::{plan_transfers, FederationConfig, Settlement, ShardFunds};
 use crate::route::Router;
-use dsct_chaos::ShardKillPlan;
+use dsct_chaos::{ShardChaosPlan, ShardEventKind};
 use dsct_core::{run_indexed, EPS_TIME};
 use dsct_exec::{ExecError, TaskOutcome};
 use dsct_machines::{Machine, MachinePark};
@@ -616,15 +616,10 @@ impl ScheduleServer {
             .into_iter()
             .map(|cell| Mutex::new(Some(cell)))
             .collect();
-        let (reports, _) = run_indexed(
-            self.cfg.replay.workers,
-            shards,
-            |_, i| {
-                let cell = slots[i].lock().expect("slot lock").take();
-                cell.expect("each slot is claimed once").finish()
-            },
-            |_, _| {},
-        );
+        let reports = run_indexed(self.cfg.replay.workers, shards, |_, i| {
+            let cell = slots[i].lock().expect("slot lock").take();
+            cell.expect("each slot is claimed once").finish()
+        });
 
         let (shard_summaries, shard_tasks): (Vec<OnlineSummary>, Vec<Vec<(u64, TaskOutcome)>>) =
             reports
@@ -692,14 +687,17 @@ impl ScheduleServer {
 }
 
 /// Replays `trace` through a fresh [`ScheduleServer`] with `plan`'s
-/// shard kills merged in by firing time (a kill fires before any
-/// arrival sharing its timestamp). An empty plan is a plain sharded
+/// shard kills and recoveries merged in by firing time (an event fires
+/// before any arrival sharing its timestamp), each fired as
+/// `dsct_gateway::Gateway::apply_event` fires it: a kill through
+/// [`ScheduleServer::apply_shard_kill`], a recovery through
+/// [`ScheduleServer::recover_shard`]. An empty plan is a plain sharded
 /// replay. `cfg.replay` is the same [`ReplayConfig`] the single-cell
 /// `dsct_online::replay` consumes.
 pub fn replay_sharded(
     trace: &ArrivalTrace,
     cfg: &ServerConfig,
-    plan: &ShardKillPlan,
+    plan: &ShardChaosPlan,
 ) -> Result<ServerReport, OnlineError> {
     let mut server = ScheduleServer::new(&trace.park, trace.budget, *cfg)?;
     let mut next = 0usize;
@@ -708,7 +706,12 @@ pub fn replay_sharded(
             server.submit(&trace.tasks[next])?;
             next += 1;
         }
-        server.apply_shard_kill(event.at, event.shard)?;
+        match event.kind {
+            ShardEventKind::Kill => server.apply_shard_kill(event.at, event.shard)?,
+            ShardEventKind::Recover => {
+                server.recover_shard(event.at, event.shard)?;
+            }
+        }
     }
     for task in &trace.tasks[next..] {
         server.submit(task)?;

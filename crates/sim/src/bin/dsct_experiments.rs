@@ -3,8 +3,8 @@
 //! ```text
 //! dsct-experiments [EXPERIMENTS…] [OPTIONS]
 //!
-//! Experiments: all fig1 fig2 fig3 fig4 fig4a fig4b table1 fig5 fig6 fig6a
-//!              fig6b energy-gain robustness online chaos staged (default: all)
+//! Experiments: all fig1 fig2 fig3 fig4 table1 fig5 fig6 fig6a fig6b
+//!              energy-gain robustness online chaos staged (default: all)
 //! Options:
 //!   --quick        reduced sizes/replications (smoke-test scale)
 //!   --seed N       base RNG seed (default: per-experiment paper seed)
@@ -30,8 +30,6 @@ const EXPERIMENTS: &[&str] = &[
     "fig2",
     "fig3",
     "fig4",
-    "fig4a",
-    "fig4b",
     "table1",
     "fig5",
     "fig6",
@@ -121,12 +119,9 @@ fn main() -> ExitCode {
     };
 
     let wants = |name: &str| {
-        args.experiments.iter().any(|e| {
-            e == "all"
-                || e == name
-                || (e == "fig4" && name.starts_with("fig4"))
-                || (e == "fig6" && name.starts_with("fig6"))
-        })
+        args.experiments
+            .iter()
+            .any(|e| e == "all" || e == name || (e == "fig6" && name.starts_with("fig6")))
     };
     let mut failures = 0usize;
     let mut save = |name: &str, json: serde_json::Value, table: TextTable| match write_artifacts(
@@ -180,7 +175,7 @@ fn main() -> ExitCode {
             fig3::table(&r),
         );
     }
-    if wants("fig4a") || wants("fig4b") {
+    if wants("fig4") {
         banner("Fig. 4 — runtime: DSCT-EA-APPROX vs MIP (time-limited)");
         let mut cfg = if args.quick {
             fig4::Fig4Config::quick()

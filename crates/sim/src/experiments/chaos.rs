@@ -11,12 +11,11 @@
 //! empty plan and must retain exactly 1.0 — a built-in self-test that
 //! the fault machinery is invisible when unused.
 //!
-//! The sweep runs on the engine's worker loop ([`crate::engine`]):
-//! per-item seeds come from [`crate::engine::derive_seed`] on
-//! `(master, cell, rep)` alone and cells fold in item order, so the
-//! result is bit-identical for any worker count.
+//! The sweep is one [`run_indexed`] loop: per-item seeds come from
+//! [`crate::derive_seed`] on `(master, cell, rep)` alone and cells fold
+//! in item order, so the result is bit-identical for any worker count.
 
-use crate::engine::derive_seed;
+use crate::derive_seed;
 use crate::report::TextTable;
 use crate::stats::SummaryStats;
 use dsct_chaos::{chaos_replay, ChaosConfig, ChaosPlan};
@@ -192,20 +191,15 @@ pub fn run(cfg: &ChaosExpConfig, threads: usize) -> ChaosResult {
     // Items are scenario-major: item `i` is replication
     // `i % replications` of scenario `i / replications`. (The replays
     // solve through the service's own context, not the worker's.)
-    let (items, _) = run_indexed(
-        threads,
-        cells.len() * cfg.replications,
-        |_ctx, i| {
-            let (c, rep) = (i / cfg.replications, i % cfg.replications);
-            // The trace seed depends on the replication only, so every
-            // scenario disrupts the *same* traces; the chaos seed differs
-            // per cell so scenarios draw independent fault parameters.
-            let seed = derive_seed(cfg.base_seed, 0, rep as u64);
-            let chaos_seed = derive_seed(cfg.chaos_seed, c as u64, rep as u64);
-            measure(cfg, &cells[c].1, seed, chaos_seed)
-        },
-        |_, _| {},
-    );
+    let items = run_indexed(threads, cells.len() * cfg.replications, |_ctx, i| {
+        let (c, rep) = (i / cfg.replications, i % cfg.replications);
+        // The trace seed depends on the replication only, so every
+        // scenario disrupts the *same* traces; the chaos seed differs
+        // per cell so scenarios draw independent fault parameters.
+        let seed = derive_seed(cfg.base_seed, 0, rep as u64);
+        let chaos_seed = derive_seed(cfg.chaos_seed, c as u64, rep as u64);
+        measure(cfg, &cells[c].1, seed, chaos_seed)
+    });
 
     // Fold in item order: deterministic aggregates.
     let mut points: Vec<ChaosPoint> = cells
@@ -279,15 +273,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn none_scenario_retains_everything_and_workers_are_invisible() {
-        let cfg = ChaosExpConfig::quick();
-        let a = run(&cfg, 1);
-        let b = run(&cfg, 4);
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap(),
-            "1-worker and 4-worker sweeps must be byte-identical"
-        );
+    fn none_scenario_retains_everything() {
+        let a = run(&ChaosExpConfig::quick(), 0);
         let none = &a.points[0];
         assert_eq!(none.scenario, "none");
         assert!(

@@ -99,19 +99,14 @@ pub fn run(cfg: &Fig3Config, threads: usize) -> Fig3Result {
             };
             // Seeds are salted per μ so points are independent.
             let base_seed = cfg.base_seed.wrapping_add((mu * 1000.0) as u64);
-            let (samples, _) = run_indexed(
-                threads,
-                cfg.replications,
-                |ctx, rep| {
-                    let inst = generate(&icfg, base_seed + rep as u64);
-                    let sol = ApproxSolver::new().solve_typed_with(&inst, ctx);
-                    let n = inst.num_tasks() as f64;
-                    let ub = sol.fractional.total_accuracy / n;
-                    let got = sol.total_accuracy / n;
-                    (ub - got, got, ub, absolute_guarantee(&inst) / n)
-                },
-                |_, _| {},
-            );
+            let samples = run_indexed(threads, cfg.replications, |ctx, rep| {
+                let inst = generate(&icfg, base_seed + rep as u64);
+                let sol = ApproxSolver::new().solve_typed_with(&inst, ctx);
+                let n = inst.num_tasks() as f64;
+                let ub = sol.fractional.total_accuracy / n;
+                let got = sol.total_accuracy / n;
+                (ub - got, got, ub, absolute_guarantee(&inst) / n)
+            });
             let mut gap = SummaryStats::new();
             let mut approx = SummaryStats::new();
             let mut ub = SummaryStats::new();
@@ -208,19 +203,5 @@ mod tests {
             );
             assert!(p.ub_mean_accuracy >= p.approx_mean_accuracy - 1e-9);
         }
-    }
-
-    #[test]
-    fn deterministic_for_fixed_seed() {
-        let cfg = Fig3Config {
-            replications: 3,
-            mus: vec![10.0],
-            n: 12,
-            m: 2,
-            ..Fig3Config::default()
-        };
-        let a = run(&cfg, 0);
-        let b = run(&cfg, 1);
-        assert!((a.points[0].gap.mean() - b.points[0].gap.mean()).abs() < 1e-15);
     }
 }

@@ -12,23 +12,22 @@
 //! operating point (ρ = 0.35, β = 0.5, θ ~ U[0.1, 1.0]), noted in
 //! EXPERIMENTS.md.
 //!
-//! Runs on the [`crate::engine`] with `threads = 1`: these are wall-clock
-//! measurements, so items must not contend for cores. Cells past the MIP
-//! size caps restrict their solver set to the approximation alone via
-//! [`CellSpec::with_solvers`].
+//! One [`run_indexed`] item per `(cell, replication)` solves one
+//! generated instance with the approximation and, within the MIP size
+//! caps, with the MIP. The loop runs on one thread: these are wall-clock
+//! measurements, so no solve may share the machine with another item.
 
-use crate::engine::{CellSpec, ExperimentPlan};
+use crate::derive_seed;
+use crate::experiments::timed_solve;
 use crate::report::{fmt_secs, TextTable};
 use crate::stats::SummaryStats;
-use dsct_core::solver::{ApproxSolver, MipSolver, Solver};
-use dsct_mip::MipOptions;
-use dsct_workload::{InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
+use dsct_core::run_indexed;
+use dsct_core::solver::{ApproxSolver, MipSolver, SolveError};
+use dsct_lp::Status;
+use dsct_mip::{MipOptions, MipStatus};
+use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use std::time::Duration;
-
-const APPROX: usize = 0;
-const MIP: usize = 1;
 
 /// Configuration (defaults = the paper's sweep).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -92,17 +91,12 @@ impl Fig4Config {
         }
     }
 
-    fn cell(&self, n: usize, m: usize, label: String, attempt_mip: bool) -> CellSpec {
-        let config = InstanceConfig {
+    fn instance_config(&self, n: usize, m: usize) -> InstanceConfig {
+        InstanceConfig {
             tasks: TaskConfig::paper(n, ThetaDistribution::Uniform { min: 0.1, max: 1.0 }),
             machines: MachineConfig::paper_random(m),
             rho: self.rho,
             beta: self.beta,
-        };
-        if attempt_mip {
-            CellSpec::new(label, config)
-        } else {
-            CellSpec::with_solvers(label, config, vec![APPROX])
         }
     }
 }
@@ -133,51 +127,67 @@ pub struct Fig4Result {
     pub by_machines: Vec<Fig4Point>,
 }
 
-/// Runs both sweeps as one engine plan (sequentially: wall-clock study).
+/// Runs both sweeps as one loop on one thread (a wall-clock study).
 pub fn run(cfg: &Fig4Config) -> Fig4Result {
+    // (size, instance config, attempt the MIP): sweep (a), then sweep (b).
     let mut cells = Vec::new();
-    let mut sizes = Vec::new();
     for &n in &cfg.task_counts {
-        cells.push(cfg.cell(n, cfg.m_fixed, format!("n={n}"), n <= cfg.mip_max_n));
-        sizes.push(n);
+        cells.push((n, cfg.instance_config(n, cfg.m_fixed), n <= cfg.mip_max_n));
     }
     let split = cells.len();
     for &m in &cfg.machine_counts {
-        cells.push(cfg.cell(cfg.n_fixed, m, format!("m={m}"), m <= cfg.mip_max_m));
-        sizes.push(m);
+        cells.push((m, cfg.instance_config(cfg.n_fixed, m), m <= cfg.mip_max_m));
     }
+    let approx = ApproxSolver::new();
+    let mip = MipSolver::with_options(MipOptions {
+        time_limit: Some(Duration::from_secs_f64(cfg.time_limit_secs)),
+        ..Default::default()
+    });
+    let reps = cfg.replications;
+    // Each item: the approximation's solve time and, where attempted, the
+    // MIP's solve time and whether it stopped on its limit (with or
+    // without an incumbent).
+    let items = run_indexed(1, cells.len() * reps, |ctx, i| {
+        let (c, rep) = (i / reps, i % reps);
+        let (_, config, attempt_mip) = &cells[c];
+        let inst = generate(config, derive_seed(cfg.base_seed, c as u64, rep as u64));
+        let (approx_time, _) = timed_solve(&approx, &inst, ctx);
+        let mip = attempt_mip.then(|| {
+            let (time, result) = timed_solve(&mip, &inst, ctx);
+            let timed_out = match result {
+                Ok(sol) => sol.stats.timed_out,
+                Err(SolveError::LpNotOptimal(Status::TimeLimit))
+                | Err(SolveError::NoIncumbent(MipStatus::TimeLimit)) => true,
+                Err(_) => false,
+            };
+            (time, timed_out)
+        });
+        (approx_time, mip)
+    });
 
-    let solvers: Vec<Arc<dyn Solver>> = vec![
-        Arc::new(ApproxSolver::new()),
-        Arc::new(MipSolver::with_options(MipOptions {
-            time_limit: Some(Duration::from_secs_f64(cfg.time_limit_secs)),
-            ..Default::default()
-        })),
-    ];
-    let run = ExperimentPlan::new(cells, solvers)
-        .replications(cfg.replications)
-        .master_seed(cfg.base_seed)
-        .threads(1) // wall-clock measurements must not contend for cores
-        .run();
-
-    let point = |c: usize| -> Fig4Point {
-        let approx_time = run
-            .solver_timing_at(c, APPROX)
-            .map(|t| t.solve_time)
-            .unwrap_or_default();
-        let mip = run.solver_timing_at(c, MIP);
-        Fig4Point {
-            size: sizes[c],
-            approx_time,
-            mip_time: mip.map(|t| t.solve_time).unwrap_or_default(),
-            mip_timeouts: mip.map(|t| t.timeouts).unwrap_or(0),
-            mip_attempted: mip.is_some(),
+    let mut points: Vec<Fig4Point> = cells
+        .iter()
+        .map(|&(size, _, mip_attempted)| Fig4Point {
+            size,
+            approx_time: SummaryStats::new(),
+            mip_time: SummaryStats::new(),
+            mip_timeouts: 0,
+            mip_attempted,
+        })
+        .collect();
+    for (i, (approx_time, mip)) in items.into_iter().enumerate() {
+        let p = &mut points[i / reps];
+        p.approx_time.push(approx_time);
+        if let Some((time, timed_out)) = mip {
+            p.mip_time.push(time);
+            p.mip_timeouts += usize::from(timed_out);
         }
-    };
+    }
+    let by_machines = points.split_off(split);
     Fig4Result {
         config: cfg.clone(),
-        by_tasks: (0..split).map(point).collect(),
-        by_machines: (split..sizes.len()).map(point).collect(),
+        by_tasks: points,
+        by_machines,
     }
 }
 

@@ -6,22 +6,19 @@
 //! Paper parameters: `n = 100`, `m = 2`, `ρ = 1.0`, uniform tasks with
 //! `θ = 0.1`, β from 0.1 to 1.0.
 //!
-//! Runs on the [`crate::engine`]: one cell per β, three solvers per cell.
-//! The upper-bound series comes for free from the approximation's
-//! certified fractional bound ([`dsct_core::solver::Solution::upper_bound`]),
-//! so no second fractional solve is needed.
+//! One [`run_indexed`] item per `(β, replication)` solves one generated
+//! instance with all three methods. The upper-bound series comes for
+//! free from the approximation's certified fractional bound
+//! ([`dsct_core::solver::Solution::upper_bound`]), so no second
+//! fractional solve is needed.
 
-use crate::engine::{CellSpec, ExperimentPlan, ExperimentRun};
+use crate::derive_seed;
 use crate::report::TextTable;
 use crate::stats::SummaryStats;
-use dsct_core::solver::{ApproxSolver, EdfSolver, Solver};
-use dsct_workload::{InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
+use dsct_core::run_indexed;
+use dsct_core::solver::{ApproxSolver, EdfSolver, Solution, Solver};
+use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-
-const APPROX: usize = 0;
-const EDF_FULL: usize = 1;
-const EDF_LEVELS: usize = 2;
 
 /// Configuration (defaults = the paper's).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -121,61 +118,64 @@ pub struct EnergyGain {
     pub accuracy_loss: f64,
 }
 
-/// Runs the sweep on `threads` workers (0 = all cores, 1 = serial).
+/// Runs the sweep on `threads` workers (0 = all cores, 1 = serial). The
+/// returned data is bit-identical for any worker count.
 pub fn run(cfg: &Fig5Config, threads: usize) -> Fig5Result {
-    let cells = cfg
-        .betas
-        .iter()
-        .map(|&beta| CellSpec::new(format!("beta={beta:.2}"), cfg.instance_config(beta)))
-        .collect();
-    let solvers: Vec<Arc<dyn Solver>> = vec![
-        Arc::new(ApproxSolver::new()),
-        Arc::new(EdfSolver::no_compression()),
-        Arc::new(EdfSolver::three_levels()),
-    ];
-    let run = ExperimentPlan::new(cells, solvers)
-        .replications(cfg.replications)
-        .master_seed(cfg.base_seed)
-        .threads(threads)
-        .keep_items(true) // the UB series is per-task-normalized from items
-        .run();
+    let approx = ApproxSolver::new();
+    let edf_full = EdfSolver::no_compression();
+    let edf_levels = EdfSolver::three_levels();
+    let reps = cfg.replications;
+    // Each item: the per-task accuracies of APPROX, its certified bound,
+    // EDF-NoCompression and EDF-3CompressionLevels (`None` where the
+    // solve failed or certified no bound).
+    let items = run_indexed(threads, cfg.betas.len() * reps, |ctx, i| {
+        let (c, rep) = (i / reps, i % reps);
+        let seed = derive_seed(cfg.base_seed, c as u64, rep as u64);
+        let inst = generate(&cfg.instance_config(cfg.betas[c]), seed);
+        let n = inst.num_tasks().max(1) as f64;
+        let sol = approx.solve_with(&inst, ctx).ok();
+        let full = edf_full.solve_with(&inst, ctx).ok();
+        let levels = edf_levels.solve_with(&inst, ctx).ok();
+        let per_task = |sol: &Option<Solution>| sol.as_ref().map(|s| s.total_accuracy / n);
+        [
+            per_task(&sol),
+            sol.as_ref().and_then(|s| s.upper_bound).map(|ub| ub / n),
+            per_task(&full),
+            per_task(&levels),
+        ]
+    });
 
-    let points: Vec<Fig5Point> = cfg
+    let mut points: Vec<Fig5Point> = cfg
         .betas
         .iter()
-        .enumerate()
-        .map(|(c, &beta)| point(&run, c, beta))
+        .map(|&beta| Fig5Point {
+            beta,
+            approx: SummaryStats::new(),
+            upper_bound: SummaryStats::new(),
+            edf_full: SummaryStats::new(),
+            edf_levels: SummaryStats::new(),
+        })
         .collect();
+    // Fold in item order: each series sees its replications in order.
+    for (i, values) in items.iter().enumerate() {
+        let p = &mut points[i / reps];
+        let series = [
+            &mut p.approx,
+            &mut p.upper_bound,
+            &mut p.edf_full,
+            &mut p.edf_levels,
+        ];
+        for (stats, value) in series.into_iter().zip(values) {
+            if let Some(v) = value {
+                stats.push(*v);
+            }
+        }
+    }
     let energy_gain = compute_energy_gain(cfg, &points);
     Fig5Result {
         config: cfg.clone(),
         points,
         energy_gain,
-    }
-}
-
-fn point(run: &ExperimentRun, c: usize, beta: f64) -> Fig5Point {
-    let per_task = |s: usize| -> SummaryStats {
-        run.solver_stats(c, s)
-            .map(|st| st.mean_accuracy)
-            .unwrap_or_default()
-    };
-    // The engine aggregates the certified bound as a total; Fig. 5 plots
-    // per-task accuracies, so rebuild UB / n from the retained items.
-    let mut upper_bound = SummaryStats::new();
-    for item in run.items.as_deref().unwrap_or(&[]) {
-        if item.cell == c && item.solver == APPROX {
-            if let Some(ub) = item.measure.upper_bound {
-                upper_bound.push(ub / item.measure.num_tasks.max(1) as f64);
-            }
-        }
-    }
-    Fig5Point {
-        beta,
-        approx: per_task(APPROX),
-        upper_bound,
-        edf_full: per_task(EDF_FULL),
-        edf_levels: per_task(EDF_LEVELS),
     }
 }
 
@@ -267,26 +267,5 @@ mod tests {
         assert!(g.beta_star <= 1.0);
         assert!(g.energy_saved >= 0.0);
         assert!(g.accuracy_loss <= r.config.gain_tolerance + 1e-9);
-    }
-
-    #[test]
-    fn thread_count_does_not_change_the_figure() {
-        let serial = run(&Fig5Config::quick(), 1);
-        let parallel = run(&Fig5Config::quick(), 4);
-        let flat = |r: &Fig5Result| -> Vec<(f64, f64, f64, f64, f64)> {
-            r.points
-                .iter()
-                .map(|p| {
-                    (
-                        p.beta,
-                        p.approx.mean(),
-                        p.upper_bound.mean(),
-                        p.edf_full.mean(),
-                        p.edf_levels.mean(),
-                    )
-                })
-                .collect()
-        };
-        assert_eq!(flat(&serial), flat(&parallel));
     }
 }

@@ -124,22 +124,17 @@ pub fn run(cfg: &Fig6Config, threads: usize) -> Fig6Result {
                 beta,
             };
             let base_seed = cfg.base_seed.wrapping_add((beta * 1000.0) as u64);
-            let (samples, _) = run_indexed(
-                threads,
-                cfg.replications,
-                |ctx, rep| {
-                    let inst = generate(&icfg, base_seed + rep as u64);
-                    let d_max = inst.d_max();
-                    let sol = FrOptSolver::new().solve_typed_with(&inst, ctx);
-                    (
-                        sol.profile[0] / d_max,
-                        sol.profile[1] / d_max,
-                        sol.naive_profile.cap(0) / d_max,
-                        sol.naive_profile.cap(1) / d_max,
-                    )
-                },
-                |_, _| {},
-            );
+            let samples = run_indexed(threads, cfg.replications, |ctx, rep| {
+                let inst = generate(&icfg, base_seed + rep as u64);
+                let d_max = inst.d_max();
+                let sol = FrOptSolver::new().solve_typed_with(&inst, ctx);
+                (
+                    sol.profile[0] / d_max,
+                    sol.profile[1] / d_max,
+                    sol.naive_profile.cap(0) / d_max,
+                    sol.naive_profile.cap(1) / d_max,
+                )
+            });
             let mut point = Fig6Point {
                 beta,
                 p1: SummaryStats::new(),

@@ -25,3 +25,19 @@ pub mod online;
 pub mod robustness;
 pub mod staged;
 pub mod table1;
+
+use dsct_core::problem::Instance;
+use dsct_core::solver::{Solution, SolveError, Solver, SolverContext};
+use std::time::Instant;
+
+/// One `solve_with` of `solver` on `inst`, timed alone: its wall-clock
+/// seconds beside its result (a failed solve's time counts too).
+fn timed_solve(
+    solver: &dyn Solver,
+    inst: &Instance,
+    ctx: &mut SolverContext,
+) -> (f64, Result<Solution, SolveError>) {
+    let t0 = Instant::now();
+    let result = solver.solve_with(inst, ctx);
+    (t0.elapsed().as_secs_f64(), result)
+}

@@ -102,37 +102,32 @@ pub fn run(cfg: &RobustnessConfig, threads: usize) -> RobustnessResult {
         .jitters
         .iter()
         .map(|&jitter| {
-            let (samples, _) = run_indexed(
-                threads,
-                cfg.replications,
-                |ctx, rep| {
-                    let seed = cfg.base_seed + rep as u64;
-                    let inst = generate(&icfg, seed);
-                    let n = inst.num_tasks() as f64;
-                    let plan = ApproxSolver::new().solve_typed_with(&inst, ctx);
-                    let run = |overrun: OverrunPolicy| {
-                        execute(
-                            &inst,
-                            &plan.schedule,
-                            &ExecutionConfig {
-                                speed_jitter: jitter,
-                                seed: seed ^ 0xabcd_1234,
-                                overrun,
-                            },
-                        )
-                    };
-                    let c = run(OverrunPolicy::Compress);
-                    let d = run(OverrunPolicy::Drop);
-                    (
-                        plan.total_accuracy / n,
-                        c.realized_accuracy / n,
-                        d.realized_accuracy / n,
-                        c.compressions as f64,
-                        d.drops as f64,
+            let samples = run_indexed(threads, cfg.replications, |ctx, rep| {
+                let seed = cfg.base_seed + rep as u64;
+                let inst = generate(&icfg, seed);
+                let n = inst.num_tasks() as f64;
+                let plan = ApproxSolver::new().solve_typed_with(&inst, ctx);
+                let run = |overrun: OverrunPolicy| {
+                    execute(
+                        &inst,
+                        &plan.schedule,
+                        &ExecutionConfig {
+                            speed_jitter: jitter,
+                            seed: seed ^ 0xabcd_1234,
+                            overrun,
+                        },
                     )
-                },
-                |_, _| {},
-            );
+                };
+                let c = run(OverrunPolicy::Compress);
+                let d = run(OverrunPolicy::Drop);
+                (
+                    plan.total_accuracy / n,
+                    c.realized_accuracy / n,
+                    d.realized_accuracy / n,
+                    c.compressions as f64,
+                    d.drops as f64,
+                )
+            });
             let mut point = RobustnessPoint {
                 jitter,
                 planned: SummaryStats::new(),

@@ -7,21 +7,19 @@
 //! *shape*: the dedicated combinatorial algorithm beats the
 //! general-purpose LP machinery at every size, with a widening margin.
 //!
-//! Runs on the [`crate::engine`] with `threads = 1` (wall-clock study)
-//! and retained items, which pair the two solvers on the same generated
-//! instance per replication for the agreement check.
+//! One [`run_indexed`] item per `(n, replication)` solves one generated
+//! instance with both paths, so the agreement check pairs them on the
+//! same instance. The loop runs on one thread (a wall-clock study).
 
-use crate::engine::{CellSpec, ExperimentPlan};
+use crate::derive_seed;
+use crate::experiments::timed_solve;
 use crate::report::{fmt_secs, TextTable};
 use crate::stats::SummaryStats;
-use dsct_core::solver::{FrOptSolver, LpSolver, Solver};
+use dsct_core::run_indexed;
+use dsct_core::solver::{FrOptSolver, LpSolver};
 use dsct_lp::SolveOptions;
-use dsct_workload::{InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
+use dsct_workload::{generate, InstanceConfig, MachineConfig, TaskConfig, ThetaDistribution};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-
-const FR_OPT: usize = 0;
-const LP: usize = 1;
 
 /// Configuration (defaults follow the paper; replications reduced from 10
 /// to 3 because the simplex path dominates runtime — noted in
@@ -73,6 +71,15 @@ impl Table1Config {
             ..Self::default()
         }
     }
+
+    fn instance_config(&self, n: usize) -> InstanceConfig {
+        InstanceConfig {
+            tasks: TaskConfig::paper(n, ThetaDistribution::Uniform { min: 0.1, max: 1.0 }),
+            machines: MachineConfig::paper_random(self.m),
+            rho: self.rho,
+            beta: self.beta,
+        }
+    }
 }
 
 /// One row of the table.
@@ -100,88 +107,57 @@ pub struct Table1Result {
     pub rows: Vec<Table1Row>,
 }
 
-/// Runs the comparison (sequentially: wall-clock study).
+/// Runs the comparison as one loop on one thread (a wall-clock study).
 pub fn run(cfg: &Table1Config) -> Table1Result {
-    let cells = cfg
-        .task_counts
-        .iter()
-        .map(|&n| {
-            CellSpec::new(
-                format!("n={n}"),
-                InstanceConfig {
-                    tasks: TaskConfig::paper(n, ThetaDistribution::Uniform { min: 0.1, max: 1.0 }),
-                    machines: MachineConfig::paper_random(cfg.m),
-                    rho: cfg.rho,
-                    beta: cfg.beta,
-                },
-            )
-        })
-        .collect();
-    let lp_opts = SolveOptions {
+    let fr_opt = FrOptSolver::new();
+    let lp = LpSolver::with_options(SolveOptions {
         time_limit: if cfg.lp_time_limit_secs > 0.0 {
             Some(std::time::Duration::from_secs_f64(cfg.lp_time_limit_secs))
         } else {
             None
         },
         ..Default::default()
-    };
-    let solvers: Vec<Arc<dyn Solver>> = vec![
-        Arc::new(FrOptSolver::new()),
-        Arc::new(LpSolver::with_options(lp_opts)),
-    ];
-    let run = ExperimentPlan::new(cells, solvers)
-        .replications(cfg.replications)
-        .master_seed(cfg.base_seed)
-        .threads(1) // wall-clock measurements must not contend for cores
-        .keep_items(true)
-        .run();
+    });
+    let reps = cfg.replications;
+    // Each item: both solve times, whether the LP failed, and (with the
+    // agreement check) the relative gap between the two optima.
+    let items = run_indexed(1, cfg.task_counts.len() * reps, |ctx, i| {
+        let (c, rep) = (i / reps, i % reps);
+        let seed = derive_seed(cfg.base_seed, c as u64, rep as u64);
+        let inst = generate(&cfg.instance_config(cfg.task_counts[c]), seed);
+        let (fr_time, fr) = timed_solve(&fr_opt, &inst, ctx);
+        let (lp_time, lp) = timed_solve(&lp, &inst, ctx);
+        let gap = match (&fr, &lp) {
+            (Ok(fr), Ok(lp)) if cfg.check_agreement => Some(
+                (lp.total_accuracy - fr.total_accuracy).abs() / inst.total_max_accuracy().max(1.0),
+            ),
+            _ => None,
+        };
+        (fr_time, lp_time, lp.is_err(), gap)
+    });
 
-    let rows = cfg
+    let mut rows: Vec<Table1Row> = cfg
         .task_counts
         .iter()
-        .enumerate()
-        .map(|(c, &n)| {
-            // A non-optimal LP end state surfaces as a failed item, so the
-            // timeout count of the old driver is the solver's failure
-            // count here (the LP has no other failure mode on these
-            // well-formed models).
-            let lp_timeouts = run.solver_stats(c, LP).map(|s| s.failures).unwrap_or(0);
-            // Pair FR and LP on the same replication (same seed ⇒ same
-            // instance) for the worst-case agreement gap.
-            let mut max_rel_gap = 0.0f64;
-            if cfg.check_agreement {
-                let items = run.items.as_deref().unwrap_or(&[]);
-                let mut fr_acc = vec![None; cfg.replications];
-                for item in items.iter().filter(|i| i.cell == c) {
-                    match item.solver {
-                        FR_OPT => fr_acc[item.rep] = item.measure.total_accuracy,
-                        LP => {
-                            if let (Some(fr), Some(lp)) =
-                                (fr_acc[item.rep], item.measure.total_accuracy)
-                            {
-                                let gap = (lp - fr).abs() / item.measure.max_accuracy.max(1.0);
-                                max_rel_gap = max_rel_gap.max(gap);
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            Table1Row {
-                n,
-                fr_opt_time: run
-                    .solver_timing_at(c, FR_OPT)
-                    .map(|t| t.solve_time)
-                    .unwrap_or_default(),
-                lp_time: run
-                    .solver_timing_at(c, LP)
-                    .map(|t| t.solve_time)
-                    .unwrap_or_default(),
-                lp_timeouts,
-                max_rel_gap,
-            }
+        .map(|&n| Table1Row {
+            n,
+            fr_opt_time: SummaryStats::new(),
+            lp_time: SummaryStats::new(),
+            lp_timeouts: 0,
+            max_rel_gap: 0.0,
         })
         .collect();
+    for (i, (fr_time, lp_time, lp_failed, gap)) in items.into_iter().enumerate() {
+        let row = &mut rows[i / reps];
+        row.fr_opt_time.push(fr_time);
+        row.lp_time.push(lp_time);
+        // A non-optimal LP end state (time or iteration cap) is a failed
+        // solve; the LP has no other failure mode on these models.
+        row.lp_timeouts += usize::from(lp_failed);
+        if let Some(gap) = gap {
+            row.max_rel_gap = row.max_rel_gap.max(gap);
+        }
+    }
     Table1Result {
         config: cfg.clone(),
         rows,

@@ -65,7 +65,6 @@ pub mod prelude {
         ReplanStrategy, ReplayConfig,
     };
     pub use dsct_server::{replay_sharded, Router, ScheduleServer, ServerConfig};
-    pub use dsct_sim::engine::{ExperimentPlan, ExperimentRun};
     pub use dsct_workload::{
         generate_arrivals, generate_staged, ArrivalConfig, ArrivalTrace, DagShape, InstanceConfig,
         MachineConfig, OnlineTask, StagedConfig, TaskConfig, ThetaDistribution,

@@ -16,7 +16,7 @@
 //! into the EDF ready-queue and event sorts, which must reject them at
 //! the door (typed errors) rather than panic or go non-deterministic.
 
-use dsct_ea::chaos::ShardKillPlan;
+use dsct_ea::chaos::ShardChaosPlan;
 use dsct_ea::online::{AdmissionPolicy, Decision, OnlineError, ReplayConfig};
 use dsct_ea::server::{replay_sharded, ScheduleServer, ServerConfig};
 use dsct_ea::workload::{
@@ -54,11 +54,8 @@ fn server_config(workers: usize) -> ServerConfig {
     }
 }
 
-fn empty_plan() -> ShardKillPlan {
-    ShardKillPlan {
-        chaos_seed: 0,
-        events: Vec::new(),
-    }
+fn empty_plan() -> ShardChaosPlan {
+    ShardChaosPlan::none(0)
 }
 
 #[test]
@@ -123,7 +120,7 @@ fn gated_shards_digest_identically_across_worker_counts() {
 fn shard_kill_drains_are_deterministic_across_worker_counts() {
     for seed in SEEDS {
         let t = trace(seed);
-        let plan = ShardKillPlan::generate(seed, t.horizon(), 4, 2);
+        let plan = ShardChaosPlan::kills(seed, t.horizon(), 4, 2);
         assert_eq!(plan.events.len(), 2, "seed {seed}: plan generated 2 kills");
         let reports: Vec<_> = WORKER_COUNTS
             .iter()
@@ -174,7 +171,7 @@ fn shard_kill_drains_are_deterministic_across_worker_counts() {
 fn every_arrival_is_accounted_for_exactly_once() {
     for seed in SEEDS {
         let t = trace(seed);
-        let plan = ShardKillPlan::generate(seed ^ 0xABCD, t.horizon(), 4, 1);
+        let plan = ShardChaosPlan::kills(seed ^ 0xABCD, t.horizon(), 4, 1);
         let report = replay_sharded(&t, &server_config(2), &plan).expect("valid replay");
         assert_eq!(report.decisions.len(), t.tasks.len(), "seed {seed}");
         // Each task id appears in at most one shard's outcome list, and
