@@ -279,7 +279,7 @@ impl SolverContext {
     }
 
     /// Cumulative value-function probe counters across every solve run
-    /// through this context (worker utilization accounting).
+    /// through this context.
     pub fn probe_stats(&self) -> ProbeStats {
         self.ws.stats
     }
